@@ -321,6 +321,12 @@ class CoverSimplex:
         return out
 
     def const_total_matrix(self, t: int) -> RationalMatrix:
+        key = ("consttotal", t)
+        if key not in self._cache:
+            self._cache[key] = self._assemble_const_total(t)
+        return self._cache[key]
+
+    def _assemble_const_total(self, t: int) -> RationalMatrix:
         src = self.const_total_blocks(t)
         dst = self.const_total_blocks(t + 1)
         dst_pos = {pk: i for i, pk in enumerate(dst)}
@@ -343,6 +349,12 @@ class CoverSimplex:
 
     def forms_total_matrix(self, t: int) -> RationalMatrix:
         """Total differential delta + (-1)^p vertical on the forms double complex."""
+        key = ("formstotal", t)
+        if key not in self._cache:
+            self._cache[key] = self._assemble_forms_total(t)
+        return self._cache[key]
+
+    def _assemble_forms_total(self, t: int) -> RationalMatrix:
         src = self.forms_total_blocks(t)
         dst = self.forms_total_blocks(t + 1)
         dst_pos = {b: i for i, b in enumerate(dst)}
@@ -361,6 +373,12 @@ class CoverSimplex:
 
     def inclusion_matrix(self, t: int) -> RationalMatrix:
         """Chain map from the const total space into the forms total space."""
+        key = ("inclusion", t)
+        if key not in self._cache:
+            self._cache[key] = self._assemble_inclusion(t)
+        return self._cache[key]
+
+    def _assemble_inclusion(self, t: int) -> RationalMatrix:
         src = self.const_total_blocks(t)
         dst = self.forms_total_blocks(t)
         dst_pos = {b: i for i, b in enumerate(dst)}
@@ -464,14 +482,16 @@ class ExactnessReport:
     augmentation: dict[int, dict]          # m -> injectivity and image data
     exact: bool
 
+    def degree_exact(self, m: int) -> bool:
+        """Exactness of the slice of polynomial degree m."""
+        return all(e["exact"] for (mm, _), e in self.entries.items() if mm == m)
 
-def verify_exactness(cs: CoverSimplex, m_max: int, exterior_degree: int = 0,
-                     degrees: Sequence[int] | None = None) -> ExactnessReport:
+
+def verify_exactness(cs: CoverSimplex, m_max: int, exterior_degree: int = 0) -> ExactnessReport:
     """Check degreewise exactness of 0 -> global -> C^0 -> C^1 -> ...
 
     Works in each polynomial degree m <= m_max separately (odd slices are
-    zero).  Failures are recorded, not raised.  ``degrees`` restricts the
-    check to a subset of degrees, e.g. for fanning work out to workers.
+    zero).  Failures are recorded, not raised.
     """
     k = exterior_degree
     tag = TAG_FUNCTIONS if k == 0 else TAG_FORMS
@@ -479,9 +499,7 @@ def verify_exactness(cs: CoverSimplex, m_max: int, exterior_degree: int = 0,
     augmentation: dict[int, dict] = {}
     exact = True
     s = cs.size
-    if degrees is None:
-        degrees = range(0, m_max + 1)
-    for m in degrees:
+    for m in range(m_max + 1):
         aug = cs.augmentation_matrix(tag, k, m)
         d0 = cs.delta_matrix(tag, 0, k, m)
         ranks = {}

@@ -5,18 +5,17 @@ file (UTF-8 JSON), prints a human-readable report to stdout, or the
 machine payload with --json.  The machine payload contains no timing, so
 identical input and flags give byte-identical output.
 
-Exit codes: 0 success / all verified, 1 internal error, 2 validation
-failure, 3 verification mismatch.
+Exit codes: 0 success / all verified, 1 internal error, 2 bad input (a
+missing, unreadable or invalid fan file, or a bad flag value such as a
+negative --tmax or --mmax), 3 verification mismatch.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -38,8 +37,6 @@ EXIT_OK = 0
 EXIT_INTERNAL = 1
 EXIT_VALIDATION = 2
 EXIT_MISMATCH = 3
-
-WORKERS_ENV = "TORICLG_WORKERS"
 
 
 def _frac(x: Fraction) -> str | int:
@@ -212,66 +209,34 @@ def cmd_cohomology(args) -> tuple[Report, int]:
     return report, EXIT_OK
 
 
-def _exactness_degree_worker(task: tuple[str, tuple[tuple[int, ...], ...] | None, int, int]) -> dict:
-    """Per-degree exactness in a separate process; re-parses the fan file."""
-    text, cover_indices, m, m_max = task
-    fan, _ = parse_fan_file(text)
-    cs = _cover_from_indices(fan, cover_indices)
-    rep = verify_exactness(cs, m_max, degrees=[m])
-    return {
-        "m": m,
-        "exact": rep.exact,
-        "augmentation": rep.augmentation[m],
-        "entries": {p: rep.entries[(m, p)] for (mm, p) in rep.entries if mm == m},
-    }
-
-
-def _cover_from_indices(fan: Fan, indices: tuple[tuple[int, ...], ...] | None) -> CoverSimplex:
-    if indices is None:
-        return CoverSimplex(fan)
-    return CoverSimplex(fan, [fan.cone(ix) for ix in indices])
-
-
 def cmd_verify(args) -> tuple[Report, int]:
     start = time.monotonic()
-    path = args.fan_file
-    text = Path(path).read_text(encoding="utf-8")
-    fan, _ = parse_fan_file(text)
+    fan, _ = _load(args.fan_file)
     m_max = args.mmax if args.mmax is not None else 2 * fan.rank + 4
     t_max = args.tmax if args.tmax is not None else default_t_max(fan)
-    cover_indices = None
+    cover = None
     if args.cover:
-        picks = _parse_index_list(args.cover)
-        cones = []
-        for i in picks:
+        cover = []
+        for i in _parse_index_list(args.cover):
             if not 1 <= i <= len(fan.all_cones):
                 raise FanError(f"--cover index {i} outside 1..{len(fan.all_cones)}")
-            cones.append(fan.all_cones[i - 1])
-        cover_indices = tuple(c.ray_indices for c in cones)
-    cs = _cover_from_indices(fan, cover_indices)
+            cover.append(fan.all_cones[i - 1])
+    cs = CoverSimplex(fan, cover)
 
-    workers = int(os.environ.get(WORKERS_ENV, "1") or "1")
-    if workers > 1:
-        tasks = [(text, cover_indices, m, m_max) for m in range(m_max + 1)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            per_degree = list(pool.map(_exactness_degree_worker, tasks))
-    else:
-        per_degree = [_exactness_degree_worker((text, cover_indices, m, m_max))
-                      for m in range(m_max + 1)]
-    exact_ok = all(d["exact"] for d in per_degree)
-
+    exactness = verify_exactness(cs, m_max)
     quasi = verify_quasi_iso(cs, t_max)
-    agree = exact_ok and quasi.agree
+    agree = exactness.exact and quasi.agree
     payload = {
         "m_max": m_max,
         "t_max": t_max,
         "cover": [list(c.ray_indices) for c in cs.cover],
-        "exactness_ok": exact_ok,
+        "exactness_ok": exactness.exact,
         "exactness": [
-            {"m": d["m"], "exact": d["exact"],
-             "augmentation": d["augmentation"],
-             "joints": [{"p": p, **vals} for p, vals in sorted(d["entries"].items())]}
-            for d in per_degree
+            {"m": m, "exact": exactness.degree_exact(m),
+             "augmentation": exactness.augmentation[m],
+             "joints": [{"p": p, **vals} for (mm, p), vals in sorted(exactness.entries.items())
+                        if mm == m]}
+            for m in range(m_max + 1)
         ],
         "dims_twisted": list(quasi.dims_twisted),
         "dims_forms_total": list(quasi.dims_forms_total),
@@ -280,8 +245,8 @@ def cmd_verify(args) -> tuple[Report, int]:
         "induced_iso_ok": quasi.induced_iso_ok,
         "agree": agree,
     }
-    report = Report("verify", _fan_meta(fan, path),
-                    {"mmax": m_max, "tmax": t_max, "workers": workers}, payload,
+    report = Report("verify", _fan_meta(fan, args.fan_file),
+                    {"mmax": m_max, "tmax": t_max}, payload,
                     time.monotonic() - start)
     return report, EXIT_OK if agree else EXIT_MISMATCH
 
@@ -331,6 +296,16 @@ def cmd_degenerate(args) -> tuple[Report, int]:
     return report, EXIT_OK
 
 
+def _degree(raw: str) -> int:
+    try:
+        value = int(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {raw!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="toriclg",
@@ -344,15 +319,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_coh = sub.add_parser("cohomology", help="twisted-complex cohomology and ring")
     p_coh.add_argument("fan_file")
-    p_coh.add_argument("--tmax", type=int, default=None)
+    p_coh.add_argument("--tmax", type=_degree, default=None)
     p_coh.add_argument("--ring", action="store_true")
     p_coh.add_argument("--json", action="store_true")
     p_coh.set_defaults(func=cmd_cohomology)
 
     p_ver = sub.add_parser("verify", help="cross-check all cohomology pipelines")
     p_ver.add_argument("fan_file")
-    p_ver.add_argument("--mmax", type=int, default=None)
-    p_ver.add_argument("--tmax", type=int, default=None)
+    p_ver.add_argument("--mmax", type=_degree, default=None)
+    p_ver.add_argument("--tmax", type=_degree, default=None)
     p_ver.add_argument("--cover", type=str, default="",
                        help="comma-separated 1-based indices into the all-cones "
                             "list printed by validate; default: maximal cones")

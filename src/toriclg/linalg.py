@@ -1,10 +1,26 @@
 """Exact rational linear algebra on sparse matrices.
 
 Everything runs over ``fractions.Fraction``; no floating point enters
-anywhere.  Elimination follows a fixed pivot rule (scan columns left to
-right, take the first remaining row with a nonzero entry), so ranks,
-kernel bases, lifts and cohomology representatives are reproducible
-across runs and platforms.
+anywhere.
+
+Each matrix is eliminated at most once.  ``eliminate`` computes the
+reduced row echelon form (RREF) of a matrix on first use and caches it
+on the matrix, which is treated as immutable; ``rank``,
+``kernel_basis``, ``image_pivot_columns`` and ``cohomology_at`` all read
+that one elimination.  A complex that caches its differentials
+therefore eliminates each differential once, and the two cohomology
+slots on either side of a differential share its elimination.
+
+Results do not depend on the order in which rows are combined: the RREF
+of a matrix is unique, and so are its pivot columns (the greedy choice
+"scan columns left to right, keep those independent of the earlier
+ones").  Ranks, kernel bases, lifts and cohomology representatives are
+therefore reproducible across runs and platforms.
+
+``cohomology_at`` needs no elimination beyond those of its two maps: its
+dimension is nullity(d_out) - rank(d_in), and its representatives come
+from one small RREF of the image written in kernel coordinates (see
+``CohomologySlot``).
 """
 
 from __future__ import annotations
@@ -66,12 +82,13 @@ class RationalMatrix:
     """Sparse matrix over Q.  Instances are treated as immutable.
 
     ``entries`` maps ``(row, col)`` to a nonzero Fraction; explicit zeros
-    are stripped on construction.
+    are stripped on construction.  ``eliminate`` caches the RREF here.
     """
 
     rows: int
     cols: int
     entries: dict = field(default_factory=dict)
+    _elimination: "Elimination | None" = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         clean = {}
@@ -237,9 +254,60 @@ def _rref(rows: list[dict], main_cols: int) -> list[tuple[int, int]]:
     return pivots
 
 
+@dataclass(frozen=True)
+class Elimination:
+    """Reduced row echelon form of a matrix.
+
+    ``rows[i]`` is the i-th nonzero RREF row as a sparse dict; it holds a
+    1 at column ``pivots[i]`` and no other pivot column.  ``free`` lists
+    the remaining columns in increasing order.  The rows are shared and
+    must not be mutated.
+    """
+
+    cols: int
+    rows: tuple[dict, ...]
+    pivots: tuple[int, ...]
+    free: tuple[int, ...]
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivots)
+
+    @property
+    def nullity(self) -> int:
+        return len(self.free)
+
+    def annihilates(self, v: Sequence) -> bool:
+        """True iff the matrix maps v to zero (the RREF rows span its row space)."""
+        for row in self.rows:
+            if sum((c * v[j] for j, c in row.items() if v[j]), ZERO):
+                return False
+        return True
+
+    def kernel_vector(self, f: int) -> Vector:
+        """The kernel vector with a 1 at free column f and 0 at the other free columns."""
+        x = [ZERO] * self.cols
+        x[f] = ONE
+        for row, c in zip(self.rows, self.pivots):
+            v = row.get(f)
+            if v:
+                x[c] = -v
+        return tuple(x)
+
+
+def eliminate(a: RationalMatrix) -> Elimination:
+    """The RREF of a, computed on the first call and cached on a."""
+    if a._elimination is None:
+        rows = a.row_dicts()
+        pivots = tuple(c for _, c in _rref(rows, a.cols))
+        pivot_set = set(pivots)
+        free = tuple(c for c in range(a.cols) if c not in pivot_set)
+        a._elimination = Elimination(a.cols, tuple(rows[:len(pivots)]), pivots, free)
+    return a._elimination
+
+
 def rank(a: RationalMatrix) -> int:
-    rows = a.row_dicts()
-    return len(_rref(rows, a.cols))
+    return eliminate(a).rank
 
 
 def _canonical_sign(v: Vector) -> Vector:
@@ -256,21 +324,8 @@ def kernel_basis(a: RationalMatrix) -> list[Vector]:
 
     Each basis vector is normalised so its first nonzero entry is positive.
     """
-    rows = a.row_dicts()
-    pivots = _rref(rows, a.cols)
-    pivot_cols = {c for _, c in pivots}
-    basis: list[Vector] = []
-    for f in range(a.cols):
-        if f in pivot_cols:
-            continue
-        x = [ZERO] * a.cols
-        x[f] = ONE
-        for r, c in pivots:
-            v = rows[r].get(f)
-            if v:
-                x[c] = -v
-        basis.append(_canonical_sign(tuple(x)))
-    return basis
+    elim = eliminate(a)
+    return [_canonical_sign(elim.kernel_vector(f)) for f in elim.free]
 
 
 def lift(b: RationalMatrix, a: Sequence) -> Vector:
@@ -341,51 +396,92 @@ class LinearSolver:
 
 
 def image_pivot_columns(a: RationalMatrix) -> list[int]:
-    rows = a.row_dicts()
-    return [c for _, c in _rref(rows, a.cols)]
+    return list(eliminate(a).pivots)
 
 
-@dataclass
+@dataclass(frozen=True)
 class CohomologySlot:
     """Kernel-mod-image data at one position of a complex.
 
     ``representatives`` span a complement of image(d_in) inside
     ker(d_out); ``reduce`` writes any kernel vector in that basis modulo
     the image.
+
+    A kernel vector is determined by its entries at the free columns of
+    d_out (its kernel coordinates).  ``_echelon`` is the RREF of the
+    image pivot columns of d_in in kernel coordinates, with the
+    coordinate order reversed: its pivots are exactly the kernel
+    coordinates j for which some image vector has its last nonzero
+    kernel coordinate at j, so the canonical kernel vectors at the other
+    coordinates (``_rep_coords``) are the ones the greedy left-to-right
+    choice over [image | kernel basis] keeps.
     """
 
     ambient: int
     dim: int
     representatives: tuple[Vector, ...]
-    _solver: LinearSolver
     image_rank: int
+    _d_out: Elimination
+    _echelon: tuple[tuple[int, dict], ...]  # (pivot, row) in reversed kernel coordinates
+    _rep_coords: tuple[int, ...]            # reversed kernel coordinate of each representative
+    _rep_signs: tuple[int, ...]             # canonical sign of each representative
 
     def reduce(self, v: Sequence) -> Vector:
-        x = self._solver.solve(v)
-        return tuple(x[self.image_rank:])
+        if len(v) != self.ambient:
+            raise LinalgError("vector length mismatch")
+        out = self._d_out
+        if not out.annihilates(v):
+            raise NoSolutionError("vector not in the kernel")
+        n = out.nullity
+        coords = {n - 1 - j: Fraction(v[f]) for j, f in enumerate(out.free) if v[f]}
+        acc = {q: coords.get(q, ZERO) for q in self._rep_coords}
+        for p, row in self._echelon:
+            c = coords.get(p)
+            if not c:
+                continue
+            for q, val in row.items():
+                if q != p:
+                    acc[q] -= c * val
+        return tuple(acc[q] if s > 0 else -acc[q] for q, s in zip(self._rep_coords, self._rep_signs))
 
 
 def cohomology_at(d_in: RationalMatrix, d_out: RationalMatrix) -> CohomologySlot:
     """Cohomology ker(d_out)/im(d_in) with deterministic representatives.
 
-    Raises CompositionError unless d_out @ d_in = 0.
+    Raises CompositionError unless d_out @ d_in = 0.  Reads the cached
+    eliminations of d_in and d_out; the only new elimination is the
+    small (rank d_in) x (nullity d_out) one that picks representatives.
     """
     if d_in.rows != d_out.cols:
         raise LinalgError(f"incompatible maps: d_in lands in {d_in.rows}, d_out eats {d_out.cols}")
     if not (d_out @ d_in).is_zero():
         raise CompositionError("d_out . d_in != 0")
-    ambient = d_in.rows
-    kernel = kernel_basis(d_out)
-    img_cols = image_pivot_columns(d_in)
-    image = [d_in.column(c) for c in img_cols]
-    stacked = RationalMatrix.from_columns(list(image) + kernel, rows=ambient)
-    piv = image_pivot_columns(stacked)
-    reps = tuple(kernel[c - len(image)] for c in piv if c >= len(image))
-    dim = len(kernel) - len(image)
-    if dim != len(reps):  # pragma: no cover - internal consistency
+    out = eliminate(d_out)
+    image = eliminate(d_in)
+    n = out.nullity
+    # image pivot columns of d_in in reversed kernel coordinates
+    coord = {f: n - 1 - j for j, f in enumerate(out.free)}
+    row_of = {c: i for i, c in enumerate(image.pivots)}
+    rows: list[dict] = [{} for _ in image.pivots]
+    for (i, c), v in d_in.entries.items():
+        if c in row_of and i in coord:
+            rows[row_of[c]][coord[i]] = v
+    echelon = _rref(rows, n)
+    if len(echelon) != image.rank:  # pragma: no cover - internal consistency
         raise LinalgError("rank bookkeeping failed in cohomology_at")
-    solver = LinearSolver(RationalMatrix.from_columns(list(image) + list(reps), rows=ambient))
-    return CohomologySlot(ambient, dim, reps, solver, len(image))
+    pivot_coords = {p for _, p in echelon}
+    reps, rep_coords, signs = [], [], []
+    for j, f in enumerate(out.free):
+        if n - 1 - j in pivot_coords:
+            continue
+        vec = out.kernel_vector(f)
+        rep = _canonical_sign(vec)
+        reps.append(rep)
+        rep_coords.append(n - 1 - j)
+        signs.append(1 if rep is vec else -1)
+    return CohomologySlot(d_in.rows, n - image.rank, tuple(reps), image.rank, out,
+                          tuple((p, rows[r]) for r, p in echelon),
+                          tuple(rep_coords), tuple(signs))
 
 
 # -- misc utilities -------------------------------------------------------

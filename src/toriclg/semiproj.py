@@ -315,7 +315,10 @@ def check_semiprojective(fan: Fan, polyhedron: PolyhedronInput | None = None) ->
     """Decide semi-projectivity and produce a certificate or a failure reason.
 
     Checks, in order: all maximal cones full-dimensional, convex support,
-    existence of a strictly convex piecewise linear function.
+    existence of a strictly convex piecewise linear function.  A given
+    polyhedron is tried first; when it induces no certificate the search
+    decides, and the polyhedron's failure message is kept in
+    ``witnesses``, so the verdict does not depend on the optional input.
     """
     low = tuple(c for c in fan.max_cones if c.dim != fan.rank)
     if low:
@@ -324,15 +327,16 @@ def check_semiprojective(fan: Fan, polyhedron: PolyhedronInput | None = None) ->
     if bad is not None:
         facet, ray_i = bad
         return SemiprojectiveReport(False, reason=REASON_NOT_CONVEX, witnesses=(facet, ray_i))
+    witnesses: tuple = ()
     if polyhedron is not None:
         result = certificate_from_polyhedron(fan, polyhedron)
-        if isinstance(result, str):
-            return SemiprojectiveReport(False, reason=REASON_NO_PHI, witnesses=(result,))
-        return SemiprojectiveReport(True, certificate=result)
+        if not isinstance(result, str):
+            return SemiprojectiveReport(True, certificate=result)
+        witnesses = (result,)
     cert = search_certificate(fan)
     if cert is None:
-        return SemiprojectiveReport(False, reason=REASON_NO_PHI)
-    return SemiprojectiveReport(True, certificate=cert)
+        return SemiprojectiveReport(False, reason=REASON_NO_PHI, witnesses=witnesses)
+    return SemiprojectiveReport(True, certificate=cert, witnesses=witnesses)
 
 
 def degeneration_exponent(fan: Fan, cert: PLCertificate, cone_m: Cone, ray_l: int) -> DegenerationRelation:

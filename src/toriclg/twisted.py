@@ -60,7 +60,9 @@ class TwistedComplex:
 
     Slot (k, m) holds wedges of k frame covectors with polynomial
     coefficients of doubled degree m; the differential lands in slot
-    (k-1, m+2).  Caches are write-once; reads are safe to share.
+    (k-1, m+2).  Blocks, total differentials and cohomology slots are
+    cached write-once, so each total differential is eliminated once and
+    reads are safe to share.
     """
 
     fan: Fan
@@ -68,6 +70,8 @@ class TwistedComplex:
     linear_forms: tuple[SRPolynomial, ...]
     _blocks: dict = field(default_factory=dict, repr=False)
     _bases: dict = field(default_factory=dict, repr=False)
+    _totals: dict = field(default_factory=dict, repr=False)
+    _slots: dict = field(default_factory=dict, repr=False)
 
     @property
     def rank(self) -> int:
@@ -109,6 +113,11 @@ class TwistedComplex:
 
     def total_differential(self, t: int) -> RationalMatrix:
         """Matrix of the differential from total degree t to t + 1."""
+        if t not in self._totals:
+            self._totals[t] = self._assemble_total(t)
+        return self._totals[t]
+
+    def _assemble_total(self, t: int) -> RationalMatrix:
         src_blocks = self.total_blocks(t)
         dst_blocks = self.total_blocks(t + 1)
         dst_pos = {km: i for i, km in enumerate(dst_blocks)}
@@ -119,6 +128,14 @@ class TwistedComplex:
             if k >= 1 and (k - 1, m + 2) in dst_pos:
                 blocks[(dst_pos[(k - 1, m + 2)], j)] = self.block(k, m)
         return linalg.block_matrix(row_sizes, col_sizes, blocks)
+
+    def slot(self, t: int) -> CohomologySlot:
+        """Cohomology slot at total degree t, computed once."""
+        if t not in self._slots:
+            d_in = self.total_differential(t - 1) if t >= 1 else \
+                RationalMatrix.zeros(len(self.total_basis(0)), 0)
+            self._slots[t] = cohomology_at(d_in, self.total_differential(t))
+        return self._slots[t]
 
     def verify_square_zero(self, t_max: int) -> bool:
         for t in range(t_max + 1):
@@ -272,13 +289,7 @@ def lg_cohomology(tc: TwistedComplex, t_max: int | None = None) -> LGCohomology:
     """Cohomology of the twisted complex per total degree 0..t_max."""
     if t_max is None:
         t_max = default_t_max(tc.fan)
-    slots = {}
-    for t in range(t_max + 1):
-        d_in = tc.total_differential(t - 1) if t >= 1 else \
-            RationalMatrix.zeros(len(tc.total_basis(0)), 0)
-        d_out = tc.total_differential(t)
-        slots[t] = cohomology_at(d_in, d_out)
-    return LGCohomology(tc, t_max, slots)
+    return LGCohomology(tc, t_max, {t: tc.slot(t) for t in range(t_max + 1)})
 
 
 @dataclass
@@ -296,7 +307,6 @@ class CohomologyRing:
     basis: tuple[tuple[int, int], ...]
     representatives: dict[tuple[int, int], LGElement]
     constants: dict[tuple[int, int, int, int], Vector]
-    _slots: dict[int, CohomologySlot]
 
     def product(self, a: tuple[int, int], b: tuple[int, int]) -> Vector:
         key = (a[0], a[1], b[0], b[1])
@@ -351,26 +361,18 @@ def ring_structure(tc: TwistedComplex, t_max: int | None = None) -> CohomologyRi
 
     Products of two basis classes are computed at the cochain level and
     reduced in the slot of the sum degree, so products are available for
-    all pairs of basis labels (degrees up to 2 t_max).
+    all pairs of basis labels (degrees up to 2 t_max).  Slots are shared
+    with ``lg_cohomology`` through ``tc``.
     """
     if t_max is None:
         t_max = default_t_max(tc.fan)
-    slots: dict[int, CohomologySlot] = {}
-
-    def slot(t: int) -> CohomologySlot:
-        if t not in slots:
-            d_in = tc.total_differential(t - 1) if t >= 1 else \
-                RationalMatrix.zeros(len(tc.total_basis(0)), 0)
-            slots[t] = cohomology_at(d_in, tc.total_differential(t))
-        return slots[t]
-
     basis: list[tuple[int, int]] = []
     reps: dict[tuple[int, int], LGElement] = {}
     for t in range(t_max + 1):
-        for i, rep in enumerate(slot(t).representatives):
+        for i, rep in enumerate(tc.slot(t).representatives):
             basis.append((t, i))
             reps[(t, i)] = element_from_vector(tc, t, rep)
-    dims = tuple(slot(t).dim for t in range(t_max + 1))
+    dims = tuple(tc.slot(t).dim for t in range(t_max + 1))
 
     constants: dict[tuple[int, int, int, int], Vector] = {}
     for (ta, ia) in basis:
@@ -378,8 +380,8 @@ def ring_structure(tc: TwistedComplex, t_max: int | None = None) -> CohomologyRi
             t = ta + tb
             prod = lg_multiply(tc.fan, reps[(ta, ia)], reps[(tb, ib)])
             vecp = vector_from_element(tc, t, prod)
-            constants[(ta, ia, tb, ib)] = slot(t).reduce(vecp)
-    return CohomologyRing(tc, t_max, dims, tuple(basis), reps, constants, slots)
+            constants[(ta, ia, tb, ib)] = tc.slot(t).reduce(vecp)
+    return CohomologyRing(tc, t_max, dims, tuple(basis), reps, constants)
 
 
 # -- regular sequence test ----------------------------------------------------

@@ -162,15 +162,36 @@ class TestDeterminism:
             payload = json.loads(out)
             assert json.loads(json.dumps(payload)) == payload
 
-    def test_worker_pool_same_output(self, capsys, monkeypatch):
-        _, base, _ = run_cli(capsys, "verify", fan_path("p1"), "--mmax", "4", "--json")
-        monkeypatch.setenv("TORICLG_WORKERS", "2")
-        _, pooled, _ = run_cli(capsys, "verify", fan_path("p1"), "--mmax", "4", "--json")
-        base_d = json.loads(base)
-        pooled_d = json.loads(pooled)
-        base_d["params"].pop("workers")
-        pooled_d["params"].pop("workers")
-        assert base_d == pooled_d
+
+class TestBadInput:
+    def test_missing_file_exits_2_for_every_subcommand(self, capsys):
+        for command in ("validate", "cohomology", "verify", "degenerate"):
+            code, _, err = run_cli(capsys, command, "no_such_file.json")
+            assert code == 2, command
+            assert "cannot read no_such_file.json" in err, command
+
+    @pytest.mark.parametrize("argv", [("cohomology", "--tmax", "-3"),
+                                      ("verify", "--tmax", "-1"),
+                                      ("verify", "--mmax", "-2")])
+    def test_negative_degree_bound_exits_2(self, capsys, argv):
+        command, flag, value = argv
+        with pytest.raises(SystemExit) as exc:
+            main([command, fan_path("p1"), flag, value, "--json"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument {flag}: must be non-negative, got {value}" in captured.err
+
+    def test_non_integer_degree_bound_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["cohomology", fan_path("p1"), "--tmax", "abc"])
+        assert exc.value.code == 2
+        assert "expected an integer, got 'abc'" in capsys.readouterr().err
+
+    def test_zero_degree_bound_is_accepted(self, capsys):
+        code, out, _ = run_cli(capsys, "cohomology", fan_path("p1"), "--tmax", "0", "--json")
+        assert code == 0
+        assert json.loads(out)["payload"]["dims"] == [1]
 
 
 def test_console_entry_point():

@@ -1,0 +1,137 @@
+"""Properties of cohomology slots built from one elimination per differential.
+
+On random small complexes and on every fan file in ``fans/``: the
+representatives reduce to the unit vectors, coboundaries reduce to zero,
+a non-cocycle is rejected, and dim = nullity(d_out) - rank(d_in).  The
+representatives are also compared with their definition: the kernel
+basis vectors kept by the greedy left-to-right choice over
+[image pivot columns of d_in | kernel basis of d_out].
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from conftest import FAN_DIR, load_fan
+from toriclg.cech import CoverSimplex, constant_total_cohomology
+from toriclg.linalg import (
+    NoSolutionError,
+    RationalMatrix,
+    cohomology_at,
+    eliminate,
+    image_pivot_columns,
+    kernel_basis,
+    rank,
+)
+from toriclg.twisted import build_twisted, default_t_max, lg_cohomology, ring_structure
+
+FAN_NAMES = sorted(p.stem for p in FAN_DIR.glob("*.json"))
+
+
+def random_complex(rng: random.Random) -> tuple[RationalMatrix, RationalMatrix]:
+    """d_in, d_out with d_out d_in = 0 and small integer entries."""
+    n_mid = rng.randint(0, 7)
+    n_out, n_in = rng.randint(0, 5), rng.randint(0, 6)
+    d_out = RationalMatrix(n_out, n_mid, {(i, j): Fraction(rng.randint(-2, 2))
+                                          for i in range(n_out) for j in range(n_mid)
+                                          if rng.random() < 0.4})
+    kernel = kernel_basis(d_out)
+    ent = {}
+    for j in range(n_in):
+        for b in kernel:
+            c = rng.choice((0, 0, 1, -1, 2, Fraction(1, 2)))
+            for i, v in enumerate(b):
+                if c and v:
+                    ent[(i, j)] = ent.get((i, j), Fraction(0)) + c * v
+    return RationalMatrix(n_mid, n_in, ent), d_out
+
+
+def greedy_representatives(d_in: RationalMatrix, d_out: RationalMatrix) -> list:
+    image = [d_in.column(c) for c in image_pivot_columns(d_in)]
+    kept, chosen = [], list(image)
+    for k in kernel_basis(d_out):
+        trial = RationalMatrix.from_columns(chosen + [k], rows=d_in.rows)
+        if rank(trial) == len(chosen) + 1:
+            chosen.append(k)
+            kept.append(k)
+    return kept
+
+
+def combine(coeffs, vectors, n):
+    out = [Fraction(0)] * n
+    for c, v in zip(coeffs, vectors):
+        out = [x + c * y for x, y in zip(out, v)]
+    return tuple(out)
+
+
+def check_slot(d_in: RationalMatrix, d_out: RationalMatrix, slot, rng: random.Random):
+    n = d_in.rows
+    assert slot.dim == eliminate(d_out).nullity - rank(d_in) == len(slot.representatives)
+    units = [tuple(Fraction(int(i == j)) for i in range(slot.dim)) for j in range(slot.dim)]
+    for rep, unit in zip(slot.representatives, units):
+        assert slot.reduce(rep) == unit
+    for _ in range(3):
+        x = [Fraction(rng.randint(-3, 3)) for _ in range(d_in.cols)]
+        boundary = d_in.mul_vec(x)
+        assert slot.reduce(boundary) == (Fraction(0),) * slot.dim
+        coeffs = [Fraction(rng.randint(-3, 3), rng.choice((1, 2))) for _ in range(slot.dim)]
+        cocycle = combine([1] + coeffs, [boundary] + list(slot.representatives), n)
+        assert slot.reduce(cocycle) == tuple(coeffs)
+    for j in range(n):
+        if any(c == j for _, c in d_out.entries):
+            with pytest.raises(NoSolutionError):
+                slot.reduce(tuple(Fraction(int(i == j)) for i in range(n)))
+            break
+
+
+def test_random_complexes():
+    rng = random.Random(2024)
+    for _ in range(300):
+        d_in, d_out = random_complex(rng)
+        slot = cohomology_at(d_in, d_out)
+        check_slot(d_in, d_out, slot, rng)
+        assert list(slot.representatives) == greedy_representatives(d_in, d_out)
+
+
+def test_elimination_is_cached_on_the_matrix():
+    d = RationalMatrix.from_rows([[1, 2, 3], [2, 4, 6], [0, 1, 1]])
+    elim = eliminate(d)
+    assert eliminate(d) is elim
+    assert (elim.rank, elim.pivots, elim.free) == (2, (0, 1), (2,))
+    assert rank(d) == 2 and image_pivot_columns(d) == [0, 1]
+    assert kernel_basis(d) == [(Fraction(1), Fraction(1), Fraction(-1))]
+
+
+@pytest.mark.parametrize("name", FAN_NAMES)
+def test_twisted_slots_of_fan_files(name):
+    fan = load_fan(name)
+    tc = build_twisted(fan)
+    rng = random.Random(name)
+    t_max = default_t_max(fan)
+    coh = lg_cohomology(tc, t_max)
+    for t in range(t_max + 1):
+        d_in = tc.total_differential(t - 1) if t else RationalMatrix.zeros(len(tc.total_basis(0)), 0)
+        d_out = tc.total_differential(t)
+        slot = coh.slots[t]
+        check_slot(d_in, d_out, slot, rng)
+        assert list(slot.representatives) == greedy_representatives(d_in, d_out)
+        # adjacent slots read the one elimination of the differential between them
+        assert tc.total_differential(t) is d_out
+        assert slot._d_out is eliminate(d_out)
+    # the ring reads the slots lg_cohomology left on the complex
+    assert ring_structure(tc, t_max).dims == coh.dims
+    assert all(tc.slot(t) is coh.slots[t] for t in range(t_max + 1))
+
+
+@pytest.mark.parametrize("name", FAN_NAMES)
+def test_constant_total_slots_of_fan_files(name):
+    fan = load_fan(name)
+    cs = CoverSimplex(fan)
+    rng = random.Random(name)
+    t_max = default_t_max(fan)
+    coh = constant_total_cohomology(cs, t_max)
+    for t in range(t_max + 1):
+        d_out = cs.const_total_matrix(t)
+        d_in = cs.const_total_matrix(t - 1) if t else RationalMatrix.zeros(d_out.cols, 0)
+        check_slot(d_in, d_out, coh.slots[t], rng)

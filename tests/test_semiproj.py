@@ -8,7 +8,6 @@ from toriclg import check_semiprojective, degeneration_exponent, parse_fan, pars
 from toriclg.fan import FanError, fan_from_data
 from toriclg.linalg import dot
 from toriclg.semiproj import (
-    REASON_NO_PHI,
     REASON_NOT_CONVEX,
     REASON_NOT_FULL_DIM,
     adjacent_max_pairs,
@@ -96,16 +95,29 @@ class TestCertificates:
                 for i in sorted(b.index_set - a.index_set):
                     assert dot(fb, fan.ray(i)) - dot(fa, fan.ray(i)) >= 1
 
-    def test_polyhedron_with_coarser_normal_fan_fails(self, hirzebruch):
+    def test_polyhedron_with_coarser_normal_fan_falls_back_to_search(self, hirzebruch):
         # the unit square's support function is linear across one wall of
-        # this fan, hence not strictly convex for it
+        # this fan, hence induces no certificate; the search still finds one
         _, poly = parse_fan_file(fan_json(
             2, [[1, 0], [0, 1], [-1, 1], [0, -1]],
             [[1, 2], [2, 3], [3, 4], [1, 4]],
             polyhedron={"vertices": [[0, 0], [1, 0], [0, 1], [1, 1]]}))
         rep = check_semiprojective(hirzebruch, poly)
-        assert not rep.semiprojective
-        assert rep.reason == REASON_NO_PHI
+        assert rep.semiprojective
+        assert rep.reason is None
+        assert validate_certificate(hirzebruch, list(rep.certificate.functionals)) is None
+        assert rep.certificate == check_semiprojective(hirzebruch).certificate
+        assert len(rep.witnesses) == 1 and "does not minimise" in rep.witnesses[0]
+
+    def test_verdict_does_not_depend_on_a_non_inducing_polyhedron(self, p2):
+        # a translated orthant has a one-cone normal fan: unbounded on P^2's cones
+        _, poly = parse_fan_file(fan_json(
+            2, [[1, 0], [0, 1], [-1, -1]], [[1, 2], [2, 3], [1, 3]],
+            polyhedron={"vertices": [[0, 0]], "recession_rays": [[1, 0], [0, 1]]}))
+        rep = check_semiprojective(p2, poly)
+        assert rep.semiprojective
+        assert rep.certificate == check_semiprojective(p2).certificate
+        assert len(rep.witnesses) == 1 and "unbounded" in rep.witnesses[0]
 
     def test_matching_polyhedron_works(self):
         fan, poly = load_fan_and_polyhedron("p2")
