@@ -4,7 +4,8 @@ A fan is given by primitive integer ray generators and a list of maximal
 cones (sets of 1-based ray indices).  Validation checks primitivity,
 smoothness (ray generators of every cone extend to a lattice basis), and
 the fan condition (any two cones meet in a common face), the last one by
-exact extreme-ray enumeration of pairwise intersections.
+one exact separation problem per pair of maximal cones, solved by
+Fourier-Motzkin elimination.
 """
 
 from __future__ import annotations
@@ -18,9 +19,19 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 from . import linalg
-from .linalg import RationalMatrix, Vector, dot, inverse, kernel_basis, vector
+from .linalg import (
+    RationalMatrix,
+    Vector,
+    dot,
+    inverse,
+    kernel_basis,
+    solve_inequalities,
+    vector,
+)
 
 IntVec = tuple[int, ...]
+
+FAN_FILE_KEYS = ("rank", "rays", "max_cones", "polyhedron")
 
 
 class FanError(ValueError):
@@ -232,18 +243,45 @@ def cone_intersection_extreme_rays(fan: Fan, c1: Cone, c2: Cone) -> set[IntVec]:
     return extreme_rays(e1 + e2, i1 + i2, fan.rank)
 
 
+def separating_covector(rank: int, rays: Sequence[IntVec], a: Cone, b: Cone) -> Vector | None:
+    """A covector separating two simplicial cones along their common rays, or None.
+
+    The covector m vanishes on the common rays, is >= 1 on the other rays
+    of ``a`` and <= -1 on the other rays of ``b``.  By the separation lemma
+    (Cox-Little-Schenck, *Toric Varieties*, Lemma 1.2.13) it exists
+    exactly when the cones meet in the cone on their common rays.  The
+    equalities are solved first; Fourier-Motzkin then runs on the
+    inequalities written in a basis of their solution space.
+    """
+    common = a.index_set & b.index_set
+    gens = [rays[i - 1] for i in sorted(common)]
+    basis = kernel_basis(RationalMatrix.from_rows(gens) if gens else RationalMatrix.zeros(0, rank))
+    system = []
+    for cone, sign in ((a, 1), (b, -1)):
+        for i in cone.ray_indices:
+            if i not in common:
+                system.append((tuple(sign * dot(rays[i - 1], v) for v in basis), Fraction(1)))
+    y = solve_inequalities(system, len(basis))
+    if y is None:
+        return None
+    return tuple(sum((c * v[t] for c, v in zip(y, basis)), Fraction(0)) for t in range(rank))
+
+
 def _check_fan_condition(fan_rank: int, rays: tuple[IntVec, ...], cones: Sequence[Cone]) -> None:
-    """Every pairwise intersection of maximal cones is the common-ray face."""
-    tmp = Fan(fan_rank, rays, tuple(cones), tuple(cones))
+    """Every pairwise intersection of maximal cones is the common-ray face.
+
+    One separation problem per pair decides it; only a failing pair pays
+    for the extreme-ray enumeration that names the offending ray.
+    """
     for a, b in itertools.combinations(cones, 2):
-        common = a.index_set & b.index_set
-        allowed = {rays[i - 1] for i in common}
-        ext = cone_intersection_extreme_rays(tmp, a, b)
-        for r in ext:
-            if r not in allowed:
-                raise FanValidationError(
-                    f"fan condition fails: cones {a} and {b} intersect beyond their "
-                    f"common face (extra extreme ray {list(r)})")
+        if separating_covector(fan_rank, rays, a, b) is not None:
+            continue
+        allowed = {rays[i - 1] for i in a.index_set & b.index_set}
+        tmp = Fan(fan_rank, rays, tuple(cones), tuple(cones))
+        extra = next(r for r in cone_intersection_extreme_rays(tmp, a, b) if r not in allowed)
+        raise FanValidationError(
+            f"fan condition fails: cones {a} and {b} intersect beyond their "
+            f"common face (extra extreme ray {list(extra)})")
 
 
 # -- construction ----------------------------------------------------------
@@ -325,6 +363,10 @@ def parse_fan_file(text: str) -> tuple[Fan, PolyhedronInput | None]:
         raise FanParseError(f"not valid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise FanParseError("fan file must be a JSON object")
+    unknown = sorted(set(data) - set(FAN_FILE_KEYS))
+    if unknown:
+        raise FanParseError(f"unknown key(s) {', '.join(map(repr, unknown))}; "
+                            f"a fan file has only {', '.join(map(repr, FAN_FILE_KEYS))}")
     for key in ("rank", "rays", "max_cones"):
         if key not in data:
             raise FanParseError(f"missing key {key!r}")
@@ -355,16 +397,18 @@ def parse_fan_file(text: str) -> tuple[Fan, PolyhedronInput | None]:
 def primitive_collections(fan: Fan) -> tuple[IntVec, ...]:
     """Minimal ray sets lying in no cone while all proper subsets do.
 
+    Removing the largest ray of a primitive collection leaves a face, so
+    each collection is found exactly once as a face plus one larger ray.
     Returned as sorted tuples in lexicographic order.
     """
-    d = fan.num_rays
     out: list[IntVec] = []
-    for size in range(2, d + 1):
-        for subset in itertools.combinations(range(1, d + 1), size):
-            if fan.is_face(subset):
-                continue
-            if all(fan.is_face(subset[:i] + subset[i + 1:]) for i in range(size)):
-                out.append(subset)
+    for face in fan.all_cones:
+        f = face.ray_indices
+        for r in range((f[-1] if f else 0) + 1, fan.num_rays + 1):
+            cand = f + (r,)
+            if not fan.is_face(cand) and all(fan.is_face(cand[:i] + cand[i + 1:])
+                                             for i in range(len(f))):
+                out.append(cand)
     return tuple(sorted(out))
 
 

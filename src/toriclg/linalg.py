@@ -21,11 +21,16 @@ therefore reproducible across runs and platforms.
 dimension is nullity(d_out) - rank(d_in), and its representatives come
 from one small RREF of the image written in kernel coordinates (see
 ``CohomologySlot``).
+
+``solve_inequalities`` is the one exact linear programming routine
+(Fourier-Motzkin elimination); the fan-condition check and the
+semi-projectivity certificate search both use it.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
@@ -58,10 +63,6 @@ def zero_vector(n: int) -> Vector:
 
 def add_vectors(u: Vector, v: Vector) -> Vector:
     return tuple(a + b for a, b in zip(u, v, strict=True))
-
-
-def sub_vectors(u: Vector, v: Vector) -> Vector:
-    return tuple(a - b for a, b in zip(u, v, strict=True))
 
 
 def scale_vector(c, v: Vector) -> Vector:
@@ -528,6 +529,78 @@ def inverse(a: RationalMatrix) -> RationalMatrix:
         except NoSolutionError:
             raise LinalgError("matrix is singular") from None
     return RationalMatrix.from_columns(cols, rows=a.rows)
+
+
+# -- exact linear programming --------------------------------------------
+
+
+def _normalise_rows(system: list[tuple[Vector, Fraction]]) -> list[tuple[Vector, Fraction]]:
+    """Scale rows to primitive integer form, drop tautologies and duplicates.
+
+    Keeps Fourier-Motzkin from drowning in redundant combinations.
+    """
+    seen = set()
+    out = []
+    for c, r in system:
+        entries = list(c) + [r]
+        if all(x == 0 for x in c):
+            if r > 0:
+                return [((Fraction(0),) * len(c), Fraction(1))]  # single infeasible row
+            continue
+        denom = math.lcm(*(x.denominator for x in entries))
+        ints = [int(x * denom) for x in entries]
+        g = math.gcd(*(abs(x) for x in ints))
+        ints = [x // g for x in ints]
+        key = tuple(ints)
+        if key not in seen:
+            seen.add(key)
+            out.append((tuple(Fraction(x) for x in ints[:-1]), Fraction(ints[-1])))
+    return out
+
+
+def solve_inequalities(ineqs: list[tuple[Vector, Fraction]], nvars: int) -> Vector | None:
+    """Exact Fourier-Motzkin: find x with c . x >= r for every (c, r), or None.
+
+    Variables are eliminated in index order; back-substitution picks the
+    max lower bound (falling back to the min upper bound, then 0), so the
+    result is deterministic.
+    """
+    system = [(vector(c), Fraction(r)) for c, r in ineqs]
+    stages: list[list[tuple[Vector, Fraction]]] = []
+    for j in range(nvars):
+        system = _normalise_rows(system)
+        stages.append(system)
+        pos = [row for row in system if row[0][j] > 0]
+        neg = [row for row in system if row[0][j] < 0]
+        zero = [row for row in system if row[0][j] == 0]
+        new = list(zero)
+        for (cp, rp) in pos:
+            for (cn, rn) in neg:
+                lam_p, lam_n = -cn[j], cp[j]
+                c = tuple(lam_p * a + lam_n * b for a, b in zip(cp, cn))
+                new.append((c, lam_p * rp + lam_n * rn))
+        system = new
+    for c, r in _normalise_rows(system):
+        if all(x == 0 for x in c) and r > 0:
+            return None
+    x = [Fraction(0)] * nvars
+    for j in range(nvars - 1, -1, -1):
+        lower = None
+        upper = None
+        for c, r in stages[j]:
+            cj = c[j]
+            if cj == 0:
+                continue
+            rest = sum((c[t] * x[t] for t in range(j + 1, nvars) if c[t]), Fraction(0))
+            bound = (r - rest) / cj
+            if cj > 0:
+                lower = bound if lower is None else max(lower, bound)
+            else:
+                upper = bound if upper is None else min(upper, bound)
+        if lower is not None and upper is not None and lower > upper:
+            return None  # pragma: no cover - elimination already certified feasibility
+        x[j] = lower if lower is not None else (upper if upper is not None else Fraction(0))
+    return tuple(x)
 
 
 def exterior_power(a: RationalMatrix, k: int) -> RationalMatrix:

@@ -170,6 +170,16 @@ class TestBadInput:
             assert code == 2, command
             assert "cannot read no_such_file.json" in err, command
 
+    def test_unknown_fan_file_key_exits_2(self, capsys, tmp_path):
+        bad = tmp_path / "typo.json"
+        bad.write_text(json.dumps({"rank": 1, "rays": [[1], [-1]], "max_cones": [[1], [2]],
+                                   "polyhedon": {"vertices": [[0], [1]]}}))
+        for command in ("validate", "cohomology", "verify", "degenerate"):
+            code, out, err = run_cli(capsys, command, str(bad), "--json")
+            assert code == 2, command
+            assert out == ""
+            assert "unknown key(s) 'polyhedon'" in err, command
+
     @pytest.mark.parametrize("argv", [("cohomology", "--tmax", "-3"),
                                       ("verify", "--tmax", "-1"),
                                       ("verify", "--mmax", "-2")])

@@ -1,10 +1,14 @@
 import itertools
 import json
+import math
 import random
+import re
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from conftest import cn_data, load_fan_and_polyhedron
+from conftest import FAN_DIR, cn_data, fan_text, load_fan_and_polyhedron
 from toriclg import (
     FanParseError,
     FanValidationError,
@@ -13,7 +17,15 @@ from toriclg import (
     parse_fan_file,
     primitive_collections,
 )
-from toriclg.fan import fan_from_data, ray_coordinates_in_cone_basis
+from toriclg.fan import (
+    Cone,
+    Fan,
+    cone_intersection_extreme_rays,
+    fan_from_data,
+    ray_coordinates_in_cone_basis,
+    separating_covector,
+)
+from toriclg.linalg import RationalMatrix, dot, rank
 
 
 def fan_json(rank, rays, max_cones, **extra):
@@ -57,12 +69,26 @@ class TestParsing:
 
     def test_fan_condition_rejected(self):
         # the diagonal ray meets the interior of the quadrant cone
-        with pytest.raises(FanValidationError, match="fan condition"):
+        with pytest.raises(FanValidationError, match=re.escape(
+                "fan condition fails: cones {1,2} and {3} intersect beyond their "
+                "common face (extra extreme ray [1, 1])")):
             parse_fan(fan_json(2, [[1, 0], [0, 1], [1, 1]], [[1, 2], [3]]))
 
     def test_overlapping_max_cones_rejected(self):
-        with pytest.raises(FanValidationError, match="fan condition"):
+        # the message names the pair and a ray of the intersection outside
+        # their common face, found only once the pair has failed
+        with pytest.raises(FanValidationError, match=re.escape(
+                "fan condition fails: cones {1,2} and {2,3} intersect beyond their "
+                "common face (extra extreme ray [1, 1])")):
             parse_fan(fan_json(2, [[1, 0], [0, 1], [1, 1]], [[1, 2], [2, 3]]))
+        with pytest.raises(FanValidationError, match=re.escape(
+                "fan condition fails: cones {1,2} and {1,3} intersect beyond their "
+                "common face (extra extreme ray [1, 1])")):
+            parse_fan(fan_json(2, [[1, 0], [0, 1], [1, 1]], [[1, 2], [1, 3]]))
+
+    def test_unknown_key_rejected(self):
+        with pytest.raises(FanParseError, match="unknown key.*'polyhedra'"):
+            parse_fan_file(fan_json(1, [[1], [-1]], [[1], [2]], polyhedra=None))
 
     def test_bad_index_rejected(self):
         with pytest.raises(FanParseError):
@@ -89,6 +115,90 @@ class TestParsing:
             assert cones == sorted(cones)
 
 
+def _primitive(v) -> bool:
+    return any(v) and math.gcd(*v) == 1
+
+
+@st.composite
+def simplicial_cone_pairs(draw):
+    """Two simplicial cones on distinct primitive rays, sharing up to rank - 1 rays.
+
+    Cones may be lower-dimensional or contain one another's rays, and
+    random rays with entries in [-2, 2] often overlap beyond the common
+    face.
+    """
+    n = draw(st.integers(2, 4))
+    shared = n - 1 - draw(st.integers(0, n - 1))
+    # Hypothesis favours small draws; drawing the rank each cone lacks
+    # keeps full-dimensional, overlapping pairs common
+    only_a = n - shared - draw(st.integers(0, n - shared))
+    only_b = n - shared - draw(st.integers(0, n - shared - (1 if only_a == 0 else 0)))
+    entries = st.tuples(*[st.integers(-2, 2)] * n)
+    rays = draw(st.lists(entries, min_size=shared + only_a + only_b,
+                         max_size=shared + only_a + only_b, unique=True))
+    assume(all(_primitive(r) for r in rays))
+    a = Cone(tuple(range(1, shared + only_a + 1)))
+    b = Cone(tuple(range(1, shared + 1)) +
+             tuple(range(shared + only_a + 1, shared + only_a + only_b + 1)))
+    for cone in (a, b):
+        gens = [rays[i - 1] for i in cone.ray_indices]
+        assume(rank(RationalMatrix.from_rows(gens)) == len(gens))
+    return n, tuple(rays), a, b
+
+
+class TestSeparation:
+    @settings(max_examples=150, deadline=None)
+    @given(simplicial_cone_pairs())
+    def test_verdict_matches_extreme_ray_enumeration(self, pair):
+        n, rays, a, b = pair
+        common = a.index_set & b.index_set
+        allowed = {rays[i - 1] for i in common}
+        brute = cone_intersection_extreme_rays(Fan(n, rays, (a, b), (a, b)), a, b) <= allowed
+        m = separating_covector(n, rays, a, b)
+        assert (m is not None) == brute
+        if m is not None:
+            for i in a.ray_indices:
+                assert dot(m, rays[i - 1]) == 0 if i in common else dot(m, rays[i - 1]) >= 1
+            for i in b.ray_indices:
+                assert dot(m, rays[i - 1]) == 0 if i in common else dot(m, rays[i - 1]) <= -1
+
+
+def projective_space_data(n: int) -> dict:
+    rays = [[int(j == i) for j in range(n)] for i in range(n)] + [[-1] * n]
+    return {"rank": n, "rays": rays,
+            "max_cones": [list(c) for c in itertools.combinations(range(1, n + 2), n)]}
+
+
+def p1_power_data(k: int) -> dict:
+    rays = [[s * int(j == i) for j in range(k)] for i in range(k) for s in (1, -1)]
+    return {"rank": k, "rays": rays,
+            "max_cones": [[2 * i + 1 + side for i, side in enumerate(sides)]
+                          for sides in itertools.product((0, 1), repeat=k)]}
+
+
+def star_subdivision(data: dict, cone: list[int]) -> dict:
+    """Blow up the cone: add the sum of its rays and subdivide every cone containing it."""
+    new_ray = [sum(data["rays"][i - 1][t] for i in cone) for t in range(data["rank"])]
+    new = len(data["rays"]) + 1
+    cones = []
+    for c in data["max_cones"]:
+        if set(cone) <= set(c):
+            cones += [[j for j in c if j != i] + [new] for i in cone]
+        else:
+            cones.append(c)
+    return {"rank": data["rank"], "rays": data["rays"] + [new_ray], "max_cones": cones}
+
+
+def all_subsets_primitive_collections(fan) -> tuple:
+    """The definition, over all 2^d ray subsets."""
+    d = fan.num_rays
+    return tuple(sorted(
+        subset for size in range(2, d + 1)
+        for subset in itertools.combinations(range(1, d + 1), size)
+        if not fan.is_face(subset)
+        and all(fan.is_face(subset[:i] + subset[i + 1:]) for i in range(size))))
+
+
 class TestPrimitiveCollections:
     def test_p1(self, p1):
         assert primitive_collections(p1) == ((1, 2),)
@@ -109,6 +219,18 @@ class TestPrimitiveCollections:
             pcs = primitive_collections(fan)
             for a, b in itertools.combinations(pcs, 2):
                 assert not set(a) <= set(b) and not set(b) <= set(a)
+
+    def test_equals_all_subsets_definition(self):
+        fans = [parse_fan(fan_text(path.stem)) for path in sorted(FAN_DIR.glob("*.json"))]
+        datas = [projective_space_data(n) for n in (1, 2, 3, 4)]
+        datas += [p1_power_data(k) for k in (1, 2, 3)]
+        datas += [star_subdivision(projective_space_data(n), list(range(1, n + 1)))
+                  for n in (2, 3)]
+        datas.append(star_subdivision(star_subdivision(p1_power_data(2), [1, 3]), [3, 5]))
+        datas.append(star_subdivision(p1_power_data(3), [1, 3]))
+        fans += [fan_from_data(**data) for data in datas]
+        for fan in fans:
+            assert primitive_collections(fan) == all_subsets_primitive_collections(fan)
 
     def test_generates_nonface_ideal(self, suite):
         # every squarefree non-face is divisible by a collection monomial,
