@@ -12,7 +12,6 @@ from .cech import (
     CoverSimplex,
     ExactnessReport,
     QuasiIsoReport,
-    cech_delta,
     constant_total_cohomology,
     cup,
     forms_total_cohomology,
@@ -76,7 +75,7 @@ __all__ = [
     "FanError", "FanParseError", "FanValidationError", "LsopReport", "Monomial",
     "PLCertificate", "PolyhedronInput", "QuasiIsoReport", "RationalMatrix",
     "SRPolynomial", "SemiprojectiveReport", "TwistedComplex", "build_twisted",
-    "cech_delta", "check_semiprojective", "cohomology_at", "cone_of_simplex",
+    "check_semiprojective", "cohomology_at", "cone_of_simplex",
     "constant_total_cohomology", "cup", "degeneration_exponent",
     "forms_total_cohomology", "glue_sections", "hilbert_series", "kernel_basis",
     "lg_cohomology", "lift", "log_derivations", "lsop_check", "multiply",

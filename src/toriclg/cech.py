@@ -1,16 +1,21 @@
 """Cech complexes over a cone cover and the associated double complexes.
 
-A cover of the fan support by cones induces presheaves on the full
-simplex over the cover: polynomial functions of the intersection
-subspaces ("functions"), the same tensored with the exterior algebra
-("forms", carrying the twisted vertical differential), and the
-constant-coefficient wedge powers of the cone annihilators ("const").
+A cover of the fan support by cones induces two coefficient systems on
+the full simplex over the cover, named by a tag:
+
+  * "forms": polynomial functions of the intersection subspaces tensored
+    with the exterior algebra, carrying the twisted vertical
+    differential.  The polynomial functions are the forms of exterior
+    degree k = 0; gluing, splitting and ``poly_components`` work there.
+  * "const": the constant-coefficient wedge powers of the cone
+    annihilators, written in ambient wedge coordinates by
+    ``CoverSimplex.const_matrix``.
 
 The module provides the horizontal differential, the exactness check of
-the augmented functions complex in every degree, constructive gluing and
-splitting of cocycles (with deterministic, zero-preserving lifts), total
-complexes, quasi-isomorphism verification between the three pipelines,
-and the front/back-face cup product.
+the augmented complex in every degree, constructive gluing and splitting
+of cocycles (with deterministic, zero-preserving lifts), total complexes
+built by one block assembler, quasi-isomorphism verification between the
+three pipelines, and the front/back-face cup product.
 
 Sign conventions, fixed here once:
   * horizontal delta removes vertices with alternating signs;
@@ -47,10 +52,8 @@ from .twisted import (
     wedge_merge,
 )
 
-TAG_FUNCTIONS = "functions"
 TAG_FORMS = "forms"
 TAG_CONST = "const"
-TAGS = (TAG_FUNCTIONS, TAG_FORMS, TAG_CONST)
 
 Simplex = tuple[int, ...]  # sorted 0-based cover positions
 
@@ -66,7 +69,7 @@ class CechCochain:
     """Homogeneous cochain: one coordinate vector per p-simplex.
 
     ``k`` is the exterior degree (0 for functions), ``m`` the doubled
-    polynomial degree (0 for const).
+    polynomial degree (0 for const).  Functions carry the forms tag.
     """
 
     tag: str
@@ -100,7 +103,9 @@ class CoverSimplex:
                 raise CechError(f"cover misses maximal cone {mc}")
         if len(cover) > MAX_COVER_DEFAULT and not allow_large:
             raise CechError(
-                f"cover has {len(cover)} cones; pass allow_large=True to override")
+                f"cover has {len(cover)} cones, more than the limit "
+                f"MAX_COVER_DEFAULT = {MAX_COVER_DEFAULT}; use a cover of at most "
+                f"{MAX_COVER_DEFAULT} cones")
         self.cover = cover
         self._cache = {}
 
@@ -130,42 +135,29 @@ class CoverSimplex:
             self._cache[key] = kernel_basis(self.fan.ray_matrix(cone))
         return self._cache[key]
 
-    def const_columns(self, cone: Cone, k: int) -> list[Vector]:
-        """Basis of the k-wedges of the cone annihilator, in ambient
-        wedge coordinates (k-subsets of 1..n, lex)."""
-        key = ("constcols", cone, k)
+    def const_matrix(self, cone: Cone, k: int) -> RationalMatrix:
+        """Basis of the k-wedges of the cone annihilator as columns, in
+        ambient wedge coordinates (rows: k-subsets of 1..n, lex)."""
+        key = ("const", cone, k)
         if key not in self._cache:
             ann = self._ann_basis(cone)
-            subsets = ext_subsets(self.fan.rank, k)
-            cols = []
-            for pick in itertools.combinations(range(len(ann)), k):
-                col = []
-                for s in subsets:
-                    sub = RationalMatrix.from_rows(
-                        [[ann[t][j - 1] for j in s] for t in pick])
-                    col.append(linalg.det(sub) if k else Fraction(1))
-                cols.append(tuple(col))
-            self._cache[key] = cols
+            self._cache[key] = linalg.exterior_power(
+                RationalMatrix.from_columns(ann, rows=self.fan.rank), k)
         return self._cache[key]
 
     def _const_solver(self, cone: Cone, k: int) -> LinearSolver:
         key = ("constsolver", cone, k)
         if key not in self._cache:
-            cols = self.const_columns(cone, k)
-            ambient = len(ext_subsets(self.fan.rank, k))
-            self._cache[key] = LinearSolver(
-                RationalMatrix.from_columns(cols, rows=ambient))
+            self._cache[key] = LinearSolver(self.const_matrix(cone, k))
         return self._cache[key]
 
     def local_basis(self, tag: str, tau: Simplex, k: int, m: int) -> list:
         cone = self.cone_of(tau)
-        if tag == TAG_FUNCTIONS:
-            return cone_monomial_basis(self.fan, cone, m)
         if tag == TAG_FORMS:
             monos = cone_monomial_basis(self.fan, cone, m)
             return [(mono, s) for s in ext_subsets(self.fan.rank, k) for mono in monos]
         if tag == TAG_CONST:
-            return list(range(len(self.const_columns(cone, k))))
+            return list(range(self.const_matrix(cone, k).cols))
         raise CechError(f"unknown tag {tag!r}")
 
     def slot_layout(self, tag: str, p: int, k: int, m: int) -> tuple[int, dict[Simplex, int]]:
@@ -202,11 +194,7 @@ class CoverSimplex:
         key = ("formsres", src, dst, k, m)
         if key not in self._cache:
             blk = self._poly_restriction(src, dst, m)
-            subsets = ext_subsets(self.fan.rank, k)
-            sizes_r = [blk.rows] * len(subsets)
-            sizes_c = [blk.cols] * len(subsets)
-            blocks = {(i, i): blk for i in range(len(subsets))}
-            self._cache[key] = linalg.block_matrix(sizes_r, sizes_c, blocks)
+            self._cache[key] = _block_diagonal([blk] * len(ext_subsets(self.fan.rank, k)))
         return self._cache[key]
 
     def _const_restriction(self, src: Cone, dst: Cone, k: int) -> RationalMatrix:
@@ -214,14 +202,13 @@ class CoverSimplex:
         key = ("constres", src, dst, k)
         if key not in self._cache:
             solver = self._const_solver(dst, k)
-            cols = [solver.solve(col) for col in self.const_columns(src, k)]
-            rows = len(self.const_columns(dst, k))
-            self._cache[key] = RationalMatrix.from_columns(cols, rows=rows)
+            cols = self.const_matrix(src, k)
+            self._cache[key] = RationalMatrix.from_columns(
+                [solver.solve(cols.column(j)) for j in range(cols.cols)],
+                rows=self.const_matrix(dst, k).cols)
         return self._cache[key]
 
     def restriction_block(self, tag: str, src: Cone, dst: Cone, k: int, m: int) -> RationalMatrix:
-        if tag == TAG_FUNCTIONS:
-            return self._poly_restriction(src, dst, m)
         if tag == TAG_FORMS:
             return self._forms_restriction(src, dst, k, m)
         if tag == TAG_CONST:
@@ -264,17 +251,8 @@ class CoverSimplex:
         """
         key = ("vertical", p, k, m)
         if key not in self._cache:
-            taus = self.simplices(p)
-            blocks = {}
-            row_sizes = []
-            col_sizes = []
-            for i, tau in enumerate(taus):
-                cone = self.cone_of(tau)
-                blk = self._local_vertical(cone, k, m)
-                blocks[(i, i)] = blk
-                row_sizes.append(blk.rows)
-                col_sizes.append(blk.cols)
-            self._cache[key] = linalg.block_matrix(row_sizes, col_sizes, blocks)
+            self._cache[key] = _block_diagonal(
+                [self._local_vertical(self.cone_of(tau), k, m) for tau in self.simplices(p)])
         return self._cache[key]
 
     def _local_vertical(self, cone: Cone, k: int, m: int) -> RationalMatrix:
@@ -288,119 +266,94 @@ class CoverSimplex:
             self._cache[key] = koszul_block(self.fan, forms, src, dst)
         return self._cache[key]
 
-    def augmentation_matrix(self, tag: str, k: int, m: int) -> RationalMatrix:
-        """Restriction of global data to the degree-0 Cech slot."""
-        if tag not in (TAG_FUNCTIONS, TAG_FORMS):
-            raise CechError("augmentation defined for functions and forms")
-        key = ("aug", tag, k, m)
+    def augmentation_matrix(self, k: int, m: int) -> RationalMatrix:
+        """Restriction of global forms to the degree-0 Cech slot."""
+        key = ("aug", k, m)
         if key not in self._cache:
             monos = sr_basis(self.fan, m)
-            subsets = ext_subsets(self.fan.rank, k) if tag == TAG_FORMS else [()]
-            src = [(mono, s) for s in subsets for mono in monos]
-            dst_dim, dst_off = self.slot_layout(tag, 0, k, m)
+            src = [(mono, s) for s in ext_subsets(self.fan.rank, k) for mono in monos]
+            dst_dim, dst_off = self.slot_layout(TAG_FORMS, 0, k, m)
             ent = {}
             for tau in self.simplices(0):
                 cone = self.cone_of(tau)
-                local = self.local_basis(tag, tau, k, m)
+                local = self.local_basis(TAG_FORMS, tau, k, m)
                 index = {b: i for i, b in enumerate(local)}
                 for j, (mono, s) in enumerate(src):
                     if mono.support <= cone.index_set:
-                        b = mono if tag == TAG_FUNCTIONS else (mono, s)
-                        ent[(dst_off[tau] + index[b], j)] = Fraction(1)
+                        ent[(dst_off[tau] + index[(mono, s)], j)] = Fraction(1)
             self._cache[key] = RationalMatrix(dst_dim, len(src), ent)
         return self._cache[key]
 
     # -- total complexes ---------------------------------------------------
 
-    def const_total_blocks(self, t: int) -> list[tuple[int, int]]:
-        out = []
-        for p in range(0, min(self.size - 1, t) + 1):
-            k = t - p
-            if 0 <= k <= self.fan.rank:
-                out.append((p, k))
-        return out
+    def total_blocks(self, tag: str, t: int) -> list[tuple[int, int, int]]:
+        """Slots (p, k, m) of total degree t = p + k + m, ordered by p then k.
 
-    def const_total_matrix(self, t: int) -> RationalMatrix:
-        key = ("consttotal", t)
-        if key not in self._cache:
-            self._cache[key] = self._assemble_const_total(t)
-        return self._cache[key]
-
-    def _assemble_const_total(self, t: int) -> RationalMatrix:
-        src = self.const_total_blocks(t)
-        dst = self.const_total_blocks(t + 1)
-        dst_pos = {pk: i for i, pk in enumerate(dst)}
-        row_sizes = [self.slot_layout(TAG_CONST, p, k, 0)[0] for p, k in dst]
-        col_sizes = [self.slot_layout(TAG_CONST, p, k, 0)[0] for p, k in src]
-        blocks = {}
-        for j, (p, k) in enumerate(src):
-            if (p + 1, k) in dst_pos:
-                blocks[(dst_pos[(p + 1, k)], j)] = self.delta_matrix(TAG_CONST, p, k, 0)
-        return linalg.block_matrix(row_sizes, col_sizes, blocks)
-
-    def forms_total_blocks(self, t: int) -> list[tuple[int, int, int]]:
+        Forms slots have even m; const slots have m = 0.
+        """
         out = []
         for p in range(0, min(self.size - 1, t) + 1):
             for k in range(0, min(self.fan.rank, t - p) + 1):
                 m = t - p - k
-                if m >= 0 and m % 2 == 0:
+                if m == 0 or (tag == TAG_FORMS and m % 2 == 0):
                     out.append((p, k, m))
         return out
+
+    def _assemble(self, src_tag: str, dst_tag: str, t_src: int, t_dst: int,
+                  arrows) -> RationalMatrix:
+        """Block matrix between the total spaces (src_tag, t_src) and (dst_tag, t_dst).
+
+        ``arrows(p, k, m)`` yields (target slot, block builder) pairs for one
+        source slot; a block is built only when its target slot exists.
+        """
+        src = self.total_blocks(src_tag, t_src)
+        dst = self.total_blocks(dst_tag, t_dst)
+        dst_pos = {b: i for i, b in enumerate(dst)}
+        blocks: dict[tuple[int, int], RationalMatrix] = {}
+        for j, slot in enumerate(src):
+            for target, build in arrows(*slot):
+                if target in dst_pos:
+                    blocks[(dst_pos[target], j)] = build()
+        return linalg.block_matrix([self.slot_layout(dst_tag, *b)[0] for b in dst],
+                                   [self.slot_layout(src_tag, *b)[0] for b in src], blocks)
+
+    def const_total_matrix(self, t: int) -> RationalMatrix:
+        """Total differential delta on the const double complex (zero vertical)."""
+        key = ("consttotal", t)
+        if key not in self._cache:
+            def arrows(p, k, m):
+                yield (p + 1, k, m), lambda: self.delta_matrix(TAG_CONST, p, k, m)
+
+            self._cache[key] = self._assemble(TAG_CONST, TAG_CONST, t, t + 1, arrows)
+        return self._cache[key]
 
     def forms_total_matrix(self, t: int) -> RationalMatrix:
         """Total differential delta + (-1)^p vertical on the forms double complex."""
         key = ("formstotal", t)
         if key not in self._cache:
-            self._cache[key] = self._assemble_forms_total(t)
-        return self._cache[key]
-
-    def _assemble_forms_total(self, t: int) -> RationalMatrix:
-        src = self.forms_total_blocks(t)
-        dst = self.forms_total_blocks(t + 1)
-        dst_pos = {b: i for i, b in enumerate(dst)}
-        row_sizes = [self.slot_layout(TAG_FORMS, p, k, m)[0] for p, k, m in dst]
-        col_sizes = [self.slot_layout(TAG_FORMS, p, k, m)[0] for p, k, m in src]
-        blocks: dict[tuple[int, int], RationalMatrix] = {}
-        for j, (p, k, m) in enumerate(src):
-            if (p + 1, k, m) in dst_pos:
-                blocks[(dst_pos[(p + 1, k, m)], j)] = self.delta_matrix(TAG_FORMS, p, k, m)
-            if k >= 1 and (p, k - 1, m + 2) in dst_pos:
+            def signed_vertical(p, k, m):
                 vert = self.vertical_matrix(p, k, m)
-                if p % 2:
-                    vert = vert.scale(-1)
-                blocks[(dst_pos[(p, k - 1, m + 2)], j)] = vert
-        return linalg.block_matrix(row_sizes, col_sizes, blocks)
+                return vert.scale(-1) if p % 2 else vert
+
+            def arrows(p, k, m):
+                yield (p + 1, k, m), lambda: self.delta_matrix(TAG_FORMS, p, k, m)
+                if k >= 1:
+                    yield (p, k - 1, m + 2), lambda: signed_vertical(p, k, m)
+
+            self._cache[key] = self._assemble(TAG_FORMS, TAG_FORMS, t, t + 1, arrows)
+        return self._cache[key]
 
     def inclusion_matrix(self, t: int) -> RationalMatrix:
         """Chain map from the const total space into the forms total space."""
         key = ("inclusion", t)
         if key not in self._cache:
-            self._cache[key] = self._assemble_inclusion(t)
-        return self._cache[key]
-
-    def _assemble_inclusion(self, t: int) -> RationalMatrix:
-        src = self.const_total_blocks(t)
-        dst = self.forms_total_blocks(t)
-        dst_pos = {b: i for i, b in enumerate(dst)}
-        row_sizes = [self.slot_layout(TAG_FORMS, p, k, m)[0] for p, k, m in dst]
-        col_sizes = [self.slot_layout(TAG_CONST, p, k, 0)[0] for p, k in src]
-        blocks = {}
-        for j, (p, k) in enumerate(src):
-            taus = self.simplices(p)
             # at m = 0 the local forms basis is exactly the ambient wedge basis
-            sub_rows = []
-            sub_cols = []
-            sub_blocks = {}
-            for i, tau in enumerate(taus):
-                cone = self.cone_of(tau)
-                cols = self.const_columns(cone, k)
-                amb = len(ext_subsets(self.fan.rank, k))
-                sub_blocks[(i, i)] = RationalMatrix.from_columns(cols, rows=amb) \
-                    if cols else RationalMatrix.zeros(amb, 0)
-                sub_rows.append(amb)
-                sub_cols.append(len(cols))
-            blocks[(dst_pos[(p, k, 0)], j)] = linalg.block_matrix(sub_rows, sub_cols, sub_blocks)
-        return linalg.block_matrix(row_sizes, col_sizes, blocks)
+            def arrows(p, k, m):
+                yield (p, k, m), lambda: _block_diagonal(
+                    [self.const_matrix(self.cone_of(tau), k) for tau in self.simplices(p)])
+
+            self._cache[key] = self._assemble(TAG_CONST, TAG_FORMS, t, t, arrows)
+        return self._cache[key]
 
     # -- cochain plumbing ---------------------------------------------------
 
@@ -436,14 +389,15 @@ class CoverSimplex:
 
     def functions_cochain(self, p: int, m: int,
                           polys: Mapping[Simplex, SRPolynomial]) -> CechCochain:
+        """The forms cochain of exterior degree 0 with the given polynomial values."""
         comps = {}
         for tau in self.simplices(p):
             poly = polys.get(tau, SRPolynomial.zero(self.fan))
             comps[tau] = self._poly_to_local(tau, m, poly)
-        return CechCochain(TAG_FUNCTIONS, p, 0, m, comps)
+        return CechCochain(TAG_FORMS, p, 0, m, comps)
 
     def _poly_to_local(self, tau: Simplex, m: int, poly: SRPolynomial) -> Vector:
-        basis = self.local_basis(TAG_FUNCTIONS, tau, 0, m)
+        basis = cone_monomial_basis(self.fan, self.cone_of(tau), m)
         index = {mono: i for i, mono in enumerate(basis)}
         out = [Fraction(0)] * len(basis)
         for mono, coeff in poly.terms:
@@ -454,19 +408,38 @@ class CoverSimplex:
         return tuple(out)
 
     def poly_components(self, c: CechCochain) -> dict[Simplex, SRPolynomial]:
-        if c.tag != TAG_FUNCTIONS:
-            raise CechError("polynomial components exist for the functions tag")
+        _require_functions(c, "polynomial components")
         out = {}
         for tau, vec in c.components.items():
-            basis = self.local_basis(TAG_FUNCTIONS, tau, 0, c.m)
+            basis = cone_monomial_basis(self.fan, self.cone_of(tau), c.m)
             out[tau] = SRPolynomial.build(
                 self.fan, {mono: v for mono, v in zip(basis, vec)})
         return out
 
+    def _coboundary_solver(self, q: int, p: int) -> LinearSolver:
+        """Solver for the simplicial coboundary C^(p-1) -> C^p of the full
+        simplex on q vertices (constant coefficients)."""
+        key = ("coboundary", q, p)
+        if key not in self._cache:
+            rows = list(itertools.combinations(range(q), p + 1))
+            col_pos = {c: i for i, c in enumerate(itertools.combinations(range(q), p))}
+            ent = {}
+            for r, tau in enumerate(rows):
+                for j in range(len(tau)):
+                    ent[(r, col_pos[tau[:j] + tau[j + 1:]])] = Fraction(-1 if j % 2 else 1)
+            self._cache[key] = LinearSolver(RationalMatrix(len(rows), len(col_pos), ent))
+        return self._cache[key]
 
-def cech_delta(cs: CoverSimplex, tag: str, p: int, k: int, m: int) -> RationalMatrix:
-    """Matrix of the horizontal differential on one slot."""
-    return cs.delta_matrix(tag, p, k, m)
+
+def _block_diagonal(blocks: Sequence[RationalMatrix]) -> RationalMatrix:
+    return linalg.block_matrix([b.rows for b in blocks], [b.cols for b in blocks],
+                               {(i, i): b for i, b in enumerate(blocks)})
+
+
+def _require_functions(c: CechCochain, what: str) -> None:
+    if c.tag != TAG_FORMS or c.k != 0:
+        raise CechError(f"{what}: expected a forms cochain of exterior degree 0, "
+                        f"got tag {c.tag!r} with k = {c.k}")
 
 
 # -- exactness -----------------------------------------------------------------
@@ -490,23 +463,24 @@ class ExactnessReport:
 def verify_exactness(cs: CoverSimplex, m_max: int, exterior_degree: int = 0) -> ExactnessReport:
     """Check degreewise exactness of 0 -> global -> C^0 -> C^1 -> ...
 
-    Works in each polynomial degree m <= m_max separately (odd slices are
-    zero).  Failures are recorded, not raised.
+    The coefficients are the forms of exterior degree ``exterior_degree``
+    (0: the polynomial functions).  Works in each polynomial degree
+    m <= m_max separately (odd slices are zero).  Failures are recorded,
+    not raised.
     """
     k = exterior_degree
-    tag = TAG_FUNCTIONS if k == 0 else TAG_FORMS
     entries: dict[tuple[int, int], dict] = {}
     augmentation: dict[int, dict] = {}
     exact = True
     s = cs.size
     for m in range(m_max + 1):
-        aug = cs.augmentation_matrix(tag, k, m)
-        d0 = cs.delta_matrix(tag, 0, k, m)
+        aug = cs.augmentation_matrix(k, m)
+        d0 = cs.delta_matrix(TAG_FORMS, 0, k, m)
         ranks = {}
         dims = {}
         for p in range(s):
-            dims[p] = cs.slot_layout(tag, p, k, m)[0]
-            ranks[p] = linalg.rank(cs.delta_matrix(tag, p, k, m))
+            dims[p] = cs.slot_layout(TAG_FORMS, p, k, m)[0]
+            ranks[p] = linalg.rank(cs.delta_matrix(TAG_FORMS, p, k, m))
         comp_zero = (d0 @ aug).is_zero()
         rank_aug = linalg.rank(aug)
         global_dim = aug.cols
@@ -563,29 +537,6 @@ def glue_sections(cs: CoverSimplex, components: Sequence[SRPolynomial]) -> SRPol
     return total
 
 
-def _const_delta_matrix(q: int, p: int) -> RationalMatrix:
-    """Simplicial coboundary C^(p-1) -> C^p of the full simplex on q vertices."""
-    rows = list(itertools.combinations(range(q), p + 1))
-    cols = list(itertools.combinations(range(q), p))
-    col_pos = {c: i for i, c in enumerate(cols)}
-    ent = {}
-    for r, tau in enumerate(rows):
-        for j in range(len(tau)):
-            face = tau[:j] + tau[j + 1:]
-            ent[(r, col_pos[face])] = Fraction(-1 if j % 2 else 1)
-    return RationalMatrix(len(rows), len(cols), ent)
-
-
-_CONST_SOLVERS: dict[tuple[int, int], LinearSolver] = {}
-
-
-def _const_solver(q: int, p: int) -> LinearSolver:
-    key = (q, p)
-    if key not in _CONST_SOLVERS:
-        _CONST_SOLVERS[key] = LinearSolver(_const_delta_matrix(q, p))
-    return _CONST_SOLVERS[key]
-
-
 def _delta_polys(cs: CoverSimplex, comps: Mapping[Simplex, SRPolynomial],
                  p: int) -> dict[Simplex, SRPolynomial]:
     out = {}
@@ -614,7 +565,7 @@ def _solve_on_stratum(cs: CoverSimplex, vertices: Simplex, p: int,
     omegas = list(itertools.combinations(vertices, p))
     monos = sorted({mono for poly in rhs.values() for mono, _ in poly.terms},
                    key=monomial_sort_key(fan.num_rays))
-    solver = _const_solver(q, p)
+    solver = cs._coboundary_solver(q, p)
     acc: dict[Simplex, dict[Monomial, Fraction]] = {om: {} for om in omegas}
     for mono in monos:
         target = [rhs[tau].coeff(mono) for tau in taus]
@@ -634,8 +585,7 @@ def split_cocycle(cs: CoverSimplex, g: CechCochain) -> CechCochain:
     along a chosen facet of each simplex.  Exact; raises if the input is
     not closed.
     """
-    if g.tag != TAG_FUNCTIONS:
-        raise CechError("split_cocycle expects the functions tag")
+    _require_functions(g, "split_cocycle")
     p, m = g.p, g.m
     if p < 1:
         raise CechError("split_cocycle needs Cech degree at least 1")
@@ -717,10 +667,10 @@ class TotalCohomology:
         return tuple(self.slots[t].dim for t in range(self.t_max + 1))
 
 
-def _total_cohomology(cs: CoverSimplex, t_max: int, matrix_fn, dim_fn) -> TotalCohomology:
+def _total_cohomology(t_max: int, matrix_fn) -> TotalCohomology:
     slots = {}
     for t in range(t_max + 1):
-        d_in = matrix_fn(t - 1) if t >= 1 else RationalMatrix.zeros(dim_fn(0), 0)
+        d_in = matrix_fn(t - 1) if t >= 1 else RationalMatrix.zeros(matrix_fn(0).cols, 0)
         slots[t] = cohomology_at(d_in, matrix_fn(t))
     return TotalCohomology(t_max, slots)
 
@@ -733,22 +683,14 @@ def constant_total_cohomology(cs: CoverSimplex, t_max: int | None = None) -> Tot
     """
     if t_max is None:
         t_max = default_t_max(cs.fan)
-
-    def dim(t):
-        return sum(cs.slot_layout(TAG_CONST, p, k, 0)[0] for p, k in cs.const_total_blocks(t))
-
-    return _total_cohomology(cs, t_max, cs.const_total_matrix, dim)
+    return _total_cohomology(t_max, cs.const_total_matrix)
 
 
 def forms_total_cohomology(cs: CoverSimplex, t_max: int | None = None) -> TotalCohomology:
     """Total cohomology of the forms double complex with the twisted vertical."""
     if t_max is None:
         t_max = default_t_max(cs.fan)
-
-    def dim(t):
-        return sum(cs.slot_layout(TAG_FORMS, p, k, m)[0] for p, k, m in cs.forms_total_blocks(t))
-
-    return _total_cohomology(cs, t_max, cs.forms_total_matrix, dim)
+    return _total_cohomology(t_max, cs.forms_total_matrix)
 
 
 @dataclass
@@ -818,24 +760,6 @@ def verify_quasi_iso(cs: CoverSimplex, t_max: int | None = None,
 # -- cup product --------------------------------------------------------------------
 
 
-def _functions_value_product(cs: CoverSimplex, cone: Cone, m1: int, v1: Vector,
-                             m2: int, v2: Vector) -> Vector:
-    """Multiply two polynomial values over one simplex cone, in local coordinates."""
-    fan = cs.fan
-    b1 = cone_monomial_basis(fan, cone, m1)
-    b2 = cone_monomial_basis(fan, cone, m2)
-    target = {mono: i for i, mono in enumerate(cone_monomial_basis(fan, cone, m1 + m2))}
-    out = [Fraction(0)] * len(target)
-    for mono1, c1 in zip(b1, v1):
-        if not c1:
-            continue
-        for mono2, c2 in zip(b2, v2):
-            if not c2:
-                continue
-            out[target[mono1.times(mono2)]] += c1 * c2
-    return tuple(out)
-
-
 def cup(cs: CoverSimplex, a: CechCochain, b: CechCochain) -> CechCochain:
     """Front-face/back-face cup product of two cochains of the same tag.
 
@@ -853,24 +777,11 @@ def cup(cs: CoverSimplex, a: CechCochain, b: CechCochain) -> CechCochain:
     m = a.m + b.m
     twist = -1 if (a.k * q) % 2 else 1
     result = cs.zero_cochain(tag, p + q, k, m)
-    if tag == TAG_CONST and k > fan.rank:
+    if k > fan.rank:
         return result
+    value_product = _forms_value_product if tag == TAG_FORMS else _const_value_product
     for tau in cs.simplices(p + q):
-        front = tau[:p + 1]
-        back = tau[p:]
-        cone = cs.cone_of(tau)
-        va = a.components[front]
-        vb = b.components[back]
-        if tag == TAG_FUNCTIONS:
-            ra = cs.restriction_block(tag, cs.cone_of(front), cone, 0, a.m).mul_vec(va)
-            rb = cs.restriction_block(tag, cs.cone_of(back), cone, 0, b.m).mul_vec(vb)
-            prod = _functions_value_product(cs, cone, a.m, ra, b.m, rb)
-        elif tag == TAG_FORMS:
-            prod = _forms_value_product(cs, cone, front, back, a, b)
-        elif tag == TAG_CONST:
-            prod = _const_value_product(cs, cone, front, back, a, b, k)
-        else:
-            raise CechError(f"unknown tag {tag!r}")
+        prod = value_product(cs, cs.cone_of(tau), tau[:p + 1], tau[p:], a, b)
         result.components[tau] = linalg.scale_vector(twist, prod)
     return result
 
@@ -903,23 +814,14 @@ def _forms_value_product(cs: CoverSimplex, cone: Cone, front: Simplex, back: Sim
 
 
 def _const_value_product(cs: CoverSimplex, cone: Cone, front: Simplex, back: Simplex,
-                         a: CechCochain, b: CechCochain, k: int) -> Vector:
+                         a: CechCochain, b: CechCochain) -> Vector:
     fan = cs.fan
-    cols_a = cs.const_columns(cs.cone_of(front), a.k)
-    cols_b = cs.const_columns(cs.cone_of(back), b.k)
+    k = a.k + b.k
     amb_a = ext_subsets(fan.rank, a.k)
     amb_b = ext_subsets(fan.rank, b.k)
     amb_t = {s: i for i, s in enumerate(ext_subsets(fan.rank, k))}
-    va = a.components[front]
-    vb = b.components[back]
-    ambient_a = [Fraction(0)] * len(amb_a)
-    for col, c in zip(cols_a, va):
-        if c:
-            ambient_a = [x + c * y for x, y in zip(ambient_a, col)]
-    ambient_b = [Fraction(0)] * len(amb_b)
-    for col, c in zip(cols_b, vb):
-        if c:
-            ambient_b = [x + c * y for x, y in zip(ambient_b, col)]
+    ambient_a = cs.const_matrix(cs.cone_of(front), a.k).mul_vec(a.components[front])
+    ambient_b = cs.const_matrix(cs.cone_of(back), b.k).mul_vec(b.components[back])
     wedge = [Fraction(0)] * len(amb_t)
     for s1, c1 in zip(amb_a, ambient_a):
         if not c1:
@@ -958,7 +860,7 @@ def total_cup(cs: CoverSimplex, x: Mapping[tuple[int, int], CechCochain],
 def const_total_vector(cs: CoverSimplex, t: int,
                        blocks: Mapping[tuple[int, int], CechCochain]) -> Vector:
     out: list[Fraction] = []
-    for p, k in cs.const_total_blocks(t):
+    for p, k, _ in cs.total_blocks(TAG_CONST, t):
         c = blocks.get((p, k))
         if c is None:
             out.extend(linalg.zero_vector(cs.slot_layout(TAG_CONST, p, k, 0)[0]))
@@ -971,7 +873,7 @@ def const_total_blocks_from_vector(cs: CoverSimplex, t: int,
                                    vec: Sequence) -> dict[tuple[int, int], CechCochain]:
     out = {}
     pos = 0
-    for p, k in cs.const_total_blocks(t):
+    for p, k, _ in cs.total_blocks(TAG_CONST, t):
         size = cs.slot_layout(TAG_CONST, p, k, 0)[0]
         out[(p, k)] = cs.cochain_from_vector(TAG_CONST, p, k, 0, vec[pos:pos + size])
         pos += size

@@ -32,11 +32,6 @@ def ext_subsets(n: int, k: int) -> list[ExtIndex]:
     return list(itertools.combinations(range(1, n + 1), k))
 
 
-def derivation_sign(subset: ExtIndex, i: int) -> int:
-    """Sign of the odd derivation d/dx_i acting on a sorted wedge."""
-    return -1 if subset.index(i) % 2 else 1
-
-
 def wedge_merge(s: ExtIndex, t: ExtIndex) -> tuple[int, ExtIndex] | None:
     """Koszul sign and merged index set of a wedge product; None if repeated."""
     if set(s) & set(t):
@@ -144,6 +139,22 @@ class TwistedComplex:
         return True
 
 
+def _contraction_terms(fan: Fan, forms: Sequence[SRPolynomial], mono: Monomial,
+                       subset: ExtIndex):
+    """Terms ((monomial, wedge), coefficient) of sum_i forms[i] d/dx_i on mono * u_subset.
+
+    The odd derivation d/dx_i removes i from the sorted wedge with the sign
+    (-1)^(position of i).
+    """
+    is_face = fan.is_face
+    for pos, i in enumerate(subset):
+        rest = subset[:pos] + subset[pos + 1:]
+        for fmono, fcoef in forms[i - 1].terms:
+            prod = fmono.times(mono)
+            if is_face(prod.support):
+                yield (prod, rest), (-fcoef if pos % 2 else fcoef)
+
+
 def koszul_block(fan: Fan, forms: Sequence[SRPolynomial],
                  src: list[tuple[Monomial, ExtIndex]],
                  dst: list[tuple[Monomial, ExtIndex]]) -> RationalMatrix:
@@ -151,18 +162,10 @@ def koszul_block(fan: Fan, forms: Sequence[SRPolynomial],
     index = {b: i for i, b in enumerate(dst)}
 
     def action(j: int) -> dict[int, Fraction]:
-        mono, subset = src[j]
         out: dict[int, Fraction] = {}
-        for i in subset:
-            sign = derivation_sign(subset, i)
-            rest = tuple(x for x in subset if x != i)
-            for fmono, fcoef in forms[i - 1].terms:
-                prod = fmono.times(mono)
-                if not fan.is_face(prod.support):
-                    continue
-                key = (prod, rest)
-                row = index[key]
-                out[row] = out.get(row, Fraction(0)) + sign * fcoef
+        for key, coeff in _contraction_terms(fan, forms, *src[j]):
+            row = index[key]
+            out[row] = out.get(row, Fraction(0)) + coeff
         return out
 
     return linalg.matrix_from_action(len(dst), len(src), action)
@@ -212,17 +215,11 @@ def lg_multiply(fan: Fan, x: LGElement, y: LGElement) -> LGElement:
 
 
 def lg_differential(tc: TwistedComplex, x: LGElement) -> LGElement:
+    """The twisted differential applied to one element, term by term."""
     out: LGElement = {}
     for (mono, subset), coeff in x.items():
-        for i in subset:
-            sign = derivation_sign(subset, i)
-            rest = tuple(t for t in subset if t != i)
-            for fmono, fcoef in tc.linear_forms[i - 1].terms:
-                prod = fmono.times(mono)
-                if not tc.fan.is_face(prod.support):
-                    continue
-                key = (prod, rest)
-                out[key] = out.get(key, Fraction(0)) + sign * coeff * fcoef
+        for key, term in _contraction_terms(tc.fan, tc.linear_forms, mono, subset):
+            out[key] = out.get(key, Fraction(0)) + coeff * term
     return {k: v for k, v in out.items() if v != 0}
 
 

@@ -30,7 +30,7 @@ from toriclg import (
     verify_exactness,
 )
 from toriclg import linalg
-from toriclg.cech import TAG_CONST, TAG_FORMS, TAG_FUNCTIONS, CoverSimplex
+from toriclg.cech import TAG_CONST, TAG_FORMS, CoverSimplex
 from toriclg.fan import fan_from_data
 from toriclg.twisted import lg_differential, lg_multiply
 
@@ -150,7 +150,7 @@ def test_criterion_glue_and_split(suite, covers):
         per_combo = -(-100 // len(combos))  # ceil
         for p, m in combos:
             for _ in range(per_combo):
-                g = random_closed_cochain(rng, cs, TAG_FUNCTIONS, p, 0, m)
+                g = random_closed_cochain(rng, cs, TAG_FORMS, p, 0, m)
                 h = split_cocycle(cs, g)
                 assert cs.cochain_to_vector(cs.cochain_delta(h)) == cs.cochain_to_vector(g)
                 split_count += 1
@@ -216,8 +216,8 @@ def test_criterion_randomized_property_sweep(suite, covers):
     for _ in range(200):
         name = rng.choice(SUITE_NAMES)
         cs = covers[name]
-        tag = rng.choice((TAG_FUNCTIONS, TAG_FORMS, TAG_CONST))
-        k = 0 if tag == TAG_FUNCTIONS else rng.randint(0, cs.fan.rank)
+        tag, functions = rng.choice(((TAG_FORMS, True), (TAG_FORMS, False), (TAG_CONST, False)))
+        k = 0 if functions else rng.randint(0, cs.fan.rank)
         m = 0 if tag == TAG_CONST else rng.choice((0, 2, 4))
         p = rng.randint(0, max(0, cs.size - 2))
         c = random_cochain(rng, cs, tag, p, k, m)
@@ -229,7 +229,7 @@ def test_criterion_randomized_property_sweep(suite, covers):
         name = rng.choice(SUITE_NAMES)
         cs = covers[name]
         t = rng.randint(0, 4)
-        dim = sum(cs.slot_layout(TAG_FORMS, *b)[0] for b in cs.forms_total_blocks(t))
+        dim = sum(cs.slot_layout(TAG_FORMS, *b)[0] for b in cs.total_blocks(TAG_FORMS, t))
         vec = [Fraction(rng.randint(-3, 3)) for _ in range(dim)]
         once = cs.forms_total_matrix(t).mul_vec(vec)
         check(linalg.is_zero_vector(cs.forms_total_matrix(t + 1).mul_vec(once)))
@@ -252,11 +252,12 @@ def test_criterion_randomized_property_sweep(suite, covers):
     for _ in range(150):
         name = rng.choice([n for n in SUITE_NAMES if covers[n].size >= 2])
         cs = covers[name]
-        tag = rng.choice((TAG_FUNCTIONS, TAG_CONST))
-        ka = 0 if tag == TAG_FUNCTIONS else rng.randint(0, 1)
-        kb = 0 if tag == TAG_FUNCTIONS else rng.randint(0, 1)
-        ma = rng.choice((0, 2)) if tag == TAG_FUNCTIONS else 0
-        mb = rng.choice((0, 2)) if tag == TAG_FUNCTIONS else 0
+        tag = rng.choice((TAG_FORMS, TAG_CONST))
+        functions = tag == TAG_FORMS  # forms of exterior degree 0
+        ka = 0 if functions else rng.randint(0, 1)
+        kb = 0 if functions else rng.randint(0, 1)
+        ma = rng.choice((0, 2)) if functions else 0
+        mb = rng.choice((0, 2)) if functions else 0
         pa = rng.randint(0, min(1, cs.size - 2))
         pb = rng.randint(0, min(1, cs.size - 2))
         a = random_cochain(rng, cs, tag, pa, ka, ma)

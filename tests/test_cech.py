@@ -1,9 +1,11 @@
+import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from conftest import cn_data
+from conftest import FAN_DIR, cn_data, load_fan
 from helpers import random_closed_cochain, random_cochain, random_polynomial
 from toriclg import (
     SRPolynomial,
@@ -21,10 +23,9 @@ from toriclg import linalg
 from toriclg.cech import (
     TAG_CONST,
     TAG_FORMS,
-    TAG_FUNCTIONS,
+    CechCochain,
     CechError,
     CoverSimplex,
-    cech_delta,
     const_total_blocks_from_vector,
     const_total_vector,
     total_cup,
@@ -49,26 +50,57 @@ class TestCoverValidation:
     def test_large_cover_guard(self, p1xp1):
         cones = list(p1xp1.all_cones)
         assert len(cones) == 9
-        with pytest.raises(CechError, match="allow_large"):
+        with pytest.raises(CechError, match="MAX_COVER_DEFAULT = 8"):
             CoverSimplex(p1xp1, cones)
         cs = CoverSimplex(p1xp1, cones, allow_large=True)
         assert cs.size == 9
 
 
+class TestConstMatrix:
+    """Independent oracle: the columns of const_matrix(cone, k) are a basis
+    of the k-forms that contraction with every ray of the cone kills."""
+
+    @staticmethod
+    def contract(u, column, n, k):
+        # iota_u e_S = sum_i (-1)^i u[s_i] e_(S minus s_i), S lex-ordered
+        rows = list(itertools.combinations(range(n), k))
+        out = {}
+        for subset, coeff in zip(rows, column):
+            for pos, j in enumerate(subset):
+                rest = subset[:pos] + subset[pos + 1:]
+                out[rest] = out.get(rest, 0) + (-1) ** pos * u[j] * coeff
+        return out
+
+    @pytest.mark.parametrize("name", sorted(p.stem for p in FAN_DIR.glob("*.json")))
+    def test_basis_of_annihilator_wedges(self, name):
+        fan = load_fan(name)
+        cs = CoverSimplex(fan)
+        n = fan.rank
+        for cone in fan.all_cones:
+            for k in range(n + 1):
+                a = cs.const_matrix(cone, k)
+                assert a.shape == (math.comb(n, k), math.comb(n - cone.dim, k)), (cone, k)
+                assert linalg.rank(a) == a.cols, (cone, k)
+                for j in range(a.cols):
+                    col = a.column(j)
+                    for ray in cone.ray_indices:
+                        image = self.contract(fan.ray(ray), col, n, k)
+                        assert all(v == 0 for v in image.values()), (cone, k, ray)
+
+
 class TestDelta:
     def test_p1_degree2_is_zero_map(self, covers):
-        mat = cech_delta(covers["p1"], TAG_FUNCTIONS, 0, 0, 2)
+        mat = covers["p1"].delta_matrix(TAG_FORMS, 0, 0, 2)
         assert mat.shape == (0, 2) and mat.is_zero()
 
     def test_p1_degree0(self, covers):
-        mat = cech_delta(covers["p1"], TAG_FUNCTIONS, 0, 0, 0)
+        mat = covers["p1"].delta_matrix(TAG_FORMS, 0, 0, 0)
         assert mat.to_rows() == [[Fraction(-1), Fraction(1)]]
 
     def test_delta_squared_zero_all_tags(self, covers):
         for name, cs in covers.items():
             n = cs.fan.rank
-            for tag, ks in ((TAG_FUNCTIONS, [0]), (TAG_FORMS, range(n + 1)),
-                            (TAG_CONST, range(n + 1))):
+            for tag, ks in ((TAG_FORMS, range(n + 1)), (TAG_CONST, range(n + 1))):
                 for k in ks:
                     for m in ((0, 2, 4) if tag != TAG_CONST else (0,)):
                         for p in range(cs.size - 1):
@@ -154,7 +186,7 @@ class TestSplit:
         for name, cs in covers.items():
             for p in range(1, min(3, cs.size - 1) + 1):
                 for m in (0, 2, 4):
-                    g = random_closed_cochain(rng, cs, TAG_FUNCTIONS, p, 0, m)
+                    g = random_closed_cochain(rng, cs, TAG_FORMS, p, 0, m)
                     h = split_cocycle(cs, g)
                     assert cs.cochain_to_vector(cs.cochain_delta(h)) == cs.cochain_to_vector(g)
                     h2 = split_cocycle_generic(cs, g)
@@ -162,9 +194,27 @@ class TestSplit:
 
     def test_zero_maps_to_zero(self, covers):
         cs = covers["p2"]
-        g = cs.zero_cochain(TAG_FUNCTIONS, 1, 0, 2)
+        g = cs.zero_cochain(TAG_FORMS, 1, 0, 2)
         h = split_cocycle(cs, g)
         assert all(linalg.is_zero_vector(v) for v in h.components.values())
+
+    def test_higher_exterior_degree_rejected(self, covers):
+        # functions are the forms of exterior degree 0; only those split
+        cs = covers["p2"]
+        for k in (1, 2):
+            g = cs.zero_cochain(TAG_FORMS, 1, k, 2)
+            with pytest.raises(CechError, match="exterior degree 0"):
+                split_cocycle(cs, g)
+            with pytest.raises(CechError, match="exterior degree 0"):
+                cs.poly_components(g)
+        with pytest.raises(CechError, match="exterior degree 0"):
+            split_cocycle(cs, cs.zero_cochain(TAG_CONST, 1, 0, 0))
+
+    def test_functions_cochain_is_degree_zero_forms(self, covers):
+        cs = covers["p1"]
+        c = cs.functions_cochain(0, 2, {(0,): SRPolynomial.variable(cs.fan, 1)})
+        assert (c.tag, c.k) == (TAG_FORMS, 0)
+        assert cs.poly_components(c)[(0,)] == SRPolynomial.variable(cs.fan, 1)
 
     def test_not_closed_rejected(self, covers):
         # at m = 0 the top Cech space of the three-cone cover is nonzero,
@@ -173,7 +223,7 @@ class TestSplit:
         rng = random.Random(71)
         g = None
         for _ in range(50):
-            cand = random_cochain(rng, cs, TAG_FUNCTIONS, 1, 0, 0)
+            cand = random_cochain(rng, cs, TAG_FORMS, 1, 0, 0)
             if not linalg.is_zero_vector(cs.cochain_to_vector(cs.cochain_delta(cand))):
                 g = cand
                 break
@@ -206,8 +256,8 @@ class TestTotals:
         t_max = 6
 
         def alt_total(t):
-            src = cs.forms_total_blocks(t)
-            dst = cs.forms_total_blocks(t + 1)
+            src = cs.total_blocks(TAG_FORMS, t)
+            dst = cs.total_blocks(TAG_FORMS, t + 1)
             dst_pos = {b: i for i, b in enumerate(dst)}
             row_sizes = [cs.slot_layout(TAG_FORMS, *b)[0] for b in dst]
             col_sizes = [cs.slot_layout(TAG_FORMS, *b)[0] for b in src]
@@ -228,7 +278,7 @@ class TestTotals:
         alt = []
         for t in range(t_max + 1):
             d_in = alt_total(t - 1) if t else linalg.RationalMatrix.zeros(
-                sum(cs.slot_layout(TAG_FORMS, *b)[0] for b in cs.forms_total_blocks(0)), 0)
+                sum(cs.slot_layout(TAG_FORMS, *b)[0] for b in cs.total_blocks(TAG_FORMS, 0)), 0)
             alt.append(linalg.cohomology_at(d_in, alt_total(t)).dim)
         assert tuple(alt) == base
 
@@ -283,7 +333,7 @@ class TestCup:
         for name, cs in covers.items():
             unit = cs.functions_cochain(
                 0, 0, {tau: SRPolynomial.one(cs.fan) for tau in cs.simplices(0)})
-            beta = random_cochain(rng, cs, TAG_FUNCTIONS, min(1, cs.size - 1), 0, 2)
+            beta = random_cochain(rng, cs, TAG_FORMS, min(1, cs.size - 1), 0, 2)
             prod = cup(cs, unit, beta)
             assert cs.cochain_to_vector(prod) == cs.cochain_to_vector(beta)
 
@@ -303,8 +353,8 @@ class TestCup:
             if cs.size < 2:
                 continue
             for (p, q, ma, mb) in ((0, 0, 2, 2), (0, 1, 2, 0), (1, 0, 0, 2)):
-                a = random_cochain(rng, cs, TAG_FUNCTIONS, p, 0, ma)
-                b = random_cochain(rng, cs, TAG_FUNCTIONS, q, 0, mb)
+                a = random_cochain(rng, cs, TAG_FORMS, p, 0, ma)
+                b = random_cochain(rng, cs, TAG_FORMS, q, 0, mb)
                 lhs = cs.cochain_to_vector(cs.cochain_delta(cup(cs, a, b)))
                 t1 = cs.cochain_to_vector(cup(cs, cs.cochain_delta(a), b))
                 t2 = cs.cochain_to_vector(cup(cs, a, cs.cochain_delta(b)))
@@ -384,7 +434,7 @@ class TestCup:
 
     def test_tag_mismatch_rejected(self, covers):
         cs = covers["p2"]
-        a = cs.zero_cochain(TAG_FUNCTIONS, 0, 0, 0)
+        a = cs.zero_cochain(TAG_FORMS, 0, 0, 0)
         b = cs.zero_cochain(TAG_CONST, 0, 1, 0)
         with pytest.raises(CechError, match="tags"):
             cup(cs, a, b)

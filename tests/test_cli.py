@@ -103,6 +103,14 @@ class TestVerify:
         assert code == 2
         assert "misses" in err
 
+    def test_large_cover_exits_2_naming_the_limit(self, capsys):
+        code, out, err = run_cli(capsys, "verify", fan_path("p1xp1"),
+                                 "--cover", "1,2,3,4,5,6,7,8,9", "--json")
+        assert code == 2
+        assert out == ""
+        assert err == ("error: cover has 9 cones, more than the limit MAX_COVER_DEFAULT = 8; "
+                       "use a cover of at most 8 cones\n")
+
     def test_mismatch_exits_3(self, capsys, monkeypatch):
         # no valid fan produces disagreement, so fake one to pin the exit code
         import toriclg.cli as cli

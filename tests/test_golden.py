@@ -4,6 +4,11 @@ The digests were recorded before the cohomology core was rewritten to
 eliminate each differential once; the rewrite must not change a byte of
 the ``cohomology --ring`` or ``verify`` payload.  A digest is the SHA-256
 of ``json.dumps(payload, sort_keys=True)``.
+
+The ``verify --cover`` digests use covers with non-maximal cones, so the
+constant-coefficient restrictions onto extra cones are pinned too; they
+were recorded before the Cech layer was reduced to two coefficient
+systems.
 """
 
 import hashlib
@@ -38,6 +43,11 @@ VERIFY_DIGESTS = {
     "zero2": "62f517360e00d37515a46cc1b7b2b36e27228359195aac3facff7be950797f74",
 }
 
+COVER_DIGESTS = {
+    ("p2", "1,2,3,4,5,6"): "0480cf7591a604668a72e53c4b8dc9708146e7e5f6bd15324d01e17b2baea614",
+    ("hirzebruch1", "3,4,6,8,1,2,9"): "390ad100b22f49050826a1f262cbdeb45b1b7119cc46a6486494be0d80a89952",
+}
+
 
 def payload_digest(capsys, *argv) -> str:
     code = main(list(argv))
@@ -61,3 +71,10 @@ def test_ring_payload_unchanged(capsys, name):
 def test_verify_payload_unchanged(capsys, name):
     path = str(FAN_DIR / f"{name}.json")
     assert payload_digest(capsys, "verify", path, "--json") == VERIFY_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name,cover", sorted(COVER_DIGESTS))
+def test_verify_cover_payload_unchanged(capsys, name, cover):
+    path = str(FAN_DIR / f"{name}.json")
+    digest = payload_digest(capsys, "verify", path, "--cover", cover, "--json")
+    assert digest == COVER_DIGESTS[(name, cover)]
