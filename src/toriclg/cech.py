@@ -223,7 +223,7 @@ class CoverSimplex:
         if key not in self._cache:
             src_dim, src_off = self.slot_layout(tag, p, k, m)
             dst_dim, dst_off = self.slot_layout(tag, p + 1, k, m)
-            ent: dict[tuple[int, int], Fraction] = {}
+            ent: dict[tuple[int, int], int | Fraction] = {}
             for tau in self.simplices(p + 1):
                 dst_cone = self.cone_of(tau)
                 for j in range(len(tau)):
@@ -233,7 +233,7 @@ class CoverSimplex:
                     r0, c0 = dst_off[tau], src_off[face]
                     for (r, c), v in blk.entries.items():
                         keyrc = (r0 + r, c0 + c)
-                        ent[keyrc] = ent.get(keyrc, Fraction(0)) + sign * v
+                        ent[keyrc] = ent.get(keyrc, 0) + sign * v
             self._cache[key] = RationalMatrix(dst_dim, src_dim, ent)
         return self._cache[key]
 
@@ -465,8 +465,9 @@ def verify_exactness(cs: CoverSimplex, m_max: int, exterior_degree: int = 0) -> 
 
     The coefficients are the forms of exterior degree ``exterior_degree``
     (0: the polynomial functions).  Works in each polynomial degree
-    m <= m_max separately (odd slices are zero).  Failures are recorded,
-    not raised.
+    m <= m_max separately (odd slices are zero).  A slot is exact when
+    the incoming map composes to zero with the outgoing one and their
+    ranks add up to its dimension.  Failures are recorded, not raised.
     """
     k = exterior_degree
     entries: dict[tuple[int, int], dict] = {}
@@ -475,13 +476,10 @@ def verify_exactness(cs: CoverSimplex, m_max: int, exterior_degree: int = 0) -> 
     s = cs.size
     for m in range(m_max + 1):
         aug = cs.augmentation_matrix(k, m)
-        d0 = cs.delta_matrix(TAG_FORMS, 0, k, m)
-        ranks = {}
-        dims = {}
-        for p in range(s):
-            dims[p] = cs.slot_layout(TAG_FORMS, p, k, m)[0]
-            ranks[p] = linalg.rank(cs.delta_matrix(TAG_FORMS, p, k, m))
-        comp_zero = (d0 @ aug).is_zero()
+        deltas = [cs.delta_matrix(TAG_FORMS, p, k, m) for p in range(s)]
+        dims = [cs.slot_layout(TAG_FORMS, p, k, m)[0] for p in range(s)]
+        ranks = [linalg.rank(d) for d in deltas]
+        comp_zero = (deltas[0] @ aug).is_zero()
         rank_aug = linalg.rank(aug)
         global_dim = aug.cols
         inj = rank_aug == global_dim
@@ -492,7 +490,9 @@ def verify_exactness(cs: CoverSimplex, m_max: int, exterior_degree: int = 0) -> 
         }
         ok_m = inj and joint0
         for p in range(1, s):
-            ok_p = ranks[p - 1] + ranks[p] == dims[p]
+            # the ranks add up to dims[p] on an exact slot, but prove it only when delta delta = 0
+            ok_p = ((deltas[p] @ deltas[p - 1]).is_zero()
+                    and ranks[p - 1] + ranks[p] == dims[p])
             entries[(m, p)] = {
                 "dim": dims[p], "rank_in": ranks[p - 1],
                 "rank_out": ranks[p], "exact": ok_p,
@@ -835,46 +835,3 @@ def _const_value_product(cs: CoverSimplex, cone: Cone, front: Simplex, back: Sim
             sign, subset = merged
             wedge[amb_t[subset]] += sign * c1 * c2
     return cs._const_solver(cone, k).solve(wedge)
-
-
-def total_cup(cs: CoverSimplex, x: Mapping[tuple[int, int], CechCochain],
-              y: Mapping[tuple[int, int], CechCochain]) -> dict[tuple[int, int], CechCochain]:
-    """Cup product of const total-complex elements given blockwise."""
-    out: dict[tuple[int, int], CechCochain] = {}
-    for (p1, k1), c1 in x.items():
-        for (p2, k2), c2 in y.items():
-            if k1 + k2 > cs.fan.rank:
-                continue
-            prod = cup(cs, c1, c2)
-            key = (p1 + p2, k1 + k2)
-            if key in out:
-                prev = out[key]
-                comps = {tau: linalg.add_vectors(prev.components[tau], prod.components[tau])
-                         for tau in prev.components}
-                out[key] = CechCochain(TAG_CONST, key[0], key[1], 0, comps)
-            else:
-                out[key] = prod
-    return out
-
-
-def const_total_vector(cs: CoverSimplex, t: int,
-                       blocks: Mapping[tuple[int, int], CechCochain]) -> Vector:
-    out: list[Fraction] = []
-    for p, k, _ in cs.total_blocks(TAG_CONST, t):
-        c = blocks.get((p, k))
-        if c is None:
-            out.extend(linalg.zero_vector(cs.slot_layout(TAG_CONST, p, k, 0)[0]))
-        else:
-            out.extend(cs.cochain_to_vector(c))
-    return tuple(out)
-
-
-def const_total_blocks_from_vector(cs: CoverSimplex, t: int,
-                                   vec: Sequence) -> dict[tuple[int, int], CechCochain]:
-    out = {}
-    pos = 0
-    for p, k, _ in cs.total_blocks(TAG_CONST, t):
-        size = cs.slot_layout(TAG_CONST, p, k, 0)[0]
-        out[(p, k)] = cs.cochain_from_vector(TAG_CONST, p, k, 0, vec[pos:pos + size])
-        pos += size
-    return out

@@ -287,14 +287,25 @@ def _check_fan_condition(fan_rank: int, rays: tuple[IntVec, ...], cones: Sequenc
 # -- construction ----------------------------------------------------------
 
 
+def _is_int(x) -> bool:
+    """A JSON integer.  bool is a subclass of int in Python but not a number here."""
+    return type(x) is int
+
+
+def _is_int_vector(v, length: int) -> bool:
+    return isinstance(v, (list, tuple)) and len(v) == length and all(_is_int(x) for x in v)
+
+
 def fan_from_data(rank: int, rays: Sequence[Sequence[int]],
                   max_cones: Sequence[Sequence[int]]) -> Fan:
     """Validate raw data and build a Fan with computed face closure."""
-    if not isinstance(rank, int) or rank < 1:
+    if not _is_int(rank) or rank < 1:
         raise FanValidationError(f"rank must be a positive integer, got {rank!r}")
+    if not isinstance(rays, (list, tuple)):
+        raise FanParseError("rays must be a list of integer vectors")
     ray_tuples: list[IntVec] = []
     for idx, r in enumerate(rays, start=1):
-        if len(r) != rank or not all(isinstance(x, int) for x in r):
+        if not _is_int_vector(r, rank):
             raise FanParseError(f"ray {idx} is not an integer vector of length {rank}")
         t = tuple(r)
         if all(x == 0 for x in t):
@@ -306,12 +317,14 @@ def fan_from_data(rank: int, rays: Sequence[Sequence[int]],
         ray_tuples.append(t)
     d = len(ray_tuples)
 
-    if not max_cones:
+    if not isinstance(max_cones, (list, tuple)) or not max_cones:
         raise FanParseError("max_cones must list at least one cone")
     seen: set[IntVec] = set()
     listed: list[Cone] = []
     for pos, raw in enumerate(max_cones, start=1):
-        if not all(isinstance(i, int) and 1 <= i <= d for i in raw):
+        if not (isinstance(raw, (list, tuple)) and all(_is_int(i) for i in raw)):
+            raise FanParseError(f"cone #{pos} is not a list of integer ray indices")
+        if not all(1 <= i <= d for i in raw):
             raise FanParseError(f"cone #{pos} has ray indices outside 1..{d}")
         cone = _as_cone(raw)
         if len(raw) != len(cone.ray_indices):
@@ -376,13 +389,16 @@ def parse_fan_file(text: str) -> tuple[Fan, PolyhedronInput | None]:
         pdata = data["polyhedron"]
         if not isinstance(pdata, dict) or "vertices" not in pdata:
             raise FanParseError("polyhedron must be an object with a 'vertices' list")
-        verts = [tuple(v) for v in pdata["vertices"]]
-        rec = [tuple(r) for r in pdata.get("recession_rays", [])]
+        verts, rec = pdata["vertices"], pdata.get("recession_rays", [])
+        if not (isinstance(verts, list) and isinstance(rec, list)):
+            raise FanParseError("polyhedron vertices and recession_rays must be lists")
         if not verts:
             raise FanValidationError("polyhedron has no vertices")
         for v in verts + rec:
-            if len(v) != fan.rank or not all(isinstance(x, int) for x in v):
+            if not _is_int_vector(v, fan.rank):
                 raise FanParseError("polyhedron entries must be integer vectors of fan rank")
+        verts = [tuple(v) for v in verts]
+        rec = [tuple(r) for r in rec]
         base = verts[0]
         spanning = [tuple(a - b for a, b in zip(v, base)) for v in verts[1:]] + list(rec)
         if not spanning or linalg.rank(RationalMatrix.from_rows(spanning)) != fan.rank:

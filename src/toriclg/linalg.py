@@ -1,7 +1,10 @@
 """Exact rational linear algebra on sparse matrices.
 
-Everything runs over ``fractions.Fraction``; no floating point enters
-anywhere.
+A matrix entry is an ``int`` when it is integral and a
+``fractions.Fraction`` otherwise, never a ``float``.  So the integer
+matrices that the complexes of this package produce get integer
+arithmetic, and elimination leaves the integers only at a pivot other
+than 1 or -1.
 
 Each matrix is eliminated at most once.  ``eliminate`` computes the
 reduced row echelon form (RREF) of a matrix on first use and caches it
@@ -20,7 +23,11 @@ therefore reproducible across runs and platforms.
 ``cohomology_at`` needs no elimination beyond those of its two maps: its
 dimension is nullity(d_out) - rank(d_in), and its representatives come
 from one small RREF of the image written in kernel coordinates (see
-``CohomologySlot``).
+``CohomologySlot``).  Most slots of a complex are zero, and those need no
+exact elimination at all: once d_out @ d_in = 0 is checked, rank(d_out) +
+rank(d_in) <= cols, and a rank modulo a prime never exceeds the rank over
+Q, so cols - rank_p(d_out) - rank_p(d_in) = 0 certifies that the slot is
+zero (``rank_mod_p``).  Any other outcome takes the exact path.
 
 ``solve_inequalities`` is the one exact linear programming routine
 (Fourier-Motzkin elimination); the fan-condition check and the
@@ -35,10 +42,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
 
-Vector = tuple[Fraction, ...]
+Vector = tuple[int | Fraction, ...]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+# rank_mod_p's one prime.  A rank r drops mod p only when p divides every r x r
+# minor; cohomology_at then takes the exact path, so the prime affects speed only.
+PRIME = (1 << 61) - 1
 
 
 class LinalgError(ValueError):
@@ -51,6 +62,18 @@ class NoSolutionError(LinalgError):
 
 class CompositionError(LinalgError):
     """Two maps that should compose to zero do not."""
+
+
+def _exact(v) -> int | Fraction:
+    """v as an int when it is integral, else as a Fraction; a float is refused."""
+    t = type(v)
+    if t is int:
+        return v
+    if t is not Fraction:
+        if isinstance(v, float):
+            raise LinalgError(f"float entry {v!r}: entries must be int or Fraction")
+        v = Fraction(v)
+    return v.numerator if v.denominator == 1 else v
 
 
 def vector(values: Iterable) -> Vector:
@@ -82,8 +105,9 @@ def is_zero_vector(v: Sequence) -> bool:
 class RationalMatrix:
     """Sparse matrix over Q.  Instances are treated as immutable.
 
-    ``entries`` maps ``(row, col)`` to a nonzero Fraction; explicit zeros
-    are stripped on construction.  ``eliminate`` caches the RREF here.
+    ``entries`` maps ``(row, col)`` to a nonzero int or non-integral
+    Fraction (see ``_exact``); explicit zeros are stripped on construction.
+    ``eliminate`` caches the RREF here.
     """
 
     rows: int
@@ -96,8 +120,8 @@ class RationalMatrix:
         for (i, j), v in self.entries.items():
             if not (0 <= i < self.rows and 0 <= j < self.cols):
                 raise LinalgError(f"entry ({i},{j}) outside a {self.rows}x{self.cols} matrix")
-            v = Fraction(v)
-            if v != 0:
+            v = _exact(v)
+            if v:
                 clean[(i, j)] = v
         self.entries = clean
 
@@ -112,8 +136,8 @@ class RationalMatrix:
             if len(row) != ncols:
                 raise LinalgError("ragged rows")
             for j, v in enumerate(row):
-                v = Fraction(v)
-                if v != 0:
+                v = _exact(v)
+                if v:
                     ent[(i, j)] = v
         return cls(nrows, ncols, ent)
 
@@ -129,8 +153,8 @@ class RationalMatrix:
             if len(col) != rows:
                 raise LinalgError("ragged columns")
             for i, v in enumerate(col):
-                v = Fraction(v)
-                if v != 0:
+                v = _exact(v)
+                if v:
                     ent[(i, j)] = v
         return cls(rows, ncols, ent)
 
@@ -140,7 +164,7 @@ class RationalMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "RationalMatrix":
-        return cls(n, n, {(i, i): ONE for i in range(n)})
+        return cls(n, n, {(i, i): 1 for i in range(n)})
 
     # -- basic queries -------------------------------------------------
 
@@ -158,10 +182,10 @@ class RationalMatrix:
         return rows
 
     def column(self, j: int) -> Vector:
-        return tuple(self.entries.get((i, j), ZERO) for i in range(self.rows))
+        return tuple(self.entries.get((i, j), 0) for i in range(self.rows))
 
-    def to_rows(self) -> list[list[Fraction]]:
-        out = [[ZERO] * self.cols for _ in range(self.rows)]
+    def to_rows(self) -> list[list]:
+        out = [[0] * self.cols for _ in range(self.rows)]
         for (i, j), v in self.entries.items():
             out[i][j] = v
         return out
@@ -176,36 +200,36 @@ class RationalMatrix:
             raise LinalgError("shape mismatch in +")
         ent = dict(self.entries)
         for key, v in other.entries.items():
-            ent[key] = ent.get(key, ZERO) + v
+            ent[key] = ent.get(key, 0) + v
         return RationalMatrix(self.rows, self.cols, ent)
 
     def __sub__(self, other: "RationalMatrix") -> "RationalMatrix":
         return self + other.scale(-1)
 
     def scale(self, c) -> "RationalMatrix":
-        c = Fraction(c)
+        c = _exact(c)
         return RationalMatrix(self.rows, self.cols, {k: c * v for k, v in self.entries.items()})
 
     def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.cols != other.rows:
             raise LinalgError(f"shape mismatch in @: {self.shape} @ {other.shape}")
-        by_row: dict[int, list[tuple[int, Fraction]]] = {}
+        by_row: dict[int, list[tuple[int, int | Fraction]]] = {}
         for (i, j), v in other.entries.items():
             by_row.setdefault(i, []).append((j, v))
-        ent: dict[tuple[int, int], Fraction] = {}
+        ent: dict[tuple[int, int], int | Fraction] = {}
         for (i, k), a in self.entries.items():
             for (j, b) in by_row.get(k, ()):
                 key = (i, j)
-                ent[key] = ent.get(key, ZERO) + a * b
+                ent[key] = ent.get(key, 0) + a * b
         return RationalMatrix(self.rows, other.cols, ent)
 
     def mul_vec(self, v: Sequence) -> Vector:
         if len(v) != self.cols:
             raise LinalgError("vector length mismatch")
-        out = [ZERO] * self.rows
+        out = [0] * self.rows
         for (i, j), a in self.entries.items():
             if v[j]:
-                out[i] += a * Fraction(v[j])
+                out[i] += a * _exact(v[j])
         return tuple(out)
 
     def __repr__(self) -> str:  # pragma: no cover
@@ -219,7 +243,9 @@ def _rref(rows: list[dict], main_cols: int) -> list[tuple[int, int]]:
     """In-place reduced row echelon form, pivoting only in columns < main_cols.
 
     Columns >= main_cols ride along as augmented data.  Returns the pivot
-    list as (row, col) pairs in order.
+    list as (row, col) pairs in order.  A pivot of 1 or -1 keeps integer
+    rows integral; any other pivot scales its row by an exact Fraction
+    inverse, and the scaled entries that are integral go back to int.
     """
     pivots: list[tuple[int, int]] = []
     r = 0
@@ -233,9 +259,12 @@ def _rref(rows: list[dict], main_cols: int) -> list[tuple[int, int]]:
         if pr is None:
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
-        inv = 1 / rows[r][c]
-        if inv != 1:
-            rows[r] = {j: inv * v for j, v in rows[r].items()}
+        piv = rows[r][c]
+        if piv == -1:
+            rows[r] = {j: -v for j, v in rows[r].items()}
+        elif piv != 1:
+            inv = Fraction(1, piv)
+            rows[r] = {j: _exact(inv * v) for j, v in rows[r].items()}
         pivot_row = rows[r]
         for i in range(nrows):
             if i == r:
@@ -245,7 +274,7 @@ def _rref(rows: list[dict], main_cols: int) -> list[tuple[int, int]]:
                 continue
             target = rows[i]
             for j, v in pivot_row.items():
-                new = target.get(j, ZERO) - f * v
+                new = target.get(j, 0) - f * v
                 if new:
                     target[j] = new
                 else:
@@ -281,14 +310,14 @@ class Elimination:
     def annihilates(self, v: Sequence) -> bool:
         """True iff the matrix maps v to zero (the RREF rows span its row space)."""
         for row in self.rows:
-            if sum((c * v[j] for j, c in row.items() if v[j]), ZERO):
+            if sum(c * v[j] for j, c in row.items() if v[j]):
                 return False
         return True
 
     def kernel_vector(self, f: int) -> Vector:
         """The kernel vector with a 1 at free column f and 0 at the other free columns."""
-        x = [ZERO] * self.cols
-        x[f] = ONE
+        x = [0] * self.cols
+        x[f] = 1
         for row, c in zip(self.rows, self.pivots):
             v = row.get(f)
             if v:
@@ -309,6 +338,42 @@ def eliminate(a: RationalMatrix) -> Elimination:
 
 def rank(a: RationalMatrix) -> int:
     return eliminate(a).rank
+
+
+def rank_mod_p(a: RationalMatrix) -> int | None:
+    """Rank of a modulo PRIME, or None when an entry is not an integer.
+
+    It never exceeds the rank over Q (a minor that vanishes over Z
+    vanishes mod p), which is all ``cohomology_at`` relies on.  Rows are
+    reduced one by one against the pivot rows found so far, each pivot
+    at the row's smallest column.
+    """
+    p = PRIME
+    pivots: dict[int, dict] = {}
+    for row in a.row_dicts():
+        if any(type(v) is not int for v in row.values()):
+            return None
+        row = {j: v % p for j, v in row.items() if v % p}
+        while row:
+            c = min(row)
+            pivot_row = pivots.get(c)
+            if pivot_row is None:
+                inv = pow(row[c], -1, p)
+                pivots[c] = {j: v * inv % p for j, v in row.items()}
+                break
+            f = row[c]
+            for j, v in pivot_row.items():
+                new = (row.get(j, 0) - f * v) % p
+                if new:
+                    row[j] = new
+                else:
+                    row.pop(j, None)
+    return len(pivots)
+
+
+def _rank_lower_bound(a: RationalMatrix) -> int | None:
+    """The exact rank if a is already eliminated, else its rank mod p."""
+    return a._elimination.rank if a._elimination is not None else rank_mod_p(a)
 
 
 def _canonical_sign(v: Vector) -> Vector:
@@ -341,14 +406,14 @@ def lift(b: RationalMatrix, a: Sequence) -> Vector:
     aug = b.cols
     rows = b.row_dicts()
     for i, v in enumerate(a):
-        v = Fraction(v)
-        if v != 0:
+        v = _exact(v)
+        if v:
             rows[i][aug] = v
     pivots = _rref(rows, b.cols)
-    x = [ZERO] * b.cols
+    x = [0] * b.cols
     pivot_rows = set()
     for r, c in pivots:
-        x[c] = rows[r].get(aug, ZERO)
+        x[c] = rows[r].get(aug, 0)
         pivot_rows.add(r)
     for i in range(b.rows):
         if i not in pivot_rows and rows[i].get(aug):
@@ -369,25 +434,25 @@ class LinearSolver:
         self.cols = b.cols
         rows = b.row_dicts()
         for i in range(b.rows):
-            rows[i][b.cols + i] = ONE
+            rows[i][b.cols + i] = 1
         self._pivots = _rref(rows, b.cols)
         self._rows = rows
         self._pivot_rows = {r for r, _ in self._pivots}
 
-    def _transform(self, v: Sequence, row: dict) -> Fraction:
-        total = ZERO
+    def _transform(self, v: Sequence, row: dict) -> int | Fraction:
+        total = 0
         base = self.cols
         for j, coeff in row.items():
             if j >= base:
                 val = v[j - base]
                 if val:
-                    total += coeff * Fraction(val)
+                    total += coeff * _exact(val)
         return total
 
     def solve(self, v: Sequence) -> Vector:
         if len(v) != self.rows_in:
             raise LinalgError("vector length mismatch")
-        x = [ZERO] * self.cols
+        x = [0] * self.cols
         for r, c in self._pivots:
             x[c] = self._transform(v, self._rows[r])
         for i in range(len(self._rows)):
@@ -408,6 +473,10 @@ class CohomologySlot:
     ker(d_out); ``reduce`` writes any kernel vector in that basis modulo
     the image.
 
+    A slot that ``cohomology_at`` certified zero from modular ranks holds
+    the matrix d_out itself in ``_d_out``, not an elimination: its
+    ``reduce`` checks d_out v = 0 with one sparse product.
+
     A kernel vector is determined by its entries at the free columns of
     d_out (its kernel coordinates).  ``_echelon`` is the RREF of the
     image pivot columns of d_in in kernel coordinates, with the
@@ -422,7 +491,7 @@ class CohomologySlot:
     dim: int
     representatives: tuple[Vector, ...]
     image_rank: int
-    _d_out: Elimination
+    _d_out: Elimination | RationalMatrix
     _echelon: tuple[tuple[int, dict], ...]  # (pivot, row) in reversed kernel coordinates
     _rep_coords: tuple[int, ...]            # reversed kernel coordinate of each representative
     _rep_signs: tuple[int, ...]             # canonical sign of each representative
@@ -431,11 +500,15 @@ class CohomologySlot:
         if len(v) != self.ambient:
             raise LinalgError("vector length mismatch")
         out = self._d_out
+        if isinstance(out, RationalMatrix):
+            if not is_zero_vector(out.mul_vec(v)):
+                raise NoSolutionError("vector not in the kernel")
+            return ()
         if not out.annihilates(v):
             raise NoSolutionError("vector not in the kernel")
         n = out.nullity
-        coords = {n - 1 - j: Fraction(v[f]) for j, f in enumerate(out.free) if v[f]}
-        acc = {q: coords.get(q, ZERO) for q in self._rep_coords}
+        coords = {n - 1 - j: _exact(v[f]) for j, f in enumerate(out.free) if v[f]}
+        acc = {q: coords.get(q, 0) for q in self._rep_coords}
         for p, row in self._echelon:
             c = coords.get(p)
             if not c:
@@ -449,14 +522,20 @@ class CohomologySlot:
 def cohomology_at(d_in: RationalMatrix, d_out: RationalMatrix) -> CohomologySlot:
     """Cohomology ker(d_out)/im(d_in) with deterministic representatives.
 
-    Raises CompositionError unless d_out @ d_in = 0.  Reads the cached
-    eliminations of d_in and d_out; the only new elimination is the
-    small (rank d_in) x (nullity d_out) one that picks representatives.
+    Raises CompositionError unless d_out @ d_in = 0.  A slot that modular
+    ranks certify zero eliminates neither map.  Otherwise it reads the
+    cached eliminations of d_in and d_out; the only new elimination is
+    the small (rank d_in) x (nullity d_out) one that picks
+    representatives.
     """
     if d_in.rows != d_out.cols:
         raise LinalgError(f"incompatible maps: d_in lands in {d_in.rows}, d_out eats {d_out.cols}")
     if not (d_out @ d_in).is_zero():
         raise CompositionError("d_out . d_in != 0")
+    r_out = _rank_lower_bound(d_out)
+    r_in = _rank_lower_bound(d_in) if r_out is not None else None
+    if r_in is not None and r_out + r_in == d_out.cols:
+        return CohomologySlot(d_in.rows, 0, (), r_in, d_out, (), (), ())
     out = eliminate(d_out)
     image = eliminate(d_in)
     n = out.nullity
@@ -489,6 +568,7 @@ def cohomology_at(d_in: RationalMatrix, d_out: RationalMatrix) -> CohomologySlot
 
 
 def det(a: RationalMatrix) -> Fraction:
+    """Determinant by Gaussian elimination, as a Fraction."""
     if a.rows != a.cols:
         raise LinalgError("determinant of non-square matrix")
     n = a.rows
@@ -509,7 +589,7 @@ def det(a: RationalMatrix) -> Fraction:
         piv = rows[c][c]
         result *= piv
         for i in range(c + 1, n):
-            f = rows[i][c] / piv
+            f = Fraction(rows[i][c], piv)
             if f:
                 for j in range(c, n):
                     rows[i][j] -= f * rows[c][j]
@@ -522,8 +602,8 @@ def inverse(a: RationalMatrix) -> RationalMatrix:
     solver = LinearSolver(a)
     cols = []
     for j in range(a.rows):
-        e = [ZERO] * a.rows
-        e[j] = ONE
+        e = [0] * a.rows
+        e[j] = 1
         try:
             cols.append(solver.solve(e))
         except NoSolutionError:
@@ -614,7 +694,7 @@ def exterior_power(a: RationalMatrix, k: int) -> RationalMatrix:
     for ri, rset in enumerate(row_sets):
         for ci, cset in enumerate(col_sets):
             sub = RationalMatrix.from_rows([[dense[i][j] for j in cset] for i in rset]) if k else RationalMatrix.identity(0)
-            d = det(sub) if k else ONE
+            d = det(sub) if k else 1
             if d:
                 ent[(ri, ci)] = d
     return RationalMatrix(len(row_sets), len(col_sets), ent)
@@ -629,9 +709,7 @@ def matrix_from_action(n_rows: int, n_cols: int, action: Callable[[int], Mapping
     ent = {}
     for j in range(n_cols):
         for i, v in action(j).items():
-            v = Fraction(v)
-            if v != 0:
-                ent[(i, j)] = ent.get((i, j), ZERO) + v
+            ent[(i, j)] = v
     return RationalMatrix(n_rows, n_cols, ent)
 
 
@@ -651,5 +729,5 @@ def block_matrix(row_sizes: Sequence[int], col_sizes: Sequence[int],
                               f"({row_sizes[bi]},{col_sizes[bj]})")
         r0, c0 = row_off[bi], col_off[bj]
         for (i, j), v in blk.entries.items():
-            ent[(r0 + i, c0 + j)] = ent.get((r0 + i, c0 + j), ZERO) + v
+            ent[(r0 + i, c0 + j)] = v
     return RationalMatrix(row_off[-1], col_off[-1], ent)

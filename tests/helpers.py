@@ -3,8 +3,8 @@
 from fractions import Fraction
 import random
 
-from toriclg import Monomial, SRPolynomial, kernel_basis
-from toriclg.cech import CechCochain, CoverSimplex
+from toriclg import Monomial, SRPolynomial, cup, kernel_basis, linalg
+from toriclg.cech import TAG_CONST, CechCochain, CoverSimplex
 
 
 def random_fraction(rng: random.Random, lo=-4, hi=4) -> Fraction:
@@ -63,3 +63,46 @@ def random_unimodular(rng: random.Random, n: int, shears=6):
         if rng.random() < 0.3:
             mat[a], mat[b] = mat[b], mat[a]
     return tuple(tuple(row) for row in mat)
+
+
+# -- the const total complex, given blockwise by (Cech degree, exterior degree) --
+
+
+def total_cup(cs: CoverSimplex, x, y) -> dict:
+    """Cup product of const total-complex elements given blockwise."""
+    out: dict = {}
+    for (p1, k1), c1 in x.items():
+        for (p2, k2), c2 in y.items():
+            if k1 + k2 > cs.fan.rank:
+                continue
+            prod = cup(cs, c1, c2)
+            key = (p1 + p2, k1 + k2)
+            if key in out:
+                prev = out[key]
+                comps = {tau: linalg.add_vectors(prev.components[tau], prod.components[tau])
+                         for tau in prev.components}
+                out[key] = CechCochain(TAG_CONST, key[0], key[1], 0, comps)
+            else:
+                out[key] = prod
+    return out
+
+
+def const_total_vector(cs: CoverSimplex, t: int, blocks) -> tuple:
+    out: list = []
+    for p, k, _ in cs.total_blocks(TAG_CONST, t):
+        c = blocks.get((p, k))
+        if c is None:
+            out.extend(linalg.zero_vector(cs.slot_layout(TAG_CONST, p, k, 0)[0]))
+        else:
+            out.extend(cs.cochain_to_vector(c))
+    return tuple(out)
+
+
+def const_total_blocks_from_vector(cs: CoverSimplex, t: int, vec) -> dict:
+    out = {}
+    pos = 0
+    for p, k, _ in cs.total_blocks(TAG_CONST, t):
+        size = cs.slot_layout(TAG_CONST, p, k, 0)[0]
+        out[(p, k)] = cs.cochain_from_vector(TAG_CONST, p, k, 0, vec[pos:pos + size])
+        pos += size
+    return out

@@ -6,7 +6,14 @@ from fractions import Fraction
 import pytest
 
 from conftest import FAN_DIR, cn_data, load_fan
-from helpers import random_closed_cochain, random_cochain, random_polynomial
+from helpers import (
+    const_total_blocks_from_vector,
+    const_total_vector,
+    random_closed_cochain,
+    random_cochain,
+    random_polynomial,
+    total_cup,
+)
 from toriclg import (
     SRPolynomial,
     constant_total_cohomology,
@@ -26,9 +33,6 @@ from toriclg.cech import (
     CechCochain,
     CechError,
     CoverSimplex,
-    const_total_blocks_from_vector,
-    const_total_vector,
-    total_cup,
 )
 from toriclg.fan import fan_from_data
 
@@ -142,6 +146,25 @@ class TestExactness:
         rep = verify_exactness(covers["p1"], 2)
         assert rep.augmentation[0]["injective"]
         assert rep.entries[(2, 1)]["exact"]
+
+    def test_rank_count_alone_is_not_exactness(self, p2, monkeypatch):
+        # P^2, m = 0: C^0 -> C^1 -> C^2 has dims 3, 3, 1 and ranks 2, 1.  Swap
+        # delta_1 for another rank-1 map that does not kill the image of delta_0.
+        cs = CoverSimplex(p2)
+        assert verify_exactness(cs, 0).exact
+        honest = cs.delta_matrix
+        broken = linalg.RationalMatrix(1, 3, {(0, 0): 1})
+        assert linalg.rank(broken) == linalg.rank(honest(TAG_FORMS, 1, 0, 0)) == 1
+        assert not (broken @ honest(TAG_FORMS, 0, 0, 0)).is_zero()
+
+        def patched(tag, p, k, m):
+            return broken if (tag, p, k, m) == (TAG_FORMS, 1, 0, 0) else honest(tag, p, k, m)
+
+        monkeypatch.setattr(cs, "delta_matrix", patched)
+        rep = verify_exactness(cs, 0)
+        joint = rep.entries[(0, 1)]
+        assert joint["rank_in"] + joint["rank_out"] == joint["dim"]
+        assert not joint["exact"] and not rep.exact
 
 
 class TestGlue:

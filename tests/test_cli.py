@@ -188,6 +188,35 @@ class TestBadInput:
             assert out == ""
             assert "unknown key(s) 'polyhedon'" in err, command
 
+    @pytest.mark.parametrize("data, message", [
+        ({"rank": True, "rays": [[1]], "max_cones": [[1]]},
+         "rank must be a positive integer, got True"),
+        ({"rank": 2, "rays": [[True, False], [0, 1]], "max_cones": [[1, 2]]},
+         "ray 1 is not an integer vector of length 2"),
+        ({"rank": 2, "rays": [[1, 0], [0, 1]], "max_cones": [[True, 2]]},
+         "cone #1 is not a list of integer ray indices"),
+        ({"rank": 2, "rays": [[1, 0], [0, 1]], "max_cones": [[1, 2]],
+          "polyhedron": {"vertices": [[0, 0], [1, 0], [0, True]]}},
+         "polyhedron entries must be integer vectors of fan rank"),
+        ({"rank": 2, "rays": [1, 2], "max_cones": [[1]]},
+         "ray 1 is not an integer vector of length 2"),
+        ({"rank": 2, "rays": 7, "max_cones": [[1]]},
+         "rays must be a list of integer vectors"),
+        ({"rank": 2, "rays": [[1, 0], [0, 1]], "max_cones": [5]},
+         "cone #1 is not a list of integer ray indices"),
+        ({"rank": 2, "rays": [[1, 0], [0, 1]], "max_cones": [[1, 2]],
+          "polyhedron": {"vertices": 5}},
+         "polyhedron vertices and recession_rays must be lists"),
+    ])
+    def test_non_integer_fan_data_exits_2(self, capsys, tmp_path, data, message):
+        # JSON true/false are Python bools, an int subclass: they must not pass as 1/0
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        for command in ("validate", "cohomology", "verify", "degenerate"):
+            code, out, err = run_cli(capsys, command, str(bad), "--json")
+            assert (code, out) == (2, ""), command
+            assert err == f"error: {message}\n", command
+
     @pytest.mark.parametrize("argv", [("cohomology", "--tmax", "-3"),
                                       ("verify", "--tmax", "-1"),
                                       ("verify", "--mmax", "-2")])

@@ -14,8 +14,15 @@ from fractions import Fraction
 import pytest
 
 from conftest import FAN_DIR, load_fan
-from toriclg.cech import CoverSimplex, constant_total_cohomology
+from toriclg.cech import (
+    CoverSimplex,
+    constant_total_cohomology,
+    forms_total_cohomology,
+    verify_exactness,
+)
 from toriclg.linalg import (
+    Elimination,
+    LinearSolver,
     NoSolutionError,
     RationalMatrix,
     cohomology_at,
@@ -24,7 +31,7 @@ from toriclg.linalg import (
     kernel_basis,
     rank,
 )
-from toriclg.twisted import build_twisted, default_t_max, lg_cohomology, ring_structure
+from toriclg.twisted import build_twisted, default_t_max, lg_cohomology, lsop_check, ring_structure
 
 FAN_NAMES = sorted(p.stem for p in FAN_DIR.glob("*.json"))
 
@@ -118,7 +125,11 @@ def test_twisted_slots_of_fan_files(name):
         assert list(slot.representatives) == greedy_representatives(d_in, d_out)
         # adjacent slots read the one elimination of the differential between them
         assert tc.total_differential(t) is d_out
-        assert slot._d_out is eliminate(d_out)
+        # a certified-zero slot holds d_out itself; any other reads its cached elimination
+        if isinstance(slot._d_out, Elimination):
+            assert slot._d_out is d_out._elimination
+        else:
+            assert slot._d_out is d_out and slot.dim == 0
     # the ring reads the slots lg_cohomology left on the complex
     assert ring_structure(tc, t_max).dims == coh.dims
     assert all(tc.slot(t) is coh.slots[t] for t in range(t_max + 1))
@@ -135,3 +146,37 @@ def test_constant_total_slots_of_fan_files(name):
         d_out = cs.const_total_matrix(t)
         d_in = cs.const_total_matrix(t - 1) if t else RationalMatrix.zeros(d_out.cols, 0)
         check_slot(d_in, d_out, coh.slots[t], rng)
+
+
+def exact_numbers(obj) -> list:
+    """Every number held by a matrix (and its cached elimination), slot or solver."""
+    if isinstance(obj, RationalMatrix):
+        out = list(obj.entries.values())
+        if obj._elimination is not None:
+            out += [v for row in obj._elimination.rows for v in row.values()]
+        return out
+    if isinstance(obj, LinearSolver):
+        return [v for row in obj._rows for v in row.values()]
+    out = [v for rep in obj.representatives for v in rep]
+    out += [v for _, row in obj._echelon for v in row.values()]
+    return out + exact_numbers(obj._d_out) if isinstance(obj._d_out, RationalMatrix) else out
+
+
+@pytest.mark.parametrize("name", FAN_NAMES)
+def test_no_float_anywhere(name):
+    # entries are int or Fraction in every elimination, slot, solver and ring constant
+    fan = load_fan(name)
+    t_max = default_t_max(fan)
+    tc = build_twisted(fan)
+    ring = ring_structure(tc, t_max)
+    cs = CoverSimplex(fan)
+    verify_exactness(cs, 2 * fan.rank + 4)
+    held = [*tc._blocks.values(), *tc._totals.values(), *tc._slots.values(),
+            *lsop_check(tc).slots.values(),
+            *constant_total_cohomology(cs, t_max).slots.values(),
+            *forms_total_cohomology(cs, t_max).slots.values(),
+            *(v for v in cs._cache.values() if isinstance(v, (RationalMatrix, LinearSolver)))]
+    numbers = [v for obj in held for v in exact_numbers(obj)]
+    numbers += [v for coords in ring.constants.values() for v in coords]
+    assert numbers
+    assert {type(v) for v in numbers} <= {int, Fraction}

@@ -6,19 +6,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toriclg.linalg import (
+    PRIME,
     CompositionError,
+    Elimination,
+    LinalgError,
     LinearSolver,
     NoSolutionError,
     RationalMatrix,
     block_matrix,
     cohomology_at,
     det,
+    eliminate,
     exterior_power,
     inverse,
     kernel_basis,
     lift,
     matrix_from_action,
     rank,
+    rank_mod_p,
     vector,
 )
 
@@ -124,6 +129,86 @@ class TestCohomologyAt:
         assert slot.reduce(d_in.mul_vec([5, 7])) == (0, 0)
 
 
+class TestExactEntries:
+    def test_integral_entries_are_ints(self):
+        m = RationalMatrix(2, 2, {(0, 0): Fraction(4, 2), (0, 1): Fraction(1, 2), (1, 1): True})
+        assert m.entries == {(0, 0): 2, (0, 1): Fraction(1, 2), (1, 1): 1}
+        assert [type(v) for v in m.entries.values()] == [int, Fraction, int]
+
+    def test_float_entry_rejected(self):
+        with pytest.raises(LinalgError, match="float"):
+            mat([[1, 0.5]])
+        with pytest.raises(LinalgError, match="float"):
+            RationalMatrix(1, 1, {(0, 0): 0.0})
+
+    def test_rref_keeps_integer_rows_integral(self):
+        elim = eliminate(mat([[-1, 2, 3], [0, 0, 1]]))
+        assert elim.rows == ({0: 1, 1: -2}, {2: 1})
+        assert all(type(v) is int for row in elim.rows for v in row.values())
+
+    def test_non_unit_pivot_is_exact(self):
+        elim = eliminate(mat([[2, 1, 4]]))
+        assert elim.rows == ({0: 1, 1: Fraction(1, 2), 2: 2},)
+        assert [type(v) for v in elim.rows[0].values()] == [int, Fraction, int]
+        assert kernel_basis(mat([[2, 4, 6]])) == [(2, -1, 0), (3, 0, -1)]
+
+    def test_det_of_integer_matrix_is_exact(self):
+        d = det(mat([[2, 1], [1, 2]]))
+        assert d == 3 and type(d) is Fraction
+
+
+class TestRankModP:
+    def test_non_integer_entry(self):
+        assert rank_mod_p(mat([[Fraction(1, 2), 1]])) is None
+
+    def test_rank_drops_mod_p(self):
+        a = mat([[PRIME, 0], [0, 1]])
+        assert (rank_mod_p(a), rank(a)) == (1, 2)
+
+    def test_drop_in_d_out_takes_the_exact_path(self):
+        d_out = mat([[PRIME]])
+        slot = cohomology_at(RationalMatrix.zeros(1, 0), d_out)
+        assert slot.dim == 0 and isinstance(slot._d_out, Elimination)
+        assert slot._d_out is d_out._elimination
+
+    def test_drop_in_d_in_takes_the_exact_path(self):
+        d_in = mat([[PRIME]])
+        slot = cohomology_at(d_in, RationalMatrix.zeros(0, 1))
+        assert (slot.dim, slot.image_rank) == (0, 1)
+        assert isinstance(slot._d_out, Elimination)
+
+    def test_drop_hides_no_cohomology(self):
+        # rank_p says 0 + 0 out of 2 columns, the truth is 1 + 0: dim 1, found exactly
+        d_out = mat([[PRIME, 0]])
+        slot = cohomology_at(RationalMatrix.zeros(2, 0), d_out)
+        assert slot.dim == 1 and slot.representatives == ((0, 1),)
+
+    def test_non_integer_entry_takes_the_exact_path(self):
+        d_out = mat([[Fraction(1, 2), 1]])
+        d_in = mat([[2], [-1]])
+        slot = cohomology_at(d_in, d_out)
+        assert (slot.dim, slot.image_rank) == (0, 1)
+        assert slot._d_out is d_out._elimination
+
+    def test_certified_zero_slot_eliminates_nothing(self):
+        d_in, d_out = mat([[1], [-1]]), mat([[1, 1]])
+        slot = cohomology_at(d_in, d_out)
+        assert (slot.dim, slot.representatives, slot.image_rank) == (0, (), 1)
+        assert slot._d_out is d_out
+        assert d_in._elimination is None and d_out._elimination is None
+        assert slot.reduce((3, -3)) == ()
+        with pytest.raises(NoSolutionError):
+            slot.reduce((1, 0))
+
+    def test_cached_elimination_gives_the_exact_rank(self):
+        # the exact rank of d_out (1) is read from its cache; rank_p alone would say 0
+        d_out = mat([[PRIME, PRIME]])
+        eliminate(d_out)
+        d_in = mat([[1], [-1]])
+        slot = cohomology_at(d_in, d_out)
+        assert slot.dim == 0 and slot._d_out is d_out and d_in._elimination is None
+
+
 class TestExteriorPower:
     def test_identity(self):
         assert exterior_power(RationalMatrix.identity(4), 2) == RationalMatrix.identity(6)
@@ -162,6 +247,13 @@ def sparse_matrices(draw, max_dim=6):
 @given(sparse_matrices())
 def test_rank_nullity(a):
     assert rank(a) + len(kernel_basis(a)) == a.cols
+
+
+@settings(max_examples=120, deadline=None)
+@given(sparse_matrices())
+def test_rank_mod_p_equals_rank_below_the_prime(a):
+    # every minor is below the Hadamard bound (5 * 6^(1/2))^6 < PRIME, so no rank drops
+    assert rank_mod_p(a) == rank(a)
 
 
 @settings(max_examples=120, deadline=None)
