@@ -5,81 +5,74 @@ associated union of coordinate subspaces, the twisted exterior-algebra
 complex over it, and Cech double complexes over cone covers, and
 cross-checks the resulting cohomology ring through three independent
 pipelines.  All computations are exact over the rationals.
-"""
 
-from .cech import (
-    CechCochain,
-    CoverSimplex,
-    ExactnessReport,
-    QuasiIsoReport,
-    constant_total_cohomology,
-    cup,
-    forms_total_cohomology,
-    glue_sections,
-    split_cocycle,
-    split_cocycle_generic,
-    verify_exactness,
-    verify_quasi_iso,
-)
-from .fan import (
-    Cone,
-    Fan,
-    FanError,
-    FanParseError,
-    FanValidationError,
-    PolyhedronInput,
-    cone_of_simplex,
-    parse_fan,
-    parse_fan_file,
-    primitive_collections,
-)
-from .linalg import (
-    CohomologySlot,
-    RationalMatrix,
-    cohomology_at,
-    kernel_basis,
-    lift,
-)
-from .semiproj import (
-    DegenerationRelation,
-    PLCertificate,
-    SemiprojectiveReport,
-    check_semiprojective,
-    degeneration_exponent,
-)
-from .srring import (
-    Monomial,
-    SRPolynomial,
-    hilbert_series,
-    multiply,
-    restrict,
-    sr_basis,
-)
-from .twisted import (
-    CohomologyRing,
-    DerivationPresentation,
-    LsopReport,
-    TwistedComplex,
-    build_twisted,
-    lg_cohomology,
-    log_derivations,
-    lsop_check,
-    ring_structure,
-)
+``import toriclg`` loads no submodule: each public name below is imported
+from its module on first access (PEP 562), so a command line job compiles
+only the modules its subcommand runs.
+"""
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CechCochain", "CohomologyRing", "CohomologySlot", "Cone", "CoverSimplex",
-    "DegenerationRelation", "DerivationPresentation", "ExactnessReport", "Fan",
-    "FanError", "FanParseError", "FanValidationError", "LsopReport", "Monomial",
-    "PLCertificate", "PolyhedronInput", "QuasiIsoReport", "RationalMatrix",
-    "SRPolynomial", "SemiprojectiveReport", "TwistedComplex", "build_twisted",
-    "check_semiprojective", "cohomology_at", "cone_of_simplex",
-    "constant_total_cohomology", "cup", "degeneration_exponent",
-    "forms_total_cohomology", "glue_sections", "hilbert_series", "kernel_basis",
-    "lg_cohomology", "lift", "log_derivations", "lsop_check", "multiply",
-    "parse_fan", "parse_fan_file", "primitive_collections", "restrict",
-    "ring_structure", "split_cocycle", "split_cocycle_generic", "sr_basis",
-    "verify_exactness", "verify_quasi_iso",
-]
+# public name -> the submodule that defines it
+_EXPORTS = {
+    "CechCochain": "cech",
+    "CoverSimplex": "cech",
+    "ExactnessReport": "cech",
+    "QuasiIsoReport": "cech",
+    "constant_total_cohomology": "cech",
+    "cup": "cech",
+    "forms_total_cohomology": "cech",
+    "glue_sections": "cech",
+    "split_cocycle": "cech",
+    "split_cocycle_generic": "cech",
+    "verify_exactness": "cech",
+    "verify_quasi_iso": "cech",
+    "Cone": "fan",
+    "Fan": "fan",
+    "FanError": "fan",
+    "FanParseError": "fan",
+    "FanValidationError": "fan",
+    "PolyhedronInput": "fan",
+    "cone_of_simplex": "fan",
+    "parse_fan": "fan",
+    "parse_fan_file": "fan",
+    "primitive_collections": "fan",
+    "CohomologySlot": "linalg",
+    "RationalMatrix": "linalg",
+    "cohomology_at": "linalg",
+    "kernel_basis": "linalg",
+    "lift": "linalg",
+    "DegenerationRelation": "semiproj",
+    "PLCertificate": "semiproj",
+    "SemiprojectiveReport": "semiproj",
+    "check_semiprojective": "semiproj",
+    "degeneration_exponent": "semiproj",
+    "Monomial": "srring",
+    "SRPolynomial": "srring",
+    "hilbert_series": "srring",
+    "multiply": "srring",
+    "restrict": "srring",
+    "sr_basis": "srring",
+    "CohomologyRing": "twisted",
+    "DerivationPresentation": "twisted",
+    "LsopReport": "twisted",
+    "TwistedComplex": "twisted",
+    "build_twisted": "twisted",
+    "lg_cohomology": "twisted",
+    "log_derivations": "twisted",
+    "lsop_check": "twisted",
+    "ring_structure": "twisted",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value

@@ -27,9 +27,9 @@ Sign conventions, fixed here once:
 from __future__ import annotations
 
 import itertools
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
 
 from . import linalg
 from .fan import Cone, Fan, FanError, cone_of_simplex

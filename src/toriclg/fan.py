@@ -13,10 +13,10 @@ from __future__ import annotations
 import itertools
 import json
 import math
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Sequence
 
 from . import linalg
 from .linalg import (

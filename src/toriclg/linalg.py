@@ -38,9 +38,9 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence
 
 Vector = tuple[int | Fraction, ...]
 
@@ -70,14 +70,19 @@ def _exact(v) -> int | Fraction:
     if t is int:
         return v
     if t is not Fraction:
-        if isinstance(v, float):
-            raise LinalgError(f"float entry {v!r}: entries must be int or Fraction")
-        v = Fraction(v)
+        v = _fraction(v)
     return v.numerator if v.denominator == 1 else v
 
 
+def _fraction(v) -> Fraction:
+    """v as a Fraction; a float is refused, as in ``_exact``."""
+    if isinstance(v, float):
+        raise LinalgError(f"float entry {v!r}: entries must be int or Fraction")
+    return Fraction(v)
+
+
 def vector(values: Iterable) -> Vector:
-    return tuple(Fraction(v) for v in values)
+    return tuple(_fraction(v) for v in values)
 
 
 def zero_vector(n: int) -> Vector:
@@ -89,12 +94,12 @@ def add_vectors(u: Vector, v: Vector) -> Vector:
 
 
 def scale_vector(c, v: Vector) -> Vector:
-    c = Fraction(c)
-    return tuple(c * a for a in v)
+    c = _fraction(c)
+    return tuple(c * _exact(a) for a in v)
 
 
 def dot(u: Sequence, v: Sequence) -> Fraction:
-    return sum((Fraction(a) * Fraction(b) for a, b in zip(u, v, strict=True)), ZERO)
+    return Fraction(sum(_exact(a) * _exact(b) for a, b in zip(u, v, strict=True)))
 
 
 def is_zero_vector(v: Sequence) -> bool:
@@ -645,7 +650,7 @@ def solve_inequalities(ineqs: list[tuple[Vector, Fraction]], nvars: int) -> Vect
     max lower bound (falling back to the min upper bound, then 0), so the
     result is deterministic.
     """
-    system = [(vector(c), Fraction(r)) for c, r in ineqs]
+    system = [(vector(c), _fraction(r)) for c, r in ineqs]
     stages: list[list[tuple[Vector, Fraction]]] = []
     for j in range(nvars):
         system = _normalise_rows(system)

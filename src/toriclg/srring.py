@@ -7,11 +7,12 @@ needed.  Each variable has (cohomological) degree 2.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
 
 from .fan import Cone, Fan, FanError
+from .linalg import _exact
 
 
 @dataclass(frozen=True, order=True)
@@ -78,22 +79,24 @@ class SRPolynomial:
 
     Construction filters out monomials whose support is not a face and
     drops zero coefficients, so equality of normal forms is term equality.
+    A coefficient is an int when it is integral, else a Fraction, never a
+    float (``linalg._exact``).
     """
 
     fan: Fan
-    terms: tuple[tuple[Monomial, Fraction], ...]
+    terms: tuple[tuple[Monomial, int | Fraction], ...]
 
     @classmethod
-    def build(cls, fan: Fan, terms: Mapping[Monomial, Fraction] | Iterable[tuple[Monomial, Fraction]]) -> "SRPolynomial":
+    def build(cls, fan: Fan, terms: Mapping[Monomial, int | Fraction] | Iterable[tuple[Monomial, int | Fraction]]) -> "SRPolynomial":
         items = terms.items() if isinstance(terms, Mapping) else terms
-        acc: dict[Monomial, Fraction] = {}
+        acc: dict[Monomial, int | Fraction] = {}
         for mono, coeff in items:
-            coeff = Fraction(coeff)
+            coeff = _exact(coeff)
             if coeff == 0 or not fan.is_face(mono.support):
                 continue
-            acc[mono] = acc.get(mono, Fraction(0)) + coeff
+            acc[mono] = acc.get(mono, 0) + coeff
         key = monomial_sort_key(fan.num_rays)
-        cleaned = tuple(sorted(((m, c) for m, c in acc.items() if c != 0),
+        cleaned = tuple(sorted(((m, _exact(c)) for m, c in acc.items() if c != 0),
                                key=lambda mc: key(mc[0])))
         return cls(fan, cleaned)
 
@@ -103,17 +106,17 @@ class SRPolynomial:
 
     @classmethod
     def one(cls, fan: Fan) -> "SRPolynomial":
-        return cls.build(fan, {Monomial.one(): Fraction(1)})
+        return cls.build(fan, {Monomial.one(): 1})
 
     @classmethod
     def variable(cls, fan: Fan, i: int) -> "SRPolynomial":
-        return cls.build(fan, {Monomial.variable(i): Fraction(1)})
+        return cls.build(fan, {Monomial.variable(i): 1})
 
-    def coeff(self, mono: Monomial) -> Fraction:
+    def coeff(self, mono: Monomial) -> int | Fraction:
         for m, c in self.terms:
             if m == mono:
                 return c
-        return Fraction(0)
+        return 0
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -126,7 +129,7 @@ class SRPolynomial:
         return self + other.scale(-1)
 
     def scale(self, c) -> "SRPolynomial":
-        c = Fraction(c)
+        c = _exact(c)
         return SRPolynomial.build(self.fan, [(m, c * v) for m, v in self.terms])
 
     def __mul__(self, other: "SRPolynomial") -> "SRPolynomial":
@@ -172,11 +175,11 @@ def restrict(p: SRPolynomial, cone: Cone) -> SRPolynomial:
 def multiply(p: SRPolynomial, q: SRPolynomial) -> SRPolynomial:
     """Product in the quotient ring; non-face monomials drop out."""
     p._check(q)
-    acc: dict[Monomial, Fraction] = {}
+    acc: dict[Monomial, int | Fraction] = {}
     for m1, c1 in p.terms:
         for m2, c2 in q.terms:
             prod = m1.times(m2)
-            acc[prod] = acc.get(prod, Fraction(0)) + c1 * c2
+            acc[prod] = acc.get(prod, 0) + c1 * c2
     return SRPolynomial.build(p.fan, acc)
 
 

@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
 
 from . import linalg
 from .fan import Cone, Fan, FanError, ray_coordinates_in_cone_basis
@@ -161,11 +161,11 @@ def koszul_block(fan: Fan, forms: Sequence[SRPolynomial],
     """Matrix of sum_i forms[i] d/dx_i between explicit slot bases."""
     index = {b: i for i, b in enumerate(dst)}
 
-    def action(j: int) -> dict[int, Fraction]:
-        out: dict[int, Fraction] = {}
+    def action(j: int) -> dict[int, int | Fraction]:
+        out: dict[int, int | Fraction] = {}
         for key, coeff in _contraction_terms(fan, forms, *src[j]):
             row = index[key]
-            out[row] = out.get(row, Fraction(0)) + coeff
+            out[row] = out.get(row, 0) + coeff
         return out
 
     return linalg.matrix_from_action(len(dst), len(src), action)
@@ -189,7 +189,7 @@ def build_twisted(fan: Fan, frame: Sequence[Sequence[int]] | None = None) -> Twi
         for j in range(1, fan.num_rays + 1):
             c = dot(frame_rows[i], fan.ray(j))
             if c:
-                terms[Monomial.variable(j)] = Fraction(c)
+                terms[Monomial.variable(j)] = c
         forms.append(SRPolynomial.build(fan, terms))
     return TwistedComplex(fan, frame_rows, tuple(forms))
 
@@ -403,15 +403,15 @@ def _quotient_slot(tc: TwistedComplex, m: int) -> CohomologySlot:
     source = sr_basis(fan, m - 2) if m >= 2 else []
     n = fan.rank
 
-    def action(j: int) -> dict[int, Fraction]:
+    def action(j: int) -> dict[int, int | Fraction]:
         i_form, pos = divmod(j, len(source)) if source else (0, 0)
         mono = source[pos]
-        out: dict[int, Fraction] = {}
+        out: dict[int, int | Fraction] = {}
         for fmono, fcoef in tc.linear_forms[i_form].terms:
             prod = fmono.times(mono)
             if fan.is_face(prod.support):
                 row = index[prod]
-                out[row] = out.get(row, Fraction(0)) + fcoef
+                out[row] = out.get(row, 0) + fcoef
         return out
 
     cols = n * len(source)
@@ -504,11 +504,11 @@ def log_derivations(fan: Fan, cone: Cone, check_degree: int | None = None) -> De
 
     forms = []
     for i in range(n):
-        terms = {Monomial.variable(base[i]): Fraction(1)}
+        terms = {Monomial.variable(base[i]): 1}
         for pos, l in enumerate(extra):
             a = coeffs[pos][i]
             if a:
-                terms[Monomial.variable(l)] = Fraction(a)
+                terms[Monomial.variable(l)] = a
         forms.append(SRPolynomial.build(fan, terms))
 
     tc = build_twisted(fan, frame)

@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from conftest import FAN_DIR
-from toriclg.cli import main
+from toriclg.cli import MAX_DEGREE, main
 
 
 def run_cli(capsys, *argv):
@@ -112,14 +112,15 @@ class TestVerify:
                        "use a cover of at most 8 cones\n")
 
     def test_mismatch_exits_3(self, capsys, monkeypatch):
-        # no valid fan produces disagreement, so fake one to pin the exit code
-        import toriclg.cli as cli
+        # no valid fan produces disagreement, so fake one to pin the exit code;
+        # cmd_verify imports it from toriclg.cech when it runs
+        import toriclg.cech as cech
         from toriclg.cech import QuasiIsoReport
 
         def fake(cs, t_max=None, tc=None):
             return QuasiIsoReport(4, (1, 0, 1), (1, 0, 2), (1, 0, 1), True, False)
 
-        monkeypatch.setattr(cli, "verify_quasi_iso", fake)
+        monkeypatch.setattr(cech, "verify_quasi_iso", fake)
         code, out, _ = run_cli(capsys, "verify", fan_path("p1"), "--mmax", "2", "--json")
         assert code == 3
         assert not json.loads(out)["payload"]["agree"]
@@ -228,6 +229,25 @@ class TestBadInput:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"argument {flag}: must be non-negative, got {value}" in captured.err
+
+    @pytest.mark.parametrize("command, flag", [("cohomology", "--tmax"),
+                                               ("verify", "--tmax"),
+                                               ("verify", "--mmax")])
+    def test_degree_bound_above_the_limit_exits_2(self, capsys, command, flag):
+        value = str(MAX_DEGREE + 1)
+        with pytest.raises(SystemExit) as exc:
+            main([command, fan_path("p2"), flag, value, "--json"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert (f"argument {flag}: must be at most MAX_DEGREE = {MAX_DEGREE}, got {value}"
+                in captured.err)
+
+    def test_degree_bound_at_the_limit_is_accepted(self, capsys):
+        code, out, _ = run_cli(capsys, "cohomology", fan_path("p1"),
+                               "--tmax", str(MAX_DEGREE), "--json")
+        assert code == 0
+        assert json.loads(out)["payload"]["dims"] == [1, 0, 1] + [0] * (MAX_DEGREE - 2)
 
     def test_non_integer_degree_bound_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -16,6 +16,7 @@ from toriclg.linalg import (
     block_matrix,
     cohomology_at,
     det,
+    dot,
     eliminate,
     exterior_power,
     inverse,
@@ -24,6 +25,8 @@ from toriclg.linalg import (
     matrix_from_action,
     rank,
     rank_mod_p,
+    scale_vector,
+    solve_inequalities,
     vector,
 )
 
@@ -140,6 +143,33 @@ class TestExactEntries:
             mat([[1, 0.5]])
         with pytest.raises(LinalgError, match="float"):
             RationalMatrix(1, 1, {(0, 0): 0.0})
+
+    def test_vector_refuses_float(self):
+        assert vector([1, Fraction(1, 2)]) == (Fraction(1), Fraction(1, 2))
+        assert all(type(v) is Fraction for v in vector([1, 2]))
+        with pytest.raises(LinalgError, match="float"):
+            vector([0.1])
+
+    def test_dot_refuses_float(self):
+        assert dot([1, 2], [3, Fraction(1, 2)]) == 4
+        assert type(dot([1, 2], [3, 4])) is Fraction
+        with pytest.raises(LinalgError, match="float"):
+            dot([1, 2], [3, 0.5])
+
+    def test_scale_vector_refuses_float(self):
+        assert scale_vector(2, (1, Fraction(1, 2))) == (2, 1)
+        assert all(type(v) is Fraction for v in scale_vector(2, (1, 3)))
+        with pytest.raises(LinalgError, match="float"):
+            scale_vector(0.5, (1,))
+        with pytest.raises(LinalgError, match="float"):
+            scale_vector(1, (0.5,))
+
+    def test_solve_inequalities_refuses_float(self):
+        assert solve_inequalities([((1,), 1)], 1) == (Fraction(1),)
+        with pytest.raises(LinalgError, match="float"):
+            solve_inequalities([((0.1,), 1)], 1)
+        with pytest.raises(LinalgError, match="float"):
+            solve_inequalities([((1,), 0.5)], 1)
 
     def test_rref_keeps_integer_rows_integral(self):
         elim = eliminate(mat([[-1, 2, 3], [0, 0, 1]]))

@@ -2,6 +2,7 @@ import itertools
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,6 +18,7 @@ from toriclg import (
     sr_basis,
 )
 from toriclg.fan import fan_from_data
+from toriclg.linalg import LinalgError
 from toriclg.srring import cone_monomial_basis
 
 
@@ -99,6 +101,24 @@ class TestMultiply:
     def test_normal_form_drops_nonfaces(self, p1):
         p = SRPolynomial.build(p1, {Monomial.from_map({1: 1, 2: 1}): 7})
         assert p.is_zero()
+
+
+class TestCoefficients:
+    def test_integral_coefficients_are_ints(self, p2):
+        z1, z2 = Monomial.variable(1), Monomial.variable(2)
+        p = SRPolynomial.build(p2, [(z1, Fraction(1, 2)), (z1, Fraction(1, 2)),
+                                    (z2, Fraction(1, 3))])
+        assert p.terms == ((z1, 1), (z2, Fraction(1, 3)))
+        assert type(p.terms[0][1]) is int
+        square = multiply(p, p)  # z1^2 + 2/3 z1*z2 + 1/9 z2^2
+        assert [type(c) for _, c in square.terms] == [int, Fraction, Fraction]
+        assert [type(c) for _, c in multiply(p + p, p + p).terms] == [int, Fraction, Fraction]
+
+    def test_float_coefficient_refused(self, p2):
+        with pytest.raises(LinalgError, match="float"):
+            SRPolynomial.build(p2, {Monomial.variable(1): 0.5})
+        with pytest.raises(LinalgError, match="float"):
+            SRPolynomial.variable(p2, 1).scale(0.5)
 
 
 class TestHilbert:
