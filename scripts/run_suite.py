@@ -40,7 +40,7 @@ def run_one(path: pathlib.Path, m_max: int | None, t_max: int | None) -> dict:
     regular = lsop_check(tc).regular
     cs = CoverSimplex(fan)
     exact = verify_exactness(cs, mm).exact
-    quasi = verify_quasi_iso(cs, tt, tc)
+    quasi = verify_quasi_iso(cs, tt)
     relations = []
     if sp.semiprojective:
         cone = fan.max_cones[0]

@@ -34,7 +34,6 @@ from fractions import Fraction
 from . import linalg
 from .fan import Cone, Fan, FanError, cone_of_simplex
 from .linalg import (
-    CohomologySlot,
     LinearSolver,
     RationalMatrix,
     Vector,
@@ -43,13 +42,14 @@ from .linalg import (
 )
 from .srring import Monomial, SRPolynomial, cone_monomial_basis, monomial_sort_key, restrict, sr_basis
 from .twisted import (
-    TwistedComplex,
+    LGElement,
+    TotalCohomology,
     build_twisted,
     default_t_max,
     ext_subsets,
     koszul_block,
     lg_cohomology,
-    wedge_merge,
+    lg_multiply,
 )
 
 TAG_FORMS = "forms"
@@ -657,16 +657,6 @@ def split_cocycle_generic(cs: CoverSimplex, g: CechCochain) -> CechCochain:
 # -- total cohomology and the quasi-isomorphism checks ----------------------------
 
 
-@dataclass
-class TotalCohomology:
-    t_max: int
-    slots: dict[int, CohomologySlot]
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return tuple(self.slots[t].dim for t in range(self.t_max + 1))
-
-
 def _total_cohomology(t_max: int, matrix_fn) -> TotalCohomology:
     slots = {}
     for t in range(t_max + 1):
@@ -712,8 +702,7 @@ class QuasiIsoReport:
                 and self.dims_forms_total == self.dims_const_total)
 
 
-def verify_quasi_iso(cs: CoverSimplex, t_max: int | None = None,
-                     tc: TwistedComplex | None = None) -> QuasiIsoReport:
+def verify_quasi_iso(cs: CoverSimplex, t_max: int | None = None) -> QuasiIsoReport:
     """Certify that the three cohomology pipelines agree up to t_max.
 
     Checks that the inclusion of constant forms is a chain map into the
@@ -724,11 +713,9 @@ def verify_quasi_iso(cs: CoverSimplex, t_max: int | None = None,
     """
     if t_max is None:
         t_max = default_t_max(cs.fan)
-    if tc is None:
-        tc = build_twisted(cs.fan)
     const = constant_total_cohomology(cs, t_max)
     forms = forms_total_cohomology(cs, t_max)
-    twisted_dims = lg_cohomology(tc, t_max).dims
+    twisted_dims = lg_cohomology(build_twisted(cs.fan), t_max).dims
 
     chain_ok = True
     for t in range(t_max + 1):
@@ -764,9 +751,9 @@ def cup(cs: CoverSimplex, a: CechCochain, b: CechCochain) -> CechCochain:
     """Front-face/back-face cup product of two cochains of the same tag.
 
     The back face starts at the last front vertex.  Values multiply in
-    the simplex cone; for graded values the product carries the sign
-    (-1)^(k_a * p_b).  Satisfies the Leibniz rule for delta with the sign
-    (-1)^(p_a + k_a).
+    the simplex cone by ``lg_multiply``; for graded values the product
+    carries the sign (-1)^(k_a * p_b).  Satisfies the Leibniz rule for
+    delta with the sign (-1)^(p_a + k_a).
     """
     if a.tag != b.tag:
         raise CechError("cup product needs matching tags")
@@ -779,59 +766,28 @@ def cup(cs: CoverSimplex, a: CechCochain, b: CechCochain) -> CechCochain:
     result = cs.zero_cochain(tag, p + q, k, m)
     if k > fan.rank:
         return result
-    value_product = _forms_value_product if tag == TAG_FORMS else _const_value_product
     for tau in cs.simplices(p + q):
-        prod = value_product(cs, cs.cone_of(tau), tau[:p + 1], tau[p:], a, b)
-        result.components[tau] = linalg.scale_vector(twist, prod)
+        prod = lg_multiply(fan, _value(cs, a, tau[:p + 1], tau), _value(cs, b, tau[p:], tau))
+        basis = cs.local_basis(TAG_FORMS, tau, k, m)
+        index = {bs: i for i, bs in enumerate(basis)}
+        vec = [Fraction(0)] * len(basis)
+        for key, v in prod.items():
+            vec[index[key]] = v
+        if tag == TAG_CONST:
+            vec = cs._const_solver(cs.cone_of(tau), k).solve(vec)
+        result.components[tau] = linalg.scale_vector(twist, vec)
     return result
 
 
-def _forms_value_product(cs: CoverSimplex, cone: Cone, front: Simplex, back: Simplex,
-                         a: CechCochain, b: CechCochain) -> Vector:
-    fan = cs.fan
-    ra = cs.restriction_block(TAG_FORMS, cs.cone_of(front), cone, a.k, a.m).mul_vec(a.components[front])
-    rb = cs.restriction_block(TAG_FORMS, cs.cone_of(back), cone, b.k, b.m).mul_vec(b.components[back])
-    src1 = [(mono, s) for s in ext_subsets(fan.rank, a.k)
-            for mono in cone_monomial_basis(fan, cone, a.m)]
-    src2 = [(mono, s) for s in ext_subsets(fan.rank, b.k)
-            for mono in cone_monomial_basis(fan, cone, b.m)]
-    target = [(mono, s) for s in ext_subsets(fan.rank, a.k + b.k)
-              for mono in cone_monomial_basis(fan, cone, a.m + b.m)]
-    index = {bs: i for i, bs in enumerate(target)}
-    out = [Fraction(0)] * len(target)
-    for (mono1, s1), c1 in zip(src1, ra):
-        if not c1:
-            continue
-        for (mono2, s2), c2 in zip(src2, rb):
-            if not c2:
-                continue
-            merged = wedge_merge(s1, s2)
-            if merged is None:
-                continue
-            sign, subset = merged
-            out[index[(mono1.times(mono2), subset)]] += sign * c1 * c2
-    return tuple(out)
+def _value(cs: CoverSimplex, c: CechCochain, face: Simplex, tau: Simplex) -> LGElement:
+    """The value of c on a face of tau, as a form on the cone of tau.
 
-
-def _const_value_product(cs: CoverSimplex, cone: Cone, front: Simplex, back: Simplex,
-                         a: CechCochain, b: CechCochain) -> Vector:
-    fan = cs.fan
-    k = a.k + b.k
-    amb_a = ext_subsets(fan.rank, a.k)
-    amb_b = ext_subsets(fan.rank, b.k)
-    amb_t = {s: i for i, s in enumerate(ext_subsets(fan.rank, k))}
-    ambient_a = cs.const_matrix(cs.cone_of(front), a.k).mul_vec(a.components[front])
-    ambient_b = cs.const_matrix(cs.cone_of(back), b.k).mul_vec(b.components[back])
-    wedge = [Fraction(0)] * len(amb_t)
-    for s1, c1 in zip(amb_a, ambient_a):
-        if not c1:
-            continue
-        for s2, c2 in zip(amb_b, ambient_b):
-            if not c2:
-                continue
-            merged = wedge_merge(s1, s2)
-            if merged is None:
-                continue
-            sign, subset = merged
-            wedge[amb_t[subset]] += sign * c1 * c2
-    return cs._const_solver(cone, k).solve(wedge)
+    A const value is written in ambient wedge coordinates, which are the
+    forms basis at m = 0.
+    """
+    if c.tag == TAG_FORMS:
+        block = cs.restriction_block(TAG_FORMS, cs.cone_of(face), cs.cone_of(tau), c.k, c.m)
+    else:
+        block = cs.const_matrix(cs.cone_of(face), c.k)
+    vec = block.mul_vec(c.components[face])
+    return {b: v for b, v in zip(cs.local_basis(TAG_FORMS, tau, c.k, c.m), vec) if v}

@@ -2,10 +2,10 @@
 
 A fan is given by primitive integer ray generators and a list of maximal
 cones (sets of 1-based ray indices).  Validation checks primitivity,
-smoothness (ray generators of every cone extend to a lattice basis), and
-the fan condition (any two cones meet in a common face), the last one by
-one exact separation problem per pair of maximal cones, solved by
-Fourier-Motzkin elimination.
+smoothness (ray generators of every cone extend to a lattice basis, by
+integer column reduction: ``lattice_index``), and the fan condition (any
+two cones meet in a common face), the last one by one exact separation
+problem per pair of maximal cones (``linalg.solve_system``).
 """
 
 from __future__ import annotations
@@ -25,7 +25,9 @@ from .linalg import (
     dot,
     inverse,
     kernel_basis,
-    solve_inequalities,
+    lift,
+    primitive_vector,
+    solve_system,
     vector,
 )
 
@@ -122,60 +124,53 @@ class Fan:
 # -- lattice helpers ------------------------------------------------------
 
 
-def primitive_vector(v: Sequence) -> IntVec:
-    """Scale a rational vector to a primitive integer vector, same direction."""
-    fracs = [Fraction(x) for x in v]
-    if all(x == 0 for x in fracs):
-        return tuple(0 for _ in fracs)
-    denom = math.lcm(*(x.denominator for x in fracs))
-    ints = [int(x * denom) for x in fracs]
-    g = math.gcd(*(abs(x) for x in ints))
-    return tuple(x // g for x in ints)
-
-
 def _is_primitive(v: IntVec) -> bool:
     nz = [abs(x) for x in v if x]
     return bool(nz) and math.gcd(*nz) == 1
 
 
-def _max_minor_gcd(rows: list[IntVec], rank: int) -> int:
-    """gcd of all k x k minors of a k x n integer matrix (k = len(rows))."""
-    k = len(rows)
-    if k == 0:
-        return 1
-    g = 0
-    for cols in itertools.combinations(range(rank), k):
-        sub = RationalMatrix.from_rows([[row[c] for c in cols] for row in rows])
-        g = math.gcd(g, abs(int(linalg.det(sub))))
-    return g
+def lattice_index(rows: Sequence[Sequence[int]], rank: int) -> int:
+    """gcd of the maximal minors of the integer matrix with these rows.
 
-
-def is_unimodular_cone(rays: list[IntVec], rank: int) -> bool:
-    """True when the rays are independent and extend to a Z-basis.
-
-    Equivalent to: the gcd of all maximal minors of the ray matrix is 1
-    (the product of the Smith normal form invariants).
+    It is 1 exactly when the rows extend to a basis of Z^rank (1 for no
+    rows) and 0 when they are linearly dependent, which includes more rows
+    than ``rank``.  Euclid's algorithm on the columns brings the matrix to
+    [L | 0] with L lower triangular; unimodular column operations keep the
+    gcd of the maximal minors, so it is |det L|.  Polynomial in the rank.
     """
-    return _max_minor_gcd(rays, rank) == 1
+    cols = [[row[j] for row in rows] for j in range(rank)]
+    index = 1
+    for i in range(len(rows)):
+        # columns < i are done, and rows < i are zero in the others; no
+        # column is left for a row past the rank
+        live = [j for j in range(i, rank) if cols[j][i]]
+        if not live:
+            return 0
+        while len(live) > 1:
+            p = min(live, key=lambda j: abs(cols[j][i]))
+            for j in live:
+                if j != p:
+                    q = cols[j][i] // cols[p][i]
+                    cols[j] = [a - q * b for a, b in zip(cols[j], cols[p])]
+            live = [j for j in live if cols[j][i]]
+        cols[i], cols[live[0]] = cols[live[0]], cols[i]
+        index *= abs(cols[i][i])
+    return index
 
 
 def ray_coordinates_in_cone_basis(fan: Fan, cone: Cone, ray_index: int) -> tuple[int, ...]:
     """Integer coordinates of a ray in the basis given by a full-dim smooth cone.
 
-    Returns a_1..a_n with ray = sum a_i * (i-th cone ray), by Cramer's
-    rule.  Raises on a non-integral solve, which cannot happen for a
+    Returns a_1..a_n with ray = sum a_i * (i-th cone ray), by one exact
+    solve.  Raises on a non-integral solve, which cannot happen for a
     unimodular cone and signals an internal error.
     """
     if cone.dim != fan.rank:
         raise FanError(f"cone {cone} is not full-dimensional")
-    rows = [fan.ray(i) for i in cone.ray_indices]
-    target = fan.ray(ray_index)
-    d = linalg.det(RationalMatrix.from_rows(rows))
+    basis = RationalMatrix.from_columns([fan.ray(i) for i in cone.ray_indices], rows=fan.rank)
     out = []
-    for i in range(fan.rank):
-        replaced = [target if t == i else rows[t] for t in range(fan.rank)]
-        c = linalg.det(RationalMatrix.from_rows(replaced)) / d
-        if c.denominator != 1:
+    for c in lift(basis, fan.ray(ray_index)):
+        if c.denominator != 1:  # lift may return an integral Fraction
             raise FanError(f"non-integral lattice solve for ray {ray_index} in cone {cone}")
         out.append(int(c))
     return tuple(out)
@@ -249,22 +244,12 @@ def separating_covector(rank: int, rays: Sequence[IntVec], a: Cone, b: Cone) -> 
     The covector m vanishes on the common rays, is >= 1 on the other rays
     of ``a`` and <= -1 on the other rays of ``b``.  By the separation lemma
     (Cox-Little-Schenck, *Toric Varieties*, Lemma 1.2.13) it exists
-    exactly when the cones meet in the cone on their common rays.  The
-    equalities are solved first; Fourier-Motzkin then runs on the
-    inequalities written in a basis of their solution space.
+    exactly when the cones meet in the cone on their common rays.
     """
     common = a.index_set & b.index_set
-    gens = [rays[i - 1] for i in sorted(common)]
-    basis = kernel_basis(RationalMatrix.from_rows(gens) if gens else RationalMatrix.zeros(0, rank))
-    system = []
-    for cone, sign in ((a, 1), (b, -1)):
-        for i in cone.ray_indices:
-            if i not in common:
-                system.append((tuple(sign * dot(rays[i - 1], v) for v in basis), Fraction(1)))
-    y = solve_inequalities(system, len(basis))
-    if y is None:
-        return None
-    return tuple(sum((c * v[t] for c, v in zip(y, basis)), Fraction(0)) for t in range(rank))
+    ineqs = [(tuple(sign * x for x in rays[i - 1]), 1)
+             for cone, sign in ((a, 1), (b, -1)) for i in cone.ray_indices if i not in common]
+    return solve_system([rays[i - 1] for i in sorted(common)], ineqs, rank)
 
 
 def _check_fan_condition(fan_rank: int, rays: tuple[IntVec, ...], cones: Sequence[Cone]) -> None:
@@ -329,10 +314,10 @@ def fan_from_data(rank: int, rays: Sequence[Sequence[int]],
         cone = _as_cone(raw)
         if len(raw) != len(cone.ray_indices):
             raise FanParseError(f"cone #{pos} repeats a ray index")
-        gens = [ray_tuples[i - 1] for i in cone.ray_indices]
-        if gens and linalg.rank(RationalMatrix.from_rows(gens)) != len(gens):
+        index = lattice_index([ray_tuples[i - 1] for i in cone.ray_indices], rank)
+        if index == 0:
             raise FanValidationError(f"cone {cone} has linearly dependent rays")
-        if not is_unimodular_cone(gens, rank):
+        if index != 1:
             raise FanValidationError(
                 f"cone {cone} is not smooth: its rays do not extend to a lattice basis")
         if cone.ray_indices not in seen:

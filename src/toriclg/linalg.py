@@ -29,9 +29,11 @@ rank(d_in) <= cols, and a rank modulo a prime never exceeds the rank over
 Q, so cols - rank_p(d_out) - rank_p(d_in) = 0 certifies that the slot is
 zero (``rank_mod_p``).  Any other outcome takes the exact path.
 
-``solve_inequalities`` is the one exact linear programming routine
-(Fourier-Motzkin elimination); the fan-condition check and the
-semi-projectivity certificate search both use it.
+``solve_system`` is the one exact linear programming entry point: it
+solves the homogeneous equalities first, runs Fourier-Motzkin elimination
+(``solve_inequalities``) on the inequalities written in a basis of their
+solution space, and maps the answer back.  The fan-condition check and the
+semi-projectivity certificate search both call it.
 """
 
 from __future__ import annotations
@@ -619,6 +621,17 @@ def inverse(a: RationalMatrix) -> RationalMatrix:
 # -- exact linear programming --------------------------------------------
 
 
+def primitive_vector(v: Sequence) -> tuple[int, ...]:
+    """Scale a rational vector to a primitive integer vector, same direction.
+
+    The zero vector stays zero.
+    """
+    denom = math.lcm(*(x.denominator for x in v))
+    ints = [x.numerator * (denom // x.denominator) for x in v]
+    g = math.gcd(*ints)
+    return tuple(x // g for x in ints) if g else tuple(ints)
+
+
 def _normalise_rows(system: list[tuple[Vector, Fraction]]) -> list[tuple[Vector, Fraction]]:
     """Scale rows to primitive integer form, drop tautologies and duplicates.
 
@@ -627,19 +640,14 @@ def _normalise_rows(system: list[tuple[Vector, Fraction]]) -> list[tuple[Vector,
     seen = set()
     out = []
     for c, r in system:
-        entries = list(c) + [r]
         if all(x == 0 for x in c):
             if r > 0:
                 return [((Fraction(0),) * len(c), Fraction(1))]  # single infeasible row
             continue
-        denom = math.lcm(*(x.denominator for x in entries))
-        ints = [int(x * denom) for x in entries]
-        g = math.gcd(*(abs(x) for x in ints))
-        ints = [x // g for x in ints]
-        key = tuple(ints)
+        key = primitive_vector((*c, r))
         if key not in seen:
             seen.add(key)
-            out.append((tuple(Fraction(x) for x in ints[:-1]), Fraction(ints[-1])))
+            out.append((tuple(Fraction(x) for x in key[:-1]), Fraction(key[-1])))
     return out
 
 
@@ -686,6 +694,25 @@ def solve_inequalities(ineqs: list[tuple[Vector, Fraction]], nvars: int) -> Vect
             return None  # pragma: no cover - elimination already certified feasibility
         x[j] = lower if lower is not None else (upper if upper is not None else Fraction(0))
     return tuple(x)
+
+
+def solve_system(eqs: Sequence[Sequence], ineqs: Sequence[tuple[Sequence, int | Fraction]],
+                 nvars: int) -> Vector | None:
+    """Exact LP: x with e . x = 0 for every e in eqs and c . x >= r for every (c, r), or None.
+
+    The equalities are solved first (``kernel_basis``); Fourier-Motzkin then
+    runs on the inequalities written in that basis of their solution space,
+    which keeps its row count tame, and the answer is mapped back.
+    """
+    basis = kernel_basis(RationalMatrix.from_rows(eqs) if eqs else RationalMatrix.zeros(0, nvars))
+    reduced = []
+    for c, r in ineqs:
+        nonzero = [(t, x) for t, x in enumerate(c) if x]  # inequality rows are sparse
+        reduced.append((tuple(sum(x * b[t] for t, x in nonzero) for b in basis), r))
+    y = solve_inequalities(reduced, len(basis))
+    if y is None:
+        return None
+    return tuple(sum((c * b[t] for c, b in zip(y, basis) if c), ZERO) for t in range(nvars))
 
 
 def exterior_power(a: RationalMatrix, k: int) -> RationalMatrix:

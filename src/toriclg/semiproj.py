@@ -15,7 +15,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .fan import Cone, Fan, FanError, PolyhedronInput, ray_coordinates_in_cone_basis
-from .linalg import RationalMatrix, Vector, dot, kernel_basis, solve_inequalities, vector
+from .linalg import Vector, dot, kernel_basis, solve_system, vector
+# solve_system runs the Fourier-Motzkin step; perfbench/tracer.py times it by this name
+from .linalg import solve_inequalities  # noqa: F401
 
 REASON_NOT_FULL_DIM = "not-full-dimensional"
 REASON_NOT_CONVEX = "support-not-convex"
@@ -50,9 +52,6 @@ class SemiprojectiveReport:
     certificate: PLCertificate | None = None
     reason: str | None = None
     witnesses: tuple = ()
-
-    def __bool__(self) -> bool:
-        return self.semiprojective
 
 
 @dataclass(frozen=True)
@@ -213,28 +212,13 @@ def certificate_from_polyhedron(fan: Fan, poly: PolyhedronInput) -> PLCertificat
 def search_certificate(fan: Fan) -> PLCertificate | None:
     """Exact rational feasibility search for a strictly convex certificate.
 
-    Continuity equalities are solved first by Gaussian elimination;
-    Fourier-Motzkin then runs on the strictness system restricted to the
-    solution space, which keeps the row count tame.
+    The continuity equalities and strictness inequalities go to the one LP
+    entry point ``solve_system``.
     """
     n = fan.rank
-    eqs, ineqs, nvars = _certificate_constraints(fan)
-    if eqs:
-        basis = kernel_basis(RationalMatrix.from_rows(eqs))
-    else:
-        basis = [tuple(Fraction(1 if t == j else 0) for t in range(nvars))
-                 for j in range(nvars)]
-    reduced = []
-    for c, r in ineqs:
-        nonzero = [(t, x) for t, x in enumerate(c) if x]  # at most 2n of n(k-1) entries
-        reduced.append((tuple(sum((x * b[t] for t, x in nonzero), Fraction(0)) for b in basis), r))
-    y = solve_inequalities(reduced, len(basis))
-    if y is None:
+    x = solve_system(*_certificate_constraints(fan))
+    if x is None:
         return None
-    x = [Fraction(0)] * nvars
-    for coeff, b in zip(y, basis):
-        if coeff:
-            x = [p + coeff * q for p, q in zip(x, b)]
     functionals: list[Vector] = [vector([0] * n)]
     for pos in range(1, len(fan.max_cones)):
         base = (pos - 1) * n

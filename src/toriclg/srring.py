@@ -139,12 +139,6 @@ class SRPolynomial:
         if other.fan is not self.fan and other.fan != self.fan:
             raise FanError("polynomials over different fans")
 
-    def degrees(self) -> tuple[int, ...]:
-        return tuple(sorted({m.degree for m, _ in self.terms}))
-
-    def degree_part(self, degree: int) -> "SRPolynomial":
-        return SRPolynomial(self.fan, tuple((m, c) for m, c in self.terms if m.degree == degree))
-
     def __str__(self) -> str:
         if not self.terms:
             return "0"

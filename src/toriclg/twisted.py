@@ -20,9 +20,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import linalg
-from .fan import Cone, Fan, FanError, ray_coordinates_in_cone_basis
+from .fan import Cone, Fan, FanError, _is_int_vector, lattice_index, ray_coordinates_in_cone_basis
 from .linalg import CohomologySlot, RationalMatrix, Vector, cohomology_at, dot
-from .srring import Monomial, SRPolynomial, multiply, sr_basis
+from .srring import Monomial, SRPolynomial, sr_basis
 
 ExtIndex = tuple[int, ...]          # sorted subset of 1..n
 LGElement = dict[tuple[Monomial, ExtIndex], Fraction]
@@ -38,15 +38,6 @@ def wedge_merge(s: ExtIndex, t: ExtIndex) -> tuple[int, ExtIndex] | None:
         return None
     inversions = sum(1 for a in s for b in t if a > b)
     return (-1 if inversions % 2 else 1), tuple(sorted(s + t))
-
-
-def is_unimodular(matrix: Sequence[Sequence[int]], n: int) -> bool:
-    rows = [tuple(r) for r in matrix]
-    if len(rows) != n or any(len(r) != n for r in rows):
-        return False
-    if not all(isinstance(x, int) for r in rows for x in r):
-        return False
-    return abs(linalg.det(RationalMatrix.from_rows(rows))) == 1
 
 
 @dataclass
@@ -174,15 +165,17 @@ def koszul_block(fan: Fan, forms: Sequence[SRPolynomial],
 def build_twisted(fan: Fan, frame: Sequence[Sequence[int]] | None = None) -> TwistedComplex:
     """Assemble the twisted complex for a covector frame (default identity).
 
-    The frame must be a unimodular integer matrix; its rows pair with the
-    ray generators to produce the coefficient forms.
+    The frame must be an n x n matrix of integers (``int``, not ``bool``,
+    ``float`` or ``str``) with determinant +-1; its rows pair with the ray
+    generators to produce the coefficient forms.
     """
     n = fan.rank
     if frame is None:
         frame = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    frame_rows = tuple(tuple(int(x) for x in r) for r in frame)
-    if not is_unimodular(frame_rows, n):
+    if not (isinstance(frame, (list, tuple)) and len(frame) == n
+            and all(_is_int_vector(r, n) for r in frame) and lattice_index(frame, n) == 1):
         raise FanError("frame must be a unimodular integer matrix")
+    frame_rows = tuple(tuple(r) for r in frame)
     forms = []
     for i in range(n):
         terms = {}
@@ -266,8 +259,9 @@ def element_string(elt: LGElement) -> str:
 
 
 @dataclass
-class LGCohomology:
-    tc: TwistedComplex
+class TotalCohomology:
+    """Cohomology slots of a complex in total degrees 0..t_max."""
+
     t_max: int
     slots: dict[int, CohomologySlot]
 
@@ -282,11 +276,11 @@ def default_t_max(fan: Fan) -> int:
     return 2 * fan.rank + 2
 
 
-def lg_cohomology(tc: TwistedComplex, t_max: int | None = None) -> LGCohomology:
+def lg_cohomology(tc: TwistedComplex, t_max: int | None = None) -> TotalCohomology:
     """Cohomology of the twisted complex per total degree 0..t_max."""
     if t_max is None:
         t_max = default_t_max(tc.fan)
-    return LGCohomology(tc, t_max, {t: tc.slot(t) for t in range(t_max + 1)})
+    return TotalCohomology(t_max, {t: tc.slot(t) for t in range(t_max + 1)})
 
 
 @dataclass
@@ -395,31 +389,6 @@ class LsopReport:
     slots: dict[int, CohomologySlot]
 
 
-def _quotient_slot(tc: TwistedComplex, m: int) -> CohomologySlot:
-    """Degree-m slice of the quotient by the coefficient forms, as a slot."""
-    fan = tc.fan
-    target = sr_basis(fan, m)
-    index = {mono: i for i, mono in enumerate(target)}
-    source = sr_basis(fan, m - 2) if m >= 2 else []
-    n = fan.rank
-
-    def action(j: int) -> dict[int, int | Fraction]:
-        i_form, pos = divmod(j, len(source)) if source else (0, 0)
-        mono = source[pos]
-        out: dict[int, int | Fraction] = {}
-        for fmono, fcoef in tc.linear_forms[i_form].terms:
-            prod = fmono.times(mono)
-            if fan.is_face(prod.support):
-                row = index[prod]
-                out[row] = out.get(row, 0) + fcoef
-        return out
-
-    cols = n * len(source)
-    d_in = linalg.matrix_from_action(len(target), cols, action)
-    d_out = RationalMatrix.zeros(0, len(target))
-    return cohomology_at(d_in, d_out)
-
-
 def lsop_check(tc: TwistedComplex, max_degree: int | None = None) -> LsopReport:
     """Regular-sequence test for the coefficient forms via Hilbert series.
 
@@ -427,6 +396,10 @@ def lsop_check(tc: TwistedComplex, max_degree: int | None = None) -> LsopReport:
     coefficientwise up to max_degree and the quotient vanishes strictly
     above degree 2n.  When true the quotient slots present the cohomology
     ring independently of the twisted complex.
+
+    The degree-m slice of the quotient R/(forms) is the cokernel of the
+    complex's cached block from slot (1, m - 2) to slot (0, m): it sends
+    u_i times a monomial of degree m - 2 to forms[i] times that monomial.
     """
     fan = tc.fan
     n = fan.rank
@@ -435,7 +408,8 @@ def lsop_check(tc: TwistedComplex, max_degree: int | None = None) -> LsopReport:
     if max_degree < 2 * n or max_degree % 2:
         raise FanError("max_degree must be even and at least 2n")
     degrees = range(0, max_degree + 1, 2)
-    slots = {m: _quotient_slot(tc, m) for m in degrees}
+    slots = {m: cohomology_at(tc.block(1, m - 2), RationalMatrix.zeros(0, len(tc.basis(0, m))))
+             for m in degrees}
     dims = tuple(slots[m].dim for m in degrees)
     ring_dims = [len(sr_basis(fan, m)) for m in degrees]
     expected = []
@@ -484,7 +458,7 @@ def log_derivations(fan: Fan, cone: Cone, check_degree: int | None = None) -> De
     """Presentation of the twisted complex by log derivations of a cone.
 
     The coefficient forms are rebuilt from the lattice coordinates of the
-    rays outside the cone (Cramer solves) and checked, matrix by matrix up
+    rays outside the cone and checked, matrix by matrix up
     to ``check_degree``, against the complex built from the dual covector
     frame of the cone.  A mismatch raises, since the two constructions
     must agree exactly.

@@ -1,4 +1,5 @@
 import json
+import random
 import subprocess
 import sys
 
@@ -35,6 +36,22 @@ class TestValidate:
         code, out, err = run_cli(capsys, "validate", str(bad))
         assert code == 2
         assert "smooth" in err
+
+    def test_high_rank_cone_is_checked_without_enumerating_minors(self, capsys, tmp_path):
+        # one cone on rows 1-12 of a random unimodular 24 x 24 matrix: its
+        # maximal minors number C(24, 12) = 2.7 M
+        n = 24
+        rng = random.Random(24)
+        mat = [[int(i == j) for j in range(n)] for i in range(n)]
+        for _ in range(96):
+            i, j = rng.sample(range(n), 2)
+            sign = rng.choice((1, -1))
+            mat[i] = [a + sign * b for a, b in zip(mat[i], mat[j])]
+        path = tmp_path / "rank24.json"
+        path.write_text(json.dumps({"rank": n, "rays": mat[:12], "max_cones": [list(range(1, 13))]}))
+        code, out, _ = run_cli(capsys, "validate", str(path), "--json")
+        assert code == 0
+        assert json.loads(out)["payload"]["valid"]
 
     def test_zero_fan(self, capsys):
         code, out, _ = run_cli(capsys, "validate", fan_path("zero2"), "--json")
@@ -117,7 +134,7 @@ class TestVerify:
         import toriclg.cech as cech
         from toriclg.cech import QuasiIsoReport
 
-        def fake(cs, t_max=None, tc=None):
+        def fake(cs, t_max=None):
             return QuasiIsoReport(4, (1, 0, 1), (1, 0, 2), (1, 0, 1), True, False)
 
         monkeypatch.setattr(cech, "verify_quasi_iso", fake)

@@ -22,10 +22,11 @@ from toriclg.fan import (
     Fan,
     cone_intersection_extreme_rays,
     fan_from_data,
+    lattice_index,
     ray_coordinates_in_cone_basis,
     separating_covector,
 )
-from toriclg.linalg import RationalMatrix, dot, rank
+from toriclg.linalg import RationalMatrix, det, dot, rank
 
 
 def fan_json(rank, rays, max_cones, **extra):
@@ -285,6 +286,31 @@ class TestFaceClosure:
                         assert frozenset(sub) in faces
             for a, b in itertools.combinations(faces, 2):
                 assert a & b in faces
+
+
+@st.composite
+def integer_matrices(draw):
+    """(rows, rank): up to rank + 1 rows of length rank <= 5, entries in [-3, 3]."""
+    n = draw(st.integers(1, 5))
+    k = draw(st.integers(0, n + 1))
+    row = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+    return draw(st.lists(row, min_size=k, max_size=k)), n
+
+
+class TestLatticeIndex:
+    @settings(max_examples=400, deadline=None)
+    @given(integer_matrices())
+    def test_equals_gcd_of_maximal_minors(self, case):
+        rows, n = case
+        # no column set of size k when k > n: the gcd of no minors is 0
+        g = 0
+        for cols in itertools.combinations(range(n), len(rows)):
+            g = math.gcd(g, int(det(RationalMatrix.from_rows([[r[c] for c in cols] for r in rows]))))
+        assert lattice_index(rows, n) == g
+
+    def test_dependent_rows_give_zero(self):
+        assert lattice_index([[1, 2, 3], [2, 4, 6]], 3) == 0
+        assert lattice_index([[1, 0], [0, 1], [1, 1]], 2) == 0
 
 
 class TestLatticeCoordinates:

@@ -41,6 +41,17 @@ class TestLinearForms:
         with pytest.raises(FanError, match="unimodular"):
             build_twisted(p2, [[1, 0], [0, 2]])
 
+    @pytest.mark.parametrize("frame", [
+        [[1.9, 0], [0, 1]],  # a float is refused, not truncated to 1
+        [["1", 0], [0, 1]],
+        [[True, 0], [0, 1]],
+        [[1, 0], [0]],
+        [[1, 1], [-1, 1]],  # det 2
+    ])
+    def test_frame_must_be_a_unimodular_int_matrix(self, p2, frame):
+        with pytest.raises(FanError, match="unimodular"):
+            build_twisted(p2, frame)
+
 
 class TestCohomology:
     def test_cn_concentrated_in_degree_zero(self):
