@@ -249,11 +249,8 @@ class CoverSimplex:
         Blockwise per simplex, with the coefficient forms restricted to
         the simplex cone; lands in (p, k - 1, m + 2).
         """
-        key = ("vertical", p, k, m)
-        if key not in self._cache:
-            self._cache[key] = _block_diagonal(
-                [self._local_vertical(self.cone_of(tau), k, m) for tau in self.simplices(p)])
-        return self._cache[key]
+        return _block_diagonal(
+            [self._local_vertical(self.cone_of(tau), k, m) for tau in self.simplices(p)])
 
     def _local_vertical(self, cone: Cone, k: int, m: int) -> RationalMatrix:
         key = ("localvert", cone, k, m)
@@ -268,21 +265,18 @@ class CoverSimplex:
 
     def augmentation_matrix(self, k: int, m: int) -> RationalMatrix:
         """Restriction of global forms to the degree-0 Cech slot."""
-        key = ("aug", k, m)
-        if key not in self._cache:
-            monos = sr_basis(self.fan, m)
-            src = [(mono, s) for s in ext_subsets(self.fan.rank, k) for mono in monos]
-            dst_dim, dst_off = self.slot_layout(TAG_FORMS, 0, k, m)
-            ent = {}
-            for tau in self.simplices(0):
-                cone = self.cone_of(tau)
-                local = self.local_basis(TAG_FORMS, tau, k, m)
-                index = {b: i for i, b in enumerate(local)}
-                for j, (mono, s) in enumerate(src):
-                    if mono.support <= cone.index_set:
-                        ent[(dst_off[tau] + index[(mono, s)], j)] = Fraction(1)
-            self._cache[key] = RationalMatrix(dst_dim, len(src), ent)
-        return self._cache[key]
+        monos = sr_basis(self.fan, m)
+        src = [(mono, s) for s in ext_subsets(self.fan.rank, k) for mono in monos]
+        dst_dim, dst_off = self.slot_layout(TAG_FORMS, 0, k, m)
+        ent = {}
+        for tau in self.simplices(0):
+            cone = self.cone_of(tau)
+            local = self.local_basis(TAG_FORMS, tau, k, m)
+            index = {b: i for i, b in enumerate(local)}
+            for j, (mono, s) in enumerate(src):
+                if mono.support <= cone.index_set:
+                    ent[(dst_off[tau] + index[(mono, s)], j)] = Fraction(1)
+        return RationalMatrix(dst_dim, len(src), ent)
 
     # -- total complexes ---------------------------------------------------
 

@@ -6,13 +6,16 @@ matrices that the complexes of this package produce get integer
 arithmetic, and elimination leaves the integers only at a pivot other
 than 1 or -1.
 
-Each matrix is eliminated at most once.  ``eliminate`` computes the
-reduced row echelon form (RREF) of a matrix on first use and caches it
-on the matrix, which is treated as immutable; ``rank``,
-``kernel_basis``, ``image_pivot_columns`` and ``cohomology_at`` all read
-that one elimination.  A complex that caches its differentials
-therefore eliminates each differential once, and the two cohomology
-slots on either side of a differential share its elimination.
+``eliminate`` is the one exact elimination loop.  It computes the reduced
+row echelon form (RREF) of a matrix on first use and caches it on the
+matrix, which is treated as immutable; ``rank``, ``kernel_basis``,
+``image_pivot_columns``, ``det`` and ``cohomology_at`` read it, and
+``LinearSolver`` (so ``lift`` and ``inverse``) reads the RREF of [b | I].
+A complex that caches its differentials therefore eliminates each
+differential once, and the two cohomology slots on either side of a
+differential share its elimination.  ``rank_mod_p`` is the one other
+loop: its arithmetic is modulo a prime, and sharing the exact loop would
+put a test of the field in its innermost step.
 
 Results do not depend on the order in which rows are combined: the RREF
 of a matrix is unique, and so are its pivot columns (the greedy choice
@@ -47,7 +50,6 @@ from fractions import Fraction
 Vector = tuple[int | Fraction, ...]
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 # rank_mod_p's one prime.  A rank r drops mod p only when p divides every r x r
 # minor; cohomology_at then takes the exact path, so the prime affects speed only.
@@ -136,34 +138,17 @@ class RationalMatrix:
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence]) -> "RationalMatrix":
-        nrows = len(rows)
-        ncols = len(rows[0]) if nrows else 0
-        ent = {}
-        for i, row in enumerate(rows):
-            if len(row) != ncols:
-                raise LinalgError("ragged rows")
-            for j, v in enumerate(row):
-                v = _exact(v)
-                if v:
-                    ent[(i, j)] = v
-        return cls(nrows, ncols, ent)
+        ncols = len(rows[0]) if rows else 0
+        if any(len(row) != ncols for row in rows):
+            raise LinalgError("ragged rows")
+        return cls(len(rows), ncols, {(i, j): v for i, row in enumerate(rows) for j, v in enumerate(row)})
 
     @classmethod
-    def from_columns(cls, columns: Sequence[Sequence], rows: int | None = None) -> "RationalMatrix":
-        ncols = len(columns)
-        if rows is None:
-            if ncols == 0:
-                raise LinalgError("cannot infer row count from zero columns")
-            rows = len(columns[0])
-        ent = {}
-        for j, col in enumerate(columns):
-            if len(col) != rows:
-                raise LinalgError("ragged columns")
-            for i, v in enumerate(col):
-                v = _exact(v)
-                if v:
-                    ent[(i, j)] = v
-        return cls(rows, ncols, ent)
+    def from_columns(cls, columns: Sequence[Sequence], rows: int) -> "RationalMatrix":
+        if any(len(col) != rows for col in columns):
+            raise LinalgError("ragged columns")
+        ent = {(i, j): v for j, col in enumerate(columns) for i, v in enumerate(col)}
+        return cls(rows, len(columns), ent)
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "RationalMatrix":
@@ -246,65 +231,23 @@ class RationalMatrix:
 # -- elimination core ---------------------------------------------------
 
 
-def _rref(rows: list[dict], main_cols: int) -> list[tuple[int, int]]:
-    """In-place reduced row echelon form, pivoting only in columns < main_cols.
-
-    Columns >= main_cols ride along as augmented data.  Returns the pivot
-    list as (row, col) pairs in order.  A pivot of 1 or -1 keeps integer
-    rows integral; any other pivot scales its row by an exact Fraction
-    inverse, and the scaled entries that are integral go back to int.
-    """
-    pivots: list[tuple[int, int]] = []
-    r = 0
-    nrows = len(rows)
-    for c in range(main_cols):
-        pr = None
-        for i in range(r, nrows):
-            if rows[i].get(c):
-                pr = i
-                break
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        piv = rows[r][c]
-        if piv == -1:
-            rows[r] = {j: -v for j, v in rows[r].items()}
-        elif piv != 1:
-            inv = Fraction(1, piv)
-            rows[r] = {j: _exact(inv * v) for j, v in rows[r].items()}
-        pivot_row = rows[r]
-        for i in range(nrows):
-            if i == r:
-                continue
-            f = rows[i].get(c)
-            if not f:
-                continue
-            target = rows[i]
-            for j, v in pivot_row.items():
-                new = target.get(j, 0) - f * v
-                if new:
-                    target[j] = new
-                else:
-                    target.pop(j, None)
-        pivots.append((r, c))
-        r += 1
-    return pivots
-
-
 @dataclass(frozen=True)
 class Elimination:
     """Reduced row echelon form of a matrix.
 
     ``rows[i]`` is the i-th nonzero RREF row as a sparse dict; it holds a
     1 at column ``pivots[i]`` and no other pivot column.  ``free`` lists
-    the remaining columns in increasing order.  The rows are shared and
-    must not be mutated.
+    the remaining columns in increasing order.  ``scale`` is the product
+    of the pivots the loop divided by, negated once per row swap; for a
+    square matrix of full rank it is the determinant.  The rows are
+    shared and must not be mutated.
     """
 
     cols: int
     rows: tuple[dict, ...]
     pivots: tuple[int, ...]
     free: tuple[int, ...]
+    scale: int | Fraction
 
     @property
     def rank(self) -> int:
@@ -333,13 +276,59 @@ class Elimination:
 
 
 def eliminate(a: RationalMatrix) -> Elimination:
-    """The RREF of a, computed on the first call and cached on a."""
-    if a._elimination is None:
-        rows = a.row_dicts()
-        pivots = tuple(c for _, c in _rref(rows, a.cols))
-        pivot_set = set(pivots)
-        free = tuple(c for c in range(a.cols) if c not in pivot_set)
-        a._elimination = Elimination(a.cols, tuple(rows[:len(pivots)]), pivots, free)
+    """The RREF of a, computed on the first call and cached on a.
+
+    Columns are scanned left to right; each takes the first remaining row
+    that is nonzero there as its pivot row.  A pivot of 1 or -1 keeps
+    integer rows integral; any other pivot scales its row by an exact
+    Fraction inverse, and the scaled entries that are integral go back to
+    int.
+    """
+    if a._elimination is not None:
+        return a._elimination
+    rows = a.row_dicts()
+    nrows = len(rows)
+    pivots: list[int] = []
+    scale = 1
+    r = 0
+    for c in range(a.cols):
+        pr = None
+        for i in range(r, nrows):
+            if rows[i].get(c):
+                pr = i
+                break
+        if pr is None:
+            continue
+        if pr != r:
+            rows[r], rows[pr] = rows[pr], rows[r]
+            scale = -scale
+        piv = rows[r][c]
+        if piv == -1:
+            rows[r] = {j: -v for j, v in rows[r].items()}
+            scale = -scale
+        elif piv != 1:
+            inv = Fraction(1, piv)
+            rows[r] = {j: _exact(inv * v) for j, v in rows[r].items()}
+            scale *= piv
+        pivot_row = rows[r]
+        for i in range(nrows):
+            if i == r:
+                continue
+            f = rows[i].get(c)
+            if not f:
+                continue
+            target = rows[i]
+            for j, v in pivot_row.items():
+                new = target.get(j, 0) - f * v
+                if new:
+                    target[j] = new
+                else:
+                    target.pop(j, None)
+        pivots.append(c)
+        r += 1
+    pivot_set = set(pivots)
+    free = tuple(c for c in range(a.cols) if c not in pivot_set)
+    a._elimination = Elimination(a.cols, tuple(rows[:r]), tuple(pivots), free, scale)
     return a._elimination
 
 
@@ -404,66 +393,47 @@ def kernel_basis(a: RationalMatrix) -> list[Vector]:
 def lift(b: RationalMatrix, a: Sequence) -> Vector:
     """Deterministic solve of b x = a; free variables are set to zero.
 
-    The row operations depend on b only, so the solution is linear in a,
-    and a = 0 yields x = 0.  Raises NoSolutionError when a is not in the
-    image of b.
+    The solution is linear in a, and a = 0 yields x = 0.  Raises
+    NoSolutionError when a is not in the image of b.
     """
-    if len(a) != b.rows:
-        raise LinalgError("right hand side length mismatch")
-    aug = b.cols
-    rows = b.row_dicts()
-    for i, v in enumerate(a):
-        v = _exact(v)
-        if v:
-            rows[i][aug] = v
-    pivots = _rref(rows, b.cols)
-    x = [0] * b.cols
-    pivot_rows = set()
-    for r, c in pivots:
-        x[c] = rows[r].get(aug, 0)
-        pivot_rows.add(r)
-    for i in range(b.rows):
-        if i not in pivot_rows and rows[i].get(aug):
-            raise NoSolutionError("vector not in the image")
-    return tuple(x)
+    return LinearSolver(b).solve(a)
 
 
 class LinearSolver:
     """Precomputed deterministic solver for repeated b x = v queries.
 
-    Runs the elimination once against an identity augmentation; each solve
-    is then a sparse transform plus a consistency check.  The solution map
-    agrees with `lift` (free variables zero, linear in v).
+    Eliminates [b | I] once.  That matrix has full row rank, so every row
+    of its RREF is a pivot row.  A row whose pivot lies in b gives that
+    solution variable as its identity part applied to v (free variables
+    are zero); a row whose pivot lies in I has a zero b part, so its
+    identity part is a left null vector of b, which v must annihilate.
     """
 
     def __init__(self, b: RationalMatrix):
         self.rows_in = b.rows
         self.cols = b.cols
-        rows = b.row_dicts()
+        ent = dict(b.entries)
         for i in range(b.rows):
-            rows[i][b.cols + i] = 1
-        self._pivots = _rref(rows, b.cols)
-        self._rows = rows
-        self._pivot_rows = {r for r, _ in self._pivots}
-
-    def _transform(self, v: Sequence, row: dict) -> int | Fraction:
-        total = 0
-        base = self.cols
-        for j, coeff in row.items():
-            if j >= base:
-                val = v[j - base]
-                if val:
-                    total += coeff * _exact(val)
-        return total
+            ent[(i, b.cols + i)] = 1
+        elim = eliminate(RationalMatrix(b.rows, b.cols + b.rows, ent))
+        self._rows = elim.rows
+        self._pivots = elim.pivots
 
     def solve(self, v: Sequence) -> Vector:
         if len(v) != self.rows_in:
             raise LinalgError("vector length mismatch")
-        x = [0] * self.cols
-        for r, c in self._pivots:
-            x[c] = self._transform(v, self._rows[r])
-        for i in range(len(self._rows)):
-            if i not in self._pivot_rows and self._transform(v, self._rows[i]) != 0:
+        base = self.cols
+        x = [0] * base
+        for row, c in zip(self._rows, self._pivots):
+            total = 0
+            for j, coeff in row.items():
+                if j >= base:
+                    val = v[j - base]
+                    if val:
+                        total += coeff * _exact(val)
+            if c < base:
+                x[c] = total
+            elif total:
                 raise NoSolutionError("vector not in the image")
         return tuple(x)
 
@@ -549,14 +519,11 @@ def cohomology_at(d_in: RationalMatrix, d_out: RationalMatrix) -> CohomologySlot
     # image pivot columns of d_in in reversed kernel coordinates
     coord = {f: n - 1 - j for j, f in enumerate(out.free)}
     row_of = {c: i for i, c in enumerate(image.pivots)}
-    rows: list[dict] = [{} for _ in image.pivots]
-    for (i, c), v in d_in.entries.items():
-        if c in row_of and i in coord:
-            rows[row_of[c]][coord[i]] = v
-    echelon = _rref(rows, n)
-    if len(echelon) != image.rank:  # pragma: no cover - internal consistency
+    echelon = eliminate(RationalMatrix(image.rank, n, {
+        (row_of[c], coord[i]): v for (i, c), v in d_in.entries.items() if c in row_of and i in coord}))
+    if echelon.rank != image.rank:  # pragma: no cover - internal consistency
         raise LinalgError("rank bookkeeping failed in cohomology_at")
-    pivot_coords = {p for _, p in echelon}
+    pivot_coords = set(echelon.pivots)
     reps, rep_coords, signs = [], [], []
     for j, f in enumerate(out.free):
         if n - 1 - j in pivot_coords:
@@ -567,7 +534,7 @@ def cohomology_at(d_in: RationalMatrix, d_out: RationalMatrix) -> CohomologySlot
         rep_coords.append(n - 1 - j)
         signs.append(1 if rep is vec else -1)
     return CohomologySlot(d_in.rows, n - image.rank, tuple(reps), image.rank, out,
-                          tuple((p, rows[r]) for r, p in echelon),
+                          tuple(zip(echelon.pivots, echelon.rows)),
                           tuple(rep_coords), tuple(signs))
 
 
@@ -575,46 +542,21 @@ def cohomology_at(d_in: RationalMatrix, d_out: RationalMatrix) -> CohomologySlot
 
 
 def det(a: RationalMatrix) -> Fraction:
-    """Determinant by Gaussian elimination, as a Fraction."""
+    """Determinant, as a Fraction: the elimination's scale at full rank, else 0."""
     if a.rows != a.cols:
         raise LinalgError("determinant of non-square matrix")
-    n = a.rows
-    rows = a.to_rows()
-    sign = 1
-    result = ONE
-    for c in range(n):
-        pr = None
-        for i in range(c, n):
-            if rows[i][c] != 0:
-                pr = i
-                break
-        if pr is None:
-            return ZERO
-        if pr != c:
-            rows[c], rows[pr] = rows[pr], rows[c]
-            sign = -sign
-        piv = rows[c][c]
-        result *= piv
-        for i in range(c + 1, n):
-            f = Fraction(rows[i][c], piv)
-            if f:
-                for j in range(c, n):
-                    rows[i][j] -= f * rows[c][j]
-    return sign * result
+    elim = eliminate(a)
+    return Fraction(elim.scale) if elim.rank == a.rows else ZERO
 
 
 def inverse(a: RationalMatrix) -> RationalMatrix:
     if a.rows != a.cols:
         raise LinalgError("inverse of non-square matrix")
     solver = LinearSolver(a)
-    cols = []
-    for j in range(a.rows):
-        e = [0] * a.rows
-        e[j] = 1
-        try:
-            cols.append(solver.solve(e))
-        except NoSolutionError:
-            raise LinalgError("matrix is singular") from None
+    try:
+        cols = [solver.solve([int(i == j) for i in range(a.rows)]) for j in range(a.rows)]
+    except NoSolutionError:
+        raise LinalgError("matrix is singular") from None
     return RationalMatrix.from_columns(cols, rows=a.rows)
 
 
@@ -725,8 +667,7 @@ def exterior_power(a: RationalMatrix, k: int) -> RationalMatrix:
     ent = {}
     for ri, rset in enumerate(row_sets):
         for ci, cset in enumerate(col_sets):
-            sub = RationalMatrix.from_rows([[dense[i][j] for j in cset] for i in rset]) if k else RationalMatrix.identity(0)
-            d = det(sub) if k else 1
+            d = det(RationalMatrix.from_rows([[dense[i][j] for j in cset] for i in rset]))
             if d:
                 ent[(ri, ci)] = d
     return RationalMatrix(len(row_sets), len(col_sets), ent)

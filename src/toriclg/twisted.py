@@ -389,11 +389,11 @@ class LsopReport:
     slots: dict[int, CohomologySlot]
 
 
-def lsop_check(tc: TwistedComplex, max_degree: int | None = None) -> LsopReport:
+def lsop_check(tc: TwistedComplex) -> LsopReport:
     """Regular-sequence test for the coefficient forms via Hilbert series.
 
     True iff the quotient dims equal the ring series times (1 - u)^n
-    coefficientwise up to max_degree and the quotient vanishes strictly
+    coefficientwise up to degree 2n + 4 and the quotient vanishes strictly
     above degree 2n.  When true the quotient slots present the cohomology
     ring independently of the twisted complex.
 
@@ -403,10 +403,7 @@ def lsop_check(tc: TwistedComplex, max_degree: int | None = None) -> LsopReport:
     """
     fan = tc.fan
     n = fan.rank
-    if max_degree is None:
-        max_degree = 2 * n + 4
-    if max_degree < 2 * n or max_degree % 2:
-        raise FanError("max_degree must be even and at least 2n")
+    max_degree = 2 * n + 4
     degrees = range(0, max_degree + 1, 2)
     slots = {m: cohomology_at(tc.block(1, m - 2), RationalMatrix.zeros(0, len(tc.basis(0, m))))
              for m in degrees}

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 import subprocess
 import sys
 
@@ -7,6 +8,7 @@ import pytest
 
 from conftest import FAN_DIR
 from toriclg.cli import MAX_DEGREE, main
+from toriclg.linalg import RationalMatrix, lift
 
 
 def run_cli(capsys, *argv):
@@ -52,6 +54,25 @@ class TestValidate:
         code, out, _ = run_cli(capsys, "validate", str(path), "--json")
         assert code == 0
         assert json.loads(out)["payload"]["valid"]
+
+    def test_overlapping_pair_names_a_common_point_without_enumeration(self, capsys, tmp_path):
+        # cone(e_1..e_10) and cone(e_1 + e_2, -e_2, e_3..e_10) overlap beyond
+        # cone(e_3..e_10); enumerating the extreme rays of their intersection
+        # takes 2^20 active sets
+        n = 10
+        rays = [[int(i == j) for j in range(n)] for i in range(n)]
+        rays += [[1, 1] + [0] * (n - 2), [0, -1] + [0] * (n - 2)]
+        a, b = list(range(1, n + 1)), [11, 12] + list(range(3, n + 1))
+        path = tmp_path / "overlap10.json"
+        path.write_text(json.dumps({"rank": n, "rays": rays, "max_cones": [a, b]}))
+        code, _, err = run_cli(capsys, "validate", str(path))
+        assert code == 2
+        point = json.loads(re.search(r"both contain (\[[^]]*\])", err).group(1))
+        alpha, beta = (lift(RationalMatrix.from_columns([rays[i - 1] for i in cone], rows=n), point)
+                       for cone in (a, b))
+        assert min(alpha) >= 0 and min(beta) >= 0
+        # off the common face: positive on a ray of a outside b
+        assert alpha[0] > 0 or alpha[1] > 0
 
     def test_zero_fan(self, capsys):
         code, out, _ = run_cli(capsys, "validate", fan_path("zero2"), "--json")

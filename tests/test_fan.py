@@ -23,10 +23,11 @@ from toriclg.fan import (
     cone_intersection_extreme_rays,
     fan_from_data,
     lattice_index,
+    overlap_witness,
     ray_coordinates_in_cone_basis,
     separating_covector,
 )
-from toriclg.linalg import RationalMatrix, det, dot, rank
+from toriclg.linalg import RationalMatrix, det, dot, lift, rank
 
 
 def fan_json(rank, rays, max_cones, **extra):
@@ -72,19 +73,19 @@ class TestParsing:
         # the diagonal ray meets the interior of the quadrant cone
         with pytest.raises(FanValidationError, match=re.escape(
                 "fan condition fails: cones {1,2} and {3} intersect beyond their "
-                "common face (extra extreme ray [1, 1])")):
+                "common face (both contain [1, 1])")):
             parse_fan(fan_json(2, [[1, 0], [0, 1], [1, 1]], [[1, 2], [3]]))
 
     def test_overlapping_max_cones_rejected(self):
-        # the message names the pair and a ray of the intersection outside
+        # the message names the pair and a point of the intersection outside
         # their common face, found only once the pair has failed
         with pytest.raises(FanValidationError, match=re.escape(
                 "fan condition fails: cones {1,2} and {2,3} intersect beyond their "
-                "common face (extra extreme ray [1, 1])")):
+                "common face (both contain [1, 1])")):
             parse_fan(fan_json(2, [[1, 0], [0, 1], [1, 1]], [[1, 2], [2, 3]]))
         with pytest.raises(FanValidationError, match=re.escape(
                 "fan condition fails: cones {1,2} and {1,3} intersect beyond their "
-                "common face (extra extreme ray [1, 1])")):
+                "common face (both contain [1, 1])")):
             parse_fan(fan_json(2, [[1, 0], [0, 1], [1, 1]], [[1, 2], [1, 3]]))
 
     def test_unknown_key_rejected(self):
@@ -162,6 +163,18 @@ class TestSeparation:
                 assert dot(m, rays[i - 1]) == 0 if i in common else dot(m, rays[i - 1]) >= 1
             for i in b.ray_indices:
                 assert dot(m, rays[i - 1]) == 0 if i in common else dot(m, rays[i - 1]) <= -1
+
+    @settings(max_examples=300, deadline=None)
+    @given(simplicial_cone_pairs())
+    def test_overlap_witness_lies_in_both_cones_off_the_common_face(self, pair):
+        n, rays, a, b = pair
+        if separating_covector(n, rays, a, b) is not None:
+            return  # about one pair in eight overlaps
+        point = overlap_witness(n, rays, a, b)
+        alpha, beta = (lift(RationalMatrix.from_columns([rays[i - 1] for i in c.ray_indices], rows=n),
+                            point) for c in (a, b))
+        assert min(alpha) >= 0 and min(beta) >= 0
+        assert any(x > 0 for x, i in zip(alpha, a.ray_indices) if i not in b.index_set)
 
 
 def projective_space_data(n: int) -> dict:

@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -292,6 +294,23 @@ def test_lift_roundtrip(b, xs):
     x = [Fraction(v) for v in xs[:b.cols]] + [Fraction(0)] * max(0, b.cols - len(xs))
     a = b.mul_vec(x)
     assert b.mul_vec(lift(b, a)) == a
+
+
+def leibniz_det(rows):
+    total = 0
+    for perm in itertools.permutations(range(len(rows))):
+        inversions = sum(perm[i] > perm[j] for i, j in itertools.combinations(range(len(perm)), 2))
+        total += (-1) ** inversions * math.prod(rows[i][perm[i]] for i in range(len(perm)))
+    return total
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=0, max_value=4).flatmap(
+    lambda n: st.lists(st.lists(st.integers(min_value=-3, max_value=3), min_size=n, max_size=n),
+                       min_size=n, max_size=n)))
+def test_det_equals_leibniz_expansion(rows):
+    # the elimination's scale takes its sign from row swaps and from -1 pivots
+    assert det(mat(rows)) == leibniz_det(rows)
 
 
 def test_cohomology_base_change_invariance():
