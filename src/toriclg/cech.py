@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
@@ -64,7 +63,6 @@ class CechError(FanError):
     pass
 
 
-@dataclass
 class CechCochain:
     """Homogeneous cochain: one coordinate vector per p-simplex.
 
@@ -72,11 +70,14 @@ class CechCochain:
     polynomial degree (0 for const).  Functions carry the forms tag.
     """
 
-    tag: str
-    p: int
-    k: int
-    m: int
-    components: dict[Simplex, Vector]
+    __slots__ = ("tag", "p", "k", "m", "components")
+
+    def __init__(self, tag: str, p: int, k: int, m: int, components: dict[Simplex, Vector]):
+        self.tag = tag
+        self.p = p
+        self.k = k
+        self.m = m
+        self.components = components
 
 
 class CoverSimplex:
@@ -370,7 +371,7 @@ class CoverSimplex:
         pos = 0
         for tau in self.simplices(p):
             size = len(self.local_basis(tag, tau, k, m))
-            comps[tau] = tuple(Fraction(v) for v in vec[pos:pos + size])
+            comps[tau] = tuple(linalg._fraction(v) for v in vec[pos:pos + size])
             pos += size
         if pos != len(vec):
             raise CechError("vector length does not match the slot")
@@ -439,15 +440,18 @@ def _require_functions(c: CechCochain, what: str) -> None:
 # -- exactness -----------------------------------------------------------------
 
 
-@dataclass
 class ExactnessReport:
     """Per-degree exactness of the augmented complex of a cover."""
 
-    m_max: int
-    exterior_degree: int
-    entries: dict[tuple[int, int], dict]   # (m, p) -> dims/ranks/verdict
-    augmentation: dict[int, dict]          # m -> injectivity and image data
-    exact: bool
+    __slots__ = ("m_max", "exterior_degree", "entries", "augmentation", "exact")
+
+    def __init__(self, m_max: int, exterior_degree: int, entries: dict[tuple[int, int], dict],
+                 augmentation: dict[int, dict], exact: bool):
+        self.m_max = m_max
+        self.exterior_degree = exterior_degree
+        self.entries = entries                # (m, p) -> dims/ranks/verdict
+        self.augmentation = augmentation      # m -> injectivity and image data
+        self.exact = exact
 
     def degree_exact(self, m: int) -> bool:
         """Exactness of the slice of polynomial degree m."""
@@ -677,14 +681,19 @@ def forms_total_cohomology(cs: CoverSimplex, t_max: int | None = None) -> TotalC
     return _total_cohomology(t_max, cs.forms_total_matrix)
 
 
-@dataclass
 class QuasiIsoReport:
-    t_max: int
-    dims_twisted: tuple[int, ...]
-    dims_forms_total: tuple[int, ...]
-    dims_const_total: tuple[int, ...]
-    chain_map_ok: bool
-    induced_iso_ok: bool
+    __slots__ = ("t_max", "dims_twisted", "dims_forms_total", "dims_const_total",
+                 "chain_map_ok", "induced_iso_ok")
+
+    def __init__(self, t_max: int, dims_twisted: tuple[int, ...],
+                 dims_forms_total: tuple[int, ...], dims_const_total: tuple[int, ...],
+                 chain_map_ok: bool, induced_iso_ok: bool):
+        self.t_max = t_max
+        self.dims_twisted = dims_twisted
+        self.dims_forms_total = dims_forms_total
+        self.dims_const_total = dims_const_total
+        self.chain_map_ok = chain_map_ok
+        self.induced_iso_ok = induced_iso_ok
 
     @property
     def augmentation_ok(self) -> bool:

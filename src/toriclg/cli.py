@@ -8,16 +8,17 @@ identical input and flags give byte-identical output.
 Exit codes: 0 success / all verified, 1 internal error, 2 bad input (a
 missing, unreadable or invalid fan file, or a bad flag value such as a
 negative --tmax or --mmax, or one above MAX_DEGREE), 3 verification
-mismatch.
+mismatch.  A reader that closes stdout early (``| head``) gets no error
+message, and the exit code stays the command's own: 0, or 3 for a mismatch.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -47,13 +48,16 @@ def _cone_list(c: Cone) -> list[int]:
     return list(c.ray_indices)
 
 
-@dataclass
 class Report:
-    command: str
-    fan_meta: dict
-    params: dict
-    payload: dict
-    timing_seconds: float
+    __slots__ = ("command", "fan_meta", "params", "payload", "timing_seconds")
+
+    def __init__(self, command: str, fan_meta: dict, params: dict, payload: dict,
+                 timing_seconds: float):
+        self.command = command
+        self.fan_meta = fan_meta
+        self.params = params
+        self.payload = payload
+        self.timing_seconds = timing_seconds
 
     def machine_dict(self) -> dict:
         # timing deliberately excluded: machine reports are byte-reproducible
@@ -367,7 +371,13 @@ def main(argv=None) -> int:
     except Exception as exc:  # pragma: no cover - defensive
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    print(report.to_json() if args.json else report.human())
+    try:
+        print(report.to_json() if args.json else report.human())
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone; the interpreter's final flush then writes the
+        # rest of the buffer to devnull instead of failing
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 

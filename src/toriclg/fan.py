@@ -15,7 +15,6 @@ import itertools
 import json
 import math
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -50,11 +49,19 @@ class FanValidationError(FanError):
     """Structurally valid file describing an invalid fan."""
 
 
-@dataclass(frozen=True, order=True)
 class Cone:
-    """A cone of the fan, stored as its sorted 1-based ray indices."""
+    """A cone of the fan: its sorted 1-based ray indices.  Immutable by convention."""
 
-    ray_indices: IntVec
+    __slots__ = ("ray_indices",)
+
+    def __init__(self, ray_indices: IntVec):
+        self.ray_indices = ray_indices
+
+    def __eq__(self, other):
+        return self.ray_indices == other.ray_indices if type(other) is Cone else NotImplemented
+
+    def __hash__(self):
+        return hash((self.ray_indices,))
 
     @property
     def dim(self) -> int:
@@ -72,22 +79,30 @@ def _as_cone(indices: Iterable[int]) -> Cone:
     return Cone(tuple(sorted(set(indices))))
 
 
-@dataclass(frozen=True)
 class PolyhedronInput:
-    """A lattice polyhedron: convex hull of vertices plus recession rays."""
+    """A lattice polyhedron: convex hull of vertices plus recession rays.  Immutable."""
 
-    vertices: tuple[IntVec, ...]
-    recession_rays: tuple[IntVec, ...]
+    __slots__ = ("vertices", "recession_rays")
+
+    def __init__(self, vertices: tuple[IntVec, ...], recession_rays: tuple[IntVec, ...]):
+        self.vertices = vertices
+        self.recession_rays = recession_rays
 
 
-@dataclass(frozen=True)
 class Fan:
-    """Validated smooth fan.  Immutable; safe for concurrent reads."""
+    """Validated smooth fan.  Immutable by convention; safe for concurrent reads."""
 
-    rank: int
-    rays: tuple[IntVec, ...]
-    max_cones: tuple[Cone, ...]
-    all_cones: tuple[Cone, ...]
+    def __init__(self, rank: int, rays: tuple[IntVec, ...], max_cones: tuple[Cone, ...],
+                 all_cones: tuple[Cone, ...]):
+        self.rank = rank
+        self.rays = rays
+        self.max_cones = max_cones
+        self.all_cones = all_cones
+
+    def __eq__(self, other):
+        return NotImplemented if type(other) is not Fan else (
+            (self.rank, self.rays, self.max_cones, self.all_cones)
+            == (other.rank, other.rays, other.max_cones, other.all_cones))
 
     @property
     def num_rays(self) -> int:

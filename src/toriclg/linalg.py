@@ -44,7 +44,6 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Callable, Iterable, Mapping, Sequence
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 Vector = tuple[int | Fraction, ...]
@@ -110,29 +109,33 @@ def is_zero_vector(v: Sequence) -> bool:
     return all(a == 0 for a in v)
 
 
-@dataclass(eq=True)
 class RationalMatrix:
     """Sparse matrix over Q.  Instances are treated as immutable.
 
     ``entries`` maps ``(row, col)`` to a nonzero int or non-integral
     Fraction (see ``_exact``); explicit zeros are stripped on construction.
-    ``eliminate`` caches the RREF here.
+    ``eliminate`` caches the RREF here.  Two matrices are equal when their
+    shapes and entries are.
     """
 
-    rows: int
-    cols: int
-    entries: dict = field(default_factory=dict)
-    _elimination: "Elimination | None" = field(default=None, init=False, repr=False, compare=False)
+    __slots__ = ("rows", "cols", "entries", "_elimination")
 
-    def __post_init__(self):
+    def __init__(self, rows: int, cols: int, entries: Mapping):
         clean = {}
-        for (i, j), v in self.entries.items():
-            if not (0 <= i < self.rows and 0 <= j < self.cols):
-                raise LinalgError(f"entry ({i},{j}) outside a {self.rows}x{self.cols} matrix")
+        for (i, j), v in entries.items():
+            if not (0 <= i < rows and 0 <= j < cols):
+                raise LinalgError(f"entry ({i},{j}) outside a {rows}x{cols} matrix")
             v = _exact(v)
             if v:
                 clean[(i, j)] = v
+        self.rows = rows
+        self.cols = cols
         self.entries = clean
+        self._elimination: Elimination | None = None
+
+    def __eq__(self, other):
+        return NotImplemented if type(other) is not RationalMatrix else (
+            (self.rows, self.cols, self.entries) == (other.rows, other.cols, other.entries))
 
     # -- constructors -------------------------------------------------
 
@@ -231,7 +234,6 @@ class RationalMatrix:
 # -- elimination core ---------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Elimination:
     """Reduced row echelon form of a matrix.
 
@@ -239,15 +241,19 @@ class Elimination:
     1 at column ``pivots[i]`` and no other pivot column.  ``free`` lists
     the remaining columns in increasing order.  ``scale`` is the product
     of the pivots the loop divided by, negated once per row swap; for a
-    square matrix of full rank it is the determinant.  The rows are
-    shared and must not be mutated.
+    square matrix of full rank it is the determinant.  Immutable by
+    convention: the rows are shared and must not be mutated.
     """
 
-    cols: int
-    rows: tuple[dict, ...]
-    pivots: tuple[int, ...]
-    free: tuple[int, ...]
-    scale: int | Fraction
+    __slots__ = ("cols", "rows", "pivots", "free", "scale")
+
+    def __init__(self, cols: int, rows: tuple[dict, ...], pivots: tuple[int, ...],
+                 free: tuple[int, ...], scale: int | Fraction):
+        self.cols = cols
+        self.rows = rows
+        self.pivots = pivots
+        self.free = free
+        self.scale = scale
 
     @property
     def rank(self) -> int:
@@ -442,7 +448,6 @@ def image_pivot_columns(a: RationalMatrix) -> list[int]:
     return list(eliminate(a).pivots)
 
 
-@dataclass(frozen=True)
 class CohomologySlot:
     """Kernel-mod-image data at one position of a complex.
 
@@ -461,17 +466,24 @@ class CohomologySlot:
     coordinates j for which some image vector has its last nonzero
     kernel coordinate at j, so the canonical kernel vectors at the other
     coordinates (``_rep_coords``) are the ones the greedy left-to-right
-    choice over [image | kernel basis] keeps.
+    choice over [image | kernel basis] keeps.  Immutable by convention.
     """
 
-    ambient: int
-    dim: int
-    representatives: tuple[Vector, ...]
-    image_rank: int
-    _d_out: Elimination | RationalMatrix
-    _echelon: tuple[tuple[int, dict], ...]  # (pivot, row) in reversed kernel coordinates
-    _rep_coords: tuple[int, ...]            # reversed kernel coordinate of each representative
-    _rep_signs: tuple[int, ...]             # canonical sign of each representative
+    __slots__ = ("ambient", "dim", "representatives", "image_rank",
+                 "_d_out", "_echelon", "_rep_coords", "_rep_signs")
+
+    def __init__(self, ambient: int, dim: int, representatives: tuple[Vector, ...],
+                 image_rank: int, d_out: Elimination | RationalMatrix,
+                 echelon: tuple[tuple[int, dict], ...], rep_coords: tuple[int, ...],
+                 rep_signs: tuple[int, ...]):
+        self.ambient = ambient
+        self.dim = dim
+        self.representatives = representatives
+        self.image_rank = image_rank
+        self._d_out = d_out
+        self._echelon = echelon          # (pivot, row) in reversed kernel coordinates
+        self._rep_coords = rep_coords    # reversed kernel coordinate of each representative
+        self._rep_signs = rep_signs      # canonical sign of each representative
 
     def reduce(self, v: Sequence) -> Vector:
         if len(v) != self.ambient:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .fan import Cone, Fan, FanError, PolyhedronInput, ray_coordinates_in_cone_basis
@@ -24,16 +23,22 @@ REASON_NOT_CONVEX = "support-not-convex"
 REASON_NO_PHI = "no-strictly-convex-phi"
 
 
-@dataclass(frozen=True)
 class PLCertificate:
     """Strictly convex piecewise linear function, one covector per max cone.
 
     The covectors are denominator-cleared, so every pairing with a ray is
-    an integer and every strictness margin is >= 1.
+    an integer and every strictness margin is >= 1.  Immutable by convention.
     """
 
-    fan: Fan
-    functionals: tuple[tuple[int, ...], ...]  # aligned with fan.max_cones
+    __slots__ = ("fan", "functionals")
+
+    def __init__(self, fan: Fan, functionals: tuple[tuple[int, ...], ...]):
+        self.fan = fan
+        self.functionals = functionals  # aligned with fan.max_cones
+
+    def __eq__(self, other):
+        return NotImplemented if type(other) is not PLCertificate else (
+            (self.fan, self.functionals) == (other.fan, other.functionals))
 
     def functional(self, cone: Cone) -> tuple[int, ...]:
         return self.functionals[self.fan.max_cones.index(cone)]
@@ -46,22 +51,29 @@ class PLCertificate:
         raise FanError(f"ray {ray_index} lies in no maximal cone")
 
 
-@dataclass(frozen=True)
 class SemiprojectiveReport:
-    semiprojective: bool
-    certificate: PLCertificate | None = None
-    reason: str | None = None
-    witnesses: tuple = ()
+    """Verdict, with a certificate or a failure reason.  Immutable by convention."""
+
+    __slots__ = ("semiprojective", "certificate", "reason", "witnesses")
+
+    def __init__(self, semiprojective: bool, certificate: PLCertificate | None = None,
+                 reason: str | None = None, witnesses: tuple = ()):
+        self.semiprojective = semiprojective
+        self.certificate = certificate
+        self.reason = reason
+        self.witnesses = witnesses
 
 
-@dataclass(frozen=True)
 class DegenerationRelation:
-    """z_l * prod z_i^(-a_i) = t^m over the rays of a full-dimensional cone."""
+    """z_l * prod z_i^(-a_i) = t^m over the rays of a full-dimensional cone.  Immutable."""
 
-    cone: Cone
-    ray_index: int
-    coefficients: tuple[int, ...]  # aligned with cone.ray_indices
-    exponent: int
+    __slots__ = ("cone", "ray_index", "coefficients", "exponent")
+
+    def __init__(self, cone: Cone, ray_index: int, coefficients: tuple[int, ...], exponent: int):
+        self.cone = cone
+        self.ray_index = ray_index
+        self.coefficients = coefficients  # aligned with cone.ray_indices
+        self.exponent = exponent
 
     def as_string(self) -> str:
         factors = [f"z{self.ray_index}"]

@@ -8,18 +8,25 @@ needed.  Each variable has (cohomological) degree 2.
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .fan import Cone, Fan, FanError
 from .linalg import _exact
 
 
-@dataclass(frozen=True, order=True)
 class Monomial:
-    """Monomial in the ray variables; exponents stored sparsely, all >= 1."""
+    """Monomial in the ray variables; exponents stored sparsely, all >= 1.  Immutable."""
 
-    exps: tuple[tuple[int, int], ...]  # ((ray index, exponent), ...) sorted
+    __slots__ = ("exps",)
+
+    def __init__(self, exps: tuple[tuple[int, int], ...]):
+        self.exps = exps  # ((ray index, exponent), ...) sorted
+
+    def __eq__(self, other):
+        return self.exps == other.exps if type(other) is Monomial else NotImplemented
+
+    def __hash__(self):
+        return hash((self.exps,))
 
     @classmethod
     def one(cls) -> "Monomial":
@@ -73,18 +80,24 @@ def monomial_sort_key(num_rays: int):
     return key
 
 
-@dataclass(frozen=True)
 class SRPolynomial:
     """Rational combination of face-supported monomials, in normal form.
 
     Construction filters out monomials whose support is not a face and
     drops zero coefficients, so equality of normal forms is term equality.
     A coefficient is an int when it is integral, else a Fraction, never a
-    float (``linalg._exact``).
+    float (``linalg._exact``).  Immutable by convention.
     """
 
-    fan: Fan
-    terms: tuple[tuple[Monomial, int | Fraction], ...]
+    __slots__ = ("fan", "terms")
+
+    def __init__(self, fan: Fan, terms: tuple[tuple[Monomial, int | Fraction], ...]):
+        self.fan = fan
+        self.terms = terms
+
+    def __eq__(self, other):
+        return NotImplemented if type(other) is not SRPolynomial else (
+            (self.fan, self.terms) == (other.fan, other.terms))
 
     @classmethod
     def build(cls, fan: Fan, terms: Mapping[Monomial, int | Fraction] | Iterable[tuple[Monomial, int | Fraction]]) -> "SRPolynomial":

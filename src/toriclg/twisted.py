@@ -16,7 +16,6 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import linalg
@@ -40,7 +39,6 @@ def wedge_merge(s: ExtIndex, t: ExtIndex) -> tuple[int, ExtIndex] | None:
     return (-1 if inversions % 2 else 1), tuple(sorted(s + t))
 
 
-@dataclass
 class TwistedComplex:
     """Graded complex with cached per-slot differential matrices.
 
@@ -51,13 +49,14 @@ class TwistedComplex:
     reads are safe to share.
     """
 
-    fan: Fan
-    frame: tuple[tuple[int, ...], ...]
-    linear_forms: tuple[SRPolynomial, ...]
-    _blocks: dict = field(default_factory=dict, repr=False)
-    _bases: dict = field(default_factory=dict, repr=False)
-    _totals: dict = field(default_factory=dict, repr=False)
-    _slots: dict = field(default_factory=dict, repr=False)
+    __slots__ = ("fan", "frame", "linear_forms", "_blocks", "_bases", "_totals", "_slots")
+
+    def __init__(self, fan: Fan, frame: tuple[tuple[int, ...], ...],
+                 linear_forms: tuple[SRPolynomial, ...]):
+        self.fan = fan
+        self.frame = frame
+        self.linear_forms = linear_forms
+        self._blocks, self._bases, self._totals, self._slots = {}, {}, {}, {}
 
     @property
     def rank(self) -> int:
@@ -226,8 +225,9 @@ def lg_degree(x: LGElement) -> int | None:
 
 
 def element_from_vector(tc: TwistedComplex, t: int, vec: Sequence) -> LGElement:
+    """The element with these coordinates; a float coordinate raises LinalgError."""
     basis = tc.total_basis(t)
-    return {basis[i]: Fraction(v) for i, v in enumerate(vec) if Fraction(v) != 0}
+    return {basis[i]: f for i, v in enumerate(vec) if (f := linalg._fraction(v))}
 
 
 def vector_from_element(tc: TwistedComplex, t: int, elt: LGElement) -> Vector:
@@ -258,12 +258,14 @@ def element_string(elt: LGElement) -> str:
 # -- cohomology ---------------------------------------------------------------
 
 
-@dataclass
 class TotalCohomology:
     """Cohomology slots of a complex in total degrees 0..t_max."""
 
-    t_max: int
-    slots: dict[int, CohomologySlot]
+    __slots__ = ("t_max", "slots")
+
+    def __init__(self, t_max: int, slots: dict[int, CohomologySlot]):
+        self.t_max = t_max
+        self.slots = slots
 
     @property
     def dims(self) -> tuple[int, ...]:
@@ -283,7 +285,6 @@ def lg_cohomology(tc: TwistedComplex, t_max: int | None = None) -> TotalCohomolo
     return TotalCohomology(t_max, {t: tc.slot(t) for t in range(t_max + 1)})
 
 
-@dataclass
 class CohomologyRing:
     """Cohomology basis with structure constants.
 
@@ -292,12 +293,18 @@ class CohomologyRing:
     target degree.
     """
 
-    tc: TwistedComplex
-    t_max: int
-    dims: tuple[int, ...]
-    basis: tuple[tuple[int, int], ...]
-    representatives: dict[tuple[int, int], LGElement]
-    constants: dict[tuple[int, int, int, int], Vector]
+    __slots__ = ("tc", "t_max", "dims", "basis", "representatives", "constants")
+
+    def __init__(self, tc: TwistedComplex, t_max: int, dims: tuple[int, ...],
+                 basis: tuple[tuple[int, int], ...],
+                 representatives: dict[tuple[int, int], LGElement],
+                 constants: dict[tuple[int, int, int, int], Vector]):
+        self.tc = tc
+        self.t_max = t_max
+        self.dims = dims
+        self.basis = basis
+        self.representatives = representatives
+        self.constants = constants
 
     def product(self, a: tuple[int, int], b: tuple[int, int]) -> Vector:
         key = (a[0], a[1], b[0], b[1])
@@ -378,15 +385,18 @@ def ring_structure(tc: TwistedComplex, t_max: int | None = None) -> CohomologyRi
 # -- regular sequence test ----------------------------------------------------
 
 
-@dataclass
 class LsopReport:
     """Hilbert-series test of the coefficient forms as a regular sequence."""
 
-    regular: bool
-    dims: tuple[int, ...]            # quotient dims at even degrees 0..max_degree
-    expected: tuple[int, ...]        # ring series times (1 - u)^rank
-    max_degree: int
-    slots: dict[int, CohomologySlot]
+    __slots__ = ("regular", "dims", "expected", "max_degree", "slots")
+
+    def __init__(self, regular: bool, dims: tuple[int, ...], expected: tuple[int, ...],
+                 max_degree: int, slots: dict[int, CohomologySlot]):
+        self.regular = regular
+        self.dims = dims            # quotient dims at even degrees 0..max_degree
+        self.expected = expected    # ring series times (1 - u)^rank
+        self.max_degree = max_degree
+        self.slots = slots
 
 
 def lsop_check(tc: TwistedComplex) -> LsopReport:
@@ -424,22 +434,28 @@ def lsop_check(tc: TwistedComplex) -> LsopReport:
 # -- presentation in the basis dual to a full-dimensional cone ----------------
 
 
-@dataclass(frozen=True)
 class DerivationPresentation:
     """Log-derivation presentation pinned to one full-dimensional cone.
 
     ``coefficients[j]`` are the integer coordinates of the j-th extra ray
     in the cone's ray basis; ``differential_coeffs[i]`` is the degree-2
-    form multiplying the i-th odd generator.
+    form multiplying the i-th odd generator.  Immutable by convention.
     """
 
-    cone: Cone
-    base: tuple[int, ...]
-    extra: tuple[int, ...]
-    coefficients: tuple[tuple[int, ...], ...]
-    differential_coeffs: tuple[SRPolynomial, ...]
-    frame: tuple[tuple[int, ...], ...]
-    checked_degree: int
+    __slots__ = ("cone", "base", "extra", "coefficients", "differential_coeffs", "frame",
+                 "checked_degree")
+
+    def __init__(self, cone: Cone, base: tuple[int, ...], extra: tuple[int, ...],
+                 coefficients: tuple[tuple[int, ...], ...],
+                 differential_coeffs: tuple[SRPolynomial, ...],
+                 frame: tuple[tuple[int, ...], ...], checked_degree: int):
+        self.cone = cone
+        self.base = base
+        self.extra = extra
+        self.coefficients = coefficients
+        self.differential_coeffs = differential_coeffs
+        self.frame = frame
+        self.checked_degree = checked_degree
 
     def generator(self, i: int) -> list[tuple[int, int]]:
         """The i-th generator as (ray index, coefficient) pairs over log derivations."""

@@ -1,4 +1,5 @@
 import json
+import os
 import random
 import re
 import subprocess
@@ -305,3 +306,27 @@ def test_console_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "semi-projective: yes" in proc.stdout
+
+
+# the second child fakes a disagreement, as test_mismatch_exits_3 does
+MISMATCH_MAIN = (
+    "import sys\n"
+    "import toriclg.cech as cech\n"
+    "from toriclg.cli import main\n"
+    "cech.verify_quasi_iso = lambda cs, t_max=None: cech.QuasiIsoReport(\n"
+    "    4, (1, 0, 1), (1, 0, 2), (1, 0, 1), True, False)\n"
+    "sys.exit(main(sys.argv[1:]))\n")
+
+
+@pytest.mark.parametrize("argv,want", [
+    (["-m", "toriclg.cli", "cohomology", fan_path("p1xp1"), "--ring", "--json"], 0),
+    (["-c", MISMATCH_MAIN, "verify", fan_path("p1"), "--mmax", "2"], 3),
+])
+def test_closed_stdout_keeps_exit_code_and_stderr_empty(argv, want):
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # every write to stdout fails with EPIPE
+    try:
+        proc = subprocess.run([sys.executable, *argv], stdout=write_end, stderr=subprocess.PIPE)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (want, b"")

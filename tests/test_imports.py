@@ -1,4 +1,10 @@
-"""The package and each subcommand load only the modules they run."""
+"""The package and each subcommand load only the modules they run.
+
+Engine modules import neither ``typing`` nor ``dataclasses``: importing
+``dataclasses`` pulls in ``inspect`` (with ``ast``, ``dis`` and
+``tokenize``), and every decorated class compiles its generated methods,
+a cost each short-lived CLI job would pay at start-up.
+"""
 import ast
 import json
 import os
@@ -29,26 +35,42 @@ def run_python(code: str) -> subprocess.CompletedProcess:
                           capture_output=True, text=True, check=True)
 
 
-def loaded(code: str) -> list[str]:
-    """Names of the toriclg modules loaded after running `code` in a fresh process."""
-    proc = run_python(code + "\nimport json, sys\nprint(json.dumps(sorted("
-                      "m for m in sys.modules if m.split('.')[0] == 'toriclg')))")
-    return json.loads(proc.stdout.splitlines()[-1])
+def loaded(code: str) -> set[str]:
+    """Modules a fresh process loads while running `code`.
+
+    Modules already loaded before it (by ``site``, say) are left out.
+    """
+    proc = run_python("import json, sys\nbefore = set(sys.modules)\n" + code +
+                      "\nprint(json.dumps(sorted(set(sys.modules) - before)))")
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+def engine(modules: set[str]) -> set[str]:
+    return {m for m in modules if m.split(".")[0] == "toriclg"}
+
+
+def run_main(command: str) -> str:
+    """Code that runs one subcommand on P^2 in process, its output discarded."""
+    fan = str(FAN_DIR / "p2.json")
+    return ("import contextlib, io\n"
+            "from toriclg.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert main([{command!r}, {fan!r}, '--json']) == 0")
 
 
 def test_import_loads_no_submodule():
-    assert loaded("import toriclg") == ["toriclg"]
+    assert engine(loaded("import toriclg")) == {"toriclg"}
 
 
 @pytest.mark.parametrize("command", sorted(SUBCOMMAND_MODULES))
 def test_subcommand_loads_exactly_its_modules(command):
-    fan = str(FAN_DIR / "p2.json")
-    code = ("import contextlib, io\n"
-            "from toriclg.cli import main\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
-            f"    assert main([{command!r}, {fan!r}, '--json']) == 0")
     want = {"toriclg", "toriclg.cli"} | {f"toriclg.{m}" for m in SUBCOMMAND_MODULES[command]}
-    assert set(loaded(code)) == want
+    assert engine(loaded(run_main(command))) == want
+
+
+@pytest.mark.parametrize("command", sorted(SUBCOMMAND_MODULES))
+def test_subcommand_loads_no_dataclasses_or_inspect(command):
+    assert not {"dataclasses", "inspect"} & loaded(run_main(command))
 
 
 def test_star_import_binds_every_public_name():
@@ -68,6 +90,7 @@ def test_submodules_and_unknown_names():
 
 
 def test_no_module_imports_typing():
+    """Nor dataclasses: see the module docstring."""
     for path in sorted((SRC / "toriclg").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Import):
@@ -76,4 +99,4 @@ def test_no_module_imports_typing():
                 names = [node.module or ""]
             else:
                 continue
-            assert not any(n.split(".")[0] == "typing" for n in names), path.name
+            assert not any(n.split(".")[0] in ("typing", "dataclasses") for n in names), path.name

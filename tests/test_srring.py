@@ -17,9 +17,11 @@ from toriclg import (
     restrict,
     sr_basis,
 )
+from toriclg.cech import TAG_FORMS, CoverSimplex
 from toriclg.fan import fan_from_data
 from toriclg.linalg import LinalgError
 from toriclg.srring import cone_monomial_basis
+from toriclg.twisted import build_twisted, element_from_vector
 
 
 def names(monos):
@@ -119,6 +121,20 @@ class TestCoefficients:
             SRPolynomial.build(p2, {Monomial.variable(1): 0.5})
         with pytest.raises(LinalgError, match="float"):
             SRPolynomial.variable(p2, 1).scale(0.5)
+
+    def test_float_element_coordinate_refused(self, p2):
+        tc = build_twisted(p2)
+        assert element_from_vector(tc, 2, [Fraction(1, 2), 0, 3]) == {
+            (Monomial.variable(1), ()): Fraction(1, 2), (Monomial.variable(3), ()): 3}
+        with pytest.raises(LinalgError, match="float"):
+            element_from_vector(tc, 2, [0.1, 0, 0])
+
+    def test_float_cochain_coordinate_refused(self, p2):
+        cs = CoverSimplex(p2)  # three maximal cones, constants in degree m = 0
+        assert cs.cochain_from_vector(TAG_FORMS, 0, 0, 0, [1, Fraction(1, 2), 0]).components == {
+            (0,): (1,), (1,): (Fraction(1, 2),), (2,): (0,)}
+        with pytest.raises(LinalgError, match="float"):
+            cs.cochain_from_vector(TAG_FORMS, 0, 0, 0, [1, 0.1, 0])
 
 
 class TestHilbert:

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import cn_data
+from conftest import FAN_DIR, cn_data, load_fan
 from helpers import random_unimodular
 from toriclg import (
     build_twisted,
@@ -80,6 +80,41 @@ class TestCohomology:
             dims = lg_cohomology(build_twisted(fan)).dims
             assert all(d == 0 for t, d in enumerate(dims) if t % 2 == 1)
             assert all(d == 0 for t, d in enumerate(dims) if t > 2 * fan.rank)
+
+
+# Oracles that need no second pipeline, on every fan file and on three rank-3
+# fans: P^3, (P^1)^3, and P^3 blown up at a torus-fixed point (the cone
+# {1,2,3} subdivided by e1+e2+e3).
+RANK3_FANS = {
+    "P3": ([[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -1]],
+           [[1, 2, 3], [1, 2, 4], [1, 3, 4], [2, 3, 4]]),
+    "P1^3": ([[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]],
+             [[a, b, c] for a in (1, 2) for b in (3, 4) for c in (5, 6)]),
+    "Bl_pt P3": ([[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -1], [1, 1, 1]],
+                 [[1, 2, 4], [1, 3, 4], [2, 3, 4], [1, 2, 5], [1, 3, 5], [2, 3, 5]]),
+}
+ORACLE_FANS = sorted(p.stem for p in FAN_DIR.glob("*.json")) + sorted(RANK3_FANS)
+COMPLETE_FANS = sorted({"p1", "p2", "p1xp1", "hirzebruch1", *RANK3_FANS})
+
+
+def oracle_fan(name):
+    return fan_from_data(3, *RANK3_FANS[name]) if name in RANK3_FANS else load_fan(name)
+
+
+@pytest.mark.parametrize("name", ORACLE_FANS)
+def test_euler_characteristic_counts_fixed_points(name):
+    # chi = sum (-1)^t dim H^t is the number of n-dimensional cones, complete or not
+    fan = oracle_fan(name)
+    dims = lg_cohomology(build_twisted(fan)).dims
+    assert sum((-1) ** t * d for t, d in enumerate(dims)) == len(fan.cones_of_dim(fan.rank))
+
+
+@pytest.mark.parametrize("name", COMPLETE_FANS)
+def test_poincare_duality_of_complete_fans(name):
+    fan = oracle_fan(name)
+    dims = lg_cohomology(build_twisted(fan)).dims
+    middle = dims[:2 * fan.rank + 1]
+    assert middle == middle[::-1] and not any(dims[2 * fan.rank + 1:])
 
 
 class TestDerivationAndProduct:
