@@ -257,11 +257,7 @@ class CoverSimplex:
         key = ("localvert", cone, k, m)
         if key not in self._cache:
             forms = [restrict(f, cone) for f in self.global_forms()]
-            src = [(mono, s) for s in ext_subsets(self.fan.rank, k)
-                   for mono in cone_monomial_basis(self.fan, cone, m)]
-            dst = [(mono, s) for s in ext_subsets(self.fan.rank, k - 1)
-                   for mono in cone_monomial_basis(self.fan, cone, m + 2)]
-            self._cache[key] = koszul_block(self.fan, forms, src, dst)
+            self._cache[key] = koszul_block(self.fan, forms, k, m, cone)
         return self._cache[key]
 
     def augmentation_matrix(self, k: int, m: int) -> RationalMatrix:

@@ -90,7 +90,12 @@ class PolyhedronInput:
 
 
 class Fan:
-    """Validated smooth fan.  Immutable by convention; safe for concurrent reads."""
+    """Validated smooth fan.  Immutable by convention; safe for concurrent reads.
+
+    ``_tables`` caches tables computed from the fan alone: the monomial
+    bases of ``srring`` and the Koszul index maps of ``twisted``.  Each entry
+    is written once and never mutated, so concurrent reads stay safe.
+    """
 
     def __init__(self, rank: int, rays: tuple[IntVec, ...], max_cones: tuple[Cone, ...],
                  all_cones: tuple[Cone, ...]):
@@ -98,6 +103,7 @@ class Fan:
         self.rays = rays
         self.max_cones = max_cones
         self.all_cones = all_cones
+        self._tables: dict = {}
 
     def __eq__(self, other):
         return NotImplemented if type(other) is not Fan else (
@@ -107,6 +113,11 @@ class Fan:
     @property
     def num_rays(self) -> int:
         return len(self.rays)
+
+    def table(self, key: tuple, build):
+        """The cached table under key, built by ``build()`` on first use; the first one stored wins."""
+        value = self._tables.get(key)
+        return value if value is not None else self._tables.setdefault(key, build())
 
     def ray(self, i: int) -> IntVec:
         """Ray generator for a 1-based ray index."""

@@ -35,8 +35,10 @@ zero (``rank_mod_p``).  Any other outcome takes the exact path.
 ``solve_system`` is the one exact linear programming entry point: it
 solves the homogeneous equalities first, runs Fourier-Motzkin elimination
 (``solve_inequalities``) on the inequalities written in a basis of their
-solution space, and maps the answer back.  The fan-condition check and the
-semi-projectivity certificate search both call it.
+solution space, and maps the answer back.  The fan-condition check and
+the semi-projectivity certificate search both call it.  Fourier-Motzkin
+keeps every row as a primitive integer tuple; Fractions appear only in
+its back-substitution.
 """
 
 from __future__ import annotations
@@ -586,41 +588,48 @@ def primitive_vector(v: Sequence) -> tuple[int, ...]:
     return tuple(x // g for x in ints) if g else tuple(ints)
 
 
-def _normalise_rows(system: list[tuple[Vector, Fraction]]) -> list[tuple[Vector, Fraction]]:
-    """Scale rows to primitive integer form, drop tautologies and duplicates.
+def _normalise_rows(system: list[tuple[tuple[int, ...], int]]) -> list[tuple[tuple[int, ...], int]]:
+    """Divide integer rows (c, r) by the gcd of their entries; drop tautologies and duplicates.
 
-    Keeps Fourier-Motzkin from drowning in redundant combinations.
+    Rows stay primitive integer tuples.  This keeps Fourier-Motzkin from
+    drowning in redundant combinations.
     """
     seen = set()
     out = []
     for c, r in system:
-        if all(x == 0 for x in c):
+        if not any(c):
             if r > 0:
-                return [((Fraction(0),) * len(c), Fraction(1))]  # single infeasible row
+                return [((0,) * len(c), 1)]  # single infeasible row
             continue
-        key = primitive_vector((*c, r))
+        g = math.gcd(*c, r)
+        key = (tuple(x // g for x in c), r // g)
         if key not in seen:
             seen.add(key)
-            out.append((tuple(Fraction(x) for x in key[:-1]), Fraction(key[-1])))
+            out.append(key)
     return out
 
 
 def solve_inequalities(ineqs: list[tuple[Vector, Fraction]], nvars: int) -> Vector | None:
     """Exact Fourier-Motzkin: find x with c . x >= r for every (c, r), or None.
 
-    Variables are eliminated in index order; back-substitution picks the
-    max lower bound (falling back to the min upper bound, then 0), so the
-    result is deterministic.
+    Each row is scaled to a primitive integer tuple (c, r) first, and
+    elimination keeps it integral: a combination of two rows has integer
+    multipliers, and ``_normalise_rows`` divides out the gcd.  Fractions
+    appear only in back-substitution.  Variables are eliminated in index
+    order; back-substitution picks the max lower bound (falling back to
+    the min upper bound, then 0), so the result is deterministic.
     """
-    system = [(vector(c), _fraction(r)) for c, r in ineqs]
-    stages: list[list[tuple[Vector, Fraction]]] = []
+    system = []
+    for c, r in ineqs:
+        row = primitive_vector([_exact(x) for x in (*c, r)])
+        system.append((row[:-1], row[-1]))
+    stages: list[list[tuple[tuple[int, ...], int]]] = []
     for j in range(nvars):
         system = _normalise_rows(system)
         stages.append(system)
         pos = [row for row in system if row[0][j] > 0]
         neg = [row for row in system if row[0][j] < 0]
-        zero = [row for row in system if row[0][j] == 0]
-        new = list(zero)
+        new = [row for row in system if row[0][j] == 0]
         for (cp, rp) in pos:
             for (cn, rn) in neg:
                 lam_p, lam_n = -cn[j], cp[j]
@@ -628,9 +637,9 @@ def solve_inequalities(ineqs: list[tuple[Vector, Fraction]], nvars: int) -> Vect
                 new.append((c, lam_p * rp + lam_n * rn))
         system = new
     for c, r in _normalise_rows(system):
-        if all(x == 0 for x in c) and r > 0:
+        if not any(c) and r > 0:
             return None
-    x = [Fraction(0)] * nvars
+    x = [ZERO] * nvars
     for j in range(nvars - 1, -1, -1):
         lower = None
         upper = None
@@ -638,15 +647,15 @@ def solve_inequalities(ineqs: list[tuple[Vector, Fraction]], nvars: int) -> Vect
             cj = c[j]
             if cj == 0:
                 continue
-            rest = sum((c[t] * x[t] for t in range(j + 1, nvars) if c[t]), Fraction(0))
-            bound = (r - rest) / cj
+            rest = sum((c[t] * x[t] for t in range(j + 1, nvars) if c[t]), ZERO)
+            bound = Fraction(r - rest, cj)
             if cj > 0:
                 lower = bound if lower is None else max(lower, bound)
             else:
                 upper = bound if upper is None else min(upper, bound)
         if lower is not None and upper is not None and lower > upper:
             return None  # pragma: no cover - elimination already certified feasibility
-        x[j] = lower if lower is not None else (upper if upper is not None else Fraction(0))
+        x[j] = lower if lower is not None else (upper if upper is not None else ZERO)
     return tuple(x)
 
 

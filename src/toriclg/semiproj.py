@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from fractions import Fraction
 
 from .fan import Cone, Fan, FanError, PolyhedronInput, ray_coordinates_in_cone_basis
 from .linalg import Vector, dot, kernel_basis, solve_system, vector
@@ -94,44 +93,41 @@ def adjacent_max_pairs(fan: Fan) -> list[tuple[Cone, Cone]]:
     return out
 
 
-def _certificate_constraints(fan: Fan) -> tuple[list[Vector], list[tuple[Vector, Fraction]], int]:
+def _certificate_constraints(fan: Fan) -> tuple[list[tuple[int, ...]],
+                                                 list[tuple[tuple[int, ...], int]], int]:
     """Continuity equalities and strictness inequalities for a certificate.
 
     Unknowns: a covector per maximal cone except the first, which is
     pinned to zero (certificates are only defined up to a global linear
     function).  Continuity rows are homogeneous equalities; strictness
-    rows demand margin >= 1 across every facet.
+    rows demand margin >= 1 across every facet.  Every row is integral.
     """
     n = fan.rank
     cones = fan.max_cones
     nvars = n * (len(cones) - 1)
 
-    def covector_coeffs(cone_pos: int, ray: tuple[int, ...], sign: int) -> list[Fraction]:
-        coeffs = [Fraction(0)] * nvars
-        if cone_pos == 0:
-            return coeffs
-        base = (cone_pos - 1) * n
-        for t in range(n):
-            coeffs[base + t] = Fraction(sign * ray[t])
-        return coeffs
+    def row(ray: tuple[int, ...], plus: int, minus: int) -> tuple[int, ...]:
+        """The coefficients of <m_plus - m_minus, ray>."""
+        coeffs = [0] * nvars
+        for pos, sign in ((plus, 1), (minus, -1)):
+            if pos:  # the first cone's covector is pinned to zero
+                base = (pos - 1) * n
+                for t in range(n):
+                    coeffs[base + t] += sign * ray[t]
+        return tuple(coeffs)
 
-    eqs: list[Vector] = []
-    ineqs: list[tuple[Vector, Fraction]] = []
+    eqs: list[tuple[int, ...]] = []
+    ineqs: list[tuple[tuple[int, ...], int]] = []
     for a, b in adjacent_max_pairs(fan):
         ia, ib = cones.index(a), cones.index(b)
         for i in sorted(a.index_set & b.index_set):
-            ray = fan.ray(i)
-            diff = tuple(p + q for p, q in zip(covector_coeffs(ia, ray, 1),
-                                               covector_coeffs(ib, ray, -1)))
-            if any(x != 0 for x in diff):
+            diff = row(fan.ray(i), ia, ib)
+            if any(diff):
                 eqs.append(diff)
         for first, second in ((a, b), (b, a)):
             i1, i2 = cones.index(first), cones.index(second)
             for i in sorted(second.index_set - first.index_set):
-                ray = fan.ray(i)
-                coeffs = [p + q for p, q in zip(covector_coeffs(i2, ray, 1),
-                                                covector_coeffs(i1, ray, -1))]
-                ineqs.append((tuple(coeffs), Fraction(1)))
+                ineqs.append((row(fan.ray(i), i2, i1), 1))
     return eqs, ineqs, nvars
 
 

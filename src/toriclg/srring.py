@@ -205,42 +205,40 @@ def cone_monomial_basis(fan: Fan, cone: Cone, degree: int) -> list[Monomial]:
     """Monomials of the given (doubled) degree supported inside one cone.
 
     This is the degree slice of the polynomial ring on the cone's rays;
-    empty for odd degrees.  Ordered by descending lex.
+    empty for odd degrees.  Ordered by descending lex.  Cached on the fan:
+    callers must not mutate the list.
     """
     if degree < 0 or degree % 2:
         return []
-    z = degree // 2
-    idxs = cone.ray_indices
-    out = []
-    for comp in _compositions(z, len(idxs)):
-        out.append(Monomial.from_map({i: e for i, e in zip(idxs, comp) if e}))
-    out.sort(key=monomial_sort_key(fan.num_rays))
-    return out
+
+    def build():
+        idxs = cone.ray_indices
+        return sorted((Monomial.from_map(dict(zip(idxs, comp)))
+                       for comp in _compositions(degree // 2, len(idxs))),
+                      key=monomial_sort_key(fan.num_rays))
+
+    return fan.table(("cone basis", cone.ray_indices, degree), build)
 
 
 def sr_basis(fan: Fan, degree: int) -> list[Monomial]:
     """Monomial basis of the degree slice of the quotient ring.
 
     All monomials of the given doubled degree whose support is a face,
-    in descending lex order.
+    in descending lex order.  Cached on the fan: callers must not mutate
+    the list.
     """
     if degree < 0 or degree % 2:
         return []
-    z = degree // 2
-    seen: set[Monomial] = set()
-    for cone in fan.all_cones:
-        k = cone.dim
-        if k == 0:
-            if z == 0:
-                seen.add(Monomial.one())
-            continue
-        # support exactly this face: all exponents >= 1
-        if z < k:
-            continue
-        for comp in _compositions(z - k, k):
-            seen.add(Monomial.from_map({i: e + 1 for i, e in zip(cone.ray_indices, comp)}))
-    out = sorted(seen, key=monomial_sort_key(fan.num_rays))
-    return out
+
+    def build():
+        z = degree // 2
+        # the monomials whose support is exactly one face: all its exponents >= 1
+        return sorted((Monomial.from_map({i: e + 1 for i, e in zip(cone.ray_indices, comp)})
+                       for cone in fan.all_cones if z >= cone.dim
+                       for comp in _compositions(z - cone.dim, cone.dim)),
+                      key=monomial_sort_key(fan.num_rays))
+
+    return fan.table(("sr basis", degree), build)
 
 
 def hilbert_series(fan: Fan, max_degree: int) -> tuple[int, ...]:

@@ -13,6 +13,7 @@ frame so that presentations in different bases can be compared.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections.abc import Sequence
@@ -21,14 +22,16 @@ from fractions import Fraction
 from . import linalg
 from .fan import Cone, Fan, FanError, _is_int_vector, lattice_index, ray_coordinates_in_cone_basis
 from .linalg import CohomologySlot, RationalMatrix, Vector, cohomology_at, dot
-from .srring import Monomial, SRPolynomial, sr_basis
+from .srring import Monomial, SRPolynomial, cone_monomial_basis, sr_basis
 
 ExtIndex = tuple[int, ...]          # sorted subset of 1..n
 LGElement = dict[tuple[Monomial, ExtIndex], Fraction]
 
 
-def ext_subsets(n: int, k: int) -> list[ExtIndex]:
-    return list(itertools.combinations(range(1, n + 1), k))
+@functools.cache
+def ext_subsets(n: int, k: int) -> tuple[ExtIndex, ...]:
+    """The k-subsets of 1..n in lex order (none for k < 0), computed once per (n, k)."""
+    return tuple(itertools.combinations(range(1, n + 1), k)) if k >= 0 else ()
 
 
 def wedge_merge(s: ExtIndex, t: ExtIndex) -> tuple[int, ExtIndex] | None:
@@ -65,20 +68,15 @@ class TwistedComplex:
     def basis(self, k: int, m: int) -> list[tuple[Monomial, ExtIndex]]:
         key = (k, m)
         if key not in self._bases:
-            if k < 0 or k > self.rank:
-                self._bases[key] = []
-            else:
-                monos = sr_basis(self.fan, m)
-                self._bases[key] = [(mono, s) for s in ext_subsets(self.rank, k) for mono in monos]
+            monos = sr_basis(self.fan, m)
+            self._bases[key] = [(mono, s) for s in ext_subsets(self.rank, k) for mono in monos]
         return self._bases[key]
 
     def block(self, k: int, m: int) -> RationalMatrix:
         """Differential matrix on slot (k, m), landing in (k-1, m+2)."""
         key = (k, m)
         if key not in self._blocks:
-            self._blocks[key] = koszul_block(
-                self.fan, self.linear_forms,
-                self.basis(k, m), self.basis(k - 1, m + 2))
+            self._blocks[key] = koszul_block(self.fan, self.linear_forms, k, m)
         return self._blocks[key]
 
     def total_blocks(self, t: int) -> list[tuple[int, int]]:
@@ -122,43 +120,70 @@ class TwistedComplex:
             self._slots[t] = cohomology_at(d_in, self.total_differential(t))
         return self._slots[t]
 
-    def verify_square_zero(self, t_max: int) -> bool:
-        for t in range(t_max + 1):
-            if not (self.total_differential(t + 1) @ self.total_differential(t)).is_zero():
-                return False
-        return True
 
+def _index_maps(fan: Fan, cone: Cone | None, m: int) -> tuple[int, int, dict[Monomial, list[int]]]:
+    """|B(m)|, |B(m + 2)| and, for each ray variable z (of the cone), the row
+    of z * b in B(m + 2) for every b in B(m), or -1 where that product is
+    not in B(m + 2).
 
-def _contraction_terms(fan: Fan, forms: Sequence[SRPolynomial], mono: Monomial,
-                       subset: ExtIndex):
-    """Terms ((monomial, wedge), coefficient) of sum_i forms[i] d/dx_i on mono * u_subset.
-
-    The odd derivation d/dx_i removes i from the sorted wedge with the sign
-    (-1)^(position of i).
+    B is ``sr_basis``, where a product leaves B(m + 2) when its support is
+    not a face, or for a cone ``cone_monomial_basis``, which a product of
+    the cone's variables never leaves.  Cached on the fan.
     """
-    is_face = fan.is_face
-    for pos, i in enumerate(subset):
-        rest = subset[:pos] + subset[pos + 1:]
-        for fmono, fcoef in forms[i - 1].terms:
-            prod = fmono.times(mono)
-            if is_face(prod.support):
-                yield (prod, rest), (-fcoef if pos % 2 else fcoef)
+    def build():
+        if cone is None:
+            src, dst, rays = sr_basis(fan, m), sr_basis(fan, m + 2), range(1, fan.num_rays + 1)
+        else:
+            src, dst = cone_monomial_basis(fan, cone, m), cone_monomial_basis(fan, cone, m + 2)
+            rays = cone.ray_indices
+        row = {mono: r for r, mono in enumerate(dst)}
+        return len(src), len(dst), {z: [row.get(z.times(b), -1) for b in src]
+                                    for z in map(Monomial.variable, rays)}
+
+    return fan.table(("koszul maps", None if cone is None else cone.ray_indices, m), build)
 
 
-def koszul_block(fan: Fan, forms: Sequence[SRPolynomial],
-                 src: list[tuple[Monomial, ExtIndex]],
-                 dst: list[tuple[Monomial, ExtIndex]]) -> RationalMatrix:
-    """Matrix of sum_i forms[i] d/dx_i between explicit slot bases."""
-    index = {b: i for i, b in enumerate(dst)}
+def koszul_block(fan: Fan, forms: Sequence[SRPolynomial], k: int, m: int,
+                 cone: Cone | None = None) -> RationalMatrix:
+    """Matrix of sum_i forms[i] d/dx_i from slot (k, m) to slot (k - 1, m + 2).
+
+    A slot's basis is subset-major, as in ``TwistedComplex.basis``: the
+    k-subset s at position a of ``ext_subsets(n, k)`` times the monomial b
+    of B(m) is column a * |B(m)| + b.  B is ``sr_basis``, or for the Cech
+    local bases ``cone_monomial_basis`` of ``cone``.  Each form must be
+    linear in the ray variables (its terms in normal form); so is every
+    form the complexes build.
+
+    The odd derivation d/dx_i removes i from s with the sign (-1)^(position
+    of i), and the term c z of forms[i] sends b to z * b, whose row in
+    B(m + 2) one index map (``_index_maps``, once per fan, variable,
+    degree and cone) holds.  So each column is filled by index arithmetic;
+    no monomial is multiplied or hashed per entry.  Distinct terms reach
+    distinct entries, so no entry is a sum.
+    """
+    subsets = ext_subsets(fan.rank, k)
+    dst_pos = {t: a for a, t in enumerate(ext_subsets(fan.rank, k - 1))}
+    n_src, n_dst, maps = _index_maps(fan, cone, m)
+    # per source subset: (row offset, coefficient, index map) of every term
+    terms = []
+    for s in subsets:
+        out = []
+        for pos, i in enumerate(s):
+            offset = dst_pos[s[:pos] + s[pos + 1:]] * n_dst
+            for z, c in forms[i - 1].terms:
+                out.append((offset, -c if pos % 2 else c, maps[z]))
+        terms.append(out)
 
     def action(j: int) -> dict[int, int | Fraction]:
-        out: dict[int, int | Fraction] = {}
-        for key, coeff in _contraction_terms(fan, forms, *src[j]):
-            row = index[key]
-            out[row] = out.get(row, 0) + coeff
-        return out
+        a, b = divmod(j, n_src)
+        col = {}
+        for offset, c, rows in terms[a]:
+            r = rows[b]
+            if r >= 0:
+                col[offset + r] = c
+        return col
 
-    return linalg.matrix_from_action(len(dst), len(src), action)
+    return linalg.matrix_from_action(len(dst_pos) * n_dst, len(subsets) * n_src, action)
 
 
 def build_twisted(fan: Fan, frame: Sequence[Sequence[int]] | None = None) -> TwistedComplex:
@@ -204,24 +229,6 @@ def lg_multiply(fan: Fan, x: LGElement, y: LGElement) -> LGElement:
             key = (prod, subset)
             out[key] = out.get(key, Fraction(0)) + sign * c1 * c2
     return {k: v for k, v in out.items() if v != 0}
-
-
-def lg_differential(tc: TwistedComplex, x: LGElement) -> LGElement:
-    """The twisted differential applied to one element, term by term."""
-    out: LGElement = {}
-    for (mono, subset), coeff in x.items():
-        for key, term in _contraction_terms(tc.fan, tc.linear_forms, mono, subset):
-            out[key] = out.get(key, Fraction(0)) + coeff * term
-    return {k: v for k, v in out.items() if v != 0}
-
-
-def lg_degree(x: LGElement) -> int | None:
-    degrees = {mono.degree + len(s) for (mono, s) in x}
-    if not degrees:
-        return None
-    if len(degrees) > 1:
-        raise FanError("element is not homogeneous")
-    return degrees.pop()
 
 
 def element_from_vector(tc: TwistedComplex, t: int, vec: Sequence) -> LGElement:
@@ -503,7 +510,7 @@ def log_derivations(fan: Fan, cone: Cone, check_degree: int | None = None) -> De
         for k, m in tc.total_blocks(t):
             if k < 1:
                 continue
-            direct = koszul_block(fan, forms, tc.basis(k, m), tc.basis(k - 1, m + 2))
+            direct = koszul_block(fan, forms, k, m)
             if direct != tc.block(k, m):
                 raise FanError(
                     f"presentation mismatch at slot (k={k}, m={m}) for cone {cone}")

@@ -1,10 +1,14 @@
-"""Shared randomised generators for the test suite (seeded, deterministic)."""
+"""Shared helpers for the test suite: seeded random generators, the twisted
+differential applied element by element (the oracle of the assembled
+Koszul blocks), and fans larger than those in ``fans/``."""
 
 from fractions import Fraction
+import json
 import random
 
 from toriclg import Monomial, SRPolynomial, cup, kernel_basis, linalg
 from toriclg.cech import TAG_CONST, CechCochain, CoverSimplex
+from toriclg.fan import FanError, fan_from_data
 
 
 def random_fraction(rng: random.Random, lo=-4, hi=4) -> Fraction:
@@ -106,3 +110,97 @@ def const_total_blocks_from_vector(cs: CoverSimplex, t: int, vec) -> dict:
         out[(p, k)] = cs.cochain_from_vector(TAG_CONST, p, k, 0, vec[pos:pos + size])
         pos += size
     return out
+
+
+# -- the twisted differential, element by element ---------------------------
+# Independent of the index maps behind ``twisted.koszul_block``: every term is
+# a monomial product and a face test.
+
+
+def _contraction_terms(fan, forms, mono, subset):
+    """Terms ((monomial, wedge), coefficient) of sum_i forms[i] d/dx_i on mono * u_subset.
+
+    The odd derivation d/dx_i removes i from the sorted wedge with the sign
+    (-1)^(position of i).
+    """
+    for pos, i in enumerate(subset):
+        rest = subset[:pos] + subset[pos + 1:]
+        for fmono, fcoef in forms[i - 1].terms:
+            prod = fmono.times(mono)
+            if fan.is_face(prod.support):
+                yield (prod, rest), (-fcoef if pos % 2 else fcoef)
+
+
+def lg_differential(tc, x: dict, forms=None) -> dict:
+    """The twisted differential applied to one element, term by term.
+
+    ``forms`` replaces the complex's coefficient forms (for restricted forms).
+    """
+    forms = tc.linear_forms if forms is None else forms
+    out: dict = {}
+    for (mono, subset), coeff in x.items():
+        for key, term in _contraction_terms(tc.fan, forms, mono, subset):
+            out[key] = out.get(key, Fraction(0)) + coeff * term
+    return {k: v for k, v in out.items() if v != 0}
+
+
+def lg_degree(x: dict) -> int | None:
+    degrees = {mono.degree + len(s) for (mono, s) in x}
+    if not degrees:
+        return None
+    if len(degrees) > 1:
+        raise FanError("element is not homogeneous")
+    return degrees.pop()
+
+
+def verify_square_zero(tc, t_max: int) -> bool:
+    for t in range(t_max + 1):
+        if not (tc.total_differential(t + 1) @ tc.total_differential(t)).is_zero():
+            return False
+    return True
+
+
+# -- fans given inline as (rank, rays, max_cones), most above the sizes in fans/ --
+
+
+def surface_data(k: int) -> tuple:
+    """A complete smooth surface with k >= 3 rays, by star subdivisions of P^2.
+
+    Each step subdivides the first 2-cone (counter-clockwise) whose new ray
+    has the smallest entries, which keeps the coordinates small.
+    """
+    ring = [(1, 0), (0, 1), (-1, -1)]
+    while len(ring) < k:
+        sums = [tuple(a + b for a, b in zip(ring[i], ring[(i + 1) % len(ring)]))
+                for i in range(len(ring))]
+        i = min(range(len(ring)), key=lambda j: (max(map(abs, sums[j])), j))
+        ring.insert(i + 1, sums[i])
+    return 2, [list(r) for r in ring], [[i + 1, (i + 1) % k + 1] for i in range(k)]
+
+
+# P^3, an 18-ray surface (FM rows with coefficients other than +-1), P^3 blown
+# up at the fixed point of cone {1,2,3}, C^2 x P^2, (P^1)^3 and a 7-cone surface
+INLINE_FANS = {
+    "P3": (3, [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -1]],
+           [[1, 2, 3], [1, 2, 4], [1, 3, 4], [2, 3, 4]]),
+    "S18": surface_data(18),
+    "Bl_pt P3": (3, [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -1], [1, 1, 1]],
+                 [[1, 2, 4], [1, 3, 4], [2, 3, 4], [1, 2, 5], [1, 3, 5], [2, 3, 5]]),
+    "C2xP2": (4, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [0, 0, -1, -1]],
+              [[1, 2, 3, 4], [1, 2, 3, 5], [1, 2, 4, 5]]),
+    "P1^3": (3, [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]],
+             [[a, b, c] for a in (1, 2) for b in (3, 4) for c in (5, 6)]),
+    "S7": surface_data(7),
+}
+
+
+def inline_fan(name: str):
+    return fan_from_data(*INLINE_FANS[name])
+
+
+def inline_fan_file(tmp_path, name: str) -> str:
+    """Write one of INLINE_FANS as a fan file; return its path."""
+    rank, rays, cones = INLINE_FANS[name]
+    path = tmp_path / "fan.json"
+    path.write_text(json.dumps({"rank": rank, "rays": rays, "max_cones": cones}), encoding="utf-8")
+    return str(path)

@@ -12,7 +12,13 @@ from fractions import Fraction
 import pytest
 
 from conftest import SUITE_NAMES, cn_data, load_fan_and_polyhedron
-from helpers import random_closed_cochain, random_cochain, random_polynomial, random_unimodular
+from helpers import (
+    lg_differential,
+    random_closed_cochain,
+    random_cochain,
+    random_polynomial,
+    random_unimodular,
+)
 from toriclg import (
     build_twisted,
     check_semiprojective,
@@ -32,7 +38,7 @@ from toriclg import (
 from toriclg import linalg
 from toriclg.cech import TAG_CONST, TAG_FORMS, CoverSimplex
 from toriclg.fan import fan_from_data
-from toriclg.twisted import lg_differential, lg_multiply
+from toriclg.twisted import lg_multiply
 
 
 def announce(tag: str, detail: str):

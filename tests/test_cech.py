@@ -9,6 +9,7 @@ from conftest import FAN_DIR, cn_data, load_fan
 from helpers import (
     const_total_blocks_from_vector,
     const_total_vector,
+    lg_differential,
     random_closed_cochain,
     random_cochain,
     random_polynomial,
@@ -16,6 +17,7 @@ from helpers import (
 )
 from toriclg import (
     SRPolynomial,
+    build_twisted,
     constant_total_cohomology,
     cup,
     forms_total_cohomology,
@@ -491,3 +493,25 @@ class TestCup:
         assert products[(1, 1)] == (0,)
         assert products[(0, 1)][0] != 0
         assert products[(0, 1)] == products[(1, 0)]  # even classes commute
+
+
+@pytest.mark.parametrize("name", ["p2", "hirzebruch1"])
+def test_local_vertical_matches_element_differential(name):
+    # the index-map blocks on every simplex cone against helpers.lg_differential,
+    # with the coefficient forms restricted to the cone
+    fan = load_fan(name)
+    cs = CoverSimplex(fan)
+    tc = build_twisted(fan)
+    n = fan.rank
+    for tau in {tau for p in range(cs.size) for tau in cs.simplices(p)}:
+        cone = cs.cone_of(tau)
+        forms = [restrict(f, cone) for f in tc.linear_forms]
+        for m in range(0, 2 * n + 5, 2):
+            for k in range(1, n + 1):
+                columns: dict = {}
+                for (i, j), v in cs._local_vertical(cone, k, m).entries.items():
+                    columns.setdefault(j, {})[i] = v
+                row = {b: i for i, b in enumerate(cs.local_basis(TAG_FORMS, tau, k - 1, m + 2))}
+                for j, b in enumerate(cs.local_basis(TAG_FORMS, tau, k, m)):
+                    want = {row[key]: v for key, v in lg_differential(tc, {b: 1}, forms).items()}
+                    assert columns.get(j, {}) == want, (name, cone, k, m, j)

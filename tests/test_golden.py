@@ -14,6 +14,13 @@ The ``validate`` and ``degenerate`` digests were recorded before the
 fan-condition and certificate searches moved onto one LP entry point and
 the lattice solves onto one column reduction.  ``degenerate`` refuses the
 non-complete ``zero2`` (exit 2), so that entry pins its error message.
+
+The fans in ``fans/`` have at most 5 rays, so the ``LARGER_*`` digests run
+fans of ``helpers.INLINE_FANS``: Fourier-Motzkin rows with coefficients
+other than +-1 (the 18-ray surface), coefficient forms with several rays in
+``log_derivations``, and the Cech local blocks of a 7-cone cover.  They
+were recorded before the monomial bases, Koszul index maps and integer
+Fourier-Motzkin rows were computed once per fan.
 """
 
 import hashlib
@@ -22,6 +29,7 @@ import json
 import pytest
 
 from conftest import FAN_DIR
+from helpers import inline_fan_file
 from toriclg.cli import main
 
 RING_DIGESTS = {
@@ -78,6 +86,24 @@ COVER_DIGESTS = {
     ("hirzebruch1", "3,4,6,8,1,2,9"): "390ad100b22f49050826a1f262cbdeb45b1b7119cc46a6486494be0d80a89952",
 }
 
+LARGER_VALIDATE_DIGESTS = {
+    "S18": "21c3c7242e5e5444d200b2646813cf006b1c25881bea92fcee0898c1b1129a78",
+    "Bl_pt P3": "21044df70f043530d98c348fa4cfb73f9cf6e11c1fab9c625b09617b6aeb494f",
+    "C2xP2": "47a45e46c1be9ea77a67bf51e85a84b2dabf09f33ff431b9fef8821909a276fa",
+    "P1^3": "f2bab94b251630c369914e6273a3bdd497aa38ef2b1f0f235581818e18e283d9",
+}
+
+LARGER_DEGENERATE_DIGESTS = {
+    "S18": "e59fa59f51ef4ec8a1b6459989fab9c9fc99eb0f39a1715797f8270dd94eb608",
+    "Bl_pt P3": "9b72f85ac836630d95ee159c760614dccf81a463f9b32a8ac310ac7434c7f6fd",
+    "C2xP2": "5e412f5125a4684de62a219266b16084b34dbc47ba24a7863593bd220c1bc6bd",
+    "P1^3": "46131b30c7457c29255c112df8c244c343631754b14517f2356c1b6f394f988b",
+}
+
+LARGER_VERIFY_DIGESTS = {
+    "S7": "40ac1719b2ec1ffda6e3d718b7832b2dd6bae99dc6a0413ad5bc28f9bdae3a63",
+}
+
 
 def payload_digest(capsys, *argv) -> str:
     code = main(list(argv))
@@ -126,3 +152,21 @@ def test_degenerate_payload_unchanged(capsys, name):
         assert capsys.readouterr().err.strip() == want
     else:
         assert payload_digest(capsys, "degenerate", path, "--json") == want
+
+
+@pytest.mark.parametrize("name", sorted(LARGER_VALIDATE_DIGESTS))
+def test_larger_validate_payload_unchanged(capsys, tmp_path, name):
+    path = inline_fan_file(tmp_path, name)
+    assert payload_digest(capsys, "validate", path, "--json") == LARGER_VALIDATE_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(LARGER_DEGENERATE_DIGESTS))
+def test_larger_degenerate_payload_unchanged(capsys, tmp_path, name):
+    path = inline_fan_file(tmp_path, name)
+    assert payload_digest(capsys, "degenerate", path, "--json") == LARGER_DEGENERATE_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(LARGER_VERIFY_DIGESTS))
+def test_larger_verify_payload_unchanged(capsys, tmp_path, name):
+    path = inline_fan_file(tmp_path, name)
+    assert payload_digest(capsys, "verify", path, "--json") == LARGER_VERIFY_DIGESTS[name]

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from toriclg import linalg
 from toriclg.linalg import (
     PRIME,
     CompositionError,
@@ -29,6 +30,7 @@ from toriclg.linalg import (
     rank_mod_p,
     scale_vector,
     solve_inequalities,
+    solve_system,
     vector,
 )
 
@@ -187,6 +189,59 @@ class TestExactEntries:
     def test_det_of_integer_matrix_is_exact(self):
         d = det(mat([[2, 1], [1, 2]]))
         assert d == 3 and type(d) is Fraction
+
+
+class TestFourierMotzkin:
+    def test_stage_rows_are_primitive_int_tuples(self, monkeypatch):
+        stages = []
+        normalise = linalg._normalise_rows
+
+        def spy(system):
+            stages.append(normalise(system))
+            return stages[-1]
+
+        monkeypatch.setattr(linalg, "_normalise_rows", spy)
+        # feasible at (1, 1, 1), with Fraction coefficients and bounds
+        ineqs = [((Fraction(1, 2), Fraction(-1, 3), 0), Fraction(1, 6)),
+                 ((-2, 3, Fraction(3, 4)), -1),
+                 ((0, Fraction(-5, 2), 1), Fraction(-7, 3)),
+                 ((1, 1, 1), 2),
+                 ((Fraction(-1, 2), 0, -1), -9)]
+        x = solve_inequalities(ineqs, 3)
+        assert len(stages) == 4 and all(stages[:3])  # three stages, then the final check
+        for rows in stages:
+            for c, r in rows:
+                assert type(c) is tuple and all(type(v) is int for v in (*c, r))
+                assert math.gcd(*c, r) == 1
+        assert all(type(v) is Fraction for v in x)
+        for c, r in ineqs:
+            assert dot(c, x) >= r
+
+
+@st.composite
+def feasible_systems(draw):
+    """(eqs, ineqs, nvars) with a known rational solution."""
+    nvars = draw(st.integers(min_value=1, max_value=4))
+    row = st.lists(small_entries, min_size=nvars, max_size=nvars)
+    eqs = draw(st.lists(row, max_size=2))
+    basis = kernel_basis(mat(eqs) if eqs else RationalMatrix.zeros(0, nvars))
+    weights = draw(st.lists(small_entries, min_size=len(basis), max_size=len(basis)))
+    point = [sum((w * b[t] for w, b in zip(weights, basis)), Fraction(0)) for t in range(nvars)]
+    coeff = st.builds(Fraction, small_entries, st.integers(min_value=1, max_value=3))
+    ineqs = []
+    for c in draw(st.lists(st.lists(coeff, min_size=nvars, max_size=nvars), max_size=6)):
+        ineqs.append((tuple(c), dot(c, point) - draw(st.integers(min_value=0, max_value=3))))
+    return eqs, ineqs, nvars
+
+
+@settings(max_examples=150, deadline=None)
+@given(feasible_systems())
+def test_solve_system_satisfies_every_row_exactly(system):
+    eqs, ineqs, nvars = system
+    x = solve_system(eqs, ineqs, nvars)
+    assert x is not None
+    assert all(dot(e, x) == 0 for e in eqs)
+    assert all(dot(c, x) >= r for c, r in ineqs)
 
 
 class TestRankModP:

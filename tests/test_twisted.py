@@ -5,7 +5,14 @@ from fractions import Fraction
 import pytest
 
 from conftest import FAN_DIR, cn_data, load_fan
-from helpers import random_unimodular
+from helpers import (
+    INLINE_FANS,
+    inline_fan,
+    lg_degree,
+    lg_differential,
+    random_unimodular,
+    verify_square_zero,
+)
 from toriclg import (
     build_twisted,
     lg_cohomology,
@@ -14,10 +21,12 @@ from toriclg import (
     ring_structure,
     sr_basis,
 )
-from toriclg.fan import FanError, fan_from_data
+from toriclg.cech import CoverSimplex, verify_exactness, verify_quasi_iso
+from toriclg.fan import Cone, FanError, fan_from_data
 from toriclg import linalg
 from toriclg.linalg import RationalMatrix
-from toriclg.twisted import lg_degree, lg_differential, lg_multiply
+from toriclg.srring import cone_monomial_basis
+from toriclg.twisted import _index_maps, lg_multiply
 
 
 def random_element(rng, tc, t):
@@ -72,7 +81,7 @@ class TestCohomology:
 
     def test_square_zero(self, suite):
         for fan in suite.values():
-            assert build_twisted(fan).verify_square_zero(2 * fan.rank + 2)
+            assert verify_square_zero(build_twisted(fan), 2 * fan.rank + 2)
 
     def test_even_concentration_complete_fans(self, suite):
         for name in ("p1", "p2", "p1xp1", "hirzebruch1"):
@@ -82,23 +91,14 @@ class TestCohomology:
             assert all(d == 0 for t, d in enumerate(dims) if t > 2 * fan.rank)
 
 
-# Oracles that need no second pipeline, on every fan file and on three rank-3
-# fans: P^3, (P^1)^3, and P^3 blown up at a torus-fixed point (the cone
-# {1,2,3} subdivided by e1+e2+e3).
-RANK3_FANS = {
-    "P3": ([[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -1]],
-           [[1, 2, 3], [1, 2, 4], [1, 3, 4], [2, 3, 4]]),
-    "P1^3": ([[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]],
-             [[a, b, c] for a in (1, 2) for b in (3, 4) for c in (5, 6)]),
-    "Bl_pt P3": ([[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -1], [1, 1, 1]],
-                 [[1, 2, 4], [1, 3, 4], [2, 3, 4], [1, 2, 5], [1, 3, 5], [2, 3, 5]]),
-}
-ORACLE_FANS = sorted(p.stem for p in FAN_DIR.glob("*.json")) + sorted(RANK3_FANS)
-COMPLETE_FANS = sorted({"p1", "p2", "p1xp1", "hirzebruch1", *RANK3_FANS})
+# Oracles that need no second pipeline, on every fan file and on the fans of
+# helpers.INLINE_FANS.
+ORACLE_FANS = sorted(p.stem for p in FAN_DIR.glob("*.json")) + sorted(INLINE_FANS)
+COMPLETE_FANS = sorted({"p1", "p2", "p1xp1", "hirzebruch1", *INLINE_FANS} - {"C2xP2"})
 
 
 def oracle_fan(name):
-    return fan_from_data(3, *RANK3_FANS[name]) if name in RANK3_FANS else load_fan(name)
+    return inline_fan(name) if name in INLINE_FANS else load_fan(name)
 
 
 @pytest.mark.parametrize("name", ORACLE_FANS)
@@ -333,3 +333,50 @@ class TestLocalKoszul:
                 expect = tuple(math.comb(fan.rank - cone.dim, t)
                                for t in range(fan.rank + 2))
                 assert dims == expect, (name, cone)
+
+
+# The assembled Koszul blocks against the element-level differential of
+# helpers.lg_differential, which multiplies monomials and tests faces term by
+# term instead of reading index maps.
+@pytest.mark.parametrize("name", ORACLE_FANS)
+def test_blocks_match_element_differential(name):
+    fan = oracle_fan(name)
+    tc = build_twisted(fan)
+    n = fan.rank
+    for m in range(0, 2 * n + 5, 2):
+        for k in range(1, n + 1):
+            columns: dict = {}
+            for (i, j), v in tc.block(k, m).entries.items():
+                columns.setdefault(j, {})[i] = v
+            row = {b: i for i, b in enumerate(tc.basis(k - 1, m + 2))}
+            for j, b in enumerate(tc.basis(k, m)):
+                want = {row[key]: v for key, v in lg_differential(tc, {b: 1}).items()}
+                assert columns.get(j, {}) == want, (name, k, m, j)
+
+
+def fresh_table(fan, key):
+    """Recompute one entry of fan._tables on another fan."""
+    kind, *args = key
+    if kind == "sr basis":
+        return sr_basis(fan, *args)
+    if kind == "cone basis":
+        return cone_monomial_basis(fan, Cone(args[0]), args[1])
+    assert kind == "koszul maps", key
+    return _index_maps(fan, None if args[0] is None else Cone(args[0]), args[1])
+
+
+def test_cached_tables_survive_every_job():
+    # a caller that mutated a shared basis or index map would change it here
+    fan = oracle_fan("P3")
+    cs = CoverSimplex(fan)
+    verify_exactness(cs, 2 * fan.rank + 4)
+    assert verify_quasi_iso(cs).agree
+    tc = build_twisted(fan)
+    ring_structure(tc)
+    lsop_check(tc)
+    for cone in fan.max_cones:
+        log_derivations(fan, cone)
+    assert {key[0] for key in fan._tables} == {"sr basis", "cone basis", "koszul maps"}
+    fresh = oracle_fan("P3")
+    for key, value in fan._tables.items():
+        assert value == fresh_table(fresh, key), key
