@@ -22,9 +22,6 @@ _EXPORTS = {
     "constant_total_cohomology": "cech",
     "cup": "cech",
     "forms_total_cohomology": "cech",
-    "glue_sections": "cech",
-    "split_cocycle": "cech",
-    "split_cocycle_generic": "cech",
     "verify_exactness": "cech",
     "verify_quasi_iso": "cech",
     "Cone": "fan",
@@ -49,7 +46,6 @@ _EXPORTS = {
     "degeneration_exponent": "semiproj",
     "Monomial": "srring",
     "SRPolynomial": "srring",
-    "hilbert_series": "srring",
     "multiply": "srring",
     "restrict": "srring",
     "sr_basis": "srring",

@@ -6,16 +6,15 @@ the full simplex over the cover, named by a tag:
   * "forms": polynomial functions of the intersection subspaces tensored
     with the exterior algebra, carrying the twisted vertical
     differential.  The polynomial functions are the forms of exterior
-    degree k = 0; gluing, splitting and ``poly_components`` work there.
+    degree k = 0.
   * "const": the constant-coefficient wedge powers of the cone
     annihilators, written in ambient wedge coordinates by
     ``CoverSimplex.const_matrix``.
 
 The module provides the horizontal differential, the exactness check of
-the augmented complex in every degree, constructive gluing and splitting
-of cocycles (with deterministic, zero-preserving lifts), total complexes
-built by one block assembler, quasi-isomorphism verification between the
-three pipelines, and the front/back-face cup product.
+the augmented complex in every degree, total complexes built by one
+block assembler, quasi-isomorphism verification between the three
+pipelines, and the front/back-face cup product.
 
 Sign conventions, fixed here once:
   * horizontal delta removes vertices with alternating signs;
@@ -27,7 +26,7 @@ Sign conventions, fixed here once:
 from __future__ import annotations
 
 import itertools
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 from fractions import Fraction
 
 from . import linalg
@@ -39,7 +38,7 @@ from .linalg import (
     cohomology_at,
     kernel_basis,
 )
-from .srring import Monomial, SRPolynomial, cone_monomial_basis, monomial_sort_key, restrict, sr_basis
+from .srring import SRPolynomial, cone_monomial_basis, restrict, sr_basis
 from .twisted import (
     LGElement,
     TotalCohomology,
@@ -162,40 +161,43 @@ class CoverSimplex:
         raise CechError(f"unknown tag {tag!r}")
 
     def slot_layout(self, tag: str, p: int, k: int, m: int) -> tuple[int, dict[Simplex, int]]:
-        """Total dimension and per-simplex offsets of one Cech slot."""
+        """Total dimension and per-simplex offsets of one Cech slot.
+
+        A local space has the size of ``local_basis``, counted without
+        building it.
+        """
         key = ("layout", tag, p, k, m)
         if key not in self._cache:
+            if tag == TAG_FORMS:
+                wedges = len(ext_subsets(self.fan.rank, k))
+                size = lambda cone: wedges * len(cone_monomial_basis(self.fan, cone, m))
+            elif tag == TAG_CONST:
+                size = lambda cone: self.const_matrix(cone, k).cols
+            else:
+                raise CechError(f"unknown tag {tag!r}")
             offsets = {}
             total = 0
             for tau in self.simplices(p):
                 offsets[tau] = total
-                total += len(self.local_basis(tag, tau, k, m))
+                total += size(self.cone_of(tau))
             self._cache[key] = (total, offsets)
         return self._cache[key]
 
     # -- restriction blocks ---------------------------------------------
 
-    def _poly_restriction(self, src: Cone, dst: Cone, m: int) -> RationalMatrix:
-        """Monomial restriction between cone coordinate rings (keep or kill)."""
-        key = ("polyres", src, dst, m)
+    def _keep_pairs(self, src: Cone, dst: Cone, m: int) -> tuple[int, int, tuple[tuple[int, int], ...]]:
+        """|B_src(m)|, |B_dst(m)| and the (source, target) index pairs of the
+        monomials of degree m on src that restriction to dst keeps (the
+        others it kills); B is ``cone_monomial_basis``."""
+        key = ("keep", src, dst, m)
         if key not in self._cache:
             src_basis = cone_monomial_basis(self.fan, src, m)
             dst_basis = cone_monomial_basis(self.fan, dst, m)
             index = {mono: i for i, mono in enumerate(dst_basis)}
             keep = dst.index_set
-            ent = {}
-            for j, mono in enumerate(src_basis):
-                if mono.support <= keep:
-                    ent[(index[mono], j)] = Fraction(1)
-            self._cache[key] = RationalMatrix(len(dst_basis), len(src_basis), ent)
-        return self._cache[key]
-
-    def _forms_restriction(self, src: Cone, dst: Cone, k: int, m: int) -> RationalMatrix:
-        """Restriction on forms: identity on the wedge part."""
-        key = ("formsres", src, dst, k, m)
-        if key not in self._cache:
-            blk = self._poly_restriction(src, dst, m)
-            self._cache[key] = _block_diagonal([blk] * len(ext_subsets(self.fan.rank, k)))
+            pairs = tuple((j, index[mono]) for j, mono in enumerate(src_basis)
+                          if mono.support <= keep)
+            self._cache[key] = (len(src_basis), len(dst_basis), pairs)
         return self._cache[key]
 
     def _const_restriction(self, src: Cone, dst: Cone, k: int) -> RationalMatrix:
@@ -209,13 +211,6 @@ class CoverSimplex:
                 rows=self.const_matrix(dst, k).cols)
         return self._cache[key]
 
-    def restriction_block(self, tag: str, src: Cone, dst: Cone, k: int, m: int) -> RationalMatrix:
-        if tag == TAG_FORMS:
-            return self._forms_restriction(src, dst, k, m)
-        if tag == TAG_CONST:
-            return self._const_restriction(src, dst, k)
-        raise CechError(f"unknown tag {tag!r}")
-
     # -- matrices --------------------------------------------------------
 
     def delta_matrix(self, tag: str, p: int, k: int, m: int) -> RationalMatrix:
@@ -224,17 +219,26 @@ class CoverSimplex:
         if key not in self._cache:
             src_dim, src_off = self.slot_layout(tag, p, k, m)
             dst_dim, dst_off = self.slot_layout(tag, p + 1, k, m)
+            wedges = len(ext_subsets(self.fan.rank, k))
+            # the (tau, face) blocks are disjoint, so each entry is set once
             ent: dict[tuple[int, int], int | Fraction] = {}
             for tau in self.simplices(p + 1):
                 dst_cone = self.cone_of(tau)
                 for j in range(len(tau)):
                     face = tau[:j] + tau[j + 1:]
                     sign = -1 if j % 2 else 1
-                    blk = self.restriction_block(tag, self.cone_of(face), dst_cone, k, m)
                     r0, c0 = dst_off[tau], src_off[face]
-                    for (r, c), v in blk.entries.items():
-                        keyrc = (r0 + r, c0 + c)
-                        ent[keyrc] = ent.get(keyrc, 0) + sign * v
+                    if tag == TAG_FORMS:
+                        # identity on the wedge part, keep-or-kill on monomials
+                        n_src, n_dst, pairs = self._keep_pairs(self.cone_of(face), dst_cone, m)
+                        for a in range(wedges):
+                            r1, c1 = r0 + a * n_dst, c0 + a * n_src
+                            for c, r in pairs:
+                                ent[(r1 + r, c1 + c)] = sign
+                    else:
+                        blk = self._const_restriction(self.cone_of(face), dst_cone, k)
+                        for (r, c), v in blk.entries.items():
+                            ent[(r0 + r, c0 + c)] = sign * v
             self._cache[key] = RationalMatrix(dst_dim, src_dim, ent)
         return self._cache[key]
 
@@ -353,84 +357,10 @@ class CoverSimplex:
                  for tau in self.simplices(p)}
         return CechCochain(tag, p, k, m, comps)
 
-    def cochain_to_vector(self, c: CechCochain) -> Vector:
-        total, offsets = self.slot_layout(c.tag, c.p, c.k, c.m)
-        out = [Fraction(0)] * total
-        for tau, vec in c.components.items():
-            off = offsets[tau]
-            for i, v in enumerate(vec):
-                out[off + i] = v
-        return tuple(out)
-
-    def cochain_from_vector(self, tag: str, p: int, k: int, m: int, vec: Sequence) -> CechCochain:
-        comps = {}
-        pos = 0
-        for tau in self.simplices(p):
-            size = len(self.local_basis(tag, tau, k, m))
-            comps[tau] = tuple(linalg._fraction(v) for v in vec[pos:pos + size])
-            pos += size
-        if pos != len(vec):
-            raise CechError("vector length does not match the slot")
-        return CechCochain(tag, p, k, m, comps)
-
-    def cochain_delta(self, c: CechCochain) -> CechCochain:
-        mat = self.delta_matrix(c.tag, c.p, c.k, c.m)
-        return self.cochain_from_vector(c.tag, c.p + 1, c.k, c.m,
-                                        mat.mul_vec(self.cochain_to_vector(c)))
-
-    def functions_cochain(self, p: int, m: int,
-                          polys: Mapping[Simplex, SRPolynomial]) -> CechCochain:
-        """The forms cochain of exterior degree 0 with the given polynomial values."""
-        comps = {}
-        for tau in self.simplices(p):
-            poly = polys.get(tau, SRPolynomial.zero(self.fan))
-            comps[tau] = self._poly_to_local(tau, m, poly)
-        return CechCochain(TAG_FORMS, p, 0, m, comps)
-
-    def _poly_to_local(self, tau: Simplex, m: int, poly: SRPolynomial) -> Vector:
-        basis = cone_monomial_basis(self.fan, self.cone_of(tau), m)
-        index = {mono: i for i, mono in enumerate(basis)}
-        out = [Fraction(0)] * len(basis)
-        for mono, coeff in poly.terms:
-            if mono not in index:
-                raise CechError(f"monomial {mono} not supported on simplex cone "
-                                f"{self.cone_of(tau)} in degree {m}")
-            out[index[mono]] = coeff
-        return tuple(out)
-
-    def poly_components(self, c: CechCochain) -> dict[Simplex, SRPolynomial]:
-        _require_functions(c, "polynomial components")
-        out = {}
-        for tau, vec in c.components.items():
-            basis = cone_monomial_basis(self.fan, self.cone_of(tau), c.m)
-            out[tau] = SRPolynomial.build(
-                self.fan, {mono: v for mono, v in zip(basis, vec)})
-        return out
-
-    def _coboundary_solver(self, q: int, p: int) -> LinearSolver:
-        """Solver for the simplicial coboundary C^(p-1) -> C^p of the full
-        simplex on q vertices (constant coefficients)."""
-        key = ("coboundary", q, p)
-        if key not in self._cache:
-            rows = list(itertools.combinations(range(q), p + 1))
-            col_pos = {c: i for i, c in enumerate(itertools.combinations(range(q), p))}
-            ent = {}
-            for r, tau in enumerate(rows):
-                for j in range(len(tau)):
-                    ent[(r, col_pos[tau[:j] + tau[j + 1:]])] = Fraction(-1 if j % 2 else 1)
-            self._cache[key] = LinearSolver(RationalMatrix(len(rows), len(col_pos), ent))
-        return self._cache[key]
-
 
 def _block_diagonal(blocks: Sequence[RationalMatrix]) -> RationalMatrix:
     return linalg.block_matrix([b.rows for b in blocks], [b.cols for b in blocks],
                                {(i, i): b for i, b in enumerate(blocks)})
-
-
-def _require_functions(c: CechCochain, what: str) -> None:
-    if c.tag != TAG_FORMS or c.k != 0:
-        raise CechError(f"{what}: expected a forms cochain of exterior degree 0, "
-                        f"got tag {c.tag!r} with k = {c.k}")
 
 
 # -- exactness -----------------------------------------------------------------
@@ -496,156 +426,6 @@ def verify_exactness(cs: CoverSimplex, m_max: int, exterior_degree: int = 0) -> 
                            "rank_out": ranks[0], "exact": joint0 and inj}
         exact = exact and ok_m
     return ExactnessReport(m_max, k, entries, augmentation, exact)
-
-
-# -- gluing and splitting --------------------------------------------------------
-
-
-def glue_sections(cs: CoverSimplex, components: Sequence[SRPolynomial]) -> SRPolynomial:
-    """Glue compatible local functions into a global one.
-
-    ``components[i]`` lives on the i-th cover cone; compatibility means
-    the restrictions to pairwise intersections agree.  The global result
-    is the alternating sum of the section's restrictions over all
-    simplices, and restricts back to each input.
-    """
-    fan = cs.fan
-    if len(components) != cs.size:
-        raise CechError("need one component per cover cone")
-    comps = [restrict(g, cone) for g, cone in zip(components, cs.cover)]
-    for g, cone, orig in zip(comps, cs.cover, components):
-        if g != orig:
-            raise CechError(f"component on {cone} has support outside its cone")
-    for i, j in itertools.combinations(range(cs.size), 2):
-        overlap = cs.cone_of((i, j))
-        if restrict(comps[i], overlap) != restrict(comps[j], overlap):
-            raise CechError(f"components {i + 1} and {j + 1} disagree on {overlap}")
-    total = SRPolynomial.zero(fan)
-    for p in range(cs.size):
-        sign = -1 if p % 2 else 1
-        for tau in cs.simplices(p):
-            piece = restrict(comps[tau[0]], cs.cone_of(tau))
-            total = total + piece.scale(sign)
-    for g, cone in zip(comps, cs.cover):
-        assert restrict(total, cone) == g, "glued section fails to restrict"
-    return total
-
-
-def _delta_polys(cs: CoverSimplex, comps: Mapping[Simplex, SRPolynomial],
-                 p: int) -> dict[Simplex, SRPolynomial]:
-    out = {}
-    for tau in cs.simplices(p + 1):
-        cone = cs.cone_of(tau)
-        acc = SRPolynomial.zero(cs.fan)
-        for j in range(len(tau)):
-            face = tau[:j] + tau[j + 1:]
-            piece = restrict(comps[face], cone)
-            acc = acc + (piece.scale(-1) if j % 2 else piece)
-        out[tau] = acc
-    return out
-
-
-def _solve_on_stratum(cs: CoverSimplex, vertices: Simplex, p: int,
-                      rhs: Mapping[Simplex, SRPolynomial]) -> dict[Simplex, SRPolynomial]:
-    """Split a closed p-cochain on the full simplex over `vertices`.
-
-    Coefficients live in the stratum cone's coordinate ring; each monomial
-    is lifted separately through the constant simplicial coboundary, so a
-    zero coefficient stays zero (the lift is support-preserving).
-    """
-    fan = cs.fan
-    q = len(vertices)
-    taus = list(itertools.combinations(vertices, p + 1))
-    omegas = list(itertools.combinations(vertices, p))
-    monos = sorted({mono for poly in rhs.values() for mono, _ in poly.terms},
-                   key=monomial_sort_key(fan.num_rays))
-    solver = cs._coboundary_solver(q, p)
-    acc: dict[Simplex, dict[Monomial, Fraction]] = {om: {} for om in omegas}
-    for mono in monos:
-        target = [rhs[tau].coeff(mono) for tau in taus]
-        sol = solver.solve(target)
-        for om, val in zip(omegas, sol):
-            if val:
-                acc[om][mono] = val
-    return {om: SRPolynomial.build(fan, terms) for om, terms in acc.items()}
-
-
-def split_cocycle(cs: CoverSimplex, g: CechCochain) -> CechCochain:
-    """Write a closed positive-degree functions cocycle as a coboundary.
-
-    Follows the constructive splitting: first kill the restriction to the
-    deepest stratum using contractibility of the simplex, then walk the
-    strata from large vertex sets down, and finish with a projection lift
-    along a chosen facet of each simplex.  Exact; raises if the input is
-    not closed.
-    """
-    _require_functions(g, "split_cocycle")
-    p, m = g.p, g.m
-    if p < 1:
-        raise CechError("split_cocycle needs Cech degree at least 1")
-    fan = cs.fan
-    s = cs.size
-    current = cs.poly_components(g)
-    if any(not v.is_zero() for v in _delta_polys(cs, current, p).values()):
-        raise CechError("input cochain is not closed")
-    h_acc: dict[Simplex, SRPolynomial] = {om: SRPolynomial.zero(fan)
-                                          for om in cs.simplices(p - 1)}
-
-    for size in range(s, p + 1, -1):
-        stage: dict[Simplex, SRPolynomial] = {om: SRPolynomial.zero(fan)
-                                              for om in cs.simplices(p - 1)}
-        touched = False
-        for vertices in itertools.combinations(range(s), size):
-            stratum_cone = cs.cone_of(vertices)
-            rhs = {}
-            nonzero = False
-            for tau in itertools.combinations(vertices, p + 1):
-                piece = restrict(current[tau], stratum_cone)
-                rhs[tau] = piece
-                nonzero = nonzero or not piece.is_zero()
-            if not nonzero:
-                continue
-            local = _solve_on_stratum(cs, vertices, p, rhs)
-            for om, poly in local.items():
-                if not poly.is_zero():
-                    stage[om] = stage[om] + poly
-                    touched = True
-        if touched:
-            correction = _delta_polys(cs, stage, p - 1)
-            current = {tau: current[tau] - correction[tau] for tau in current}
-            h_acc = {om: h_acc[om] + stage[om] for om in h_acc}
-
-    final: dict[Simplex, SRPolynomial] = {om: SRPolynomial.zero(fan)
-                                          for om in cs.simplices(p - 1)}
-    sign = Fraction(-1 if p % 2 else 1)
-    any_final = False
-    for tau in cs.simplices(p):
-        poly = current[tau]
-        if poly.is_zero():
-            continue
-        om = tau[:-1]
-        final[om] = final[om] + poly.scale(sign)
-        any_final = True
-    if any_final:
-        correction = _delta_polys(cs, final, p - 1)
-        current = {tau: current[tau] - correction[tau] for tau in current}
-        h_acc = {om: h_acc[om] + final[om] for om in h_acc}
-    if any(not v.is_zero() for v in current.values()):
-        raise CechError("internal error: splitting left a nonzero residue")
-    return cs.functions_cochain(p - 1, m, h_acc)
-
-
-def split_cocycle_generic(cs: CoverSimplex, g: CechCochain) -> CechCochain:
-    """One-shot linear solve h with delta h = g; cross-check for split_cocycle."""
-    if g.p < 1:
-        raise CechError("split needs Cech degree at least 1")
-    mat = cs.delta_matrix(g.tag, g.p - 1, g.k, g.m)
-    vec = cs.cochain_to_vector(g)
-    out = cs.delta_matrix(g.tag, g.p, g.k, g.m)
-    if not linalg.is_zero_vector(out.mul_vec(vec)):
-        raise CechError("input cochain is not closed")
-    sol = linalg.lift(mat, vec)
-    return cs.cochain_from_vector(g.tag, g.p - 1, g.k, g.m, sol)
 
 
 # -- total cohomology and the quasi-isomorphism checks ----------------------------
@@ -785,8 +565,9 @@ def _value(cs: CoverSimplex, c: CechCochain, face: Simplex, tau: Simplex) -> LGE
     forms basis at m = 0.
     """
     if c.tag == TAG_FORMS:
-        block = cs.restriction_block(TAG_FORMS, cs.cone_of(face), cs.cone_of(tau), c.k, c.m)
-    else:
-        block = cs.const_matrix(cs.cone_of(face), c.k)
-    vec = block.mul_vec(c.components[face])
+        # restriction keeps the terms whose monomial lives on the cone of tau
+        keep = cs.cone_of(tau).index_set
+        return {b: v for b, v in zip(cs.local_basis(TAG_FORMS, face, c.k, c.m), c.components[face])
+                if v and b[0].support <= keep}
+    vec = cs.const_matrix(cs.cone_of(face), c.k).mul_vec(c.components[face])
     return {b: v for b, v in zip(cs.local_basis(TAG_FORMS, tau, c.k, c.m), vec) if v}

@@ -14,13 +14,13 @@ message, and the exit code stays the command's own: 0, or 3 for a mismatch.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
 import time
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 # Only fan (and the linalg it uses) loads with the CLI; each cmd_* imports
 # the other engine modules it runs, so a job compiles no module it skips.
@@ -314,55 +314,146 @@ def _degree(raw: str) -> int:
     try:
         value = int(raw)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {raw!r}") from None
+        raise ValueError(f"expected an integer, got {raw!r}") from None
     if value < 0:
-        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+        raise ValueError(f"must be non-negative, got {value}")
     if value > MAX_DEGREE:
-        raise argparse.ArgumentTypeError(
-            f"must be at most MAX_DEGREE = {MAX_DEGREE}, got {value}")
+        raise ValueError(f"must be at most MAX_DEGREE = {MAX_DEGREE}, got {value}")
     return value
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="toriclg",
-        description="Exact cohomology cross-checks for smooth toric fans")
-    sub = parser.add_subparsers(dest="command", required=True)
+# -- argv ------------------------------------------------------------------
+# One table instead of argparse, whose import and set-up cost each job about
+# 7 ms.  A command maps to (handler, help, options); an option to (converter,
+# default, help), and a converter of None marks a switch.  Option --sigma-m
+# sets the attribute sigma_m.
 
-    p_val = sub.add_parser("validate", help="parse and validate a fan file")
-    p_val.add_argument("fan_file")
-    p_val.add_argument("--json", action="store_true")
-    p_val.set_defaults(func=cmd_validate)
+PROG = "toriclg"
+DESCRIPTION = "Exact cohomology cross-checks for smooth toric fans"
+_JSON = ("--json", None, False, "print the machine payload (no timing) as JSON")
+_TMAX = ("--tmax", _degree, None, "largest total degree (default 2*rank + 2)")
+COMMANDS = {
+    "validate": (cmd_validate, "parse and validate a fan file", (_JSON,)),
+    "cohomology": (cmd_cohomology, "twisted-complex cohomology and ring", (
+        _TMAX,
+        ("--ring", None, False, "add the cohomology ring and the regular-sequence test"),
+        _JSON)),
+    "verify": (cmd_verify, "cross-check all cohomology pipelines", (
+        ("--mmax", _degree, None,
+         "largest polynomial degree of the exactness check (default 2*rank + 4)"),
+        _TMAX,
+        ("--cover", str, "", "comma-separated 1-based indices into the all-cones "
+                             "list printed by validate; default: maximal cones"),
+        _JSON)),
+    "degenerate": (cmd_degenerate, "slope certificate and degeneration relations", (
+        ("--sigma-m", str, "", "comma-separated ray indices of the reference cone"),
+        _JSON)),
+}
 
-    p_coh = sub.add_parser("cohomology", help="twisted-complex cohomology and ring")
-    p_coh.add_argument("fan_file")
-    p_coh.add_argument("--tmax", type=_degree, default=None)
-    p_coh.add_argument("--ring", action="store_true")
-    p_coh.add_argument("--json", action="store_true")
-    p_coh.set_defaults(func=cmd_cohomology)
 
-    p_ver = sub.add_parser("verify", help="cross-check all cohomology pipelines")
-    p_ver.add_argument("fan_file")
-    p_ver.add_argument("--mmax", type=_degree, default=None)
-    p_ver.add_argument("--tmax", type=_degree, default=None)
-    p_ver.add_argument("--cover", type=str, default="",
-                       help="comma-separated 1-based indices into the all-cones "
-                            "list printed by validate; default: maximal cones")
-    p_ver.add_argument("--json", action="store_true")
-    p_ver.set_defaults(func=cmd_verify)
+def _attr(option: str) -> str:
+    return option[2:].replace("-", "_")
 
-    p_deg = sub.add_parser("degenerate", help="slope certificate and degeneration relations")
-    p_deg.add_argument("fan_file")
-    p_deg.add_argument("--sigma-m", type=str, default="",
-                       help="comma-separated ray indices of the reference cone")
-    p_deg.add_argument("--json", action="store_true")
-    p_deg.set_defaults(func=cmd_degenerate)
-    return parser
+
+def _spelled(option: str, converter) -> str:
+    return option if converter is None else f"{option} {_attr(option).upper()}"
+
+
+def _usage(command: str | None) -> str:
+    if command is None:
+        return f"usage: {PROG} [-h] {{{','.join(COMMANDS)}}} ..."
+    flags = " ".join(f"[{_spelled(opt, conv)}]" for opt, conv, _, _ in COMMANDS[command][2])
+    return f"usage: {PROG} {command} [-h] {flags} fan_file"
+
+
+def _fail(command: str | None, message: str):
+    prog = PROG if command is None else f"{PROG} {command}"
+    sys.stderr.write(f"{_usage(command)}\n{prog}: error: {message}\n")
+    raise SystemExit(EXIT_VALIDATION)
+
+
+def _help(command: str | None):
+    help_row = ("-h, --help", "show this help message and exit")
+    if command is None:
+        text = DESCRIPTION
+        sections = [("commands", [(name, spec[1]) for name, spec in COMMANDS.items()]),
+                    ("options", [help_row])]
+    else:
+        text = COMMANDS[command][1]
+        options = [(_spelled(opt, conv), line) for opt, conv, _, line in COMMANDS[command][2]]
+        sections = [("positional arguments", [("fan_file", "fan file (UTF-8 JSON)")]),
+                    ("options", [help_row, *options])]
+    width = max(len(name) for _, rows in sections for name, _ in rows)
+    lines = [_usage(command), "", text]
+    for title, rows in sections:
+        lines += ["", f"{title}:", *(f"  {name:<{width}}  {line}" for name, line in rows)]
+    print("\n".join(lines))
+    raise SystemExit(EXIT_OK)
+
+
+def _is_option(token: str) -> bool:
+    # as in argparse, a negative number is a value, not an option
+    return token.startswith("-") and len(token) > 1 and not token[1:].replace(".", "", 1).isdigit()
+
+
+def parse_args(argv: list[str]) -> SimpleNamespace:
+    """Parse ``<command> [options] fan_file``.
+
+    Options take ``--opt value`` or ``--opt=value``, in any order around
+    the fan file; when one repeats the last value wins, and ``--`` ends the
+    options.  -h or --help prints help and raises SystemExit(0); a usage
+    error prints the usage line and the error to stderr and raises
+    SystemExit(2).
+    """
+    if not argv:
+        _fail(None, "the following arguments are required: command")
+    command, rest = argv[0], argv[1:]
+    if command in ("-h", "--help"):
+        _help(None)
+    if command not in COMMANDS:
+        choices = ", ".join(map(repr, COMMANDS))
+        _fail(None, f"argument command: invalid choice: {command!r} (choose from {choices})")
+    handler, _, options = COMMANDS[command]
+    converters = {opt: conv for opt, conv, _, _ in options}
+    args = SimpleNamespace(func=handler, **{_attr(opt): default for opt, _, default, _ in options})
+    positional, unknown = [], []
+    tokens = iter(rest)
+    for token in tokens:
+        if token in ("-h", "--help"):
+            _help(command)
+        if token == "--":
+            positional.extend(tokens)
+            continue
+        if not _is_option(token):
+            positional.append(token)
+            continue
+        opt, eq, value = token.partition("=")
+        if opt not in converters:
+            unknown.append(token)
+        elif converters[opt] is None:
+            if eq:
+                _fail(command, f"argument {opt}: ignored explicit argument {value!r}")
+            setattr(args, _attr(opt), True)
+        else:
+            if not eq:
+                value = next(tokens, None)
+                if value is None or _is_option(value):
+                    _fail(command, f"argument {opt}: expected one argument")
+            try:
+                setattr(args, _attr(opt), converters[opt](value))
+            except ValueError as exc:
+                _fail(command, f"argument {opt}: {exc}")
+    if not positional:
+        _fail(command, "the following arguments are required: fan_file")
+    args.fan_file = positional[0]
+    unknown += positional[1:]
+    if unknown:
+        _fail(command, f"unrecognized arguments: {' '.join(unknown)}")
+    return args
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
         report, code = args.func(args)
     except FanError as exc:

@@ -239,10 +239,3 @@ def sr_basis(fan: Fan, degree: int) -> list[Monomial]:
                       key=monomial_sort_key(fan.num_rays))
 
     return fan.table(("sr basis", degree), build)
-
-
-def hilbert_series(fan: Fan, max_degree: int) -> tuple[int, ...]:
-    """Dimensions of the even-degree slices 0, 2, ..., max_degree."""
-    if max_degree % 2:
-        raise FanError("max_degree must be even")
-    return tuple(len(sr_basis(fan, m)) for m in range(0, max_degree + 1, 2))

@@ -52,14 +52,15 @@ class TwistedComplex:
     reads are safe to share.
     """
 
-    __slots__ = ("fan", "frame", "linear_forms", "_blocks", "_bases", "_totals", "_slots")
+    __slots__ = ("fan", "frame", "linear_forms", "_blocks", "_bases", "_indices", "_totals",
+                 "_slots")
 
     def __init__(self, fan: Fan, frame: tuple[tuple[int, ...], ...],
                  linear_forms: tuple[SRPolynomial, ...]):
         self.fan = fan
         self.frame = frame
         self.linear_forms = linear_forms
-        self._blocks, self._bases, self._totals, self._slots = {}, {}, {}, {}
+        self._blocks, self._bases, self._indices, self._totals, self._slots = {}, {}, {}, {}, {}
 
     @property
     def rank(self) -> int:
@@ -93,6 +94,12 @@ class TwistedComplex:
         for k, m in self.total_blocks(t):
             out.extend(self.basis(k, m))
         return out
+
+    def total_index(self, t: int) -> dict[tuple[Monomial, ExtIndex], int]:
+        """Position of each element of ``total_basis(t)``, computed once."""
+        if t not in self._indices:
+            self._indices[t] = {b: i for i, b in enumerate(self.total_basis(t))}
+        return self._indices[t]
 
     def total_differential(self, t: int) -> RationalMatrix:
         """Matrix of the differential from total degree t to t + 1."""
@@ -238,9 +245,8 @@ def element_from_vector(tc: TwistedComplex, t: int, vec: Sequence) -> LGElement:
 
 
 def vector_from_element(tc: TwistedComplex, t: int, elt: LGElement) -> Vector:
-    basis = tc.total_basis(t)
-    index = {b: i for i, b in enumerate(basis)}
-    out = [Fraction(0)] * len(basis)
+    index = tc.total_index(t)
+    out = [Fraction(0)] * len(index)
     for key, coeff in elt.items():
         out[index[key]] = coeff
     return tuple(out)
@@ -318,47 +324,6 @@ class CohomologyRing:
         if key not in self.constants:
             raise FanError(f"product degree {a[0] + b[0]} exceeds the computed range")
         return self.constants[key]
-
-    def check_axioms(self) -> list[str]:
-        """Unit, graded commutativity and associativity inside the window."""
-        problems = []
-        if self.dims and self.dims[0] == 1:
-            unit = (0, 0)
-            for lbl in self.basis:
-                got = self.product(unit, lbl)
-                want = tuple(Fraction(1) if i == lbl[1] else Fraction(0)
-                             for i in range(self.dims[lbl[0]]))
-                if got != want:
-                    problems.append(f"unit fails on {lbl}")
-        for a in self.basis:
-            for b in self.basis:
-                if a[0] + b[0] > self.t_max:
-                    continue
-                sign = -1 if (a[0] % 2) and (b[0] % 2) else 1
-                lhs = self.product(a, b)
-                rhs = linalg.scale_vector(sign, self.product(b, a))
-                if lhs != rhs:
-                    problems.append(f"graded commutativity fails on {a}, {b}")
-        for a in self.basis:
-            for b in self.basis:
-                for c in self.basis:
-                    td = a[0] + b[0] + c[0]
-                    if a[0] + b[0] > self.t_max or b[0] + c[0] > self.t_max or td > self.t_max:
-                        continue
-                    zero = (Fraction(0),) * self.dims[td]
-                    left = zero
-                    for i, coeff in enumerate(self.product(a, b)):
-                        if coeff:
-                            left = linalg.add_vectors(
-                                left, linalg.scale_vector(coeff, self.product((a[0] + b[0], i), c)))
-                    right = zero
-                    for i, coeff in enumerate(self.product(b, c)):
-                        if coeff:
-                            right = linalg.add_vectors(
-                                right, linalg.scale_vector(coeff, self.product(a, (b[0] + c[0], i))))
-                    if left != right:
-                        problems.append(f"associativity fails on {a}, {b}, {c}")
-        return problems
 
 
 def ring_structure(tc: TwistedComplex, t_max: int | None = None) -> CohomologyRing:

@@ -1,12 +1,14 @@
 """Shared helpers for the test suite: seeded random generators, the twisted
 differential applied element by element (the oracle of the assembled
-Koszul blocks), and fans larger than those in ``fans/``."""
+Koszul blocks), the ring axioms and Hilbert series that only tests check,
+and fans larger than those in ``fans/``."""
 
 from fractions import Fraction
 import json
 import random
 
-from toriclg import Monomial, SRPolynomial, cup, kernel_basis, linalg
+from cech_helpers import cochain_from_vector, cochain_to_vector
+from toriclg import Monomial, SRPolynomial, cup, kernel_basis, linalg, sr_basis
 from toriclg.cech import TAG_CONST, CechCochain, CoverSimplex
 from toriclg.fan import FanError, fan_from_data
 
@@ -51,7 +53,7 @@ def random_closed_cochain(rng: random.Random, cs: CoverSimplex, tag, p, k, m) ->
         c = random_fraction(rng)
         if c:
             vec = [x + c * y for x, y in zip(vec, b)]
-    return cs.cochain_from_vector(tag, p, k, m, vec)
+    return cochain_from_vector(cs, tag, p, k, m, vec)
 
 
 def random_unimodular(rng: random.Random, n: int, shears=6):
@@ -98,7 +100,7 @@ def const_total_vector(cs: CoverSimplex, t: int, blocks) -> tuple:
         if c is None:
             out.extend(linalg.zero_vector(cs.slot_layout(TAG_CONST, p, k, 0)[0]))
         else:
-            out.extend(cs.cochain_to_vector(c))
+            out.extend(cochain_to_vector(cs, c))
     return tuple(out)
 
 
@@ -107,7 +109,7 @@ def const_total_blocks_from_vector(cs: CoverSimplex, t: int, vec) -> dict:
     pos = 0
     for p, k, _ in cs.total_blocks(TAG_CONST, t):
         size = cs.slot_layout(TAG_CONST, p, k, 0)[0]
-        out[(p, k)] = cs.cochain_from_vector(TAG_CONST, p, k, 0, vec[pos:pos + size])
+        out[(p, k)] = cochain_from_vector(cs, TAG_CONST, p, k, 0, vec[pos:pos + size])
         pos += size
     return out
 
@@ -158,6 +160,59 @@ def verify_square_zero(tc, t_max: int) -> bool:
         if not (tc.total_differential(t + 1) @ tc.total_differential(t)).is_zero():
             return False
     return True
+
+
+# -- ring axioms and Hilbert series ---------------------------------------------
+
+
+def check_axioms(ring) -> list[str]:
+    """Unit, graded commutativity and associativity of a ``CohomologyRing``
+    inside its window."""
+    problems = []
+    if ring.dims and ring.dims[0] == 1:
+        unit = (0, 0)
+        for lbl in ring.basis:
+            got = ring.product(unit, lbl)
+            want = tuple(Fraction(1) if i == lbl[1] else Fraction(0)
+                         for i in range(ring.dims[lbl[0]]))
+            if got != want:
+                problems.append(f"unit fails on {lbl}")
+    for a in ring.basis:
+        for b in ring.basis:
+            if a[0] + b[0] > ring.t_max:
+                continue
+            sign = -1 if (a[0] % 2) and (b[0] % 2) else 1
+            lhs = ring.product(a, b)
+            rhs = linalg.scale_vector(sign, ring.product(b, a))
+            if lhs != rhs:
+                problems.append(f"graded commutativity fails on {a}, {b}")
+    for a in ring.basis:
+        for b in ring.basis:
+            for c in ring.basis:
+                td = a[0] + b[0] + c[0]
+                if a[0] + b[0] > ring.t_max or b[0] + c[0] > ring.t_max or td > ring.t_max:
+                    continue
+                zero = (Fraction(0),) * ring.dims[td]
+                left = zero
+                for i, coeff in enumerate(ring.product(a, b)):
+                    if coeff:
+                        left = linalg.add_vectors(
+                            left, linalg.scale_vector(coeff, ring.product((a[0] + b[0], i), c)))
+                right = zero
+                for i, coeff in enumerate(ring.product(b, c)):
+                    if coeff:
+                        right = linalg.add_vectors(
+                            right, linalg.scale_vector(coeff, ring.product(a, (b[0] + c[0], i))))
+                if left != right:
+                    problems.append(f"associativity fails on {a}, {b}, {c}")
+    return problems
+
+
+def hilbert_series(fan, max_degree: int) -> tuple[int, ...]:
+    """Dimensions of the even-degree slices 0, 2, ..., max_degree."""
+    if max_degree % 2:
+        raise FanError("max_degree must be even")
+    return tuple(len(sr_basis(fan, m)) for m in range(0, max_degree + 1, 2))
 
 
 # -- fans given inline as (rank, rays, max_cones), most above the sizes in fans/ --

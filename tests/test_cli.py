@@ -300,6 +300,72 @@ class TestBadInput:
         assert json.loads(out)["payload"]["dims"] == [1]
 
 
+class TestGrammar:
+    @pytest.mark.parametrize("flag", ["-h", "--help"])
+    def test_top_level_help_lists_the_commands(self, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            main([flag])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith("usage: toriclg ")
+        for command in ("validate", "cohomology", "verify", "degenerate"):
+            assert f"\n  {command} " in out
+
+    @pytest.mark.parametrize("argv, text", [
+        (["verify", "-h"], "comma-separated 1-based indices into the all-cones list printed by "
+                           "validate; default: maximal cones"),
+        (["degenerate", fan_path("p1"), "--help"],
+         "comma-separated ray indices of the reference cone"),
+    ])
+    def test_command_help_lists_its_options(self, capsys, argv, text):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"usage: toriclg {argv[0]} ")
+        assert text in out and "--json" in out
+
+    def test_option_value_forms_agree(self, capsys):
+        results = {run_cli(capsys, "cohomology", fan_path("p2"), *form, "--json")
+                   for form in (["--tmax", "3"], ["--tmax=3"], ["--tmax", "5", "--tmax", "3"])}
+        assert len(results) == 1
+        code, out, _ = results.pop()
+        assert code == 0 and json.loads(out)["payload"]["dims"] == [1, 0, 1, 0]
+
+    def test_options_before_the_fan_file(self, capsys):
+        assert (run_cli(capsys, "verify", "--json", "--mmax", "2", fan_path("p1"))
+                == run_cli(capsys, "verify", fan_path("p1"), "--mmax=2", "--json"))
+
+    @pytest.mark.parametrize("argv, prog, message", [
+        (["frob", fan_path("p1")], "toriclg",
+         "argument command: invalid choice: 'frob' (choose from 'validate', 'cohomology', "
+         "'verify', 'degenerate')"),
+        ([], "toriclg", "the following arguments are required: command"),
+        (["verify", fan_path("p1"), "--bogus"], "toriclg verify",
+         "unrecognized arguments: --bogus"),
+        (["cohomology", fan_path("p1"), "--js"], "toriclg cohomology",
+         "unrecognized arguments: --js"),
+        (["validate"], "toriclg validate", "the following arguments are required: fan_file"),
+        (["validate", fan_path("p1"), "extra.json"], "toriclg validate",
+         "unrecognized arguments: extra.json"),
+        (["verify", fan_path("p1"), "--cover"], "toriclg verify",
+         "argument --cover: expected one argument"),
+        (["cohomology", fan_path("p1"), "--tmax", "--json"], "toriclg cohomology",
+         "argument --tmax: expected one argument"),
+        (["cohomology", fan_path("p1"), "--json=yes"], "toriclg cohomology",
+         "argument --json: ignored explicit argument 'yes'"),
+    ])
+    def test_usage_error_exits_2_with_usage_and_message(self, capsys, argv, prog, message):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        usage, error = captured.err.splitlines()
+        assert usage.startswith(f"usage: {prog} ")
+        assert error == f"{prog}: error: {message}"
+
+
 def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "toriclg.cli", "validate", fan_path("p1")],

@@ -73,6 +73,29 @@ def test_subcommand_loads_no_dataclasses_or_inspect(command):
     assert not {"dataclasses", "inspect"} & loaded(run_main(command))
 
 
+@pytest.mark.parametrize("command", sorted(SUBCOMMAND_MODULES))
+def test_subcommand_loads_no_argparse_gettext_or_locale(command):
+    assert not {"argparse", "gettext", "locale"} & loaded(run_main(command))
+
+
+def test_help_loads_no_argparse_gettext_or_locale():
+    code = ("import contextlib, io\n"
+            "from toriclg.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    try:\n"
+            "        main(['--help'])\n"
+            "    except SystemExit as exc:\n"
+            "        assert exc.code == 0")
+    assert not {"argparse", "gettext", "locale"} & loaded(code)
+
+
+def test_test_only_code_is_not_exported():
+    # it lives in tests/cech_helpers.py and tests/helpers.py; that every
+    # exported name resolves is the star-import test below
+    moved = {"glue_sections", "split_cocycle", "split_cocycle_generic", "hilbert_series"}
+    assert not moved & set(toriclg._EXPORTS)
+
+
 def test_star_import_binds_every_public_name():
     namespace = {}
     exec("from toriclg import *", namespace)

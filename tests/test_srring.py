@@ -7,11 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import cn_data
-from helpers import random_polynomial
+from cech_helpers import cochain_from_vector
+from helpers import hilbert_series, random_polynomial
 from toriclg import (
     Monomial,
     SRPolynomial,
-    hilbert_series,
     multiply,
     primitive_collections,
     restrict,
@@ -131,10 +131,10 @@ class TestCoefficients:
 
     def test_float_cochain_coordinate_refused(self, p2):
         cs = CoverSimplex(p2)  # three maximal cones, constants in degree m = 0
-        assert cs.cochain_from_vector(TAG_FORMS, 0, 0, 0, [1, Fraction(1, 2), 0]).components == {
+        assert cochain_from_vector(cs, TAG_FORMS, 0, 0, 0, [1, Fraction(1, 2), 0]).components == {
             (0,): (1,), (1,): (Fraction(1, 2),), (2,): (0,)}
         with pytest.raises(LinalgError, match="float"):
-            cs.cochain_from_vector(TAG_FORMS, 0, 0, 0, [1, 0.1, 0])
+            cochain_from_vector(cs, TAG_FORMS, 0, 0, 0, [1, 0.1, 0])
 
 
 class TestHilbert:
