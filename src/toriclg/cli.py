@@ -14,17 +14,14 @@ message, and the exit code stays the command's own: 0, or 3 for a mismatch.
 
 from __future__ import annotations
 
-import json
 import os
 import sys
 import time
-from fractions import Fraction
-from pathlib import Path
 from types import SimpleNamespace
 
-# Only fan (and the linalg it uses) loads with the CLI; each cmd_* imports
-# the other engine modules it runs, so a job compiles no module it skips.
-from .fan import Cone, Fan, FanError, parse_fan_file, primitive_collections
+# No engine module, nor json or fractions, loads with the CLI: --help and
+# usage errors run on the argv table alone.  Each function imports what it
+# runs when it runs, so a job compiles no module it skips.
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -39,12 +36,12 @@ EXIT_MISMATCH = 3
 MAX_DEGREE = 100
 
 
-def _frac(x: Fraction) -> str | int:
-    x = Fraction(x)
+def _frac(x) -> str | int:
+    # an exact entry is an int or a Fraction, and both have a denominator
     return int(x) if x.denominator == 1 else str(x)
 
 
-def _cone_list(c: Cone) -> list[int]:
+def _cone_list(c) -> list[int]:
     return list(c.ray_indices)
 
 
@@ -65,6 +62,8 @@ class Report:
                 "params": self.params, "payload": self.payload}
 
     def to_json(self) -> str:
+        import json
+
         return json.dumps(self.machine_dict(), sort_keys=True, indent=2)
 
     def human(self) -> str:
@@ -105,7 +104,8 @@ def _human_payload(command: str, payload: dict) -> list[str]:
             lines.append("nonzero products:")
             shown = 0
             for c in ring["products"]:
-                if any(Fraction(str(x)) != 0 for x in c["coords"]):
+                # _frac gives an int, or the string of a non-integral Fraction
+                if any(c["coords"]):
                     lines.append(f"  ({c['left']}) * ({c['right']}) -> {c['coords']}")
                     shown += 1
             if not shown:
@@ -134,20 +134,36 @@ def _human_payload(command: str, payload: dict) -> list[str]:
     return lines
 
 
-def _fan_meta(fan: Fan, path: str) -> dict:
+def _fan_meta(fan, path: str) -> dict:
     return {"path": path, "rank": fan.rank, "num_rays": fan.num_rays,
             "num_max_cones": len(fan.max_cones)}
 
 
 def _load(path: str):
+    # read from fan when called, so a wrapper the tracer installs there applies
+    from .fan import FanError, parse_fan_file
+
     try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+        with open(path, encoding="utf-8") as f:
+            text = f.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise FanError(f"cannot read {path}: {exc}") from None
     return parse_fan_file(text)
 
 
+def __getattr__(name):
+    # cli.parse_fan_file, the parser _load calls, stays readable (PEP 562):
+    # perfbench's tracer test checks that the tracer wrapped it
+    if name != "parse_fan_file":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from .fan import parse_fan_file
+
+    return parse_fan_file
+
+
 def _parse_index_list(raw: str) -> list[int]:
+    from .fan import FanError
+
     try:
         return [int(x) for x in raw.split(",") if x.strip() != ""]
     except ValueError:
@@ -158,6 +174,7 @@ def _parse_index_list(raw: str) -> list[int]:
 
 
 def cmd_validate(args) -> tuple[Report, int]:
+    from .fan import primitive_collections
     from .semiproj import check_semiprojective
 
     start = time.monotonic()
@@ -219,6 +236,7 @@ def cmd_cohomology(args) -> tuple[Report, int]:
 
 def cmd_verify(args) -> tuple[Report, int]:
     from .cech import CoverSimplex, verify_exactness, verify_quasi_iso
+    from .fan import FanError
     from .twisted import default_t_max
 
     start = time.monotonic()
@@ -263,6 +281,7 @@ def cmd_verify(args) -> tuple[Report, int]:
 
 
 def cmd_degenerate(args) -> tuple[Report, int]:
+    from .fan import FanError
     from .semiproj import check_semiprojective, degeneration_exponent
     from .twisted import log_derivations
 
@@ -454,6 +473,8 @@ def parse_args(argv: list[str]) -> SimpleNamespace:
 
 def main(argv=None) -> int:
     args = parse_args(sys.argv[1:] if argv is None else list(argv))
+    from .fan import FanError
+
     try:
         report, code = args.func(args)
     except FanError as exc:

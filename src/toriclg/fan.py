@@ -402,6 +402,8 @@ def parse_fan_file(text: str) -> tuple[Fan, PolyhedronInput | None]:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise FanParseError(f"not valid JSON: {exc}") from None
+    except RecursionError:
+        raise FanParseError("not valid JSON: nested too deeply") from None
     if not isinstance(data, dict):
         raise FanParseError("fan file must be a JSON object")
     unknown = sorted(set(data) - set(FAN_FILE_KEYS))

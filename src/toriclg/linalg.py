@@ -116,11 +116,12 @@ class RationalMatrix:
 
     ``entries`` maps ``(row, col)`` to a nonzero int or non-integral
     Fraction (see ``_exact``); explicit zeros are stripped on construction.
-    ``eliminate`` caches the RREF here.  Two matrices are equal when their
+    ``eliminate`` caches the RREF here, and ``cohomology_at`` the rank
+    modulo PRIME (-1 until it asks).  Two matrices are equal when their
     shapes and entries are.
     """
 
-    __slots__ = ("rows", "cols", "entries", "_elimination")
+    __slots__ = ("rows", "cols", "entries", "_elimination", "_rank_p")
 
     def __init__(self, rows: int, cols: int, entries: Mapping):
         clean = {}
@@ -134,6 +135,7 @@ class RationalMatrix:
         self.cols = cols
         self.entries = clean
         self._elimination: Elimination | None = None
+        self._rank_p: int | None = -1
 
     def __eq__(self, other):
         return NotImplemented if type(other) is not RationalMatrix else (
@@ -376,8 +378,16 @@ def rank_mod_p(a: RationalMatrix) -> int | None:
 
 
 def _rank_lower_bound(a: RationalMatrix) -> int | None:
-    """The exact rank if a is already eliminated, else its rank mod p."""
-    return a._elimination.rank if a._elimination is not None else rank_mod_p(a)
+    """The exact rank if a is already eliminated, else its rank mod p.
+
+    A differential is d_out of one slot and d_in of the next, so the rank
+    mod p is cached on the matrix: each matrix is reduced at most once.
+    """
+    if a._elimination is not None:
+        return a._elimination.rank
+    if a._rank_p == -1:
+        a._rank_p = rank_mod_p(a)
+    return a._rank_p
 
 
 def _canonical_sign(v: Vector) -> Vector:

@@ -218,6 +218,18 @@ class TestBadInput:
             assert code == 2, command
             assert "cannot read no_such_file.json" in err, command
 
+    @pytest.mark.parametrize("content, message", [
+        (b"\xff\xfe{}", "cannot read {path}: 'utf-8' codec can't decode byte 0xff"),
+        (b"[" * 100000 + b"]" * 100000, "not valid JSON: nested too deeply"),
+    ], ids=["not-utf8", "nested-too-deeply"])
+    def test_undecodable_fan_file_exits_2(self, capsys, tmp_path, content, message):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        for command in ("validate", "cohomology", "verify", "degenerate"):
+            code, out, err = run_cli(capsys, command, str(bad), "--json")
+            assert (code, out) == (2, ""), command
+            assert err.startswith("error: " + message.format(path=bad)), command
+
     def test_unknown_fan_file_key_exits_2(self, capsys, tmp_path):
         bad = tmp_path / "typo.json"
         bad.write_text(json.dumps({"rank": 1, "rays": [[1], [-1]], "max_cones": [[1], [2]],

@@ -14,6 +14,8 @@ from fractions import Fraction
 import pytest
 
 from conftest import FAN_DIR, load_fan
+from helpers import inline_fan
+from toriclg import linalg
 from toriclg.cech import (
     CoverSimplex,
     constant_total_cohomology,
@@ -108,6 +110,23 @@ def test_elimination_is_cached_on_the_matrix():
     assert (elim.rank, elim.pivots, elim.free) == (2, (0, 1), (2,))
     assert rank(d) == 2 and image_pivot_columns(d) == [0, 1]
     assert kernel_basis(d) == [(Fraction(1), Fraction(1), Fraction(-1))]
+
+
+def test_each_matrix_is_reduced_mod_p_at_most_once(monkeypatch):
+    # a total differential is d_out of one slot and d_in of the next
+    real, reduced = linalg.rank_mod_p, []
+
+    def spy(a):
+        reduced.append(a)  # held, so no two live matrices share an id
+        return real(a)
+
+    monkeypatch.setattr(linalg, "rank_mod_p", spy)
+    tc = build_twisted(inline_fan("P3"))
+    t_max = default_t_max(tc.fan)
+    lg_cohomology(tc, t_max)
+    ring_structure(tc, t_max)
+    assert reduced
+    assert len({id(a) for a in reduced}) == len(reduced)
 
 
 @pytest.mark.parametrize("name", FAN_NAMES)

@@ -89,6 +89,28 @@ def test_help_loads_no_argparse_gettext_or_locale():
     assert not {"argparse", "gettext", "locale"} & loaded(code)
 
 
+@pytest.mark.parametrize("argv, code", [(["--help"], 0), (["cohomology", "--help"], 0),
+                                        (["cohomology"], 2)],
+                         ids=["help", "command-help", "usage-error"])
+def test_help_and_usage_errors_load_no_engine(argv, code):
+    # loaded() imports json before its baseline, so this takes its own
+    proc = run_python("import contextlib, io, sys\n"
+                      "before = set(sys.modules)\n"
+                      "from toriclg.cli import main\n"
+                      "with contextlib.redirect_stdout(io.StringIO()), \\\n"
+                      "        contextlib.redirect_stderr(io.StringIO()):\n"
+                      "    try:\n"
+                      f"        main({argv!r})\n"
+                      "    except SystemExit as exc:\n"
+                      "        code = exc.code\n"
+                      "print(code)\n"
+                      "print(*sorted(set(sys.modules) - before))")
+    exit_code, new = proc.stdout.splitlines()[-2:]
+    assert int(exit_code) == code
+    assert engine(set(new.split())) == {"toriclg", "toriclg.cli"}
+    assert not {"json", "fractions", "decimal"} & set(new.split())
+
+
 def test_test_only_code_is_not_exported():
     # it lives in tests/cech_helpers.py and tests/helpers.py; that every
     # exported name resolves is the star-import test below
