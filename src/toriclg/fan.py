@@ -4,9 +4,13 @@ A fan is given by primitive integer ray generators and a list of maximal
 cones (sets of 1-based ray indices).  Validation checks primitivity,
 smoothness (ray generators of every cone extend to a lattice basis, by
 integer column reduction: ``lattice_index``), and the fan condition (any
-two cones meet in a common face), the last one by one exact separation
-problem per pair of maximal cones (``linalg.solve_system``); a failing
-pair is named with a point of both cones found by one more.
+two cones meet in a common face).  A pair of maximal cones meets in its
+common face exactly when some covector vanishes on the common rays and
+separates the other rays; a covector built from the dual frame of either
+cone is tried first and accepted after an exact integer test, and a pair
+that neither frame settles gets one exact separation problem
+(``linalg.solve_system``).  A failing pair is named with a point of both
+cones found by one more.
 """
 
 from __future__ import annotations
@@ -299,14 +303,59 @@ def overlap_witness(rank: int, rays: Sequence[IntVec], a: Cone, b: Cone) -> IntV
     return primitive_vector([sum((c * u[t] for c, u in zip(alpha, us)), ZERO) for t in range(rank)])
 
 
+def dual_frame(rays: Sequence[IntVec], cone: Cone) -> tuple[IntVec, ...]:
+    """The covector frame dual to a full-dimensional smooth cone's rays.
+
+    Row i is 1 on the cone's i-th ray and 0 on its other rays: the inverse
+    of the matrix whose columns are the rays, integral because a smooth
+    cone's rays form a lattice basis.
+    """
+    basis = RationalMatrix.from_columns([rays[i - 1] for i in cone.ray_indices], rows=cone.dim)
+    return tuple(tuple(map(int, row)) for row in inverse(basis).to_rows())
+
+
+def _frame_separates(rays: Sequence[IntVec], frames: dict[Cone, tuple[IntVec, ...]],
+                     a: Cone, b: Cone) -> bool:
+    """Whether a dual-frame covector passes the exact test of ``separating_covector``.
+
+    The candidates are the sum of a's frame over a's rays outside b, and
+    minus the sum of b's frame over b's rays outside a (for each cone that
+    has a frame).  A candidate counts only once it vanishes on the common
+    rays, is >= 1 on a's other rays and <= -1 on b's, checked in integers.
+    """
+    common = a.index_set & b.index_set
+    tests = [(rays[i - 1], 0 if i in common else sign)
+             for cone, sign in ((a, 1), (b, -1)) for i in cone.ray_indices]
+    for cone, sign in ((a, 1), (b, -1)):
+        frame = frames.get(cone)
+        if frame is None:
+            continue
+        own = [row for i, row in zip(cone.ray_indices, frame) if i not in common]
+        m = [sign * sum(col) for col in zip(*own)]
+        for u, s in tests:
+            v = sum(x * y for x, y in zip(m, u))
+            if not (s * v >= 1 if s else v == 0):
+                break
+        else:
+            return True
+    return False
+
+
 def _check_fan_condition(fan_rank: int, rays: tuple[IntVec, ...], cones: Sequence[Cone]) -> None:
     """Every pairwise intersection of maximal cones is the common-ray face.
 
-    One separation problem per pair decides it; a failing pair solves one
-    more for a point of the intersection to name in the error.
+    A pair passes when it has a separating covector.  The separation lemma
+    accepts any covector that passes the exact test, so the two dual-frame
+    candidates of ``_frame_separates`` (computed once per full-dimensional
+    cone) are tried first; a pair that neither passes goes to the
+    separation problem ``separating_covector``, which finds one exactly
+    when one exists.  So the verdict is that of the separation problem
+    alone.  A failing pair solves one more problem for a point of the
+    intersection to name in the error.
     """
+    frames = {c: dual_frame(rays, c) for c in cones if c.dim == fan_rank}
     for a, b in itertools.combinations(cones, 2):
-        if separating_covector(fan_rank, rays, a, b) is None:
+        if not _frame_separates(rays, frames, a, b) and separating_covector(fan_rank, rays, a, b) is None:
             raise FanValidationError(
                 f"fan condition fails: cones {a} and {b} intersect beyond their "
                 f"common face (both contain {list(overlap_witness(fan_rank, rays, a, b))})")
@@ -400,7 +449,7 @@ def parse_fan_file(text: str) -> tuple[Fan, PolyhedronInput | None]:
     """Parse a fan file, returning the fan and the optional polyhedron."""
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer past the digit limit
         raise FanParseError(f"not valid JSON: {exc}") from None
     except RecursionError:
         raise FanParseError("not valid JSON: nested too deeply") from None

@@ -35,10 +35,11 @@ zero (``rank_mod_p``).  Any other outcome takes the exact path.
 ``solve_system`` is the one exact linear programming entry point: it
 solves the homogeneous equalities first, runs Fourier-Motzkin elimination
 (``solve_inequalities``) on the inequalities written in a basis of their
-solution space, and maps the answer back.  The fan-condition check and
-the semi-projectivity certificate search both call it.  Fourier-Motzkin
-keeps every row as a primitive integer tuple; Fractions appear only in
-its back-substitution.
+solution space, and maps the answer back.  The semi-projectivity
+certificate search calls it, and so does the fan-condition check for a
+pair of cones that no dual-frame covector separates (``fan``).
+Fourier-Motzkin keeps every row as a primitive integer tuple; Fractions
+appear only in its back-substitution.
 """
 
 from __future__ import annotations

@@ -20,7 +20,8 @@ from collections.abc import Sequence
 from fractions import Fraction
 
 from . import linalg
-from .fan import Cone, Fan, FanError, _is_int_vector, lattice_index, ray_coordinates_in_cone_basis
+from .fan import (Cone, Fan, FanError, _is_int_vector, dual_frame, lattice_index,
+                  ray_coordinates_in_cone_basis)
 from .linalg import CohomologySlot, RationalMatrix, Vector, cohomology_at, dot
 from .srring import Monomial, SRPolynomial, cone_monomial_basis, sr_basis
 
@@ -443,10 +444,18 @@ def log_derivations(fan: Fan, cone: Cone, check_degree: int | None = None) -> De
     """Presentation of the twisted complex by log derivations of a cone.
 
     The coefficient forms are rebuilt from the lattice coordinates of the
-    rays outside the cone and checked, matrix by matrix up
-    to ``check_degree``, against the complex built from the dual covector
-    frame of the cone.  A mismatch raises, since the two constructions
-    must agree exactly.
+    rays outside the cone (``ray_coordinates_in_cone_basis``, its own
+    solve) and compared with the forms of the complex built from the dual
+    covector frame of the cone (``build_twisted``).  A mismatch raises,
+    since the two constructions must agree exactly.
+
+    Comparing the forms is the same check as comparing the differential
+    matrices in every degree: ``koszul_block`` is a function of the fan,
+    the forms and the slot, so equal forms give equal blocks, and the
+    columns of block (1, 0) are the forms' coefficients, so unequal forms
+    differ there.  So the blocks agree in every total degree >= 1, those
+    up to ``check_degree`` (recorded as ``checked_degree``) among them,
+    exactly when the forms do.
     """
     n = fan.rank
     if cone.dim != n:
@@ -457,9 +466,7 @@ def log_derivations(fan: Fan, cone: Cone, check_degree: int | None = None) -> De
     extra = tuple(i for i in range(1, fan.num_rays + 1) if i not in cone.index_set)
     coeffs = tuple(ray_coordinates_in_cone_basis(fan, cone, l) for l in extra)
 
-    rows = RationalMatrix.from_rows([fan.ray(i) for i in base])
-    frame_m = linalg.inverse(rows.transpose())
-    frame = tuple(tuple(int(x) for x in row) for row in frame_m.to_rows())
+    frame = dual_frame(fan.rays, cone)
 
     forms = []
     for i in range(n):
@@ -470,13 +477,6 @@ def log_derivations(fan: Fan, cone: Cone, check_degree: int | None = None) -> De
                 terms[Monomial.variable(l)] = a
         forms.append(SRPolynomial.build(fan, terms))
 
-    tc = build_twisted(fan, frame)
-    for t in range(check_degree + 1):
-        for k, m in tc.total_blocks(t):
-            if k < 1:
-                continue
-            direct = koszul_block(fan, forms, k, m)
-            if direct != tc.block(k, m):
-                raise FanError(
-                    f"presentation mismatch at slot (k={k}, m={m}) for cone {cone}")
+    if build_twisted(fan, frame).linear_forms != tuple(forms):
+        raise FanError(f"presentation mismatch for cone {cone}")
     return DerivationPresentation(cone, base, extra, coeffs, tuple(forms), frame, check_degree)

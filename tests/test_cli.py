@@ -221,7 +221,9 @@ class TestBadInput:
     @pytest.mark.parametrize("content, message", [
         (b"\xff\xfe{}", "cannot read {path}: 'utf-8' codec can't decode byte 0xff"),
         (b"[" * 100000 + b"]" * 100000, "not valid JSON: nested too deeply"),
-    ], ids=["not-utf8", "nested-too-deeply"])
+        (b'{"rank": 1, "rays": [[1' + b"0" * 5000 + b'], [-1]], "max_cones": [[1], [2]]}',
+         "not valid JSON: Exceeds the limit (4300 digits)"),
+    ], ids=["not-utf8", "nested-too-deeply", "integer-past-digit-limit"])
     def test_undecodable_fan_file_exits_2(self, capsys, tmp_path, content, message):
         bad = tmp_path / "bad.json"
         bad.write_bytes(content)

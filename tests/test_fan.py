@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import FAN_DIR, cn_data, fan_text, load_fan_and_polyhedron
+from helpers import INLINE_FANS
 from toriclg import (
     FanParseError,
     FanValidationError,
@@ -17,10 +18,13 @@ from toriclg import (
     parse_fan_file,
     primitive_collections,
 )
+from toriclg import fan as fan_module
 from toriclg.fan import (
     Cone,
     Fan,
+    _frame_separates,
     cone_intersection_extreme_rays,
+    dual_frame,
     fan_from_data,
     lattice_index,
     overlap_witness,
@@ -175,6 +179,62 @@ class TestSeparation:
                             point) for c in (a, b))
         assert min(alpha) >= 0 and min(beta) >= 0
         assert any(x > 0 for x, i in zip(alpha, a.ray_indices) if i not in b.index_set)
+
+
+def fan_file_data(path) -> tuple:
+    data = json.loads(path.read_text(encoding="utf-8"))
+    return data["rank"], data["rays"], data["max_cones"]
+
+
+ALL_FAN_DATA = {**{p.stem: fan_file_data(p) for p in sorted(FAN_DIR.glob("*.json"))},
+                **INLINE_FANS}
+
+
+def lp_pairs(monkeypatch, data) -> tuple[Fan, list[tuple[Cone, Cone]]]:
+    """The fan, and the pairs of maximal cones that its fan-condition check sent to the LP."""
+    seen = []
+
+    def spy(rank, rays, a, b):
+        seen.append((a, b))
+        return separating_covector(rank, rays, a, b)
+
+    with monkeypatch.context() as m:
+        m.setattr(fan_module, "separating_covector", spy)
+        fan = fan_from_data(*data)
+    return fan, seen
+
+
+class TestFrameCertificates:
+    @pytest.mark.parametrize("name", ["S18", "S7"])
+    def test_frames_decide_some_pairs_of_a_surface(self, monkeypatch, name):
+        fan, seen = lp_pairs(monkeypatch, INLINE_FANS[name])
+        assert 0 < len(seen) < math.comb(len(fan.max_cones), 2)
+
+    @pytest.mark.parametrize("name", sorted(ALL_FAN_DATA))
+    def test_frame_acceptance_implies_a_separating_covector(self, monkeypatch, name):
+        fan, seen = lp_pairs(monkeypatch, ALL_FAN_DATA[name])
+        for a, b in itertools.combinations(fan.max_cones, 2):
+            if (a, b) not in seen:
+                assert separating_covector(fan.rank, fan.rays, a, b) is not None, (name, a, b)
+
+    def test_dual_frame_pairs_to_the_identity(self):
+        for rank, rays, cones in ALL_FAN_DATA.values():
+            for raw in cones:
+                cone = Cone(tuple(sorted(raw)))
+                if cone.dim == rank:
+                    frame = dual_frame(rays, cone)
+                    assert [[dot(f, rays[j - 1]) for j in cone.ray_indices] for f in frame] == \
+                        [[int(i == j) for j in cone.ray_indices] for i in cone.ray_indices]
+
+    @settings(max_examples=300, deadline=None)
+    @given(simplicial_cone_pairs())
+    def test_accepted_candidate_agrees_with_the_lp_on_any_pair(self, pair):
+        # overlapping pairs included: a candidate passes only the exact test
+        n, rays, a, b = pair
+        frames = {c: dual_frame(rays, c) for c in (a, b)
+                  if c.dim == n and lattice_index([rays[i - 1] for i in c.ray_indices], n) == 1}
+        if _frame_separates(rays, frames, a, b):
+            assert separating_covector(n, rays, a, b) is not None
 
 
 def projective_space_data(n: int) -> dict:

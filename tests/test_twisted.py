@@ -16,6 +16,7 @@ from helpers import (
 )
 from toriclg import (
     build_twisted,
+    check_semiprojective,
     lg_cohomology,
     log_derivations,
     lsop_check,
@@ -24,10 +25,10 @@ from toriclg import (
 )
 from toriclg.cech import CoverSimplex, verify_exactness, verify_quasi_iso
 from toriclg.fan import Cone, FanError, fan_from_data
-from toriclg import linalg
+from toriclg import linalg, twisted
 from toriclg.linalg import RationalMatrix
 from toriclg.srring import cone_monomial_basis
-from toriclg.twisted import _index_maps, lg_multiply
+from toriclg.twisted import _index_maps, koszul_block, lg_multiply
 
 
 def random_element(rng, tc, t):
@@ -317,6 +318,38 @@ class TestDerivationPresentation:
             for cone in fan.max_cones:
                 pres = log_derivations(fan, cone, check_degree=2 * fan.rank)
                 assert pres.checked_degree == 2 * fan.rank
+
+    def test_changed_coordinate_is_a_mismatch(self, monkeypatch):
+        fan = load_fan("hirzebruch1")
+        cone = fan.max_cones[0]
+        changed = next(i for i in range(1, fan.num_rays + 1) if i not in cone.index_set)
+        real = twisted.ray_coordinates_in_cone_basis
+
+        def off_by_one(fan, cone, ray_index):
+            coords = real(fan, cone, ray_index)
+            return (coords[0] + 1,) + coords[1:] if ray_index == changed else coords
+
+        monkeypatch.setattr(twisted, "ray_coordinates_in_cone_basis", off_by_one)
+        with pytest.raises(FanError, match="presentation mismatch"):
+            log_derivations(fan, cone)
+
+    # every fan in fans/ but the zero fan is semi-projective
+    @pytest.mark.parametrize("name", sorted(p.stem for p in FAN_DIR.glob("*.json") if p.stem != "zero2"))
+    def test_presented_blocks_equal_the_frame_blocks(self, name):
+        # log_derivations compares forms; the Koszul blocks those forms
+        # give must then agree in every slot up to checked_degree = 2n + 2
+        fan = load_fan(name)
+        assert check_semiprojective(fan).semiprojective
+        for cone in fan.max_cones:
+            if cone.dim != fan.rank:
+                continue
+            pres = log_derivations(fan, cone)
+            tc = build_twisted(fan, pres.frame)
+            for t in range(2 * fan.rank + 3):
+                for k, m in tc.total_blocks(t):
+                    if k >= 1:
+                        assert koszul_block(fan, pres.differential_coeffs, k, m) == tc.block(k, m), \
+                            (name, cone, k, m)
 
 
 class TestLocalKoszul:
