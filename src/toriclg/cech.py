@@ -11,10 +11,12 @@ the full simplex over the cover, named by a tag:
     annihilators, written in ambient wedge coordinates by
     ``CoverSimplex.const_matrix``.
 
-The module provides the horizontal differential, the exactness check of
-the augmented complex in every degree, total complexes built by one
-block assembler, quasi-isomorphism verification between the three
-pipelines, and the front/back-face cup product.
+The module provides the horizontal differential, planned once per
+(tag, Cech degree, polynomial or exterior degree), the exactness check of
+the augmented complex in every degree, total complexes written by one
+assembler straight from the cached delta and local blocks,
+quasi-isomorphism verification between the three pipelines, and the
+front/back-face cup product.
 
 Sign conventions, fixed here once:
   * horizontal delta removes vertices with alternating signs;
@@ -116,9 +118,13 @@ class CoverSimplex:
         return len(self.cover)
 
     def simplices(self, p: int) -> list[Simplex]:
+        """The p-simplices in lex order, computed once: callers must not mutate the list."""
         if p < 0 or p >= self.size:
             return []
-        return list(itertools.combinations(range(self.size), p + 1))
+        key = ("simplices", p)
+        if key not in self._cache:
+            self._cache[key] = list(itertools.combinations(range(self.size), p + 1))
+        return self._cache[key]
 
     def cone_of(self, tau: Simplex) -> Cone:
         key = ("cone", tau)
@@ -168,9 +174,14 @@ class CoverSimplex:
         """
         key = ("layout", tag, p, k, m)
         if key not in self._cache:
-            if tag == TAG_FORMS:
+            if tag == TAG_FORMS and k:
+                # every local size is C(n, k) times its size at k = 0
                 wedges = len(ext_subsets(self.fan.rank, k))
-                size = lambda cone: wedges * len(cone_monomial_basis(self.fan, cone, m))
+                total, offsets = self.slot_layout(tag, p, 0, m)
+                self._cache[key] = (wedges * total, {tau: wedges * off for tau, off in offsets.items()})
+                return self._cache[key]
+            if tag == TAG_FORMS:
+                size = lambda cone: len(cone_monomial_basis(self.fan, cone, m))
             elif tag == TAG_CONST:
                 size = lambda cone: self.const_matrix(cone, k).cols
             else:
@@ -185,18 +196,18 @@ class CoverSimplex:
 
     # -- restriction blocks ---------------------------------------------
 
-    def _keep_pairs(self, src: Cone, dst: Cone, m: int) -> tuple[int, int, tuple[tuple[int, int], ...]]:
+    def _keep_pairs(self, src: Cone | None, dst: Cone, m: int) -> tuple[int, int, tuple[tuple[int, int], ...]]:
         """|B_src(m)|, |B_dst(m)| and the (source, target) index pairs of the
         monomials of degree m on src that restriction to dst keeps (the
-        others it kills); B is ``cone_monomial_basis``."""
-        key = ("keep", src, dst, m)
+        others it kills); B is ``cone_monomial_basis``, or for src None the
+        global ``sr_basis``."""
+        key = ("keep", src.ray_indices if src is not None else None, dst.ray_indices, m)
         if key not in self._cache:
-            src_basis = cone_monomial_basis(self.fan, src, m)
+            src_basis = sr_basis(self.fan, m) if src is None else cone_monomial_basis(self.fan, src, m)
             dst_basis = cone_monomial_basis(self.fan, dst, m)
+            # dst's basis holds every monomial of degree m supported on dst
             index = {mono: i for i, mono in enumerate(dst_basis)}
-            keep = dst.index_set
-            pairs = tuple((j, index[mono]) for j, mono in enumerate(src_basis)
-                          if mono.support <= keep)
+            pairs = tuple((j, i) for j, i in enumerate(map(index.get, src_basis)) if i is not None)
             self._cache[key] = (len(src_basis), len(dst_basis), pairs)
         return self._cache[key]
 
@@ -213,33 +224,62 @@ class CoverSimplex:
 
     # -- matrices --------------------------------------------------------
 
+    def _delta_plan(self, tag: str, p: int, q: int) -> list[tuple[int, int, int, object]]:
+        """The delta from Cech degree p to p + 1, planned once per (tag, p, q).
+
+        One (target offset, source offset, sign, block) per (tau, face) pair:
+        for forms q is m, the block is ``_keep_pairs`` and the offsets are
+        those at k = 0; for const q is k and the block is
+        ``_const_restriction``.  A forms local size at (k, m) is C(n, k)
+        times its size at (0, m), so one forms plan serves every k.
+        """
+        key = ("plan", tag, p, q)
+        if key not in self._cache:
+            faces = self._cache.get(("faces", p))
+            if faces is None:
+                faces = self._cache[("faces", p)] = [
+                    (tau, tau[:j] + tau[j + 1:], -1 if j % 2 else 1, self.cone_of(tau),
+                     self.cone_of(tau[:j] + tau[j + 1:]))
+                    for tau in self.simplices(p + 1) for j in range(len(tau))]
+            k, m = (0, q) if tag == TAG_FORMS else (q, 0)
+            src_off = self.slot_layout(tag, p, k, m)[1]
+            dst_off = self.slot_layout(tag, p + 1, k, m)[1]
+            blocks = {}  # one block per pair of cones; most pairs repeat
+            plan = []
+            for tau, face, sign, dst, src in faces:
+                cones = (src.ray_indices, dst.ray_indices)
+                if cones not in blocks:
+                    blocks[cones] = self._keep_pairs(src, dst, m) if tag == TAG_FORMS \
+                        else self._const_restriction(src, dst, k)
+                plan.append((dst_off[tau], src_off[face], sign, blocks[cones]))
+            self._cache[key] = plan
+        return self._cache[key]
+
     def delta_matrix(self, tag: str, p: int, k: int, m: int) -> RationalMatrix:
-        """Horizontal differential from Cech degree p to p + 1."""
+        """Horizontal differential from Cech degree p to p + 1.
+
+        Written from the plan of (tag, p, m) for forms and of (tag, p, k)
+        for const (``_delta_plan``); the (tau, face) blocks are disjoint, so
+        each entry is set once.
+        """
         key = ("delta", tag, p, k, m)
         if key not in self._cache:
-            src_dim, src_off = self.slot_layout(tag, p, k, m)
-            dst_dim, dst_off = self.slot_layout(tag, p + 1, k, m)
-            wedges = len(ext_subsets(self.fan.rank, k))
-            # the (tau, face) blocks are disjoint, so each entry is set once
             ent: dict[tuple[int, int], int | Fraction] = {}
-            for tau in self.simplices(p + 1):
-                dst_cone = self.cone_of(tau)
-                for j in range(len(tau)):
-                    face = tau[:j] + tau[j + 1:]
-                    sign = -1 if j % 2 else 1
-                    r0, c0 = dst_off[tau], src_off[face]
-                    if tag == TAG_FORMS:
-                        # identity on the wedge part, keep-or-kill on monomials
-                        n_src, n_dst, pairs = self._keep_pairs(self.cone_of(face), dst_cone, m)
-                        for a in range(wedges):
-                            r1, c1 = r0 + a * n_dst, c0 + a * n_src
-                            for c, r in pairs:
-                                ent[(r1 + r, c1 + c)] = sign
-                    else:
-                        blk = self._const_restriction(self.cone_of(face), dst_cone, k)
-                        for (r, c), v in blk.entries.items():
-                            ent[(r0 + r, c0 + c)] = sign * v
-            self._cache[key] = RationalMatrix(dst_dim, src_dim, ent)
+            if tag == TAG_FORMS:
+                # identity on the wedge part, keep-or-kill on monomials
+                wedges = len(ext_subsets(self.fan.rank, k))
+                for r, c, sign, (n_src, n_dst, pairs) in self._delta_plan(tag, p, m):
+                    r, c = wedges * r, wedges * c
+                    for _ in range(wedges):
+                        for j, i in pairs:
+                            ent[(r + i, c + j)] = sign
+                        r += n_dst
+                        c += n_src
+            else:
+                for r, c, sign, blk in self._delta_plan(tag, p, k):
+                    ent.update(((r + i, c + j), sign * v) for (i, j), v in blk.entries.items())
+            self._cache[key] = RationalMatrix(self.slot_layout(tag, p + 1, k, m)[0],
+                                              self.slot_layout(tag, p, k, m)[0], ent)
         return self._cache[key]
 
     def global_forms(self) -> tuple[SRPolynomial, ...]:
@@ -248,36 +288,35 @@ class CoverSimplex:
             self._cache[key] = build_twisted(self.fan).linear_forms
         return self._cache[key]
 
-    def vertical_matrix(self, p: int, k: int, m: int) -> RationalMatrix:
-        """Twisted vertical differential on the forms slot (p, k, m).
-
-        Blockwise per simplex, with the coefficient forms restricted to
-        the simplex cone; lands in (p, k - 1, m + 2).
-        """
-        return _block_diagonal(
-            [self._local_vertical(self.cone_of(tau), k, m) for tau in self.simplices(p)])
-
     def _local_vertical(self, cone: Cone, k: int, m: int) -> RationalMatrix:
+        """Twisted vertical differential on the forms of one cone, from (k, m) to
+        (k - 1, m + 2), with the coefficient forms restricted to the cone."""
         key = ("localvert", cone, k, m)
         if key not in self._cache:
-            forms = [restrict(f, cone) for f in self.global_forms()]
-            self._cache[key] = koszul_block(self.fan, forms, k, m, cone)
+            fkey = ("forms", cone)
+            if fkey not in self._cache:
+                self._cache[fkey] = [restrict(f, cone) for f in self.global_forms()]
+            self._cache[key] = koszul_block(self.fan, self._cache[fkey], k, m, cone)
         return self._cache[key]
 
     def augmentation_matrix(self, k: int, m: int) -> RationalMatrix:
-        """Restriction of global forms to the degree-0 Cech slot."""
-        monos = sr_basis(self.fan, m)
-        src = [(mono, s) for s in ext_subsets(self.fan.rank, k) for mono in monos]
+        """Restriction of global forms to the degree-0 Cech slot.
+
+        Built by index: on each vertex cone, the global monomial j of
+        ``sr_basis`` that the cone keeps goes to its row i of
+        ``cone_monomial_basis`` (``_keep_pairs``), in every wedge block.
+        """
+        wedges = len(ext_subsets(self.fan.rank, k))
+        n_global = len(sr_basis(self.fan, m))
         dst_dim, dst_off = self.slot_layout(TAG_FORMS, 0, k, m)
         ent = {}
         for tau in self.simplices(0):
-            cone = self.cone_of(tau)
-            local = self.local_basis(TAG_FORMS, tau, k, m)
-            index = {b: i for i, b in enumerate(local)}
-            for j, (mono, s) in enumerate(src):
-                if mono.support <= cone.index_set:
-                    ent[(dst_off[tau] + index[(mono, s)], j)] = Fraction(1)
-        return RationalMatrix(dst_dim, len(src), ent)
+            _, n_local, pairs = self._keep_pairs(None, self.cone_of(tau), m)
+            for a in range(wedges):
+                r1, c1 = dst_off[tau] + a * n_local, a * n_global
+                for j, i in pairs:
+                    ent[(r1 + i, c1 + j)] = 1
+        return RationalMatrix(dst_dim, wedges * n_global, ent)
 
     # -- total complexes ---------------------------------------------------
 
@@ -296,44 +335,69 @@ class CoverSimplex:
 
     def _assemble(self, src_tag: str, dst_tag: str, t_src: int, t_dst: int,
                   arrows) -> RationalMatrix:
-        """Block matrix between the total spaces (src_tag, t_src) and (dst_tag, t_dst).
+        """Matrix between the total spaces (src_tag, t_src) and (dst_tag, t_dst).
 
-        ``arrows(p, k, m)`` yields (target slot, block builder) pairs for one
-        source slot; a block is built only when its target slot exists.
+        ``arrows(p, k, m)`` yields (target slot, sign, block) for one source
+        slot: a matrix between the two slots, or a function of a cone whose
+        values go on the diagonal, one block per p-simplex.  Each block is
+        checked against its slot (the diagonal ones must tile it in simplex
+        order) and its entries are copied once, times sign, so the result is
+        not validated again.  A missing target slot takes no block.
         """
-        src = self.total_blocks(src_tag, t_src)
-        dst = self.total_blocks(dst_tag, t_dst)
-        dst_pos = {b: i for i, b in enumerate(dst)}
-        blocks: dict[tuple[int, int], RationalMatrix] = {}
-        for j, slot in enumerate(src):
-            for target, build in arrows(*slot):
-                if target in dst_pos:
-                    blocks[(dst_pos[target], j)] = build()
-        return linalg.block_matrix([self.slot_layout(dst_tag, *b)[0] for b in dst],
-                                   [self.slot_layout(src_tag, *b)[0] for b in src], blocks)
+        src = [(slot, list(arrows(*slot))) for slot in self.total_blocks(src_tag, t_src)]
+        row_off = {}
+        rows = 0
+        for b in self.total_blocks(dst_tag, t_dst):
+            row_off[b] = rows
+            rows += self.slot_layout(dst_tag, *b)[0]
+        ent: dict[tuple[int, int], int | Fraction] = {}
+        cols = 0
+        for (p, k, m), out in src:
+            width, src_off = self.slot_layout(src_tag, p, k, m)
+            for target, sign, block in out:
+                if target not in row_off:
+                    continue
+                height, dst_off = self.slot_layout(dst_tag, *target)
+                if isinstance(block, RationalMatrix):
+                    pieces = [(0, 0, block)]
+                else:
+                    pieces = [(dst_off[tau], src_off[tau], block(self.cone_of(tau)))
+                              for tau in self.simplices(p)]
+                r_end = c_end = 0
+                for r, c, blk in pieces:
+                    if (r, c) != (r_end, c_end):
+                        raise CechError(f"a block of {target} does not fit its slot")
+                    r_end, c_end = r + blk.rows, c + blk.cols
+                    r, c = r + row_off[target], c + cols
+                    ent.update(((r + i, c + j), sign * v) for (i, j), v in blk.entries.items())
+                if (r_end, c_end) != (height, width):
+                    raise CechError(f"the blocks of {target} do not fill their slot")
+            cols += width
+        return RationalMatrix._trusted(rows, cols, ent)
 
     def const_total_matrix(self, t: int) -> RationalMatrix:
         """Total differential delta on the const double complex (zero vertical)."""
         key = ("consttotal", t)
         if key not in self._cache:
             def arrows(p, k, m):
-                yield (p + 1, k, m), lambda: self.delta_matrix(TAG_CONST, p, k, m)
+                yield (p + 1, k, m), 1, self.delta_matrix(TAG_CONST, p, k, m)
 
             self._cache[key] = self._assemble(TAG_CONST, TAG_CONST, t, t + 1, arrows)
         return self._cache[key]
 
     def forms_total_matrix(self, t: int) -> RationalMatrix:
-        """Total differential delta + (-1)^p vertical on the forms double complex."""
+        """Total differential delta + (-1)^p vertical on the forms double complex.
+
+        The delta entries are copied from the cached ``delta_matrix``, and
+        the vertical ones from the cached local Koszul blocks of the simplex
+        cones (``_local_vertical``), each at its simplex's offsets.
+        """
         key = ("formstotal", t)
         if key not in self._cache:
-            def signed_vertical(p, k, m):
-                vert = self.vertical_matrix(p, k, m)
-                return vert.scale(-1) if p % 2 else vert
-
             def arrows(p, k, m):
-                yield (p + 1, k, m), lambda: self.delta_matrix(TAG_FORMS, p, k, m)
+                yield (p + 1, k, m), 1, self.delta_matrix(TAG_FORMS, p, k, m)
                 if k >= 1:
-                    yield (p, k - 1, m + 2), lambda: signed_vertical(p, k, m)
+                    yield (p, k - 1, m + 2), (-1) ** p, lambda cone: self._local_vertical(cone, k, m)
 
             self._cache[key] = self._assemble(TAG_FORMS, TAG_FORMS, t, t + 1, arrows)
         return self._cache[key]
@@ -344,8 +408,7 @@ class CoverSimplex:
         if key not in self._cache:
             # at m = 0 the local forms basis is exactly the ambient wedge basis
             def arrows(p, k, m):
-                yield (p, k, m), lambda: _block_diagonal(
-                    [self.const_matrix(self.cone_of(tau), k) for tau in self.simplices(p)])
+                yield (p, k, m), 1, lambda cone: self.const_matrix(cone, k)
 
             self._cache[key] = self._assemble(TAG_CONST, TAG_FORMS, t, t, arrows)
         return self._cache[key]
@@ -356,11 +419,6 @@ class CoverSimplex:
         comps = {tau: linalg.zero_vector(len(self.local_basis(tag, tau, k, m)))
                  for tau in self.simplices(p)}
         return CechCochain(tag, p, k, m, comps)
-
-
-def _block_diagonal(blocks: Sequence[RationalMatrix]) -> RationalMatrix:
-    return linalg.block_matrix([b.rows for b in blocks], [b.cols for b in blocks],
-                               {(i, i): b for i, b in enumerate(blocks)})
 
 
 # -- exactness -----------------------------------------------------------------

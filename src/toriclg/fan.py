@@ -25,12 +25,12 @@ from functools import cached_property
 from . import linalg
 from .linalg import (
     ZERO,
+    LinearSolver,
     RationalMatrix,
     Vector,
     dot,
     inverse,
     kernel_basis,
-    lift,
     primitive_vector,
     solve_system,
     vector,
@@ -54,26 +54,27 @@ class FanValidationError(FanError):
 
 
 class Cone:
-    """A cone of the fan: its sorted 1-based ray indices.  Immutable by convention."""
+    """A cone of the fan: its sorted 1-based ray indices.  Immutable by convention.
 
-    __slots__ = ("ray_indices",)
+    ``index_set`` (the indices as a frozenset) and the hash are computed once.
+    """
+
+    __slots__ = ("ray_indices", "index_set", "_hash")
 
     def __init__(self, ray_indices: IntVec):
         self.ray_indices = ray_indices
+        self.index_set = frozenset(ray_indices)
+        self._hash = hash((ray_indices,))
 
     def __eq__(self, other):
         return self.ray_indices == other.ray_indices if type(other) is Cone else NotImplemented
 
     def __hash__(self):
-        return hash((self.ray_indices,))
+        return self._hash
 
     @property
     def dim(self) -> int:
         return len(self.ray_indices)
-
-    @property
-    def index_set(self) -> frozenset[int]:
-        return frozenset(self.ray_indices)
 
     def __str__(self) -> str:
         return "{" + ",".join(str(i) for i in self.ray_indices) + "}" if self.ray_indices else "{0}"
@@ -97,7 +98,8 @@ class Fan:
     """Validated smooth fan.  Immutable by convention; safe for concurrent reads.
 
     ``_tables`` caches tables computed from the fan alone: the monomial
-    bases of ``srring`` and the Koszul index maps of ``twisted``.  Each entry
+    bases of ``srring``, the Koszul index maps of ``twisted`` and the
+    cone solvers of ``ray_coordinates_in_cone_basis``.  Each entry
     is written once and never mutated, so concurrent reads stay safe.
     """
 
@@ -194,15 +196,17 @@ def ray_coordinates_in_cone_basis(fan: Fan, cone: Cone, ray_index: int) -> tuple
     """Integer coordinates of a ray in the basis given by a full-dim smooth cone.
 
     Returns a_1..a_n with ray = sum a_i * (i-th cone ray), by one exact
-    solve.  Raises on a non-integral solve, which cannot happen for a
-    unimodular cone and signals an internal error.
+    solve against the cone's ``LinearSolver``, built once per cone and
+    cached on the fan.  Raises on a non-integral solve, which cannot
+    happen for a unimodular cone and signals an internal error.
     """
     if cone.dim != fan.rank:
         raise FanError(f"cone {cone} is not full-dimensional")
-    basis = RationalMatrix.from_columns([fan.ray(i) for i in cone.ray_indices], rows=fan.rank)
+    solver = fan.table(("cone solver", cone.ray_indices), lambda: LinearSolver(
+        RationalMatrix.from_columns([fan.ray(i) for i in cone.ray_indices], rows=fan.rank)))
     out = []
-    for c in lift(basis, fan.ray(ray_index)):
-        if c.denominator != 1:  # lift may return an integral Fraction
+    for c in solver.solve(fan.ray(ray_index)):
+        if c.denominator != 1:  # a solve may return an integral Fraction
             raise FanError(f"non-integral lattice solve for ray {ray_index} in cone {cone}")
         out.append(int(c))
     return tuple(out)

@@ -4,7 +4,9 @@ A matrix entry is an ``int`` when it is integral and a
 ``fractions.Fraction`` otherwise, never a ``float``.  So the integer
 matrices that the complexes of this package produce get integer
 arithmetic, and elimination leaves the integers only at a pivot other
-than 1 or -1.
+than 1 or -1.  An entry is validated once, when it first enters a
+``RationalMatrix``; copies of entries that already sit in one (a block
+placed into a larger matrix after a shape check) are not validated again.
 
 ``eliminate`` is the one exact elimination loop.  It computes the reduced
 row echelon form (RREF) of a matrix on first use and caches it on the
@@ -15,7 +17,12 @@ A complex that caches its differentials therefore eliminates each
 differential once, and the two cohomology slots on either side of a
 differential share its elimination.  ``rank_mod_p`` is the one other
 loop: its arithmetic is modulo a prime, and sharing the exact loop would
-put a test of the field in its innermost step.
+put a test of the field in its innermost step.  Both keep an index from
+each column to the rows that are nonzero there, so a pivot touches only
+the rows that hold its column (Dumas-Villard, "Computing the rank of
+large sparse matrices over finite fields", 2002).  Rows never move: the
+pivot rows are tracked in pivot order, and the determinant takes the
+sign of that permutation.
 
 Results do not depend on the order in which rows are combined: the RREF
 of a matrix is unique, and so are its pivot columns (the greedy choice
@@ -30,7 +37,9 @@ from one small RREF of the image written in kernel coordinates (see
 exact elimination at all: once d_out @ d_in = 0 is checked, rank(d_out) +
 rank(d_in) <= cols, and a rank modulo a prime never exceeds the rank over
 Q, so cols - rank_p(d_out) - rank_p(d_in) = 0 certifies that the slot is
-zero (``rank_mod_p``).  Any other outcome takes the exact path.
+zero (``rank_mod_p``).  A d_out with fewer nonzero rows or columns than
+cols - rank(d_in) cannot pass that test and is not reduced modulo p.  Any
+other outcome takes the exact path.
 
 ``solve_system`` is the one exact linear programming entry point: it
 solves the homogeneous equalities first, runs Fourier-Motzkin elimination
@@ -46,6 +55,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import defaultdict
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from fractions import Fraction
 
@@ -116,27 +126,41 @@ class RationalMatrix:
     """Sparse matrix over Q.  Instances are treated as immutable.
 
     ``entries`` maps ``(row, col)`` to a nonzero int or non-integral
-    Fraction (see ``_exact``); explicit zeros are stripped on construction.
-    ``eliminate`` caches the RREF here, and ``cohomology_at`` the rank
-    modulo PRIME (-1 until it asks).  Two matrices are equal when their
-    shapes and entries are.
+    Fraction (see ``_exact``).  The constructor validates every entry in
+    bulk: it refuses a float, normalises to int or Fraction, strips zeros
+    and refuses any key outside the shape, a zero entry's included.  The
+    internal ``_trusted`` adopts entries copied from other matrices
+    without validating them again.  ``eliminate`` caches the RREF here,
+    and ``cohomology_at`` the rank modulo PRIME (-1 until it asks).  Two
+    matrices are equal when their shapes and entries are.
     """
 
     __slots__ = ("rows", "cols", "entries", "_elimination", "_rank_p")
 
     def __init__(self, rows: int, cols: int, entries: Mapping):
         clean = {}
-        for (i, j), v in entries.items():
-            if not (0 <= i < rows and 0 <= j < cols):
+        if entries:
+            rs, cs = zip(*entries)
+            if min(rs) < 0 or max(rs) >= rows or min(cs) < 0 or max(cs) >= cols:
+                i, j = next(k for k in entries if not (0 <= k[0] < rows and 0 <= k[1] < cols))
                 raise LinalgError(f"entry ({i},{j}) outside a {rows}x{cols} matrix")
-            v = _exact(v)
-            if v:
-                clean[(i, j)] = v
+            clean = dict(entries) if set(map(type, entries.values())) == {int} else {
+                key: _exact(v) for key, v in entries.items()}
+            if 0 in clean.values():
+                clean = {key: v for key, v in clean.items() if v}
         self.rows = rows
         self.cols = cols
         self.entries = clean
         self._elimination: Elimination | None = None
         self._rank_p: int | None = -1
+
+    @classmethod
+    def _trusted(cls, rows: int, cols: int, entries: dict) -> "RationalMatrix":
+        """A matrix that adopts ``entries`` unchecked: each value is a copy of
+        an entry of a matrix, and the caller's shape checks keep each key in range."""
+        a = cls.__new__(cls)
+        a.rows, a.cols, a.entries, a._elimination, a._rank_p = rows, cols, entries, None, -1
+        return a
 
     def __eq__(self, other):
         return NotImplemented if type(other) is not RationalMatrix else (
@@ -175,12 +199,6 @@ class RationalMatrix:
     def is_zero(self) -> bool:
         return not self.entries
 
-    def row_dicts(self) -> list[dict]:
-        rows = [dict() for _ in range(self.rows)]
-        for (i, j), v in self.entries.items():
-            rows[i][j] = v
-        return rows
-
     def column(self, j: int) -> Vector:
         return tuple(self.entries.get((i, j), 0) for i in range(self.rows))
 
@@ -193,7 +211,7 @@ class RationalMatrix:
     # -- arithmetic ----------------------------------------------------
 
     def transpose(self) -> "RationalMatrix":
-        return RationalMatrix(self.cols, self.rows, {(j, i): v for (i, j), v in self.entries.items()})
+        return RationalMatrix._trusted(self.cols, self.rows, {(j, i): v for (i, j), v in self.entries.items()})
 
     def __add__(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.shape != other.shape:
@@ -221,7 +239,7 @@ class RationalMatrix:
             for (j, b) in by_row.get(k, ()):
                 key = (i, j)
                 ent[key] = ent.get(key, 0) + a * b
-        return RationalMatrix(self.rows, other.cols, ent)
+        return RationalMatrix(self.rows, other.cols, {key: v for key, v in ent.items() if v})
 
     def mul_vec(self, v: Sequence) -> Vector:
         if len(v) != self.cols:
@@ -245,8 +263,10 @@ class Elimination:
     ``rows[i]`` is the i-th nonzero RREF row as a sparse dict; it holds a
     1 at column ``pivots[i]`` and no other pivot column.  ``free`` lists
     the remaining columns in increasing order.  ``scale`` is the product
-    of the pivots the loop divided by, negated once per row swap; for a
-    square matrix of full rank it is the determinant.  Immutable by
+    of the pivots the loop divided by, times the sign of the permutation
+    that lists the pivot rows first, in pivot order, and the other rows
+    after them in their order; for a square matrix of full rank it is the
+    determinant.  Immutable by
     convention: the rows are shared and must not be mutated.
     """
 
@@ -289,57 +309,71 @@ class Elimination:
 def eliminate(a: RationalMatrix) -> Elimination:
     """The RREF of a, computed on the first call and cached on a.
 
-    Columns are scanned left to right; each takes the first remaining row
-    that is nonzero there as its pivot row.  A pivot of 1 or -1 keeps
-    integer rows integral; any other pivot scales its row by an exact
-    Fraction inverse, and the scaled entries that are integral go back to
-    int.
+    Columns are scanned left to right.  An index from each column to the
+    rows that are nonzero there, kept up to date as fill-in creates and
+    cancels entries, gives the rows each step touches: the pivot row is
+    the shortest row not yet used as a pivot that holds the column (the
+    lowest on a tie), and only the other holders are cleared.  Rows never
+    move; the pivot rows are
+    listed in pivot order.  A pivot of 1 or -1 keeps integer rows
+    integral; any other pivot scales its row by an exact Fraction inverse,
+    and the scaled entries that are integral go back to int.
     """
     if a._elimination is not None:
         return a._elimination
-    rows = a.row_dicts()
-    nrows = len(rows)
-    pivots: list[int] = []
+    if not a.entries:
+        a._elimination = Elimination(a.cols, (), (), tuple(range(a.cols)), 1)
+        return a._elimination
+    rows = [{} for _ in range(a.rows)]
+    holders = defaultdict(set)  # fill-in never reaches a column that starts empty
+    for (i, j), v in a.entries.items():
+        rows[i][j] = v
+        holders[j].add(i)
+    order, pivots, used = [], [], set()  # pivot rows and columns, in pivot order
     scale = 1
-    r = 0
-    for c in range(a.cols):
-        pr = None
-        for i in range(r, nrows):
-            if rows[i].get(c):
-                pr = i
-                break
-        if pr is None:
+    for c in sorted(holders):
+        col = holders[c]
+        unused = col - used
+        if not unused:
             continue
-        if pr != r:
-            rows[r], rows[pr] = rows[pr], rows[r]
-            scale = -scale
-        piv = rows[r][c]
-        if piv == -1:
-            rows[r] = {j: -v for j, v in rows[r].items()}
-            scale = -scale
-        elif piv != 1:
-            inv = Fraction(1, piv)
-            rows[r] = {j: _exact(inv * v) for j, v in rows[r].items()}
-            scale *= piv
-        pivot_row = rows[r]
-        for i in range(nrows):
-            if i == r:
-                continue
-            f = rows[i].get(c)
-            if not f:
-                continue
-            target = rows[i]
-            for j, v in pivot_row.items():
-                new = target.get(j, 0) - f * v
-                if new:
-                    target[j] = new
-                else:
-                    target.pop(j, None)
+        # the shortest unused holder makes the least fill-in; any pivot row gives the same RREF
+        pr = min(unused, key=lambda i: (len(rows[i]), i)) if len(unused) > 1 else unused.pop()
+        order.append(pr)
         pivots.append(c)
-        r += 1
-    pivot_set = set(pivots)
-    free = tuple(c for c in range(a.cols) if c not in pivot_set)
-    a._elimination = Elimination(a.cols, tuple(rows[:r]), tuple(pivots), free, scale)
+        used.add(pr)
+        piv = rows[pr][c]
+        if piv != 1:
+            inv = -1 if piv == -1 else Fraction(1, piv)
+            rows[pr] = {j: _exact(inv * v) for j, v in rows[pr].items()}
+            scale *= piv
+        if len(col) == 1:
+            continue
+        items = [(j, v) for j, v in rows[pr].items() if j != c]
+        for i in col:
+            if i != pr:
+                target = rows[i]
+                f = target.pop(c)
+                for j, v in items:
+                    new = target.get(j, 0) - f * v
+                    if new:
+                        target[j] = new
+                        holders[j].add(i)
+                    else:
+                        del target[j]
+                        holders[j].discard(i)
+        holders[c] = {pr}
+    # rows never moved: scale takes the sign of the permutation that lists the
+    # pivot rows first, in pivot order, counted in the swaps that sort it
+    if order != list(range(len(order))):
+        perm = order + [i for i in range(len(rows)) if i not in used]
+        for i in range(len(perm)):
+            while perm[i] != i:
+                j = perm[i]
+                perm[i], perm[j] = perm[j], j
+                scale = -scale
+    free = tuple(sorted(set(range(a.cols)).difference(pivots)))
+    a._elimination = Elimination(a.cols, tuple(map(rows.__getitem__, order)), tuple(pivots),
+                                 free, scale)
     return a._elimination
 
 
@@ -351,31 +385,48 @@ def rank_mod_p(a: RationalMatrix) -> int | None:
     """Rank of a modulo PRIME, or None when an entry is not an integer.
 
     It never exceeds the rank over Q (a minor that vanishes over Z
-    vanishes mod p), which is all ``cohomology_at`` relies on.  Rows are
-    reduced one by one against the pivot rows found so far, each pivot
-    at the row's smallest column.
+    vanishes mod p), which is all ``cohomology_at`` relies on.  The
+    elimination runs forward only, over the same column-to-rows index as
+    ``eliminate``: each column takes its shortest holder as pivot row and
+    clears the other holders, and a pivot row leaves the index for good.
+    A rank does not depend on that order.  Residues are kept between -p/2
+    and p/2, so the small entries of most matrices stay small integers.
     """
     p = PRIME
-    pivots: dict[int, dict] = {}
-    for row in a.row_dicts():
-        if any(type(v) is not int for v in row.values()):
-            return None
-        row = {j: v % p for j, v in row.items() if v % p}
-        while row:
-            c = min(row)
-            pivot_row = pivots.get(c)
-            if pivot_row is None:
-                inv = pow(row[c], -1, p)
-                pivots[c] = {j: v * inv % p for j, v in row.items()}
-                break
-            f = row[c]
-            for j, v in pivot_row.items():
-                new = (row.get(j, 0) - f * v) % p
+    if set(map(type, a.entries.values())) - {int}:
+        return None
+    h = p // 2
+    rows = [{} for _ in range(a.rows)]
+    holders = defaultdict(set)
+    for (i, j), v in a.entries.items():
+        v = (v + h) % p - h
+        if v:
+            rows[i][j] = v
+            holders[j].add(i)
+    r = 0
+    for c in sorted(holders):
+        col = holders[c]
+        if not col:
+            continue
+        r += 1
+        pr = min(col, key=lambda i: (len(rows[i]), i)) if len(col) > 1 else next(iter(col))
+        for j in rows[pr]:
+            holders[j].discard(pr)
+        inv = pow(rows[pr][c], -1, p)
+        items = [(j, v) for j, v in rows[pr].items() if j != c]
+        for i in col:
+            target = rows[i]
+            f = (target.pop(c) * inv + h) % p - h
+            for j, v in items:
+                new = (target.get(j, 0) - f * v + h) % p - h
                 if new:
-                    row[j] = new
+                    target[j] = new
+                    holders[j].add(i)
                 else:
-                    row.pop(j, None)
-    return len(pivots)
+                    del target[j]
+                    holders[j].discard(i)
+        col.clear()
+    return r
 
 
 def _rank_lower_bound(a: RationalMatrix) -> int | None:
@@ -434,7 +485,7 @@ class LinearSolver:
         ent = dict(b.entries)
         for i in range(b.rows):
             ent[(i, b.cols + i)] = 1
-        elim = eliminate(RationalMatrix(b.rows, b.cols + b.rows, ent))
+        elim = eliminate(RationalMatrix._trusted(b.rows, b.cols + b.rows, ent))
         self._rows = elim.rows
         self._pivots = elim.pivots
 
@@ -534,9 +585,12 @@ def cohomology_at(d_in: RationalMatrix, d_out: RationalMatrix) -> CohomologySlot
         raise LinalgError(f"incompatible maps: d_in lands in {d_in.rows}, d_out eats {d_out.cols}")
     if not (d_out @ d_in).is_zero():
         raise CompositionError("d_out . d_in != 0")
-    r_out = _rank_lower_bound(d_out)
-    r_in = _rank_lower_bound(d_in) if r_out is not None else None
-    if r_in is not None and r_out + r_in == d_out.cols:
+    # the slot is zero iff rank(d_out) = cols - rank(d_in); no rank mod p of
+    # d_out can show that when d_out has fewer nonzero rows or columns
+    r_in = _rank_lower_bound(d_in)
+    need = d_out.cols - r_in if r_in is not None else -1
+    bound = min(len({i for i, _ in d_out.entries}), len({j for _, j in d_out.entries}))
+    if 0 <= need <= bound and _rank_lower_bound(d_out) == need:
         return CohomologySlot(d_in.rows, 0, (), r_in, d_out, (), (), ())
     out = eliminate(d_out)
     image = eliminate(d_in)
@@ -544,7 +598,7 @@ def cohomology_at(d_in: RationalMatrix, d_out: RationalMatrix) -> CohomologySlot
     # image pivot columns of d_in in reversed kernel coordinates
     coord = {f: n - 1 - j for j, f in enumerate(out.free)}
     row_of = {c: i for i, c in enumerate(image.pivots)}
-    echelon = eliminate(RationalMatrix(image.rank, n, {
+    echelon = eliminate(RationalMatrix._trusted(image.rank, n, {
         (row_of[c], coord[i]): v for (i, c), v in d_in.entries.items() if c in row_of and i in coord}))
     if echelon.rank != image.rank:  # pragma: no cover - internal consistency
         raise LinalgError("rank bookkeeping failed in cohomology_at")
@@ -735,4 +789,4 @@ def block_matrix(row_sizes: Sequence[int], col_sizes: Sequence[int],
         r0, c0 = row_off[bi], col_off[bj]
         for (i, j), v in blk.entries.items():
             ent[(r0 + i, c0 + j)] = v
-    return RationalMatrix(row_off[-1], col_off[-1], ent)
+    return RationalMatrix._trusted(row_off[-1], col_off[-1], ent)

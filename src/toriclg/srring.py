@@ -59,7 +59,8 @@ class Monomial:
         exps = dict(self.exps)
         for i, e in other.exps:
             exps[i] = exps.get(i, 0) + e
-        return Monomial.from_map(exps)
+        # sums of exponents >= 1: nothing to drop or refuse, as from_map would
+        return Monomial(tuple(sorted(exps.items())))
 
     def dense(self, num_rays: int) -> tuple[int, ...]:
         out = [0] * num_rays
@@ -212,8 +213,8 @@ def cone_monomial_basis(fan: Fan, cone: Cone, degree: int) -> list[Monomial]:
         return []
 
     def build():
-        idxs = cone.ray_indices
-        return sorted((Monomial.from_map(dict(zip(idxs, comp)))
+        idxs = cone.ray_indices  # sorted, so each exps tuple comes out sorted
+        return sorted((Monomial(tuple((i, e) for i, e in zip(idxs, comp) if e))
                        for comp in _compositions(degree // 2, len(idxs))),
                       key=monomial_sort_key(fan.num_rays))
 

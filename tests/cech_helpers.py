@@ -1,6 +1,7 @@
 """Cech cochains as the tests handle them: coordinate vectors, polynomial
-components, the horizontal differential on one cochain, and the
-constructive gluing and splitting of functions.
+components, the horizontal differential on one cochain, the block-diagonal
+vertical differential of one slot, and the constructive gluing and
+splitting of functions.
 
 No command runs any of this.  Every function takes the ``CoverSimplex``
 whose slot layouts and delta matrices it reads.
@@ -41,6 +42,15 @@ def cochain_from_vector(cs: CoverSimplex, tag: str, p: int, k: int, m: int,
     if pos != len(vec):
         raise CechError("vector length does not match the slot")
     return CechCochain(tag, p, k, m, comps)
+
+
+def vertical_matrix(cs: CoverSimplex, p: int, k: int, m: int) -> RationalMatrix:
+    """Twisted vertical differential on the forms slot (p, k, m), block-diagonal
+    over the p-simplices with the coefficient forms restricted to each simplex
+    cone; lands in (p, k - 1, m + 2)."""
+    blocks = [cs._local_vertical(cs.cone_of(tau), k, m) for tau in cs.simplices(p)]
+    return linalg.block_matrix([b.rows for b in blocks], [b.cols for b in blocks],
+                               {(i, i): b for i, b in enumerate(blocks)})
 
 
 def cochain_delta(cs: CoverSimplex, c: CechCochain) -> CechCochain:

@@ -71,6 +71,31 @@ def random_unimodular(rng: random.Random, n: int, shears=6):
     return tuple(tuple(row) for row in mat)
 
 
+def dense_rref(rows, ncols: int) -> tuple[list[dict], list[int], list[int]]:
+    """Gauss-Jordan elimination over Fractions on a dense copy of the rows,
+    swapping rows physically: the reference of ``linalg.eliminate``.
+
+    Returns the nonzero RREF rows as sparse dicts, the pivot columns and the
+    free columns.
+    """
+    m = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        pr = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        m[r] = [x / m[r][c] for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+    rref = [{j: x for j, x in enumerate(row) if x} for row in m[:len(pivots)]]
+    return rref, pivots, [c for c in range(ncols) if c not in pivots]
+
+
 # -- the const total complex, given blockwise by (Cech degree, exterior degree) --
 
 

@@ -15,6 +15,7 @@ from cech_helpers import (
     poly_components,
     split_cocycle,
     split_cocycle_generic,
+    vertical_matrix,
 )
 from helpers import (
     const_total_blocks_from_vector,
@@ -35,7 +36,7 @@ from toriclg import (
     verify_exactness,
     verify_quasi_iso,
 )
-from toriclg import linalg
+from toriclg import linalg, sr_basis
 from toriclg.cech import (
     TAG_CONST,
     TAG_FORMS,
@@ -44,6 +45,7 @@ from toriclg.cech import (
     CoverSimplex,
 )
 from toriclg.fan import fan_from_data
+from toriclg.twisted import ext_subsets
 
 
 @pytest.fixture(scope="module")
@@ -127,8 +129,8 @@ class TestDelta:
             for p in range(cs.size - 1):
                 for k in range(1, n + 1):
                     for m in (0, 2):
-                        left = cs.delta_matrix(TAG_FORMS, p, k - 1, m + 2) @ cs.vertical_matrix(p, k, m)
-                        right = cs.vertical_matrix(p + 1, k, m) @ cs.delta_matrix(TAG_FORMS, p, k, m)
+                        left = cs.delta_matrix(TAG_FORMS, p, k - 1, m + 2) @ vertical_matrix(cs, p, k, m)
+                        right = vertical_matrix(cs, p + 1, k, m) @ cs.delta_matrix(TAG_FORMS, p, k, m)
                         assert left == right, (name, p, k, m)
 
 
@@ -281,6 +283,58 @@ class TestTotals:
                 assert (cs.forms_total_matrix(t + 1) @ cs.forms_total_matrix(t)).is_zero()
                 assert (cs.const_total_matrix(t + 1) @ cs.const_total_matrix(t)).is_zero()
 
+    def test_totals_match_block_assembly(self, covers, p2):
+        # the totals and the augmentation are written straight from the delta
+        # plans and the local blocks; each must equal the matrix assembled
+        # block by block from delta_matrix, vertical_matrix and const_matrix
+        def assembled(cs, src_tag, dst_tag, t_src, t_dst, arrows):
+            src = cs.total_blocks(src_tag, t_src)
+            dst = cs.total_blocks(dst_tag, t_dst)
+            blocks = {(dst.index(target), j): blk for j, slot in enumerate(src)
+                      for target, blk in arrows(*slot) if target in dst}
+            return linalg.block_matrix([cs.slot_layout(dst_tag, *b)[0] for b in dst],
+                                       [cs.slot_layout(src_tag, *b)[0] for b in src], blocks)
+
+        def forms_arrows(cs):
+            def arrows(p, k, m):
+                yield (p + 1, k, m), cs.delta_matrix(TAG_FORMS, p, k, m)
+                if k >= 1:
+                    yield (p, k - 1, m + 2), vertical_matrix(cs, p, k, m).scale((-1) ** p)
+            return arrows
+
+        def inclusion_arrows(cs):
+            def arrows(p, k, m):
+                blocks = [cs.const_matrix(cs.cone_of(tau), k) for tau in cs.simplices(p)]
+                yield (p, k, m), linalg.block_matrix(
+                    [b.rows for b in blocks], [b.cols for b in blocks],
+                    {(i, i): b for i, b in enumerate(blocks)})
+            return arrows
+
+        extra = CoverSimplex(p2, list(p2.max_cones) + [p2.cone([1]), p2.cone([1, 2])])
+        for name, cs in [*covers.items(), ("p2 with extra cones", extra)]:
+            n = cs.fan.rank
+            for t in range(2 * n + 3):
+                assert cs.forms_total_matrix(t) == assembled(
+                    cs, TAG_FORMS, TAG_FORMS, t, t + 1, forms_arrows(cs)), (name, t)
+                assert cs.const_total_matrix(t) == assembled(
+                    cs, TAG_CONST, TAG_CONST, t, t + 1,
+                    lambda p, k, m: [((p + 1, k, m), cs.delta_matrix(TAG_CONST, p, k, m))]), (name, t)
+                assert cs.inclusion_matrix(t) == assembled(
+                    cs, TAG_CONST, TAG_FORMS, t, t, inclusion_arrows(cs)), (name, t)
+            for k in range(n + 1):
+                for m in range(0, 2 * n + 5, 2):
+                    src = [(mono, u) for u in ext_subsets(n, k) for mono in sr_basis(cs.fan, m)]
+                    want = {}
+                    for tau in cs.simplices(0):
+                        local = cs.local_basis(TAG_FORMS, tau, k, m)
+                        off = cs.slot_layout(TAG_FORMS, 0, k, m)[1][tau]
+                        for j, b in enumerate(src):
+                            if b in local:
+                                want[(off + local.index(b), j)] = 1
+                    aug = cs.augmentation_matrix(k, m)
+                    assert (aug.rows, aug.cols) == (cs.slot_layout(TAG_FORMS, 0, k, m)[0], len(src))
+                    assert aug.entries == want, (name, k, m)
+
     def test_alternative_sign_convention_same_dims(self, covers):
         # D' = vertical + (-1)^k delta also squares to zero and yields the
         # same cohomology dimensions
@@ -301,7 +355,7 @@ class TestTotals:
                         d = d.scale(-1)
                     blocks[(dst_pos[(p + 1, k, m)], j)] = d
                 if k >= 1 and (p, k - 1, m + 2) in dst_pos:
-                    blocks[(dst_pos[(p, k - 1, m + 2)], j)] = cs.vertical_matrix(p, k, m)
+                    blocks[(dst_pos[(p, k - 1, m + 2)], j)] = vertical_matrix(cs, p, k, m)
             return linalg.block_matrix(row_sizes, col_sizes, blocks)
 
         for t in range(t_max):
@@ -418,7 +472,7 @@ class TestCup:
             d = cochain_delta(cs, c)
             out[(c.p + 1, c.k, c.m)] = d
             if c.k >= 1:
-                vec = cs.vertical_matrix(c.p, c.k, c.m).mul_vec(cochain_to_vector(cs, c))
+                vec = vertical_matrix(cs, c.p, c.k, c.m).mul_vec(cochain_to_vector(cs, c))
                 if c.p % 2:
                     vec = linalg.scale_vector(-1, vec)
                 out[(c.p, c.k - 1, c.m + 2)] = cochain_from_vector(

@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import FAN_DIR, cn_data, fan_text, load_fan_and_polyhedron
-from helpers import INLINE_FANS
+from helpers import INLINE_FANS, inline_fan_file
 from toriclg import (
     FanParseError,
     FanValidationError,
@@ -19,6 +19,8 @@ from toriclg import (
     primitive_collections,
 )
 from toriclg import fan as fan_module
+from toriclg import linalg
+from toriclg.cli import main
 from toriclg.fan import (
     Cone,
     Fan,
@@ -407,3 +409,19 @@ class TestLatticeCoordinates:
                         for t in range(fan.rank):
                             rebuilt[t] += a * fan.ray(i)[t]
                     assert tuple(rebuilt) == fan.ray(l)
+
+    def test_one_solver_per_cone(self, monkeypatch, capsys, tmp_path):
+        # degenerate on the 18-ray surface: the fan check inverts 18 ray
+        # matrices for the dual frames, log_derivations inverts its frame, and
+        # the 16 rays outside the reference cone share that cone's one solver
+        built = []
+        init = linalg.LinearSolver.__init__
+
+        def spy(self, b):
+            built.append((b.rows, b.cols, tuple(sorted(b.entries.items()))))
+            init(self, b)
+
+        monkeypatch.setattr(linalg.LinearSolver, "__init__", spy)
+        assert main(["degenerate", inline_fan_file(tmp_path, "S18"), "--json"]) == 0
+        capsys.readouterr()
+        assert (len(built), len(set(built))) == (20, 18)

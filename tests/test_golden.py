@@ -20,7 +20,12 @@ fans of ``helpers.INLINE_FANS``: Fourier-Motzkin rows with coefficients
 other than +-1 (the 18-ray surface), coefficient forms with several rays in
 ``log_derivations``, and the Cech local blocks of a 7-cone cover.  They
 were recorded before the monomial bases, Koszul index maps and integer
-Fourier-Motzkin rows were computed once per fan.
+Fourier-Motzkin rows were computed once per fan.  The rank-3 and rank-4
+``verify`` digests and the ``LARGER_RING_DIGESTS`` were recorded before
+elimination moved to a column index with tracked pivot rows and the Cech
+matrices to planned, validate-once assembly: the forms total complexes and
+the slots of ``--ring`` above the window run the new elimination order on
+matrices of a few hundred rows.
 """
 
 import hashlib
@@ -102,6 +107,15 @@ LARGER_DEGENERATE_DIGESTS = {
 
 LARGER_VERIFY_DIGESTS = {
     "S7": "40ac1719b2ec1ffda6e3d718b7832b2dd6bae99dc6a0413ad5bc28f9bdae3a63",
+    "P3": "b7bf35fc6cda710d3dca5aa452c8a393876734ebf7c09a68ce8833eda9f3821d",
+    "Bl_pt P3": "e2d7410f2e0d8345120c64de90d77da4c5a0014170e5a266796323baf8cf739e",
+    "C2xP2": "fe2e3204dbae36efd333f745cb9870ee412fa0d283c7c1d34df98dc3feec643f",
+}
+
+LARGER_RING_DIGESTS = {
+    "P3": "359b3f09ba69b5ca826fdf9e8cfd3e65afdc8bbc6e37e0d5588dd018a8ae5dc1",
+    "Bl_pt P3": "666ab348f6e84f119c68dc1a41b673c592fac3a6af9ad48b9a22ef0b4f95e769",
+    "P1^3": "b8b5711413b8945aabdf72ba993565f6174b672388494a46558a89f85de72aac",
 }
 
 
@@ -170,3 +184,9 @@ def test_larger_degenerate_payload_unchanged(capsys, tmp_path, name):
 def test_larger_verify_payload_unchanged(capsys, tmp_path, name):
     path = inline_fan_file(tmp_path, name)
     assert payload_digest(capsys, "verify", path, "--json") == LARGER_VERIFY_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(LARGER_RING_DIGESTS))
+def test_larger_ring_payload_unchanged(capsys, tmp_path, name):
+    path = inline_fan_file(tmp_path, name)
+    assert payload_digest(capsys, "cohomology", path, "--ring", "--json") == LARGER_RING_DIGESTS[name]

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import dense_rref, random_fraction
 from toriclg import linalg
 from toriclg.linalg import (
     PRIME,
@@ -366,6 +367,87 @@ def leibniz_det(rows):
 def test_det_equals_leibniz_expansion(rows):
     # the elimination's scale takes its sign from row swaps and from -1 pivots
     assert det(mat(rows)) == leibniz_det(rows)
+
+
+def random_sparse_rows(rng: random.Random, fractions: bool) -> list[list]:
+    """A sparse matrix, wide, tall or square, often rank-deficient: some rows
+    repeat, negate or combine earlier ones, so that fill-in cancels entries."""
+    nrows, ncols = rng.randint(1, 9), rng.randint(1, 9)
+    rows = []
+    for _ in range(nrows):
+        if rows and rng.random() < 0.4:
+            a, b = rng.choice(rows), rng.choice(rows)
+            c = rng.choice((1, -1, 2))
+            rows.append([c * x + y if rng.random() < 0.5 else c * x for x, y in zip(a, b)])
+            continue
+        row = [0] * ncols
+        for j in rng.sample(range(ncols), rng.randint(0, min(3, ncols))):
+            row[j] = rng.choice((1, -1, 2, -3)) if not fractions else random_fraction(rng) or 1
+        rows.append(row)
+    rng.shuffle(rows)
+    return rows
+
+
+@pytest.mark.parametrize("fractions", [False, True])
+def test_eliminate_equals_dense_gauss_jordan(fractions):
+    rng = random.Random(2002 + fractions)
+    for _ in range(300):
+        rows = random_sparse_rows(rng, fractions)
+        elim = eliminate(mat(rows))
+        want_rows, want_pivots, want_free = dense_rref(rows, len(rows[0]))
+        assert (list(elim.rows), list(elim.pivots), list(elim.free)) == (
+            want_rows, want_pivots, want_free), rows
+        if not fractions:
+            assert rank_mod_p(mat(rows)) == len(want_pivots)
+
+
+def test_det_with_pivot_rows_out_of_order():
+    # a permutation times an upper triangular matrix: the pivot of column c
+    # sits in row perm[c], so the pivot rows come out in the permuted order
+    rng = random.Random(61)
+    for n in range(1, 6):
+        for _ in range(20):
+            tri = [[0] * j + [rng.choice((1, -1, 2, -2, 3))] + [rng.randint(-2, 2) for _ in range(n - j - 1)]
+                   for j in range(n)]
+            perm = list(range(n))
+            rng.shuffle(perm)
+            rows = [tri[perm.index(i)] for i in range(n)]
+            assert det(mat(rows)) == leibniz_det(rows) != 0
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_rank_mod_p_equals_exact_rank_on_sign_matrices(seed):
+    rng = random.Random(seed)
+    for _ in range(100):
+        nrows, ncols = rng.randint(1, 12), rng.randint(1, 12)
+        entries = {(i, j): rng.choice((1, -1)) for i in range(nrows) for j in range(ncols)
+                   if rng.random() < 0.3}
+        a = RationalMatrix(nrows, ncols, entries)
+        assert rank_mod_p(a) == len(dense_rref(a.to_rows(), ncols)[1])
+
+
+def test_every_constructor_refuses_floats_and_out_of_range_entries():
+    with pytest.raises(LinalgError, match="float"):
+        RationalMatrix(2, 2, {(0, 0): 1, (1, 1): 0.5})
+    with pytest.raises(LinalgError, match="float"):
+        RationalMatrix.from_rows([[1, 2], [0.0, 1]])
+    with pytest.raises(LinalgError, match="float"):
+        RationalMatrix.from_columns([[1], [2.0]], rows=1)
+    with pytest.raises(LinalgError, match="float"):
+        matrix_from_action(1, 1, lambda j: {0: 1.5})
+    with pytest.raises(LinalgError, match=r"entry \(2,0\) outside a 2x2 matrix"):
+        RationalMatrix(2, 2, {(0, 0): 1, (2, 0): 1})
+    with pytest.raises(LinalgError, match=r"entry \(0,-1\) outside a 2x2 matrix"):
+        RationalMatrix(2, 2, {(0, -1): Fraction(1, 2)})
+    # a zero entry is stripped, but only after its key is checked
+    with pytest.raises(LinalgError, match=r"entry \(0,3\) outside a 1x3 matrix"):
+        RationalMatrix(1, 3, {(0, 0): 1, (0, 3): 0})
+    with pytest.raises(LinalgError, match="outside"):
+        matrix_from_action(1, 2, lambda j: {1: 0})
+    with pytest.raises(LinalgError, match="block"):
+        block_matrix([1], [1], {(0, 0): mat([[1, 2]])})
+    assert RationalMatrix(1, 3, {(0, 0): 0, (0, 1): Fraction(2, 2), (0, 2): -1}).entries == {
+        (0, 1): 1, (0, 2): -1}
 
 
 def test_cohomology_base_change_invariance():

@@ -26,7 +26,7 @@ from toriclg import (
 from toriclg.cech import CoverSimplex, verify_exactness, verify_quasi_iso
 from toriclg.fan import Cone, FanError, fan_from_data
 from toriclg import linalg, twisted
-from toriclg.linalg import RationalMatrix
+from toriclg.linalg import LinearSolver, RationalMatrix
 from toriclg.srring import cone_monomial_basis
 from toriclg.twisted import _index_maps, koszul_block, lg_multiply
 
@@ -395,8 +395,16 @@ def fresh_table(fan, key):
         return sr_basis(fan, *args)
     if kind == "cone basis":
         return cone_monomial_basis(fan, Cone(args[0]), args[1])
+    if kind == "cone solver":
+        rows = [fan.ray(i) for i in args[0]]
+        return LinearSolver(RationalMatrix.from_columns(rows, rows=fan.rank))
     assert kind == "koszul maps", key
     return _index_maps(fan, None if args[0] is None else Cone(args[0]), args[1])
+
+
+def table_value(value):
+    """A table entry as comparable data (a solver by its elimination)."""
+    return (value._rows, value._pivots) if isinstance(value, LinearSolver) else value
 
 
 def test_cached_tables_survive_every_job():
@@ -410,7 +418,8 @@ def test_cached_tables_survive_every_job():
     lsop_check(tc)
     for cone in fan.max_cones:
         log_derivations(fan, cone)
-    assert {key[0] for key in fan._tables} == {"sr basis", "cone basis", "koszul maps"}
+    assert {key[0] for key in fan._tables} == {"sr basis", "cone basis", "koszul maps",
+                                                "cone solver"}
     fresh = oracle_fan("P3")
     for key, value in fan._tables.items():
-        assert value == fresh_table(fresh, key), key
+        assert table_value(value) == table_value(fresh_table(fresh, key)), key
