@@ -30,9 +30,11 @@ EXIT_MISMATCH = 3
 
 # Largest --tmax or --mmax accepted.  At 100 every degree-bounded command on
 # every fan in fans/ ends within 5 s and 250 MB (the slowest is verify --tmax
-# 100 on C^3: 4.7 s, 248 MB; 2-core VM, Python 3.11.7).  At 200, cohomology on
-# C^3 takes 15 s and 960 MB, and on rank-3 fans the cost grows about x8 per
-# doubling.  The default windows (2n+2, 2n+4) reach 100 only at rank 48.
+# 100 on C^3: 3.2 s, 246 MB, median of 5 runs, peak RSS of the child; 2-core
+# VM, Python 3.11.7).  At 200, cohomology on C^3 took 15 s and 960 MB while
+# zero slots were still certified modulo a prime, and their exact eliminations
+# now take about a fifth more memory; on rank-3 fans the cost grows about x8
+# per doubling.  The default windows (2n+2, 2n+4) reach 100 only at rank 48.
 MAX_DEGREE = 100
 
 

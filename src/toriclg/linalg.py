@@ -8,21 +8,19 @@ than 1 or -1.  An entry is validated once, when it first enters a
 ``RationalMatrix``; copies of entries that already sit in one (a block
 placed into a larger matrix after a shape check) are not validated again.
 
-``eliminate`` is the one exact elimination loop.  It computes the reduced
-row echelon form (RREF) of a matrix on first use and caches it on the
+``eliminate`` is the one elimination loop.  It computes the reduced row
+echelon form (RREF) of a matrix on first use and caches it on the
 matrix, which is treated as immutable; ``rank``, ``kernel_basis``,
 ``image_pivot_columns``, ``det`` and ``cohomology_at`` read it, and
 ``LinearSolver`` (so ``lift`` and ``inverse``) reads the RREF of [b | I].
 A complex that caches its differentials therefore eliminates each
 differential once, and the two cohomology slots on either side of a
-differential share its elimination.  ``rank_mod_p`` is the one other
-loop: its arithmetic is modulo a prime, and sharing the exact loop would
-put a test of the field in its innermost step.  Both keep an index from
-each column to the rows that are nonzero there, so a pivot touches only
-the rows that hold its column (Dumas-Villard, "Computing the rank of
-large sparse matrices over finite fields", 2002).  Rows never move: the
-pivot rows are tracked in pivot order, and the determinant takes the
-sign of that permutation.
+differential share its elimination.  The loop keeps an index from each
+column to the rows that are nonzero there, so a pivot touches only the
+rows that hold its column (Dumas-Villard, "Computing the rank of large
+sparse matrices over finite fields", 2002).  Rows never move: the pivot
+rows are tracked in pivot order, and the determinant takes the sign of
+that permutation.
 
 Results do not depend on the order in which rows are combined: the RREF
 of a matrix is unique, and so are its pivot columns (the greedy choice
@@ -30,16 +28,12 @@ of a matrix is unique, and so are its pivot columns (the greedy choice
 ones").  Ranks, kernel bases, lifts and cohomology representatives are
 therefore reproducible across runs and platforms.
 
-``cohomology_at`` needs no elimination beyond those of its two maps: its
-dimension is nullity(d_out) - rank(d_in), and its representatives come
-from one small RREF of the image written in kernel coordinates (see
-``CohomologySlot``).  Most slots of a complex are zero, and those need no
-exact elimination at all: once d_out @ d_in = 0 is checked, rank(d_out) +
-rank(d_in) <= cols, and a rank modulo a prime never exceeds the rank over
-Q, so cols - rank_p(d_out) - rank_p(d_in) = 0 certifies that the slot is
-zero (``rank_mod_p``).  A d_out with fewer nonzero rows or columns than
-cols - rank(d_in) cannot pass that test and is not reduced modulo p.  Any
-other outcome takes the exact path.
+``cohomology_at`` certifies every slot exactly, zero or not, from the
+cached eliminations of its two maps: its dimension is nullity(d_out) -
+rank(d_in), and the representatives of a nonzero slot come from one
+small RREF of the image written in kernel coordinates (see
+``CohomologySlot``).  A zero slot needs nothing beyond the two maps'
+eliminations, which its neighbours share.
 
 ``solve_system`` is the one exact linear programming entry point: it
 solves the homogeneous equalities first, runs Fourier-Motzkin elimination
@@ -62,10 +56,6 @@ from fractions import Fraction
 Vector = tuple[int | Fraction, ...]
 
 ZERO = Fraction(0)
-
-# rank_mod_p's one prime.  A rank r drops mod p only when p divides every r x r
-# minor; cohomology_at then takes the exact path, so the prime affects speed only.
-PRIME = (1 << 61) - 1
 
 
 class LinalgError(ValueError):
@@ -118,10 +108,6 @@ def dot(u: Sequence, v: Sequence) -> Fraction:
     return Fraction(sum(_exact(a) * _exact(b) for a, b in zip(u, v, strict=True)))
 
 
-def is_zero_vector(v: Sequence) -> bool:
-    return all(a == 0 for a in v)
-
-
 class RationalMatrix:
     """Sparse matrix over Q.  Instances are treated as immutable.
 
@@ -130,12 +116,11 @@ class RationalMatrix:
     bulk: it refuses a float, normalises to int or Fraction, strips zeros
     and refuses any key outside the shape, a zero entry's included.  The
     internal ``_trusted`` adopts entries copied from other matrices
-    without validating them again.  ``eliminate`` caches the RREF here,
-    and ``cohomology_at`` the rank modulo PRIME (-1 until it asks).  Two
-    matrices are equal when their shapes and entries are.
+    without validating them again.  ``eliminate`` caches the RREF here.
+    Two matrices are equal when their shapes and entries are.
     """
 
-    __slots__ = ("rows", "cols", "entries", "_elimination", "_rank_p")
+    __slots__ = ("rows", "cols", "entries", "_elimination")
 
     def __init__(self, rows: int, cols: int, entries: Mapping):
         clean = {}
@@ -152,14 +137,13 @@ class RationalMatrix:
         self.cols = cols
         self.entries = clean
         self._elimination: Elimination | None = None
-        self._rank_p: int | None = -1
 
     @classmethod
     def _trusted(cls, rows: int, cols: int, entries: dict) -> "RationalMatrix":
         """A matrix that adopts ``entries`` unchecked: each value is a copy of
         an entry of a matrix, and the caller's shape checks keep each key in range."""
         a = cls.__new__(cls)
-        a.rows, a.cols, a.entries, a._elimination, a._rank_p = rows, cols, entries, None, -1
+        a.rows, a.cols, a.entries, a._elimination = rows, cols, entries, None
         return a
 
     def __eq__(self, other):
@@ -381,67 +365,6 @@ def rank(a: RationalMatrix) -> int:
     return eliminate(a).rank
 
 
-def rank_mod_p(a: RationalMatrix) -> int | None:
-    """Rank of a modulo PRIME, or None when an entry is not an integer.
-
-    It never exceeds the rank over Q (a minor that vanishes over Z
-    vanishes mod p), which is all ``cohomology_at`` relies on.  The
-    elimination runs forward only, over the same column-to-rows index as
-    ``eliminate``: each column takes its shortest holder as pivot row and
-    clears the other holders, and a pivot row leaves the index for good.
-    A rank does not depend on that order.  Residues are kept between -p/2
-    and p/2, so the small entries of most matrices stay small integers.
-    """
-    p = PRIME
-    if set(map(type, a.entries.values())) - {int}:
-        return None
-    h = p // 2
-    rows = [{} for _ in range(a.rows)]
-    holders = defaultdict(set)
-    for (i, j), v in a.entries.items():
-        v = (v + h) % p - h
-        if v:
-            rows[i][j] = v
-            holders[j].add(i)
-    r = 0
-    for c in sorted(holders):
-        col = holders[c]
-        if not col:
-            continue
-        r += 1
-        pr = min(col, key=lambda i: (len(rows[i]), i)) if len(col) > 1 else next(iter(col))
-        for j in rows[pr]:
-            holders[j].discard(pr)
-        inv = pow(rows[pr][c], -1, p)
-        items = [(j, v) for j, v in rows[pr].items() if j != c]
-        for i in col:
-            target = rows[i]
-            f = (target.pop(c) * inv + h) % p - h
-            for j, v in items:
-                new = (target.get(j, 0) - f * v + h) % p - h
-                if new:
-                    target[j] = new
-                    holders[j].add(i)
-                else:
-                    del target[j]
-                    holders[j].discard(i)
-        col.clear()
-    return r
-
-
-def _rank_lower_bound(a: RationalMatrix) -> int | None:
-    """The exact rank if a is already eliminated, else its rank mod p.
-
-    A differential is d_out of one slot and d_in of the next, so the rank
-    mod p is cached on the matrix: each matrix is reduced at most once.
-    """
-    if a._elimination is not None:
-        return a._elimination.rank
-    if a._rank_p == -1:
-        a._rank_p = rank_mod_p(a)
-    return a._rank_p
-
-
 def _canonical_sign(v: Vector) -> Vector:
     for x in v:
         if x > 0:
@@ -517,11 +440,8 @@ class CohomologySlot:
 
     ``representatives`` span a complement of image(d_in) inside
     ker(d_out); ``reduce`` writes any kernel vector in that basis modulo
-    the image.
-
-    A slot that ``cohomology_at`` certified zero from modular ranks holds
-    the matrix d_out itself in ``_d_out``, not an elimination: its
-    ``reduce`` checks d_out v = 0 with one sparse product.
+    the image.  ``_d_out`` is the cached elimination of d_out, so
+    ``reduce`` refuses a vector that is not a cocycle, in a zero slot too.
 
     A kernel vector is determined by its entries at the free columns of
     d_out (its kernel coordinates).  ``_echelon`` is the RREF of the
@@ -537,7 +457,7 @@ class CohomologySlot:
                  "_d_out", "_echelon", "_rep_coords", "_rep_signs")
 
     def __init__(self, ambient: int, dim: int, representatives: tuple[Vector, ...],
-                 image_rank: int, d_out: Elimination | RationalMatrix,
+                 image_rank: int, d_out: Elimination,
                  echelon: tuple[tuple[int, dict], ...], rep_coords: tuple[int, ...],
                  rep_signs: tuple[int, ...]):
         self.ambient = ambient
@@ -553,10 +473,6 @@ class CohomologySlot:
         if len(v) != self.ambient:
             raise LinalgError("vector length mismatch")
         out = self._d_out
-        if isinstance(out, RationalMatrix):
-            if not is_zero_vector(out.mul_vec(v)):
-                raise NoSolutionError("vector not in the kernel")
-            return ()
         if not out.annihilates(v):
             raise NoSolutionError("vector not in the kernel")
         n = out.nullity
@@ -575,26 +491,21 @@ class CohomologySlot:
 def cohomology_at(d_in: RationalMatrix, d_out: RationalMatrix) -> CohomologySlot:
     """Cohomology ker(d_out)/im(d_in) with deterministic representatives.
 
-    Raises CompositionError unless d_out @ d_in = 0.  A slot that modular
-    ranks certify zero eliminates neither map.  Otherwise it reads the
-    cached eliminations of d_in and d_out; the only new elimination is
-    the small (rank d_in) x (nullity d_out) one that picks
-    representatives.
+    Raises CompositionError unless d_out @ d_in = 0.  It reads the cached
+    eliminations of d_in and d_out, so the slot is certified exactly: it
+    is zero when nullity(d_out) = rank(d_in).  The only new elimination
+    is, for a nonzero slot, the small (rank d_in) x (nullity d_out) one
+    that picks representatives.
     """
     if d_in.rows != d_out.cols:
         raise LinalgError(f"incompatible maps: d_in lands in {d_in.rows}, d_out eats {d_out.cols}")
     if not (d_out @ d_in).is_zero():
         raise CompositionError("d_out . d_in != 0")
-    # the slot is zero iff rank(d_out) = cols - rank(d_in); no rank mod p of
-    # d_out can show that when d_out has fewer nonzero rows or columns
-    r_in = _rank_lower_bound(d_in)
-    need = d_out.cols - r_in if r_in is not None else -1
-    bound = min(len({i for i, _ in d_out.entries}), len({j for _, j in d_out.entries}))
-    if 0 <= need <= bound and _rank_lower_bound(d_out) == need:
-        return CohomologySlot(d_in.rows, 0, (), r_in, d_out, (), (), ())
     out = eliminate(d_out)
     image = eliminate(d_in)
     n = out.nullity
+    if n == image.rank:
+        return CohomologySlot(d_in.rows, 0, (), n, out, (), (), ())
     # image pivot columns of d_in in reversed kernel coordinates
     coord = {f: n - 1 - j for j, f in enumerate(out.free)}
     row_of = {c: i for i, c in enumerate(image.pivots)}

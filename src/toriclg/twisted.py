@@ -327,13 +327,52 @@ class CohomologyRing:
         return self.constants[key]
 
 
+def products_above_window_vanish(dims: Sequence[int],
+                                 constants: dict[tuple[int, int, int, int], Vector]) -> bool:
+    """True when the window's own data prove every product above it zero.
+
+    ``dims`` are dim H^0..H^t_max and ``constants`` holds at least every
+    product of a degree-2 class with a class of degree d - 2 <= t_max - 2.
+    The conditions are H^1 = 0, H^(t_max - 1) = H^(t_max) = 0, and, for
+    3 <= d <= t_max, that those products span H^d (a rank test on their
+    coordinates).  By induction on d every class in the window is then a
+    sum of products of degree-2 classes, the odd degrees being zero.  So
+    for a, b in the window with deg a + deg b > t_max, write a as such a
+    product and multiply it into b one degree-2 factor at a time
+    (associativity): the partial products climb from deg b <= t_max in
+    steps of 2, so one of them lands in degree t_max - 1 or t_max, where
+    it is zero, and so is ab.
+
+    The cohomology of a smooth complete or semi-projective fan is
+    generated in degree 2 (Danilov, "The geometry of toric varieties",
+    1978; Hausel-Sturmfels, "Toric hyperKahler varieties", 2002), so the
+    test passes there once t_max - 1 exceeds the top degree.  It is
+    checked on the computed constants, not assumed.
+    """
+    t_max = len(dims) - 1
+    if t_max < 2 or dims[1] or dims[t_max - 1] or dims[t_max]:
+        return False
+    for d in range(3, t_max + 1):
+        rows = [constants[(2, i, d - 2, j)] for i in range(dims[2]) for j in range(dims[d - 2])]
+        if linalg.rank(RationalMatrix.from_rows(rows)) != dims[d]:
+            return False
+    return True
+
+
 def ring_structure(tc: TwistedComplex, t_max: int | None = None) -> CohomologyRing:
     """Basis and structure constants of the cohomology ring up to t_max.
 
-    Products of two basis classes are computed at the cochain level and
-    reduced in the slot of the sum degree, so products are available for
-    all pairs of basis labels (degrees up to 2 t_max).  Slots are shared
-    with ``lg_cohomology`` through ``tc``.
+    Products of two basis classes are computed at the cochain level, for
+    all pairs of basis labels (degrees up to 2 t_max).  A product in the
+    window is reduced in the slot of its degree; slots are shared with
+    ``lg_cohomology`` through ``tc``.  Above the window, when
+    ``products_above_window_vanish`` certifies from the window's constants
+    that every product there is zero, no slot is built: the products of
+    each degree t are checked to be cocycles with one product by the
+    total differential at t, and their coordinates are empty: each is the
+    zero class, and H^t itself is not computed.  Otherwise
+    (H^1 != 0 on the zero fan, or a t_max below the top degree) each is
+    reduced in the slot of its degree, as in the window.
     """
     if t_max is None:
         t_max = default_t_max(tc.fan)
@@ -345,13 +384,29 @@ def ring_structure(tc: TwistedComplex, t_max: int | None = None) -> CohomologyRi
             reps[(t, i)] = element_from_vector(tc, t, rep)
     dims = tuple(tc.slot(t).dim for t in range(t_max + 1))
 
+    def reduced(a: tuple[int, int], b: tuple[int, int]) -> Vector:
+        t = a[0] + b[0]
+        return tc.slot(t).reduce(vector_from_element(tc, t, lg_multiply(tc.fan, reps[a], reps[b])))
+
     constants: dict[tuple[int, int, int, int], Vector] = {}
-    for (ta, ia) in basis:
-        for (tb, ib) in basis:
-            t = ta + tb
-            prod = lg_multiply(tc.fan, reps[(ta, ia)], reps[(tb, ib)])
-            vecp = vector_from_element(tc, t, prod)
-            constants[(ta, ia, tb, ib)] = tc.slot(t).reduce(vecp)
+    above: dict[int, list] = {}
+    for a in basis:
+        for b in basis:
+            if a[0] + b[0] > t_max:
+                above.setdefault(a[0] + b[0], []).append((a, b))
+            else:
+                constants[a + b] = reduced(a, b)
+    vanish = products_above_window_vanish(dims, constants)
+    for t, pairs in above.items():
+        if vanish:
+            # one column per product of degree t: all are checked to be cocycles at once
+            index = tc.total_index(t)
+            columns = RationalMatrix(len(index), len(pairs), {
+                (index[key], j): c for j, (a, b) in enumerate(pairs)
+                for key, c in lg_multiply(tc.fan, reps[a], reps[b]).items()})
+            if not (tc.total_differential(t) @ columns).is_zero():
+                raise linalg.NoSolutionError("a product above the window is not a cocycle")
+        constants.update((a + b, () if vanish else reduced(a, b)) for a, b in pairs)
     return CohomologyRing(tc, t_max, dims, tuple(basis), reps, constants)
 
 

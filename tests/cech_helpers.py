@@ -253,7 +253,7 @@ def split_cocycle_generic(cs: CoverSimplex, g: CechCochain) -> CechCochain:
     mat = cs.delta_matrix(g.tag, g.p - 1, g.k, g.m)
     vec = cochain_to_vector(cs, g)
     out = cs.delta_matrix(g.tag, g.p, g.k, g.m)
-    if not linalg.is_zero_vector(out.mul_vec(vec)):
+    if any(out.mul_vec(vec)):
         raise CechError("input cochain is not closed")
     sol = linalg.lift(mat, vec)
     return cochain_from_vector(cs, g.tag, g.p - 1, g.k, g.m, sol)

@@ -227,7 +227,7 @@ def test_criterion_randomized_property_sweep(suite, covers):
         p = rng.randint(0, max(0, cs.size - 2))
         c = random_cochain(rng, cs, tag, p, k, m)
         dd = cochain_delta(cs, cochain_delta(cs, c))
-        check(linalg.is_zero_vector(cochain_to_vector(cs, dd)))
+        check(not any(cochain_to_vector(cs, dd)))
 
     # total differential squares to zero on random total vectors
     for _ in range(100):
@@ -237,7 +237,7 @@ def test_criterion_randomized_property_sweep(suite, covers):
         dim = sum(cs.slot_layout(TAG_FORMS, *b)[0] for b in cs.total_blocks(TAG_FORMS, t))
         vec = [Fraction(rng.randint(-3, 3)) for _ in range(dim)]
         once = cs.forms_total_matrix(t).mul_vec(vec)
-        check(linalg.is_zero_vector(cs.forms_total_matrix(t + 1).mul_vec(once)))
+        check(not any(cs.forms_total_matrix(t + 1).mul_vec(once)))
 
     # Leibniz for the twisted differential
     for _ in range(150):

@@ -230,7 +230,7 @@ class TestSplit:
         cs = covers["p2"]
         g = cs.zero_cochain(TAG_FORMS, 1, 0, 2)
         h = split_cocycle(cs, g)
-        assert all(linalg.is_zero_vector(v) for v in h.components.values())
+        assert all(not any(v) for v in h.components.values())
 
     def test_higher_exterior_degree_rejected(self, covers):
         # functions are the forms of exterior degree 0; only those split
@@ -258,7 +258,7 @@ class TestSplit:
         g = None
         for _ in range(50):
             cand = random_cochain(rng, cs, TAG_FORMS, 1, 0, 0)
-            if not linalg.is_zero_vector(cochain_to_vector(cs, cochain_delta(cs, cand))):
+            if any(cochain_to_vector(cs, cochain_delta(cs, cand))):
                 g = cand
                 break
         assert g is not None
@@ -498,7 +498,7 @@ class TestCup:
 
         def as_vectors(blocks):
             return {key: cochain_to_vector(cs, c) for key, c in blocks.items()
-                    if not linalg.is_zero_vector(cochain_to_vector(cs, c))}
+                    if any(cochain_to_vector(cs, c))}
 
         for (pa, ka, ma, pb, kb, mb) in ((0, 1, 0, 0, 1, 0), (0, 1, 2, 1, 1, 0),
                                          (1, 1, 0, 0, 2, 0), (0, 2, 0, 0, 1, 2)):
@@ -515,7 +515,7 @@ class TestCup:
                         right_acc[key] = linalg.add_vectors(right_acc[key], vec)
                     else:
                         right_acc[key] = vec
-            right = {k2: v for k2, v in right_acc.items() if not linalg.is_zero_vector(v)}
+            right = {k2: v for k2, v in right_acc.items() if any(v)}
             assert left == right, (pa, ka, ma, pb, kb, mb)
 
     def test_tag_mismatch_rejected(self, covers):
@@ -533,7 +533,7 @@ class TestCup:
         blocks = const_total_blocks_from_vector(cs, 2, rep)
         square = total_cup(cs, blocks, blocks)
         vec = const_total_vector(cs, 4, square)
-        assert linalg.is_zero_vector(cs.const_total_matrix(4).mul_vec(vec))
+        assert not any(cs.const_total_matrix(4).mul_vec(vec))
         coords = coh.slots[4].reduce(vec)
         assert len(coords) == 1 and coords[0] != 0
 

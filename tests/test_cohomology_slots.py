@@ -14,8 +14,6 @@ from fractions import Fraction
 import pytest
 
 from conftest import FAN_DIR, load_fan
-from helpers import inline_fan
-from toriclg import linalg
 from toriclg.cech import (
     CoverSimplex,
     constant_total_cohomology,
@@ -23,7 +21,6 @@ from toriclg.cech import (
     verify_exactness,
 )
 from toriclg.linalg import (
-    Elimination,
     LinearSolver,
     NoSolutionError,
     RationalMatrix,
@@ -112,23 +109,6 @@ def test_elimination_is_cached_on_the_matrix():
     assert kernel_basis(d) == [(Fraction(1), Fraction(1), Fraction(-1))]
 
 
-def test_each_matrix_is_reduced_mod_p_at_most_once(monkeypatch):
-    # a total differential is d_out of one slot and d_in of the next
-    real, reduced = linalg.rank_mod_p, []
-
-    def spy(a):
-        reduced.append(a)  # held, so no two live matrices share an id
-        return real(a)
-
-    monkeypatch.setattr(linalg, "rank_mod_p", spy)
-    tc = build_twisted(inline_fan("P3"))
-    t_max = default_t_max(tc.fan)
-    lg_cohomology(tc, t_max)
-    ring_structure(tc, t_max)
-    assert reduced
-    assert len({id(a) for a in reduced}) == len(reduced)
-
-
 @pytest.mark.parametrize("name", FAN_NAMES)
 def test_twisted_slots_of_fan_files(name):
     fan = load_fan(name)
@@ -144,11 +124,7 @@ def test_twisted_slots_of_fan_files(name):
         assert list(slot.representatives) == greedy_representatives(d_in, d_out)
         # adjacent slots read the one elimination of the differential between them
         assert tc.total_differential(t) is d_out
-        # a certified-zero slot holds d_out itself; any other reads its cached elimination
-        if isinstance(slot._d_out, Elimination):
-            assert slot._d_out is d_out._elimination
-        else:
-            assert slot._d_out is d_out and slot.dim == 0
+        assert slot._d_out is d_out._elimination
     # the ring reads the slots lg_cohomology left on the complex
     assert ring_structure(tc, t_max).dims == coh.dims
     assert all(tc.slot(t) is coh.slots[t] for t in range(t_max + 1))
@@ -177,8 +153,7 @@ def exact_numbers(obj) -> list:
     if isinstance(obj, LinearSolver):
         return [v for row in obj._rows for v in row.values()]
     out = [v for rep in obj.representatives for v in rep]
-    out += [v for _, row in obj._echelon for v in row.values()]
-    return out + exact_numbers(obj._d_out) if isinstance(obj._d_out, RationalMatrix) else out
+    return out + [v for _, row in obj._echelon for v in row.values()]
 
 
 @pytest.mark.parametrize("name", FAN_NAMES)

@@ -26,6 +26,12 @@ elimination moved to a column index with tracked pivot rows and the Cech
 matrices to planned, validate-once assembly: the forms total complexes and
 the slots of ``--ring`` above the window run the new elimination order on
 matrices of a few hundred rows.
+
+The ``TMAX_RING_DIGESTS`` were recorded before the products above the
+window were certified zero from generation in degree 2: t_max = 3 leaves
+H^2 nonzero at t_max - 1 on P^2 and H^1 nonzero on zero2, so those rings
+still reduce their products in slots above the window, while t_max = 5
+and 12 on P^2 are certified.
 """
 
 import hashlib
@@ -118,6 +124,13 @@ LARGER_RING_DIGESTS = {
     "P1^3": "b8b5711413b8945aabdf72ba993565f6174b672388494a46558a89f85de72aac",
 }
 
+TMAX_RING_DIGESTS = {
+    ("p2", 3): "1add5eeb951a0bdf206251449161cf449aa4b551e07d76572f0db86352057773",
+    ("p2", 5): "1e574a25a21656c81a9816487ebe89844e33d67650afd8ce398101c7ee849c16",
+    ("p2", 12): "c53b7bc1fba46d281be7ab2c8ed4ace0610bf5c06d9039447122ab8fd90c6d21",
+    ("zero2", 3): "f5a7093df7f83e017ae8fbc895599ea3376bfa3556d1282ca6c6398444f3a888",
+}
+
 
 def payload_digest(capsys, *argv) -> str:
     code = main(list(argv))
@@ -190,3 +203,10 @@ def test_larger_verify_payload_unchanged(capsys, tmp_path, name):
 def test_larger_ring_payload_unchanged(capsys, tmp_path, name):
     path = inline_fan_file(tmp_path, name)
     assert payload_digest(capsys, "cohomology", path, "--ring", "--json") == LARGER_RING_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name,t_max", sorted(TMAX_RING_DIGESTS))
+def test_ring_payload_with_tmax_unchanged(capsys, name, t_max):
+    path = str(FAN_DIR / f"{name}.json")
+    digest = payload_digest(capsys, "cohomology", path, "--ring", "--tmax", str(t_max), "--json")
+    assert digest == TMAX_RING_DIGESTS[(name, t_max)]

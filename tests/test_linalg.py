@@ -10,9 +10,7 @@ from hypothesis import strategies as st
 from helpers import dense_rref, random_fraction
 from toriclg import linalg
 from toriclg.linalg import (
-    PRIME,
     CompositionError,
-    Elimination,
     LinalgError,
     LinearSolver,
     NoSolutionError,
@@ -28,7 +26,6 @@ from toriclg.linalg import (
     lift,
     matrix_from_action,
     rank,
-    rank_mod_p,
     scale_vector,
     solve_inequalities,
     solve_system,
@@ -135,6 +132,38 @@ class TestCohomologyAt:
             coords = slot.reduce(rep)
             assert coords == tuple(Fraction(1 if i == j else 0) for i in range(slot.dim))
         assert slot.reduce(d_in.mul_vec([5, 7])) == (0, 0)
+
+    def test_shared_differential_is_eliminated_once(self, monkeypatch):
+        # d1 is d_out of the first slot and d_in of the second
+        real, eliminated = linalg.eliminate, []
+
+        def spy(a):
+            if a._elimination is None:
+                eliminated.append(a)  # held, so no two live matrices share an id
+            return real(a)
+
+        monkeypatch.setattr(linalg, "eliminate", spy)
+        d0, d1, d2 = mat([[1], [-1], [0]]), mat([[1, 1, 0], [2, 2, 0]]), mat([[2, -1]])
+        first, second = cohomology_at(d0, d1), cohomology_at(d1, d2)
+        assert (first.dim, second.dim) == (1, 0)
+        assert sum(a is d1 for a in eliminated) == 1
+        assert len({id(a) for a in eliminated}) == len(eliminated)
+        assert first._d_out is d1._elimination and second.image_rank == d1._elimination.rank
+
+    def test_fraction_entry_takes_the_exact_path(self):
+        d_out = mat([[Fraction(1, 2), 1]])
+        d_in = mat([[2], [-1]])
+        slot = cohomology_at(d_in, d_out)
+        assert (slot.dim, slot.image_rank) == (0, 1)
+        assert slot._d_out is d_out._elimination
+
+    def test_zero_slot_reduces_cocycles_only(self):
+        d_in, d_out = mat([[1], [-1]]), mat([[1, 1]])
+        slot = cohomology_at(d_in, d_out)
+        assert (slot.dim, slot.representatives, slot.image_rank) == (0, (), 1)
+        assert slot.reduce((3, -3)) == ()
+        with pytest.raises(NoSolutionError):
+            slot.reduce((1, 0))
 
 
 class TestExactEntries:
@@ -245,58 +274,6 @@ def test_solve_system_satisfies_every_row_exactly(system):
     assert all(dot(c, x) >= r for c, r in ineqs)
 
 
-class TestRankModP:
-    def test_non_integer_entry(self):
-        assert rank_mod_p(mat([[Fraction(1, 2), 1]])) is None
-
-    def test_rank_drops_mod_p(self):
-        a = mat([[PRIME, 0], [0, 1]])
-        assert (rank_mod_p(a), rank(a)) == (1, 2)
-
-    def test_drop_in_d_out_takes_the_exact_path(self):
-        d_out = mat([[PRIME]])
-        slot = cohomology_at(RationalMatrix.zeros(1, 0), d_out)
-        assert slot.dim == 0 and isinstance(slot._d_out, Elimination)
-        assert slot._d_out is d_out._elimination
-
-    def test_drop_in_d_in_takes_the_exact_path(self):
-        d_in = mat([[PRIME]])
-        slot = cohomology_at(d_in, RationalMatrix.zeros(0, 1))
-        assert (slot.dim, slot.image_rank) == (0, 1)
-        assert isinstance(slot._d_out, Elimination)
-
-    def test_drop_hides_no_cohomology(self):
-        # rank_p says 0 + 0 out of 2 columns, the truth is 1 + 0: dim 1, found exactly
-        d_out = mat([[PRIME, 0]])
-        slot = cohomology_at(RationalMatrix.zeros(2, 0), d_out)
-        assert slot.dim == 1 and slot.representatives == ((0, 1),)
-
-    def test_non_integer_entry_takes_the_exact_path(self):
-        d_out = mat([[Fraction(1, 2), 1]])
-        d_in = mat([[2], [-1]])
-        slot = cohomology_at(d_in, d_out)
-        assert (slot.dim, slot.image_rank) == (0, 1)
-        assert slot._d_out is d_out._elimination
-
-    def test_certified_zero_slot_eliminates_nothing(self):
-        d_in, d_out = mat([[1], [-1]]), mat([[1, 1]])
-        slot = cohomology_at(d_in, d_out)
-        assert (slot.dim, slot.representatives, slot.image_rank) == (0, (), 1)
-        assert slot._d_out is d_out
-        assert d_in._elimination is None and d_out._elimination is None
-        assert slot.reduce((3, -3)) == ()
-        with pytest.raises(NoSolutionError):
-            slot.reduce((1, 0))
-
-    def test_cached_elimination_gives_the_exact_rank(self):
-        # the exact rank of d_out (1) is read from its cache; rank_p alone would say 0
-        d_out = mat([[PRIME, PRIME]])
-        eliminate(d_out)
-        d_in = mat([[1], [-1]])
-        slot = cohomology_at(d_in, d_out)
-        assert slot.dim == 0 and slot._d_out is d_out and d_in._elimination is None
-
-
 class TestExteriorPower:
     def test_identity(self):
         assert exterior_power(RationalMatrix.identity(4), 2) == RationalMatrix.identity(6)
@@ -335,13 +312,6 @@ def sparse_matrices(draw, max_dim=6):
 @given(sparse_matrices())
 def test_rank_nullity(a):
     assert rank(a) + len(kernel_basis(a)) == a.cols
-
-
-@settings(max_examples=120, deadline=None)
-@given(sparse_matrices())
-def test_rank_mod_p_equals_rank_below_the_prime(a):
-    # every minor is below the Hadamard bound (5 * 6^(1/2))^6 < PRIME, so no rank drops
-    assert rank_mod_p(a) == rank(a)
 
 
 @settings(max_examples=120, deadline=None)
@@ -397,8 +367,6 @@ def test_eliminate_equals_dense_gauss_jordan(fractions):
         want_rows, want_pivots, want_free = dense_rref(rows, len(rows[0]))
         assert (list(elim.rows), list(elim.pivots), list(elim.free)) == (
             want_rows, want_pivots, want_free), rows
-        if not fractions:
-            assert rank_mod_p(mat(rows)) == len(want_pivots)
 
 
 def test_det_with_pivot_rows_out_of_order():
@@ -413,17 +381,6 @@ def test_det_with_pivot_rows_out_of_order():
             rng.shuffle(perm)
             rows = [tri[perm.index(i)] for i in range(n)]
             assert det(mat(rows)) == leibniz_det(rows) != 0
-
-
-@pytest.mark.parametrize("seed", range(4))
-def test_rank_mod_p_equals_exact_rank_on_sign_matrices(seed):
-    rng = random.Random(seed)
-    for _ in range(100):
-        nrows, ncols = rng.randint(1, 12), rng.randint(1, 12)
-        entries = {(i, j): rng.choice((1, -1)) for i in range(nrows) for j in range(ncols)
-                   if rng.random() < 0.3}
-        a = RationalMatrix(nrows, ncols, entries)
-        assert rank_mod_p(a) == len(dense_rref(a.to_rows(), ncols)[1])
 
 
 def test_every_constructor_refuses_floats_and_out_of_range_entries():

@@ -28,7 +28,7 @@ from toriclg.fan import Cone, FanError, fan_from_data
 from toriclg import linalg, twisted
 from toriclg.linalg import LinearSolver, RationalMatrix
 from toriclg.srring import cone_monomial_basis
-from toriclg.twisted import _index_maps, koszul_block, lg_multiply
+from toriclg.twisted import _index_maps, default_t_max, koszul_block, lg_multiply
 
 
 def random_element(rng, tc, t):
@@ -206,6 +206,73 @@ class TestRingStructure:
         for name in ("p1xp1", "hirzebruch1", "blowup_c2"):
             ring = ring_structure(build_twisted(suite[name]))
             assert check_axioms(ring) == []
+
+
+def spy_on_slots(monkeypatch) -> list[int]:
+    """The total degrees of the slots ``TwistedComplex.slot`` is asked for."""
+    real, asked = twisted.TwistedComplex.slot, []
+
+    def slot(self, t):
+        asked.append(t)
+        return real(self, t)
+
+    monkeypatch.setattr(twisted.TwistedComplex, "slot", slot)
+    return asked
+
+
+class TestRingAboveWindow:
+    @pytest.mark.parametrize("name", ["P3", "P1^3"])
+    def test_certified_ring_builds_no_slot_above_the_window(self, monkeypatch, name):
+        fan = inline_fan(name)
+        t_max = default_t_max(fan)
+        with monkeypatch.context() as m:
+            fallback = spy_on_slots(m)
+            m.setattr(twisted, "products_above_window_vanish", lambda dims, constants: False)
+            from_slots = ring_structure(build_twisted(fan), t_max).constants
+        assert max(fallback) > t_max
+        asked = spy_on_slots(monkeypatch)
+        ring = ring_structure(build_twisted(fan), t_max)
+        assert max(asked) == t_max
+        assert ring.constants == from_slots
+        assert any(ta + tb > t_max for ta, _, tb, _ in ring.constants)
+
+    @pytest.mark.parametrize("name", ["zero2", "p2"])
+    def test_fallback_builds_the_slots_above_the_window(self, monkeypatch, name):
+        # zero2 has H^1 != 0; on P^2, t_max = 3 leaves H^2 != 0 at t_max - 1
+        fan, t_max = load_fan(name), 3
+        asked = spy_on_slots(monkeypatch)
+        ring = ring_structure(build_twisted(fan), t_max)
+        assert not twisted.products_above_window_vanish(ring.dims, ring.constants)
+        assert max(asked) > t_max
+
+    def test_degree_two_must_span_the_window(self):
+        # H^2 = <x, y> and H^4 = <w>: while every product of two degree-2
+        # classes is zero, H^4 is not generated in degree 2
+        dims = (1, 0, 2, 0, 1, 0, 0)
+        constants = {(2, i, 2, j): (0,) for i in range(2) for j in range(2)}
+        constants.update({(2, i, 4, 0): () for i in range(2)})
+        assert not twisted.products_above_window_vanish(dims, constants)
+        constants[(2, 1, 2, 1)] = (3,)
+        assert twisted.products_above_window_vanish(dims, constants)
+
+    def test_non_cocycle_above_the_window_raises(self, monkeypatch, p2):
+        tc = build_twisted(p2)
+        t_max = default_t_max(p2)
+        real = twisted.lg_multiply
+
+        def lg_multiply(fan, x, y):
+            out, t = real(fan, x, y), lg_degree(x) + lg_degree(y)
+            if t <= t_max:
+                return out
+            # add a basis vector that the differential does not kill
+            key = tc.total_basis(t)[min(j for _, j in tc.total_differential(t).entries)]
+            return {**out, key: out.get(key, 0) + 1}
+
+        monkeypatch.setattr(twisted, "lg_multiply", lg_multiply)
+        asked = spy_on_slots(monkeypatch)
+        with pytest.raises(linalg.NoSolutionError):
+            ring_structure(tc, t_max)
+        assert max(asked) == t_max
 
 
 class TestLsop:
