@@ -40,6 +40,13 @@ IntVec = tuple[int, ...]
 
 FAN_FILE_KEYS = ("rank", "rays", "max_cones", "polyhedron")
 
+# Largest sum of 2^dim over the maximal cones, the subsets that the face
+# closure enumerates.  Validating the single cone C^17 (2^17) takes 1.8 s and
+# 162 MB, within the 5 s / 250 MB that bounds MAX_DEGREE in the CLI; C^18
+# took 4.7 s and 314 MB, and each further ray doubles both (median of 3 runs,
+# peak RSS of the child; 2-core VM, Python 3.11.7).
+MAX_FACE_SUBSETS = 2 ** 17
+
 
 class FanError(ValueError):
     pass
@@ -432,6 +439,11 @@ def fan_from_data(rank: int, rays: Sequence[Sequence[int]],
     if missing:
         raise FanValidationError(f"rays {missing} appear in no cone")
 
+    subsets = sum(2 ** c.dim for c in maximal)
+    if subsets > MAX_FACE_SUBSETS:
+        raise FanValidationError(
+            f"the maximal cones have {subsets} subsets, more than the limit "
+            f"MAX_FACE_SUBSETS = {MAX_FACE_SUBSETS} that face enumeration allows")
     faces: set[IntVec] = set()
     for c in maximal:
         for k in range(c.dim + 1):

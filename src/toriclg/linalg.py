@@ -33,7 +33,10 @@ cached eliminations of its two maps: its dimension is nullity(d_out) -
 rank(d_in), and the representatives of a nonzero slot come from one
 small RREF of the image written in kernel coordinates (see
 ``CohomologySlot``).  A zero slot needs nothing beyond the two maps'
-eliminations, which its neighbours share.
+eliminations, which its neighbours share.  A slot reduces a batch of
+vectors with two sparse products: one by d_out checks that they are
+cocycles, and one by a projection read off that small RREF gives their
+classes.
 
 ``solve_system`` is the one exact linear programming entry point: it
 solves the homogeneous equalities first, runs Fourier-Motzkin elimination
@@ -272,13 +275,6 @@ class Elimination:
     def nullity(self) -> int:
         return len(self.free)
 
-    def annihilates(self, v: Sequence) -> bool:
-        """True iff the matrix maps v to zero (the RREF rows span its row space)."""
-        for row in self.rows:
-            if sum(c * v[j] for j, c in row.items() if v[j]):
-                return False
-        return True
-
     def kernel_vector(self, f: int) -> Vector:
         """The kernel vector with a 1 at free column f and 0 at the other free columns."""
         x = [0] * self.cols
@@ -439,53 +435,46 @@ class CohomologySlot:
     """Kernel-mod-image data at one position of a complex.
 
     ``representatives`` span a complement of image(d_in) inside
-    ker(d_out); ``reduce`` writes any kernel vector in that basis modulo
-    the image.  ``_d_out`` is the cached elimination of d_out, so
-    ``reduce`` refuses a vector that is not a cocycle, in a zero slot too.
+    ker(d_out).  ``reduce`` writes a batch of kernel vectors in that basis
+    modulo the image: one sparse product by d_out checks that every
+    vector is a cocycle (the batch is refused otherwise, in a zero slot
+    too), and one by ``_project`` reads off the classes.
 
     A kernel vector is determined by its entries at the free columns of
-    d_out (its kernel coordinates).  ``_echelon`` is the RREF of the
-    image pivot columns of d_in in kernel coordinates, with the
+    d_out (its kernel coordinates).  ``cohomology_at`` takes the RREF of
+    the image pivot columns of d_in in kernel coordinates, with the
     coordinate order reversed: its pivots are exactly the kernel
     coordinates j for which some image vector has its last nonzero
     kernel coordinate at j, so the canonical kernel vectors at the other
-    coordinates (``_rep_coords``) are the ones the greedy left-to-right
-    choice over [image | kernel basis] keeps.  Immutable by convention.
+    coordinates are the ones the greedy left-to-right choice over
+    [image | kernel basis] keeps.  ``_project`` (dim x ambient) subtracts
+    from a kernel vector the image vectors that clear its pivot
+    coordinates and reads the rest: row r holds the sign of
+    representative r at its free column, and minus that sign times the
+    RREF row entry at the free column of each pivot.  The slot keeps
+    d_out, which the complex caches, and no elimination.  Immutable by
+    convention.
     """
 
-    __slots__ = ("ambient", "dim", "representatives", "image_rank",
-                 "_d_out", "_echelon", "_rep_coords", "_rep_signs")
+    __slots__ = ("ambient", "dim", "representatives", "image_rank", "_d_out", "_project")
 
-    def __init__(self, ambient: int, dim: int, representatives: tuple[Vector, ...],
-                 image_rank: int, d_out: Elimination,
-                 echelon: tuple[tuple[int, dict], ...], rep_coords: tuple[int, ...],
-                 rep_signs: tuple[int, ...]):
-        self.ambient = ambient
-        self.dim = dim
+    def __init__(self, representatives: tuple[Vector, ...], image_rank: int,
+                 d_out: RationalMatrix, project: RationalMatrix):
+        self.ambient = d_out.cols
+        self.dim = project.rows
         self.representatives = representatives
         self.image_rank = image_rank
         self._d_out = d_out
-        self._echelon = echelon          # (pivot, row) in reversed kernel coordinates
-        self._rep_coords = rep_coords    # reversed kernel coordinate of each representative
-        self._rep_signs = rep_signs      # canonical sign of each representative
+        self._project = project
 
-    def reduce(self, v: Sequence) -> Vector:
-        if len(v) != self.ambient:
+    def reduce(self, columns: RationalMatrix) -> list[Vector]:
+        """The class of each column of ``columns`` in the basis of representatives."""
+        if columns.rows != self.ambient:
             raise LinalgError("vector length mismatch")
-        out = self._d_out
-        if not out.annihilates(v):
+        if not (self._d_out @ columns).is_zero():
             raise NoSolutionError("vector not in the kernel")
-        n = out.nullity
-        coords = {n - 1 - j: _exact(v[f]) for j, f in enumerate(out.free) if v[f]}
-        acc = {q: coords.get(q, 0) for q in self._rep_coords}
-        for p, row in self._echelon:
-            c = coords.get(p)
-            if not c:
-                continue
-            for q, val in row.items():
-                if q != p:
-                    acc[q] -= c * val
-        return tuple(acc[q] if s > 0 else -acc[q] for q, s in zip(self._rep_coords, self._rep_signs))
+        classes = self._project @ columns
+        return [classes.column(j) for j in range(columns.cols)]
 
 
 def cohomology_at(d_in: RationalMatrix, d_out: RationalMatrix) -> CohomologySlot:
@@ -505,8 +494,8 @@ def cohomology_at(d_in: RationalMatrix, d_out: RationalMatrix) -> CohomologySlot
     image = eliminate(d_in)
     n = out.nullity
     if n == image.rank:
-        return CohomologySlot(d_in.rows, 0, (), n, out, (), (), ())
-    # image pivot columns of d_in in reversed kernel coordinates
+        return CohomologySlot((), n, d_out, RationalMatrix.zeros(0, d_out.cols))
+    # image pivot columns of d_in in reversed kernel coordinates (q is free column out.free[n - 1 - q])
     coord = {f: n - 1 - j for j, f in enumerate(out.free)}
     row_of = {c: i for i, c in enumerate(image.pivots)}
     echelon = eliminate(RationalMatrix._trusted(image.rank, n, {
@@ -514,18 +503,25 @@ def cohomology_at(d_in: RationalMatrix, d_out: RationalMatrix) -> CohomologySlot
     if echelon.rank != image.rank:  # pragma: no cover - internal consistency
         raise LinalgError("rank bookkeeping failed in cohomology_at")
     pivot_coords = set(echelon.pivots)
-    reps, rep_coords, signs = [], [], []
+    reps, project, rep_of = [], {}, {}  # rep_of: kernel coordinate -> (row of project, sign)
     for j, f in enumerate(out.free):
-        if n - 1 - j in pivot_coords:
+        q = n - 1 - j
+        if q in pivot_coords:
             continue
         vec = out.kernel_vector(f)
         rep = _canonical_sign(vec)
+        sign = 1 if rep is vec else -1
+        rep_of[q] = (len(reps), sign)
+        project[(len(reps), f)] = sign
         reps.append(rep)
-        rep_coords.append(n - 1 - j)
-        signs.append(1 if rep is vec else -1)
-    return CohomologySlot(d_in.rows, n - image.rank, tuple(reps), image.rank, out,
-                          tuple(zip(echelon.pivots, echelon.rows)),
-                          tuple(rep_coords), tuple(signs))
+    for p, row in zip(echelon.pivots, echelon.rows):
+        f = out.free[n - 1 - p]
+        for q, v in row.items():
+            if q in rep_of:
+                r, sign = rep_of[q]
+                project[(r, f)] = -sign * v
+    return CohomologySlot(tuple(reps), image.rank, d_out,
+                          RationalMatrix(len(reps), d_out.cols, project))
 
 
 # -- misc utilities -------------------------------------------------------

@@ -245,14 +245,6 @@ def element_from_vector(tc: TwistedComplex, t: int, vec: Sequence) -> LGElement:
     return {basis[i]: f for i, v in enumerate(vec) if (f := linalg._fraction(v))}
 
 
-def vector_from_element(tc: TwistedComplex, t: int, elt: LGElement) -> Vector:
-    index = tc.total_index(t)
-    out = [Fraction(0)] * len(index)
-    for key, coeff in elt.items():
-        out[index[key]] = coeff
-    return tuple(out)
-
-
 def element_string(elt: LGElement) -> str:
     if not elt:
         return "0"
@@ -363,16 +355,18 @@ def ring_structure(tc: TwistedComplex, t_max: int | None = None) -> CohomologyRi
     """Basis and structure constants of the cohomology ring up to t_max.
 
     Products of two basis classes are computed at the cochain level, for
-    all pairs of basis labels (degrees up to 2 t_max).  A product in the
-    window is reduced in the slot of its degree; slots are shared with
-    ``lg_cohomology`` through ``tc``.  Above the window, when
-    ``products_above_window_vanish`` certifies from the window's constants
-    that every product there is zero, no slot is built: the products of
-    each degree t are checked to be cocycles with one product by the
-    total differential at t, and their coordinates are empty: each is the
-    zero class, and H^t itself is not computed.  Otherwise
-    (H^1 != 0 on the zero fan, or a t_max below the top degree) each is
-    reduced in the slot of its degree, as in the window.
+    all pairs of basis labels (degrees up to 2 t_max), in one pass over
+    their degrees in increasing order: the products of degree t form the
+    columns of one matrix.  In the window they are reduced in the slot of
+    their degree in one call; slots are shared with ``lg_cohomology``
+    through ``tc``.  When the pass first leaves the window,
+    ``products_above_window_vanish`` tests the window's constants.  If it
+    certifies that every product above is zero, no slot is built there:
+    each degree's columns are checked to be cocycles with one product by
+    the total differential at t, and their coordinates are empty: each is
+    the zero class, and H^t itself is not computed.  Otherwise (H^1 != 0
+    on the zero fan, or a t_max below the top degree) they are reduced in
+    the slot of their degree, as in the window.
     """
     if t_max is None:
         t_max = default_t_max(tc.fan)
@@ -384,29 +378,27 @@ def ring_structure(tc: TwistedComplex, t_max: int | None = None) -> CohomologyRi
             reps[(t, i)] = element_from_vector(tc, t, rep)
     dims = tuple(tc.slot(t).dim for t in range(t_max + 1))
 
-    def reduced(a: tuple[int, int], b: tuple[int, int]) -> Vector:
-        t = a[0] + b[0]
-        return tc.slot(t).reduce(vector_from_element(tc, t, lg_multiply(tc.fan, reps[a], reps[b])))
-
-    constants: dict[tuple[int, int, int, int], Vector] = {}
-    above: dict[int, list] = {}
+    by_degree: dict[int, list] = {}
     for a in basis:
         for b in basis:
-            if a[0] + b[0] > t_max:
-                above.setdefault(a[0] + b[0], []).append((a, b))
-            else:
-                constants[a + b] = reduced(a, b)
-    vanish = products_above_window_vanish(dims, constants)
-    for t, pairs in above.items():
-        if vanish:
-            # one column per product of degree t: all are checked to be cocycles at once
-            index = tc.total_index(t)
-            columns = RationalMatrix(len(index), len(pairs), {
-                (index[key], j): c for j, (a, b) in enumerate(pairs)
-                for key, c in lg_multiply(tc.fan, reps[a], reps[b]).items()})
+            by_degree.setdefault(a[0] + b[0], []).append((a, b))
+    constants: dict[tuple[int, int, int, int], Vector] = {}
+    vanish = None
+    for t in sorted(by_degree):
+        pairs = by_degree[t]
+        index = tc.total_index(t)
+        columns = RationalMatrix(len(index), len(pairs), {
+            (index[key], j): c for j, (a, b) in enumerate(pairs)
+            for key, c in lg_multiply(tc.fan, reps[a], reps[b]).items()})
+        if t > t_max and vanish is None:
+            vanish = products_above_window_vanish(dims, constants)
+        if t > t_max and vanish:
             if not (tc.total_differential(t) @ columns).is_zero():
                 raise linalg.NoSolutionError("a product above the window is not a cocycle")
-        constants.update((a + b, () if vanish else reduced(a, b)) for a, b in pairs)
+            coords = [()] * len(pairs)
+        else:
+            coords = tc.slot(t).reduce(columns)
+        constants.update((a + b, c) for (a, b), c in zip(pairs, coords))
     return CohomologyRing(tc, t_max, dims, tuple(basis), reps, constants)
 
 

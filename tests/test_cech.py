@@ -534,7 +534,7 @@ class TestCup:
         square = total_cup(cs, blocks, blocks)
         vec = const_total_vector(cs, 4, square)
         assert not any(cs.const_total_matrix(4).mul_vec(vec))
-        coords = coh.slots[4].reduce(vec)
+        (coords,) = coh.slots[4].reduce(linalg.RationalMatrix.from_columns([vec], rows=len(vec)))
         assert len(coords) == 1 and coords[0] != 0
 
     def test_p1xp1_mixed_products(self, covers):
@@ -549,7 +549,8 @@ class TestCup:
                 bi = const_total_blocks_from_vector(cs, 2, ri)
                 bj = const_total_blocks_from_vector(cs, 2, rj)
                 vec = const_total_vector(cs, 4, total_cup(cs, bi, bj))
-                products[(i, j)] = coh.slots[4].reduce(vec)
+                (products[(i, j)],) = coh.slots[4].reduce(
+                    linalg.RationalMatrix.from_columns([vec], rows=len(vec)))
         assert products[(0, 0)] == (0,)
         assert products[(1, 1)] == (0,)
         assert products[(0, 1)][0] != 0

@@ -164,6 +164,26 @@ class TestVerify:
         assert code == 3
         assert not json.loads(out)["payload"]["agree"]
 
+    def test_broken_chain_map_exits_3(self, capsys, monkeypatch):
+        # an inclusion that is not a chain map sends some representative to a
+        # non-cocycle, which the induced check must not try to reduce
+        from toriclg.cech import CoverSimplex
+        real = CoverSimplex.inclusion_matrix
+
+        def inclusion_matrix(self, t):
+            inc = real(self, t)
+            if t != 2:
+                return inc
+            key = min(inc.entries)
+            return RationalMatrix(inc.rows, inc.cols, {**inc.entries, key: 2 * inc.entries[key]})
+
+        monkeypatch.setattr(CoverSimplex, "inclusion_matrix", inclusion_matrix)
+        code, out, err = run_cli(capsys, "verify", fan_path("p2"), "--json")
+        assert (code, err) == (3, "")
+        payload = json.loads(out)["payload"]
+        assert not payload["chain_map_ok"] and not payload["induced_iso_ok"]
+        assert not payload["agree"]
+
 
 class TestDegenerate:
     def test_p1(self, capsys):

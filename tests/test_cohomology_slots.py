@@ -71,23 +71,26 @@ def combine(coeffs, vectors, n):
     return tuple(out)
 
 
+def columns(vectors, n):
+    return RationalMatrix.from_columns(list(vectors), rows=n)
+
+
 def check_slot(d_in: RationalMatrix, d_out: RationalMatrix, slot, rng: random.Random):
     n = d_in.rows
     assert slot.dim == eliminate(d_out).nullity - rank(d_in) == len(slot.representatives)
     units = [tuple(Fraction(int(i == j)) for i in range(slot.dim)) for j in range(slot.dim)]
-    for rep, unit in zip(slot.representatives, units):
-        assert slot.reduce(rep) == unit
+    assert slot.reduce(columns(slot.representatives, n)) == units
     for _ in range(3):
         x = [Fraction(rng.randint(-3, 3)) for _ in range(d_in.cols)]
         boundary = d_in.mul_vec(x)
-        assert slot.reduce(boundary) == (Fraction(0),) * slot.dim
         coeffs = [Fraction(rng.randint(-3, 3), rng.choice((1, 2))) for _ in range(slot.dim)]
         cocycle = combine([1] + coeffs, [boundary] + list(slot.representatives), n)
-        assert slot.reduce(cocycle) == tuple(coeffs)
+        assert slot.reduce(columns([boundary, cocycle], n)) == [(Fraction(0),) * slot.dim,
+                                                                 tuple(coeffs)]
     for j in range(n):
         if any(c == j for _, c in d_out.entries):
             with pytest.raises(NoSolutionError):
-                slot.reduce(tuple(Fraction(int(i == j)) for i in range(n)))
+                slot.reduce(columns([tuple(Fraction(int(i == j)) for i in range(n))], n))
             break
 
 
@@ -98,6 +101,17 @@ def test_random_complexes():
         slot = cohomology_at(d_in, d_out)
         check_slot(d_in, d_out, slot, rng)
         assert list(slot.representatives) == greedy_representatives(d_in, d_out)
+        # a batch reduces as its columns do one by one, and one non-cocycle refuses it
+        n = d_in.rows
+        batch = [combine([Fraction(rng.randint(-3, 3)) for _ in slot.representatives],
+                         slot.representatives, n) for _ in range(4)]
+        batch += [d_in.column(j) for j in range(d_in.cols)]
+        assert slot.reduce(columns(batch, n)) == [slot.reduce(columns([v], n))[0] for v in batch]
+        bad = [j for j in range(n) if any(c == j for _, c in d_out.entries)]
+        if bad:
+            outside = tuple(Fraction(int(i == bad[0])) for i in range(n))
+            with pytest.raises(NoSolutionError):
+                slot.reduce(columns(batch + [outside], n))
 
 
 def test_elimination_is_cached_on_the_matrix():
@@ -122,9 +136,9 @@ def test_twisted_slots_of_fan_files(name):
         slot = coh.slots[t]
         check_slot(d_in, d_out, slot, rng)
         assert list(slot.representatives) == greedy_representatives(d_in, d_out)
-        # adjacent slots read the one elimination of the differential between them
+        # adjacent slots share the one cached differential between them
         assert tc.total_differential(t) is d_out
-        assert slot._d_out is d_out._elimination
+        assert slot._d_out is d_out
     # the ring reads the slots lg_cohomology left on the complex
     assert ring_structure(tc, t_max).dims == coh.dims
     assert all(tc.slot(t) is coh.slots[t] for t in range(t_max + 1))
@@ -153,7 +167,7 @@ def exact_numbers(obj) -> list:
     if isinstance(obj, LinearSolver):
         return [v for row in obj._rows for v in row.values()]
     out = [v for rep in obj.representatives for v in rep]
-    return out + [v for _, row in obj._echelon for v in row.values()]
+    return out + list(obj._project.entries.values())
 
 
 @pytest.mark.parametrize("name", FAN_NAMES)

@@ -362,6 +362,24 @@ class TestFaceClosure:
             for a, b in itertools.combinations(faces, 2):
                 assert a & b in faces
 
+    def test_subset_limit(self, monkeypatch):
+        # C^3 has 2^3 subsets; P^2 has three cones of 2^2 subsets each
+        monkeypatch.setattr(fan_module, "MAX_FACE_SUBSETS", 8)
+        assert len(fan_from_data(**cn_data(3)).all_cones) == 8
+        with pytest.raises(FanValidationError, match="12 subsets, more than the limit "
+                                                     "MAX_FACE_SUBSETS = 8"):
+            fan_from_data(2, [[1, 0], [0, 1], [-1, -1]], [[1, 2], [2, 3], [1, 3]])
+
+    def test_one_cone_of_forty_rays_is_refused_at_once(self, capsys, tmp_path):
+        # its face closure would hold 2^40 cones
+        path = tmp_path / "c40.json"
+        path.write_text(json.dumps(cn_data(40)))
+        assert main(["validate", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: the maximal cones have 1099511627776 subsets, more than "
+                                "the limit MAX_FACE_SUBSETS = 131072 that face enumeration allows\n")
+
 
 @st.composite
 def integer_matrices(draw):

@@ -128,10 +128,10 @@ class TestCohomologyAt:
         d_out = RationalMatrix.zeros(0, 3)
         slot = cohomology_at(d_in, d_out)
         assert slot.dim == 2
-        for j, rep in enumerate(slot.representatives):
-            coords = slot.reduce(rep)
-            assert coords == tuple(Fraction(1 if i == j else 0) for i in range(slot.dim))
-        assert slot.reduce(d_in.mul_vec([5, 7])) == (0, 0)
+        reps = RationalMatrix.from_columns(slot.representatives, rows=3)
+        assert slot.reduce(reps) == [(1, 0), (0, 1)]
+        assert slot.reduce(d_in @ mat([[5], [7]])) == [(0, 0)]
+        assert slot.reduce(RationalMatrix.zeros(3, 0)) == []
 
     def test_shared_differential_is_eliminated_once(self, monkeypatch):
         # d1 is d_out of the first slot and d_in of the second
@@ -148,22 +148,24 @@ class TestCohomologyAt:
         assert (first.dim, second.dim) == (1, 0)
         assert sum(a is d1 for a in eliminated) == 1
         assert len({id(a) for a in eliminated}) == len(eliminated)
-        assert first._d_out is d1._elimination and second.image_rank == d1._elimination.rank
+        assert first._d_out is d1 and second.image_rank == d1._elimination.rank
 
     def test_fraction_entry_takes_the_exact_path(self):
         d_out = mat([[Fraction(1, 2), 1]])
         d_in = mat([[2], [-1]])
         slot = cohomology_at(d_in, d_out)
         assert (slot.dim, slot.image_rank) == (0, 1)
-        assert slot._d_out is d_out._elimination
+        assert slot._d_out is d_out
 
     def test_zero_slot_reduces_cocycles_only(self):
         d_in, d_out = mat([[1], [-1]]), mat([[1, 1]])
         slot = cohomology_at(d_in, d_out)
         assert (slot.dim, slot.representatives, slot.image_rank) == (0, (), 1)
-        assert slot.reduce((3, -3)) == ()
+        assert slot.reduce(mat([[3, 0], [-3, 0]])) == [(), ()]
         with pytest.raises(NoSolutionError):
-            slot.reduce((1, 0))
+            slot.reduce(mat([[3, 1], [-3, 0]]))
+        with pytest.raises(LinalgError, match="length"):
+            slot.reduce(mat([[3]]))
 
 
 class TestExactEntries:

@@ -255,14 +255,17 @@ class TestRingAboveWindow:
         constants[(2, 1, 2, 1)] = (3,)
         assert twisted.products_above_window_vanish(dims, constants)
 
-    def test_non_cocycle_above_the_window_raises(self, monkeypatch, p2):
+    @pytest.mark.parametrize("t_max, bad, top_slot", [(6, 4, 6), (6, 8, 6), (3, 4, 4)],
+                             ids=["window", "above", "fallback"])
+    def test_non_cocycle_product_raises(self, monkeypatch, p2, t_max, bad, top_slot):
+        # a product of degree bad in the window, above a certified window, or
+        # above a window too low to certify (H^2 != 0 at t_max - 1 = 2)
         tc = build_twisted(p2)
-        t_max = default_t_max(p2)
         real = twisted.lg_multiply
 
         def lg_multiply(fan, x, y):
             out, t = real(fan, x, y), lg_degree(x) + lg_degree(y)
-            if t <= t_max:
+            if t != bad:
                 return out
             # add a basis vector that the differential does not kill
             key = tc.total_basis(t)[min(j for _, j in tc.total_differential(t).entries)]
@@ -272,7 +275,7 @@ class TestRingAboveWindow:
         asked = spy_on_slots(monkeypatch)
         with pytest.raises(linalg.NoSolutionError):
             ring_structure(tc, t_max)
-        assert max(asked) == t_max
+        assert max(asked) == top_slot
 
 
 class TestLsop:
@@ -318,10 +321,10 @@ class TestLsop:
             rep = lsop_check(tc)
             coh = lg_cohomology(tc, 2 * rep.max_degree)
 
-            def embed(m, vec):
-                total = len(tc.total_basis(m))
-                out = list(vec) + [Fraction(0)] * (total - len(vec))
-                return tuple(out)
+            def columns(rows, *vecs):
+                # the vectors as columns, padded with zeros to length rows
+                return RationalMatrix.from_columns(
+                    [list(v) + [0] * (rows - len(v)) for v in vecs], rows=rows)
 
             for ma in range(0, rep.max_degree + 1, 2):
                 for mb in range(0, rep.max_degree + 1, 2):
@@ -332,8 +335,8 @@ class TestLsop:
                     basis_b = sr_basis(fan, mb)
                     basis_t = sr_basis(fan, ma + mb)
                     idx_t = {mono: i for i, mono in enumerate(basis_t)}
-                    change = [coh.slots[ma + mb].reduce(embed(ma + mb, r))
-                              for r in st.representatives]
+                    total = len(tc.total_basis(ma + mb))
+                    change = coh.slots[ma + mb].reduce(columns(total, *st.representatives))
                     for ra in sa.representatives:
                         for rb in sb.representatives:
                             prod = [Fraction(0)] * len(basis_t)
@@ -346,8 +349,8 @@ class TestLsop:
                                     mono = basis_a[i].times(basis_b[j])
                                     if fan.is_face(mono.support):
                                         prod[idx_t[mono]] += ca * cb
-                            q_coords = st.reduce(tuple(prod))
-                            lg_coords = coh.slots[ma + mb].reduce(embed(ma + mb, prod))
+                            (q_coords,) = st.reduce(columns(len(prod), prod))
+                            (lg_coords,) = coh.slots[ma + mb].reduce(columns(total, prod))
                             transported = [Fraction(0)] * len(lg_coords)
                             for c, col in zip(q_coords, change):
                                 for t_i, v in enumerate(col):
