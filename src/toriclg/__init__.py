@@ -30,8 +30,6 @@ _EXPORTS = {
     "FanParseError": "fan",
     "FanValidationError": "fan",
     "PolyhedronInput": "fan",
-    "cone_of_simplex": "fan",
-    "parse_fan": "fan",
     "parse_fan_file": "fan",
     "primitive_collections": "fan",
     "CohomologySlot": "linalg",

@@ -28,11 +28,12 @@ Sign conventions, fixed here once:
 from __future__ import annotations
 
 import itertools
+import math
 from collections.abc import Sequence
 from fractions import Fraction
 
 from . import linalg
-from .fan import Cone, Fan, FanError, cone_of_simplex
+from .fan import Cone, Fan, FanError
 from .linalg import (
     LinearSolver,
     RationalMatrix,
@@ -50,6 +51,7 @@ from .twisted import (
     koszul_block,
     lg_cohomology,
     lg_multiply,
+    wedge_merge,
 )
 
 TAG_FORMS = "forms"
@@ -57,6 +59,11 @@ TAG_CONST = "const"
 
 Simplex = tuple[int, ...]  # sorted 0-based cover positions
 
+# Largest cover; the complexes enumerate its 2^size - 1 simplices.  verify on the
+# 7-, 8- and 9-ray surfaces (covered by their 7, 8, 9 maximal cones) takes 0.14,
+# 0.14 and 0.23 s and 17, 19 and 24 MB; from 12 cones (1.4 s, 114 MB) each cone
+# about doubles both, and 14 take 5.9 s and 416 MB, past the 5 s / 250 MB of the
+# CLI's MAX_DEGREE (median of 5 runs, peak RSS of the child; 2-core VM, Python 3.11.7).
 MAX_COVER_DEFAULT = 8
 
 
@@ -94,8 +101,7 @@ class CoverSimplex:
     fan: Fan
     cover: tuple[Cone, ...]
 
-    def __init__(self, fan: Fan, cover: Sequence[Cone] | None = None,
-                 allow_large: bool = False):
+    def __init__(self, fan: Fan, cover: Sequence[Cone] | None = None):
         self.fan = fan
         if cover is None:
             cover = fan.max_cones
@@ -103,7 +109,7 @@ class CoverSimplex:
         for mc in fan.max_cones:
             if not any(mc.index_set <= c.index_set for c in cover):
                 raise CechError(f"cover misses maximal cone {mc}")
-        if len(cover) > MAX_COVER_DEFAULT and not allow_large:
+        if len(cover) > MAX_COVER_DEFAULT:
             raise CechError(
                 f"cover has {len(cover)} cones, more than the limit "
                 f"MAX_COVER_DEFAULT = {MAX_COVER_DEFAULT}; use a cover of at most "
@@ -127,10 +133,12 @@ class CoverSimplex:
         return self._cache[key]
 
     def cone_of(self, tau: Simplex) -> Cone:
+        """The intersection of the cover cones at tau: by the fan condition,
+        the cone on their common rays."""
         key = ("cone", tau)
         if key not in self._cache:
-            self._cache[key] = cone_of_simplex(self.fan, list(self.cover),
-                                               [i + 1 for i in tau])
+            self._cache[key] = self.fan.cone(frozenset.intersection(
+                *(self.cover[i].index_set for i in tau)))
         return self._cache[key]
 
     # -- local bases ----------------------------------------------------
@@ -142,13 +150,35 @@ class CoverSimplex:
         return self._cache[key]
 
     def const_matrix(self, cone: Cone, k: int) -> RationalMatrix:
-        """Basis of the k-wedges of the cone annihilator as columns, in
-        ambient wedge coordinates (rows: k-subsets of 1..n, lex)."""
+        """Basis of the k-wedges (k >= 0) of the cone annihilator as columns,
+        in ambient wedge coordinates (rows: k-subsets of 1..n, lex).
+
+        Column C, a k-subset of ``_ann_basis`` in lex order, is column
+        C[:-1] of the cached (k - 1)-wedges wedged with the last vector by
+        ``wedge_merge``; so entry (R, C) is the minor of the annihilator
+        basis on rows R and columns C.
+        """
         key = ("const", cone, k)
         if key not in self._cache:
+            if k == 0:
+                self._cache[key] = RationalMatrix(1, 1, {(0, 0): 1})
+                return self._cache[key]
             ann = self._ann_basis(cone)
-            self._cache[key] = linalg.exterior_power(
-                RationalMatrix.from_columns(ann, rows=self.fan.rank), k)
+            below = ext_subsets(self.fan.rank, k - 1)
+            subsets = list(itertools.combinations(range(len(ann)), k - 1))
+            prev = {}  # (k - 1)-subset of ann -> its wedge as {ambient (k - 1)-subset: value}
+            for (r, c), v in self.const_matrix(cone, k - 1).entries.items():
+                prev.setdefault(subsets[c], {})[below[r]] = v
+            row = {s: i for i, s in enumerate(ext_subsets(self.fan.rank, k))}
+            ent: dict[tuple[int, int], int | Fraction] = {}
+            for j, c in enumerate(itertools.combinations(range(len(ann)), k)):
+                for s, v in prev.get(c[:-1], {}).items():
+                    for i, a in enumerate(ann[c[-1]], 1):
+                        merged = a and wedge_merge(s, (i,))
+                        if merged:
+                            at = (row[merged[1]], j)
+                            ent[at] = ent.get(at, 0) + merged[0] * v * a
+            self._cache[key] = RationalMatrix(len(row), math.comb(len(ann), k), ent)
         return self._cache[key]
 
     def _const_solver(self, cone: Cone, k: int) -> LinearSolver:

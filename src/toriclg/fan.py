@@ -177,7 +177,7 @@ def lattice_index(rows: Sequence[Sequence[int]], rank: int) -> int:
     rows) and 0 when they are linearly dependent, which includes more rows
     than ``rank``.  Euclid's algorithm on the columns brings the matrix to
     [L | 0] with L lower triangular; unimodular column operations keep the
-    gcd of the maximal minors, so it is |det L|.  Polynomial in the rank.
+    gcd of the maximal minors, so it is the product of the |L_ii|.  Polynomial in the rank.
     """
     cols = [[row[j] for row in rows] for j in range(rank)]
     index = 1
@@ -456,11 +456,6 @@ def fan_from_data(rank: int, rays: Sequence[Sequence[int]],
     return Fan(rank, tuple(ray_tuples), tuple(maximal), all_cones)
 
 
-def parse_fan(text: str) -> Fan:
-    """Parse and validate a fan file (UTF-8 JSON)."""
-    return parse_fan_file(text)[0]
-
-
 def parse_fan_file(text: str) -> tuple[Fan, PolyhedronInput | None]:
     """Parse a fan file, returning the fan and the optional polyhedron."""
     try:
@@ -521,21 +516,3 @@ def primitive_collections(fan: Fan) -> tuple[IntVec, ...]:
                                              for i in range(len(f))):
                 out.append(cand)
     return tuple(sorted(out))
-
-
-def cone_of_simplex(fan: Fan, cover: Sequence[Cone], tau: Iterable[int]) -> Cone:
-    """Intersection of the cover cones indexed by tau (1-based positions).
-
-    By the fan condition the intersection of fan cones is the cone on
-    their common rays.
-    """
-    tau = sorted(set(tau))
-    if not tau:
-        raise FanError("tau must be nonempty")
-    common: frozenset[int] | None = None
-    for i in tau:
-        if not 1 <= i <= len(cover):
-            raise FanError(f"cover index {i} out of range")
-        s = cover[i - 1].index_set
-        common = s if common is None else common & s
-    return fan.cone(common)

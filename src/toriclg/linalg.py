@@ -11,7 +11,7 @@ placed into a larger matrix after a shape check) are not validated again.
 ``eliminate`` is the one elimination loop.  It computes the reduced row
 echelon form (RREF) of a matrix on first use and caches it on the
 matrix, which is treated as immutable; ``rank``, ``kernel_basis``,
-``image_pivot_columns``, ``det`` and ``cohomology_at`` read it, and
+``image_pivot_columns`` and ``cohomology_at`` read it, and
 ``LinearSolver`` (so ``lift`` and ``inverse``) reads the RREF of [b | I].
 A complex that caches its differentials therefore eliminates each
 differential once, and the two cohomology slots on either side of a
@@ -19,8 +19,7 @@ differential share its elimination.  The loop keeps an index from each
 column to the rows that are nonzero there, so a pivot touches only the
 rows that hold its column (Dumas-Villard, "Computing the rank of large
 sparse matrices over finite fields", 2002).  Rows never move: the pivot
-rows are tracked in pivot order, and the determinant takes the sign of
-that permutation.
+rows are tracked in pivot order.
 
 Results do not depend on the order in which rows are combined: the RREF
 of a matrix is unique, and so are its pivot columns (the greedy choice
@@ -50,7 +49,6 @@ appear only in its back-substitution.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import defaultdict
 from collections.abc import Callable, Iterable, Mapping, Sequence
@@ -173,10 +171,6 @@ class RationalMatrix:
     def zeros(cls, rows: int, cols: int) -> "RationalMatrix":
         return cls(rows, cols, {})
 
-    @classmethod
-    def identity(cls, n: int) -> "RationalMatrix":
-        return cls(n, n, {(i, i): 1 for i in range(n)})
-
     # -- basic queries -------------------------------------------------
 
     @property
@@ -249,23 +243,18 @@ class Elimination:
 
     ``rows[i]`` is the i-th nonzero RREF row as a sparse dict; it holds a
     1 at column ``pivots[i]`` and no other pivot column.  ``free`` lists
-    the remaining columns in increasing order.  ``scale`` is the product
-    of the pivots the loop divided by, times the sign of the permutation
-    that lists the pivot rows first, in pivot order, and the other rows
-    after them in their order; for a square matrix of full rank it is the
-    determinant.  Immutable by
-    convention: the rows are shared and must not be mutated.
+    the remaining columns in increasing order.  Immutable by convention:
+    the rows are shared and must not be mutated.
     """
 
-    __slots__ = ("cols", "rows", "pivots", "free", "scale")
+    __slots__ = ("cols", "rows", "pivots", "free")
 
     def __init__(self, cols: int, rows: tuple[dict, ...], pivots: tuple[int, ...],
-                 free: tuple[int, ...], scale: int | Fraction):
+                 free: tuple[int, ...]):
         self.cols = cols
         self.rows = rows
         self.pivots = pivots
         self.free = free
-        self.scale = scale
 
     @property
     def rank(self) -> int:
@@ -294,15 +283,14 @@ def eliminate(a: RationalMatrix) -> Elimination:
     cancels entries, gives the rows each step touches: the pivot row is
     the shortest row not yet used as a pivot that holds the column (the
     lowest on a tie), and only the other holders are cleared.  Rows never
-    move; the pivot rows are
-    listed in pivot order.  A pivot of 1 or -1 keeps integer rows
-    integral; any other pivot scales its row by an exact Fraction inverse,
-    and the scaled entries that are integral go back to int.
+    move; the pivot rows are listed in pivot order.  A pivot of 1 or -1
+    keeps integer rows integral; any other pivot scales its row by an
+    exact Fraction inverse, and the row's integral entries go back to int.
     """
     if a._elimination is not None:
         return a._elimination
     if not a.entries:
-        a._elimination = Elimination(a.cols, (), (), tuple(range(a.cols)), 1)
+        a._elimination = Elimination(a.cols, (), (), tuple(range(a.cols)))
         return a._elimination
     rows = [{} for _ in range(a.rows)]
     holders = defaultdict(set)  # fill-in never reaches a column that starts empty
@@ -310,7 +298,6 @@ def eliminate(a: RationalMatrix) -> Elimination:
         rows[i][j] = v
         holders[j].add(i)
     order, pivots, used = [], [], set()  # pivot rows and columns, in pivot order
-    scale = 1
     for c in sorted(holders):
         col = holders[c]
         unused = col - used
@@ -325,7 +312,6 @@ def eliminate(a: RationalMatrix) -> Elimination:
         if piv != 1:
             inv = -1 if piv == -1 else Fraction(1, piv)
             rows[pr] = {j: _exact(inv * v) for j, v in rows[pr].items()}
-            scale *= piv
         if len(col) == 1:
             continue
         items = [(j, v) for j, v in rows[pr].items() if j != c]
@@ -342,18 +328,8 @@ def eliminate(a: RationalMatrix) -> Elimination:
                         del target[j]
                         holders[j].discard(i)
         holders[c] = {pr}
-    # rows never moved: scale takes the sign of the permutation that lists the
-    # pivot rows first, in pivot order, counted in the swaps that sort it
-    if order != list(range(len(order))):
-        perm = order + [i for i in range(len(rows)) if i not in used]
-        for i in range(len(perm)):
-            while perm[i] != i:
-                j = perm[i]
-                perm[i], perm[j] = perm[j], j
-                scale = -scale
     free = tuple(sorted(set(range(a.cols)).difference(pivots)))
-    a._elimination = Elimination(a.cols, tuple(map(rows.__getitem__, order)), tuple(pivots),
-                                 free, scale)
+    a._elimination = Elimination(a.cols, tuple(map(rows.__getitem__, order)), tuple(pivots), free)
     return a._elimination
 
 
@@ -527,14 +503,6 @@ def cohomology_at(d_in: RationalMatrix, d_out: RationalMatrix) -> CohomologySlot
 # -- misc utilities -------------------------------------------------------
 
 
-def det(a: RationalMatrix) -> Fraction:
-    """Determinant, as a Fraction: the elimination's scale at full rank, else 0."""
-    if a.rows != a.cols:
-        raise LinalgError("determinant of non-square matrix")
-    elim = eliminate(a)
-    return Fraction(elim.scale) if elim.rank == a.rows else ZERO
-
-
 def inverse(a: RationalMatrix) -> RationalMatrix:
     if a.rows != a.cols:
         raise LinalgError("inverse of non-square matrix")
@@ -648,22 +616,6 @@ def solve_system(eqs: Sequence[Sequence], ineqs: Sequence[tuple[Sequence, int | 
     if y is None:
         return None
     return tuple(sum((c * b[t] for c, b in zip(y, basis) if c), ZERO) for t in range(nvars))
-
-
-def exterior_power(a: RationalMatrix, k: int) -> RationalMatrix:
-    """k-th exterior power; rows/cols indexed by k-subsets in lex order."""
-    if k < 0:
-        raise LinalgError("negative exterior power")
-    row_sets = list(itertools.combinations(range(a.rows), k))
-    col_sets = list(itertools.combinations(range(a.cols), k))
-    dense = a.to_rows()
-    ent = {}
-    for ri, rset in enumerate(row_sets):
-        for ci, cset in enumerate(col_sets):
-            d = det(RationalMatrix.from_rows([[dense[i][j] for j in cset] for i in rset]))
-            if d:
-                ent[(ri, ci)] = d
-    return RationalMatrix(len(row_sets), len(col_sets), ent)
 
 
 def matrix_from_action(n_rows: int, n_cols: int, action: Callable[[int], Mapping[int, Fraction]]) -> RationalMatrix:

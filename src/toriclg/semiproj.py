@@ -39,9 +39,6 @@ class PLCertificate:
         return NotImplemented if type(other) is not PLCertificate else (
             (self.fan, self.functionals) == (other.fan, other.functionals))
 
-    def functional(self, cone: Cone) -> tuple[int, ...]:
-        return self.functionals[self.fan.max_cones.index(cone)]
-
     def value(self, ray_index: int) -> int:
         """phi at a ray generator, evaluated on any maximal cone containing it."""
         for cone, m in zip(self.fan.max_cones, self.functionals):

@@ -29,10 +29,6 @@ class Monomial:
         return hash((self.exps,))
 
     @classmethod
-    def one(cls) -> "Monomial":
-        return cls(())
-
-    @classmethod
     def variable(cls, i: int) -> "Monomial":
         return cls(((i, 1),))
 
@@ -46,14 +42,6 @@ class Monomial:
     @property
     def support(self) -> frozenset[int]:
         return frozenset(i for i, _ in self.exps)
-
-    @property
-    def zdegree(self) -> int:
-        return sum(e for _, e in self.exps)
-
-    @property
-    def degree(self) -> int:
-        return 2 * self.zdegree
 
     def times(self, other: "Monomial") -> "Monomial":
         exps = dict(self.exps)
@@ -113,24 +101,6 @@ class SRPolynomial:
         cleaned = tuple(sorted(((m, _exact(c)) for m, c in acc.items() if c != 0),
                                key=lambda mc: key(mc[0])))
         return cls(fan, cleaned)
-
-    @classmethod
-    def zero(cls, fan: Fan) -> "SRPolynomial":
-        return cls(fan, ())
-
-    @classmethod
-    def one(cls, fan: Fan) -> "SRPolynomial":
-        return cls.build(fan, {Monomial.one(): 1})
-
-    @classmethod
-    def variable(cls, fan: Fan, i: int) -> "SRPolynomial":
-        return cls.build(fan, {Monomial.variable(i): 1})
-
-    def coeff(self, mono: Monomial) -> int | Fraction:
-        for m, c in self.terms:
-            if m == mono:
-                return c
-        return 0
 
     def is_zero(self) -> bool:
         return not self.terms

@@ -53,15 +53,14 @@ class TwistedComplex:
     reads are safe to share.
     """
 
-    __slots__ = ("fan", "frame", "linear_forms", "_blocks", "_bases", "_indices", "_totals",
-                 "_slots")
+    __slots__ = ("fan", "frame", "linear_forms", "_blocks", "_bases", "_totals", "_slots")
 
     def __init__(self, fan: Fan, frame: tuple[tuple[int, ...], ...],
                  linear_forms: tuple[SRPolynomial, ...]):
         self.fan = fan
         self.frame = frame
         self.linear_forms = linear_forms
-        self._blocks, self._bases, self._indices, self._totals, self._slots = {}, {}, {}, {}, {}
+        self._blocks, self._bases, self._totals, self._slots = {}, {}, {}, {}
 
     @property
     def rank(self) -> int:
@@ -95,12 +94,6 @@ class TwistedComplex:
         for k, m in self.total_blocks(t):
             out.extend(self.basis(k, m))
         return out
-
-    def total_index(self, t: int) -> dict[tuple[Monomial, ExtIndex], int]:
-        """Position of each element of ``total_basis(t)``, computed once."""
-        if t not in self._indices:
-            self._indices[t] = {b: i for i, b in enumerate(self.total_basis(t))}
-        return self._indices[t]
 
     def total_differential(self, t: int) -> RationalMatrix:
         """Matrix of the differential from total degree t to t + 1."""
@@ -312,12 +305,6 @@ class CohomologyRing:
         self.representatives = representatives
         self.constants = constants
 
-    def product(self, a: tuple[int, int], b: tuple[int, int]) -> Vector:
-        key = (a[0], a[1], b[0], b[1])
-        if key not in self.constants:
-            raise FanError(f"product degree {a[0] + b[0]} exceeds the computed range")
-        return self.constants[key]
-
 
 def products_above_window_vanish(dims: Sequence[int],
                                  constants: dict[tuple[int, int, int, int], Vector]) -> bool:
@@ -386,7 +373,7 @@ def ring_structure(tc: TwistedComplex, t_max: int | None = None) -> CohomologyRi
     vanish = None
     for t in sorted(by_degree):
         pairs = by_degree[t]
-        index = tc.total_index(t)
+        index = {b: i for i, b in enumerate(tc.total_basis(t))}
         columns = RationalMatrix(len(index), len(pairs), {
             (index[key], j): c for j, (a, b) in enumerate(pairs)
             for key, c in lg_multiply(tc.fan, reps[a], reps[b]).items()})
@@ -477,17 +464,8 @@ class DerivationPresentation:
         self.frame = frame
         self.checked_degree = checked_degree
 
-    def generator(self, i: int) -> list[tuple[int, int]]:
-        """The i-th generator as (ray index, coefficient) pairs over log derivations."""
-        out = [(self.base[i], 1)]
-        for pos, l in enumerate(self.extra):
-            a = self.coefficients[pos][i]
-            if a:
-                out.append((l, a))
-        return out
 
-
-def log_derivations(fan: Fan, cone: Cone, check_degree: int | None = None) -> DerivationPresentation:
+def log_derivations(fan: Fan, cone: Cone) -> DerivationPresentation:
     """Presentation of the twisted complex by log derivations of a cone.
 
     The coefficient forms are rebuilt from the lattice coordinates of the
@@ -501,14 +479,12 @@ def log_derivations(fan: Fan, cone: Cone, check_degree: int | None = None) -> De
     the forms and the slot, so equal forms give equal blocks, and the
     columns of block (1, 0) are the forms' coefficients, so unequal forms
     differ there.  So the blocks agree in every total degree >= 1, those
-    up to ``check_degree`` (recorded as ``checked_degree``) among them,
+    up to ``default_t_max`` (recorded as ``checked_degree``) among them,
     exactly when the forms do.
     """
     n = fan.rank
     if cone.dim != n:
         raise FanError(f"cone {cone} is not full-dimensional")
-    if check_degree is None:
-        check_degree = default_t_max(fan)
     base = cone.ray_indices
     extra = tuple(i for i in range(1, fan.num_rays + 1) if i not in cone.index_set)
     coeffs = tuple(ray_coordinates_in_cone_basis(fan, cone, l) for l in extra)
@@ -526,4 +502,4 @@ def log_derivations(fan: Fan, cone: Cone, check_degree: int | None = None) -> De
 
     if build_twisted(fan, frame).linear_forms != tuple(forms):
         raise FanError(f"presentation mismatch for cone {cone}")
-    return DerivationPresentation(cone, base, extra, coeffs, tuple(forms), frame, check_degree)
+    return DerivationPresentation(cone, base, extra, coeffs, tuple(forms), frame, default_t_max(fan))

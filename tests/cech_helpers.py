@@ -64,7 +64,7 @@ def functions_cochain(cs: CoverSimplex, p: int, m: int,
     """The forms cochain of exterior degree 0 with the given polynomial values."""
     comps = {}
     for tau in cs.simplices(p):
-        poly = polys.get(tau, SRPolynomial.zero(cs.fan))
+        poly = polys.get(tau, SRPolynomial(cs.fan, ()))
         comps[tau] = _poly_to_local(cs, tau, m, poly)
     return CechCochain(TAG_FORMS, p, 0, m, comps)
 
@@ -131,7 +131,7 @@ def glue_sections(cs: CoverSimplex, components: Sequence[SRPolynomial]) -> SRPol
         overlap = cs.cone_of((i, j))
         if restrict(comps[i], overlap) != restrict(comps[j], overlap):
             raise CechError(f"components {i + 1} and {j + 1} disagree on {overlap}")
-    total = SRPolynomial.zero(fan)
+    total = SRPolynomial(fan, ())
     for p in range(cs.size):
         sign = -1 if p % 2 else 1
         for tau in cs.simplices(p):
@@ -147,7 +147,7 @@ def _delta_polys(cs: CoverSimplex, comps: Mapping[Simplex, SRPolynomial],
     out = {}
     for tau in cs.simplices(p + 1):
         cone = cs.cone_of(tau)
-        acc = SRPolynomial.zero(cs.fan)
+        acc = SRPolynomial(cs.fan, ())
         for j in range(len(tau)):
             face = tau[:j] + tau[j + 1:]
             piece = restrict(comps[face], cone)
@@ -173,7 +173,7 @@ def _solve_on_stratum(cs: CoverSimplex, vertices: Simplex, p: int,
     solver = _coboundary_solver(q, p)
     acc: dict[Simplex, dict[Monomial, Fraction]] = {om: {} for om in omegas}
     for mono in monos:
-        target = [rhs[tau].coeff(mono) for tau in taus]
+        target = [dict(rhs[tau].terms).get(mono, 0) for tau in taus]
         sol = solver.solve(target)
         for om, val in zip(omegas, sol):
             if val:
@@ -199,11 +199,11 @@ def split_cocycle(cs: CoverSimplex, g: CechCochain) -> CechCochain:
     current = poly_components(cs, g)
     if any(not v.is_zero() for v in _delta_polys(cs, current, p).values()):
         raise CechError("input cochain is not closed")
-    h_acc: dict[Simplex, SRPolynomial] = {om: SRPolynomial.zero(fan)
+    h_acc: dict[Simplex, SRPolynomial] = {om: SRPolynomial(fan, ())
                                           for om in cs.simplices(p - 1)}
 
     for size in range(s, p + 1, -1):
-        stage: dict[Simplex, SRPolynomial] = {om: SRPolynomial.zero(fan)
+        stage: dict[Simplex, SRPolynomial] = {om: SRPolynomial(fan, ())
                                               for om in cs.simplices(p - 1)}
         touched = False
         for vertices in itertools.combinations(range(s), size):
@@ -226,7 +226,7 @@ def split_cocycle(cs: CoverSimplex, g: CechCochain) -> CechCochain:
             current = {tau: current[tau] - correction[tau] for tau in current}
             h_acc = {om: h_acc[om] + stage[om] for om in h_acc}
 
-    final: dict[Simplex, SRPolynomial] = {om: SRPolynomial.zero(fan)
+    final: dict[Simplex, SRPolynomial] = {om: SRPolynomial(fan, ())
                                           for om in cs.simplices(p - 1)}
     sign = Fraction(-1 if p % 2 else 1)
     any_final = False

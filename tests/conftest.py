@@ -2,7 +2,7 @@ import pathlib
 
 import pytest
 
-from toriclg import parse_fan, parse_fan_file
+from toriclg import parse_fan_file
 
 FAN_DIR = pathlib.Path(__file__).resolve().parent.parent / "fans"
 
@@ -14,7 +14,7 @@ def fan_text(name: str) -> str:
 
 
 def load_fan(name: str):
-    return parse_fan(fan_text(name))
+    return parse_fan_file(fan_text(name))[0]
 
 
 def load_fan_and_polyhedron(name: str):

@@ -1,20 +1,31 @@
-"""Shared helpers for the test suite: seeded random generators, the twisted
-differential applied element by element (the oracle of the assembled
+"""Shared helpers for the test suite: seeded random generators, determinants
+and minors by the Leibniz formula (the oracle of the constant wedges), the
+twisted differential applied element by element (the oracle of the assembled
 Koszul blocks), the ring axioms and Hilbert series that only tests check,
 and fans larger than those in ``fans/``."""
 
 from fractions import Fraction
+import itertools
 import json
+import math
 import random
 
 from cech_helpers import cochain_from_vector, cochain_to_vector
-from toriclg import Monomial, SRPolynomial, cup, kernel_basis, linalg, sr_basis
+from toriclg import Monomial, RationalMatrix, SRPolynomial, cup, kernel_basis, linalg, sr_basis
 from toriclg.cech import TAG_CONST, CechCochain, CoverSimplex
 from toriclg.fan import FanError, fan_from_data
 
 
 def random_fraction(rng: random.Random, lo=-4, hi=4) -> Fraction:
     return Fraction(rng.randint(lo, hi), rng.choice((1, 1, 2)))
+
+
+def sr_variable(fan, i: int) -> SRPolynomial:
+    return SRPolynomial.build(fan, {Monomial.variable(i): 1})
+
+
+def sr_one(fan) -> SRPolynomial:
+    return SRPolynomial.build(fan, {Monomial(()): 1})
 
 
 def random_monomial(rng: random.Random, fan, max_z=3) -> Monomial:
@@ -96,6 +107,29 @@ def dense_rref(rows, ncols: int) -> tuple[list[dict], list[int], list[int]]:
     return rref, pivots, [c for c in range(ncols) if c not in pivots]
 
 
+# -- determinants and minors by the Leibniz formula ---------------------------
+
+
+def leibniz_det(rows):
+    """Determinant of a square matrix (rows of numbers) as a sum over permutations."""
+    total = 0
+    for perm in itertools.permutations(range(len(rows))):
+        inversions = sum(perm[i] > perm[j] for i, j in itertools.combinations(range(len(perm)), 2))
+        total += (-1) ** inversions * math.prod(rows[i][perm[i]] for i in range(len(perm)))
+    return total
+
+
+def minors_matrix(rows, k: int) -> RationalMatrix:
+    """The k-th exterior power of a matrix given by its rows: entry (R, C) is the
+    minor on the k-subsets R of rows and C of columns, both in lex order."""
+    ncols = len(rows[0]) if rows else 0
+    row_sets = list(itertools.combinations(range(len(rows)), k))
+    col_sets = list(itertools.combinations(range(ncols), k))
+    return RationalMatrix(len(row_sets), len(col_sets), {
+        (a, b): leibniz_det([[rows[i][j] for j in c] for i in r])
+        for a, r in enumerate(row_sets) for b, c in enumerate(col_sets)})
+
+
 # -- the const total complex, given blockwise by (Cech degree, exterior degree) --
 
 
@@ -172,7 +206,7 @@ def lg_differential(tc, x: dict, forms=None) -> dict:
 
 
 def lg_degree(x: dict) -> int | None:
-    degrees = {mono.degree + len(s) for (mono, s) in x}
+    degrees = {2 * sum(e for _, e in mono.exps) + len(s) for (mono, s) in x}
     if not degrees:
         return None
     if len(degrees) > 1:
@@ -197,7 +231,7 @@ def check_axioms(ring) -> list[str]:
     if ring.dims and ring.dims[0] == 1:
         unit = (0, 0)
         for lbl in ring.basis:
-            got = ring.product(unit, lbl)
+            got = ring.constants[unit + lbl]
             want = tuple(Fraction(1) if i == lbl[1] else Fraction(0)
                          for i in range(ring.dims[lbl[0]]))
             if got != want:
@@ -207,8 +241,8 @@ def check_axioms(ring) -> list[str]:
             if a[0] + b[0] > ring.t_max:
                 continue
             sign = -1 if (a[0] % 2) and (b[0] % 2) else 1
-            lhs = ring.product(a, b)
-            rhs = linalg.scale_vector(sign, ring.product(b, a))
+            lhs = ring.constants[a + b]
+            rhs = linalg.scale_vector(sign, ring.constants[b + a])
             if lhs != rhs:
                 problems.append(f"graded commutativity fails on {a}, {b}")
     for a in ring.basis:
@@ -219,15 +253,15 @@ def check_axioms(ring) -> list[str]:
                     continue
                 zero = (Fraction(0),) * ring.dims[td]
                 left = zero
-                for i, coeff in enumerate(ring.product(a, b)):
+                for i, coeff in enumerate(ring.constants[a + b]):
                     if coeff:
                         left = linalg.add_vectors(
-                            left, linalg.scale_vector(coeff, ring.product((a[0] + b[0], i), c)))
+                            left, linalg.scale_vector(coeff, ring.constants[(a[0] + b[0], i) + c]))
                 right = zero
-                for i, coeff in enumerate(ring.product(b, c)):
+                for i, coeff in enumerate(ring.constants[b + c]):
                     if coeff:
                         right = linalg.add_vectors(
-                            right, linalg.scale_vector(coeff, ring.product(a, (b[0] + c[0], i))))
+                            right, linalg.scale_vector(coeff, ring.constants[a + (b[0] + c[0], i)]))
                 if left != right:
                     problems.append(f"associativity fails on {a}, {b}, {c}")
     return problems

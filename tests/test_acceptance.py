@@ -70,7 +70,7 @@ def test_criterion_line_times_projective_line(suite):
     assert dims == (1, 0, 1, 0, 0, 0, 0)
     ring = ring_structure(tc)
     assert ring.basis == ((0, 0), (2, 0))
-    assert ring.product((2, 0), (2, 0)) == ()  # h.h = 0: target slot is zero
+    assert ring.constants[(2, 0, 2, 0)] == ()  # h.h = 0: target slot is zero
     assert ring.dims[4] == 0
     ls = lsop_check(tc)
     assert ls.regular
@@ -186,9 +186,9 @@ def test_criterion_classical_values(suite):
             for t in range(len(expect)))
         assert quotient_as_total == expect, name
     ring = ring_structure(build_twisted(suite["p2"]))
-    h_sq = ring.product((2, 0), (2, 0))
+    h_sq = ring.constants[(2, 0, 2, 0)]
     assert len(h_sq) == 1 and h_sq[0] != 0      # h^2 spans the top class
-    assert ring.product((2, 0), (4, 0)) == ()   # h^3 = 0
+    assert ring.constants[(2, 0, 4, 0)] == ()   # h^3 = 0
     announce("classical-values", "p2 (1,0,1,0,1) with h^3 = 0; hirzebruch (1,0,2,0,1); "
                                  "blowup (1,0,1); all match the quotient oracle")
 

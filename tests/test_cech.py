@@ -21,9 +21,13 @@ from helpers import (
     const_total_blocks_from_vector,
     const_total_vector,
     lg_differential,
+    minors_matrix,
     random_closed_cochain,
     random_cochain,
     random_polynomial,
+    random_unimodular,
+    sr_one,
+    sr_variable,
     total_cup,
 )
 from toriclg import (
@@ -36,7 +40,7 @@ from toriclg import (
     verify_exactness,
     verify_quasi_iso,
 )
-from toriclg import linalg, sr_basis
+from toriclg import cech, linalg, sr_basis
 from toriclg.cech import (
     TAG_CONST,
     TAG_FORMS,
@@ -62,13 +66,13 @@ class TestCoverValidation:
         cs = CoverSimplex(p2, list(p2.max_cones) + [p2.cone([1])])
         assert cs.size == 4
 
-    def test_large_cover_guard(self, p1xp1):
+    def test_large_cover_guard(self, p1xp1, monkeypatch):
         cones = list(p1xp1.all_cones)
         assert len(cones) == 9
         with pytest.raises(CechError, match="MAX_COVER_DEFAULT = 8"):
             CoverSimplex(p1xp1, cones)
-        cs = CoverSimplex(p1xp1, cones, allow_large=True)
-        assert cs.size == 9
+        monkeypatch.setattr(cech, "MAX_COVER_DEFAULT", 9)
+        assert CoverSimplex(p1xp1, cones).size == 9
 
 
 class TestConstMatrix:
@@ -101,6 +105,30 @@ class TestConstMatrix:
                     for ray in cone.ray_indices:
                         image = self.contract(fan.ray(ray), col, n, k)
                         assert all(v == 0 for v in image.values()), (cone, k, ray)
+
+    @pytest.mark.parametrize("seed", [None, 1, 7])
+    @pytest.mark.parametrize("name", sorted(p.stem for p in FAN_DIR.glob("*.json")))
+    def test_equals_minors_of_the_annihilator_basis(self, name, seed):
+        # the wedges are the minors, entry for entry, and their columns come
+        # in lex order of the annihilator basis; a seed scrambles the fan
+        fan = load_fan(name) if seed is None else scrambled(load_fan(name), seed)
+        cs = CoverSimplex(fan)
+        for cone in fan.all_cones:
+            ann = [list(v) for v in cs._ann_basis(cone)]
+            columns_as_rows = [[v[i] for v in ann] for i in range(fan.rank)]
+            for k in range(fan.rank + 2):
+                assert cs.const_matrix(cone, k) == minors_matrix(columns_as_rows, k), (cone, k)
+
+
+def scrambled(fan, seed: int):
+    """The fan in coordinates changed by a seeded unimodular matrix, its rays
+    listed in a seeded order."""
+    rng = random.Random(seed)
+    u = random_unimodular(rng, fan.rank)
+    order = rng.sample(range(fan.num_rays), fan.num_rays)  # new ray p + 1 is old ray order[p] + 1
+    new_index = {old + 1: p + 1 for p, old in enumerate(order)}
+    rays = [[sum(a * b for a, b in zip(row, fan.rays[old])) for row in u] for old in order]
+    return fan_from_data(fan.rank, rays, [[new_index[i] for i in c.ray_indices] for c in fan.max_cones])
 
 
 class TestDelta:
@@ -180,28 +208,28 @@ class TestExactness:
 
 class TestGlue:
     def test_p1_example(self, p1, covers):
-        one = SRPolynomial.one(p1)
-        g1 = one + SRPolynomial.variable(p1, 1)
-        g2 = one + SRPolynomial.variable(p1, 2)
+        one = sr_one(p1)
+        g1 = one + sr_variable(p1, 1)
+        g2 = one + sr_variable(p1, 2)
         assert str(glue_sections(covers["p1"], [g1, g2])) == "z1 + z2 + 1"
 
     def test_constant_cochain(self, covers):
         for name, cs in covers.items():
-            c = SRPolynomial.one(cs.fan).scale(Fraction(7, 3))
+            c = sr_one(cs.fan).scale(Fraction(7, 3))
             comps = [restrict(c, cone) for cone in cs.cover]
             assert glue_sections(cs, comps) == c
 
     def test_cxp1_example(self, cxp1, covers):
-        z1 = SRPolynomial.variable(cxp1, 1)
-        z2 = SRPolynomial.variable(cxp1, 2)
-        z3 = SRPolynomial.variable(cxp1, 3)
+        z1 = sr_variable(cxp1, 1)
+        z2 = sr_variable(cxp1, 2)
+        z3 = sr_variable(cxp1, 3)
         glued = glue_sections(covers["c_x_p1"], [z1 + z2, z1 + z3])
         assert glued == z1 + z2 + z3
 
     def test_disagreement_rejected(self, p1, covers):
-        one = SRPolynomial.one(p1)
+        one = sr_one(p1)
         with pytest.raises(CechError, match="disagree"):
-            glue_sections(covers["p1"], [one, SRPolynomial.zero(p1)])
+            glue_sections(covers["p1"], [one, SRPolynomial(p1, ())])
 
     def test_random_global_sections_roundtrip(self, covers):
         rng = random.Random(61)
@@ -246,9 +274,9 @@ class TestSplit:
 
     def test_functions_cochain_is_degree_zero_forms(self, covers):
         cs = covers["p1"]
-        c = functions_cochain(cs, 0, 2, {(0,): SRPolynomial.variable(cs.fan, 1)})
+        c = functions_cochain(cs, 0, 2, {(0,): sr_variable(cs.fan, 1)})
         assert (c.tag, c.k) == (TAG_FORMS, 0)
-        assert poly_components(cs, c)[(0,)] == SRPolynomial.variable(cs.fan, 1)
+        assert poly_components(cs, c)[(0,)] == sr_variable(cs.fan, 1)
 
     def test_not_closed_rejected(self, covers):
         # at m = 0 the top Cech space of the three-cone cover is nonzero,
@@ -418,15 +446,15 @@ class TestCup:
         rng = random.Random(73)
         for name, cs in covers.items():
             unit = functions_cochain(
-                cs, 0, 0, {tau: SRPolynomial.one(cs.fan) for tau in cs.simplices(0)})
+                cs, 0, 0, {tau: sr_one(cs.fan) for tau in cs.simplices(0)})
             beta = random_cochain(rng, cs, TAG_FORMS, min(1, cs.size - 1), 0, 2)
             prod = cup(cs, unit, beta)
             assert cochain_to_vector(cs, prod) == cochain_to_vector(cs, beta)
 
     def test_pointwise_products_degree_zero(self, covers, p1):
         cs = covers["p1"]
-        z1 = SRPolynomial.variable(p1, 1)
-        z2 = SRPolynomial.variable(p1, 2)
+        z1 = sr_variable(p1, 1)
+        z2 = sr_variable(p1, 2)
         a = functions_cochain(cs, 0, 2, {(0,): z1, (1,): z2})
         prod = cup(cs, a, a)
         polys = poly_components(cs, prod)

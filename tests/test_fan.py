@@ -9,12 +9,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import FAN_DIR, cn_data, fan_text, load_fan_and_polyhedron
-from helpers import INLINE_FANS, inline_fan_file
+from helpers import INLINE_FANS, inline_fan_file, leibniz_det
 from toriclg import (
     FanParseError,
     FanValidationError,
-    cone_of_simplex,
-    parse_fan,
     parse_fan_file,
     primitive_collections,
 )
@@ -33,7 +31,8 @@ from toriclg.fan import (
     ray_coordinates_in_cone_basis,
     separating_covector,
 )
-from toriclg.linalg import RationalMatrix, det, dot, lift, rank
+from toriclg.cech import CoverSimplex
+from toriclg.linalg import RationalMatrix, dot, lift, rank
 
 
 def fan_json(rank, rays, max_cones, **extra):
@@ -48,7 +47,7 @@ class TestParsing:
 
     def test_non_smooth_rejected(self):
         with pytest.raises(FanValidationError, match="smooth"):
-            parse_fan(fan_json(2, [[1, 0], [1, 2]], [[1, 2]]))
+            parse_fan_file(fan_json(2, [[1, 0], [1, 2]], [[1, 2]]))
 
     def test_blowup_face_closure(self, blowup):
         assert len(blowup.all_cones) == 6
@@ -61,26 +60,26 @@ class TestParsing:
 
     def test_zero_ray_rejected(self):
         with pytest.raises(FanValidationError, match="zero"):
-            parse_fan(fan_json(2, [[0, 0], [1, 0]], [[1, 2]]))
+            parse_fan_file(fan_json(2, [[0, 0], [1, 0]], [[1, 2]]))
 
     def test_non_primitive_ray_rejected(self):
         with pytest.raises(FanValidationError, match="primitive"):
-            parse_fan(fan_json(2, [[2, 0], [0, 1]], [[1, 2]]))
+            parse_fan_file(fan_json(2, [[2, 0], [0, 1]], [[1, 2]]))
 
     def test_duplicate_ray_rejected(self):
         with pytest.raises(FanValidationError, match="duplicates"):
-            parse_fan(fan_json(2, [[1, 0], [1, 0]], [[1], [2]]))
+            parse_fan_file(fan_json(2, [[1, 0], [1, 0]], [[1], [2]]))
 
     def test_unused_ray_rejected(self):
         with pytest.raises(FanValidationError, match="no cone"):
-            parse_fan(fan_json(2, [[1, 0], [0, 1]], [[1]]))
+            parse_fan_file(fan_json(2, [[1, 0], [0, 1]], [[1]]))
 
     def test_fan_condition_rejected(self):
         # the diagonal ray meets the interior of the quadrant cone
         with pytest.raises(FanValidationError, match=re.escape(
                 "fan condition fails: cones {1,2} and {3} intersect beyond their "
                 "common face (both contain [1, 1])")):
-            parse_fan(fan_json(2, [[1, 0], [0, 1], [1, 1]], [[1, 2], [3]]))
+            parse_fan_file(fan_json(2, [[1, 0], [0, 1], [1, 1]], [[1, 2], [3]]))
 
     def test_overlapping_max_cones_rejected(self):
         # the message names the pair and a point of the intersection outside
@@ -88,11 +87,11 @@ class TestParsing:
         with pytest.raises(FanValidationError, match=re.escape(
                 "fan condition fails: cones {1,2} and {2,3} intersect beyond their "
                 "common face (both contain [1, 1])")):
-            parse_fan(fan_json(2, [[1, 0], [0, 1], [1, 1]], [[1, 2], [2, 3]]))
+            parse_fan_file(fan_json(2, [[1, 0], [0, 1], [1, 1]], [[1, 2], [2, 3]]))
         with pytest.raises(FanValidationError, match=re.escape(
                 "fan condition fails: cones {1,2} and {1,3} intersect beyond their "
                 "common face (both contain [1, 1])")):
-            parse_fan(fan_json(2, [[1, 0], [0, 1], [1, 1]], [[1, 2], [1, 3]]))
+            parse_fan_file(fan_json(2, [[1, 0], [0, 1], [1, 1]], [[1, 2], [1, 3]]))
 
     def test_unknown_key_rejected(self):
         with pytest.raises(FanParseError, match="unknown key.*'polyhedra'"):
@@ -100,14 +99,14 @@ class TestParsing:
 
     def test_bad_index_rejected(self):
         with pytest.raises(FanParseError):
-            parse_fan(fan_json(1, [[1]], [[2]]))
+            parse_fan_file(fan_json(1, [[1]], [[2]]))
 
     def test_not_json(self):
         with pytest.raises(FanParseError):
-            parse_fan("not json at all")
+            parse_fan_file("not json at all")
 
     def test_listed_face_normalised_away(self):
-        fan = parse_fan(fan_json(2, [[1, 0], [0, 1]], [[1, 2], [1]]))
+        fan, _ = parse_fan_file(fan_json(2, [[1, 0], [0, 1]], [[1, 2], [1]]))
         assert [c.ray_indices for c in fan.max_cones] == [(1, 2)]
 
     def test_polyhedron_parsing(self):
@@ -297,7 +296,7 @@ class TestPrimitiveCollections:
                 assert not set(a) <= set(b) and not set(b) <= set(a)
 
     def test_equals_all_subsets_definition(self):
-        fans = [parse_fan(fan_text(path.stem)) for path in sorted(FAN_DIR.glob("*.json"))]
+        fans = [parse_fan_file(fan_text(path.stem))[0] for path in sorted(FAN_DIR.glob("*.json"))]
         datas = [projective_space_data(n) for n in (1, 2, 3, 4)]
         datas += [p1_power_data(k) for k in (1, 2, 3)]
         datas += [star_subdivision(projective_space_data(n), list(range(1, n + 1)))
@@ -323,31 +322,29 @@ class TestPrimitiveCollections:
 
 
 class TestConeOfSimplex:
+    """CoverSimplex.cone_of: the cone where the cover cones of a simplex meet."""
+
     def test_p1_overlap(self, p1):
-        cover = list(p1.max_cones)
-        assert cone_of_simplex(p1, cover, [1, 2]).ray_indices == ()
+        assert CoverSimplex(p1).cone_of((0, 1)).ray_indices == ()
 
     def test_blowup_overlap(self, blowup):
-        cover = list(blowup.max_cones)
-        assert cone_of_simplex(blowup, cover, [1, 2]).ray_indices == (3,)
+        assert CoverSimplex(blowup).cone_of((0, 1)).ray_indices == (3,)
 
     def test_singleton_identity(self, suite):
         for fan in suite.values():
-            cover = list(fan.max_cones)
-            for i, cone in enumerate(cover, start=1):
-                assert cone_of_simplex(fan, cover, [i]) == cone
+            cs = CoverSimplex(fan)
+            for i, cone in enumerate(fan.max_cones):
+                assert cs.cone_of((i,)) == cone
 
     def test_inclusion_reversing(self, suite):
         rng = random.Random(23)
         for fan in suite.values():
-            cover = list(fan.max_cones) + list(fan.cones_of_dim(1))[:2]
-            s = len(cover)
+            cs = CoverSimplex(fan, list(fan.max_cones) + list(fan.cones_of_dim(1))[:2])
             for _ in range(25):
-                size_big = rng.randint(1, s)
-                tau = rng.sample(range(1, s + 1), size_big)
-                sub = rng.sample(tau, rng.randint(1, len(tau)))
-                big = cone_of_simplex(fan, cover, tau)
-                small = cone_of_simplex(fan, cover, sub)
+                tau = sorted(rng.sample(range(cs.size), rng.randint(1, cs.size)))
+                sub = sorted(rng.sample(tau, rng.randint(1, len(tau))))
+                big = cs.cone_of(tuple(tau))
+                small = cs.cone_of(tuple(sub))
                 assert big.index_set <= small.index_set
 
 
@@ -398,7 +395,7 @@ class TestLatticeIndex:
         # no column set of size k when k > n: the gcd of no minors is 0
         g = 0
         for cols in itertools.combinations(range(n), len(rows)):
-            g = math.gcd(g, int(det(RationalMatrix.from_rows([[r[c] for c in cols] for r in rows]))))
+            g = math.gcd(g, leibniz_det([[r[c] for c in cols] for r in rows]))
         assert lattice_index(rows, n) == g
 
     def test_dependent_rows_give_zero(self):

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import cn_data, load_fan_and_polyhedron
-from toriclg import check_semiprojective, degeneration_exponent, parse_fan, parse_fan_file
+from toriclg import check_semiprojective, degeneration_exponent, parse_fan_file
 from toriclg.fan import FanError, fan_from_data
 from toriclg.linalg import dot
 from toriclg.semiproj import (
@@ -46,15 +46,15 @@ class TestCertificates:
         assert rep.certificate.value(2) == 1
 
     def test_not_full_dimensional(self):
-        fan = parse_fan(fan_json(2, [[1, 0], [-1, 0]], [[1], [2]]))
+        fan, _ = parse_fan_file(fan_json(2, [[1, 0], [-1, 0]], [[1], [2]]))
         rep = check_semiprojective(fan)
         assert not rep.semiprojective
         assert rep.reason == REASON_NOT_FULL_DIM
         assert rep.witnesses
 
     def test_support_not_convex(self):
-        fan = parse_fan(fan_json(2, [[1, 0], [0, 1], [-1, 0], [0, -1]],
-                                 [[1, 2], [3, 4]]))
+        fan, _ = parse_fan_file(fan_json(2, [[1, 0], [0, 1], [-1, 0], [0, -1]],
+                                         [[1, 2], [3, 4]]))
         rep = check_semiprojective(fan)
         assert not rep.semiprojective
         assert rep.reason == REASON_NOT_CONVEX
@@ -90,8 +90,8 @@ class TestCertificates:
             for fun in cert.functionals:
                 assert all(isinstance(x, int) for x in fun)
             for a, b in adjacent_max_pairs(fan):
-                fa = cert.functional(a)
-                fb = cert.functional(b)
+                fa = cert.functionals[fan.max_cones.index(a)]
+                fb = cert.functionals[fan.max_cones.index(b)]
                 for i in sorted(b.index_set - a.index_set):
                     assert dot(fb, fan.ray(i)) - dot(fa, fan.ray(i)) >= 1
 

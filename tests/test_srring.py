@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import cn_data
 from cech_helpers import cochain_from_vector
-from helpers import hilbert_series, random_polynomial
+from helpers import hilbert_series, random_polynomial, sr_one, sr_variable
 from toriclg import (
     Monomial,
     SRPolynomial,
@@ -78,26 +78,26 @@ class TestRestrict:
         assert restrict(p, cone) == p
 
     def test_cxp1_example(self, cxp1):
-        p = SRPolynomial.variable(cxp1, 2) - SRPolynomial.variable(cxp1, 3)
+        p = sr_variable(cxp1, 2) - sr_variable(cxp1, 3)
         assert str(restrict(p, cxp1.cone([1, 2]))) == "z2"
 
 
 class TestMultiply:
     def test_p1_relation(self, p1):
-        z1 = SRPolynomial.variable(p1, 1)
-        z2 = SRPolynomial.variable(p1, 2)
+        z1 = sr_variable(p1, 1)
+        z2 = sr_variable(p1, 2)
         assert multiply(z1, z2).is_zero()
 
     def test_unit(self, suite):
         rng = random.Random(5)
         for fan in suite.values():
             p = random_polynomial(rng, fan)
-            assert multiply(SRPolynomial.one(fan), p) == p
+            assert multiply(sr_one(fan), p) == p
 
     def test_blowup_example(self, blowup):
-        z1 = SRPolynomial.variable(blowup, 1)
-        z2 = SRPolynomial.variable(blowup, 2)
-        z3 = SRPolynomial.variable(blowup, 3)
+        z1 = sr_variable(blowup, 1)
+        z2 = sr_variable(blowup, 2)
+        z3 = sr_variable(blowup, 3)
         assert str(multiply(z1 + z3, z2)) == "z2*z3"
 
     def test_normal_form_drops_nonfaces(self, p1):
@@ -120,7 +120,7 @@ class TestCoefficients:
         with pytest.raises(LinalgError, match="float"):
             SRPolynomial.build(p2, {Monomial.variable(1): 0.5})
         with pytest.raises(LinalgError, match="float"):
-            SRPolynomial.variable(p2, 1).scale(0.5)
+            sr_variable(p2, 1).scale(0.5)
 
     def test_float_element_coordinate_refused(self, p2):
         tc = build_twisted(p2)

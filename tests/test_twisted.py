@@ -11,6 +11,7 @@ from helpers import (
     inline_fan,
     lg_degree,
     lg_differential,
+    minors_matrix,
     random_unimodular,
     verify_square_zero,
 )
@@ -164,21 +165,20 @@ class TestFrameIndependence:
         frame = random_unimodular(rng, fan.rank)
         tc_std = build_twisted(fan)
         tc_frm = build_twisted(fan, frame)
-        u = RationalMatrix.from_rows(frame)
         for k in (1, 2):
             for m in (0, 2, 4):
                 # change of basis on wedges tensor identity on monomials
                 monos = len(sr_basis(fan, m))
                 monos2 = len(sr_basis(fan, m + 2))
-                ck = linalg.exterior_power(u, k).transpose()
-                ck1 = linalg.exterior_power(u, k - 1).transpose()
+                ck = minors_matrix(frame, k).transpose()
+                ck1 = minors_matrix(frame, k - 1).transpose()
 
                 def widen(c, nm):
                     subs_r = c.rows
                     subs_c = c.cols
                     blocks = {}
                     for (i, j), v in c.entries.items():
-                        blocks[(i, j)] = RationalMatrix.identity(nm).scale(v)
+                        blocks[(i, j)] = RationalMatrix(nm, nm, {(r, r): v for r in range(nm)})
                     return linalg.block_matrix([nm] * subs_r, [nm] * subs_c, blocks)
 
                 lhs = tc_std.block(k, m) @ widen(ck, monos)
@@ -191,15 +191,15 @@ class TestRingStructure:
         ring = ring_structure(build_twisted(p1))
         assert ring.dims == (1, 0, 1, 0, 0)
         assert ring.basis == ((0, 0), (2, 0))
-        assert ring.product((2, 0), (2, 0)) == ()  # degree-4 slot is zero
+        assert ring.constants[(2, 0, 2, 0)] == ()  # degree-4 slot is zero
         assert check_axioms(ring) == []
 
     def test_p2_height_three(self, p2):
         ring = ring_structure(build_twisted(p2))
         assert ring.dims == (1, 0, 1, 0, 1, 0, 0)
-        h_sq = ring.product((2, 0), (2, 0))
+        h_sq = ring.constants[(2, 0, 2, 0)]
         assert len(h_sq) == 1 and h_sq[0] != 0
-        assert ring.product((2, 0), (4, 0)) == ()  # h^3 lives in the zero slot
+        assert ring.constants[(2, 0, 4, 0)] == ()  # h^3 lives in the zero slot
         assert check_axioms(ring) == []
 
     def test_unit_row(self, suite):
@@ -363,8 +363,7 @@ class TestDerivationPresentation:
         pres = log_derivations(cxp1, cxp1.cone([1, 2]))
         assert pres.coefficients == ((0, -1),)
         assert [str(f) for f in pres.differential_coeffs] == ["z1", "z2 - z3"]
-        assert pres.generator(0) == [(1, 1)]
-        assert pres.generator(1) == [(2, 1), (3, -1)]
+        assert (pres.base, pres.extra) == ((1, 2), (3,))
 
     def test_cn(self):
         fan = fan_from_data(**cn_data(3))
@@ -386,8 +385,8 @@ class TestDerivationPresentation:
             if name == "zero2":
                 continue
             for cone in fan.max_cones:
-                pres = log_derivations(fan, cone, check_degree=2 * fan.rank)
-                assert pres.checked_degree == 2 * fan.rank
+                pres = log_derivations(fan, cone)
+                assert pres.checked_degree == default_t_max(fan)
 
     def test_changed_coordinate_is_a_mismatch(self, monkeypatch):
         fan = load_fan("hirzebruch1")
