@@ -243,13 +243,9 @@ class CoverSimplex:
 
     def _const_restriction(self, src: Cone, dst: Cone, k: int) -> RationalMatrix:
         """Inclusion of annihilator wedges, written in the bases."""
-        key = ("constres", src, dst, k)
+        key = ("constres", src.ray_indices, dst.ray_indices, k)
         if key not in self._cache:
-            solver = self._const_solver(dst, k)
-            cols = self.const_matrix(src, k)
-            self._cache[key] = RationalMatrix.from_columns(
-                [solver.solve(cols.column(j)) for j in range(cols.cols)],
-                rows=self.const_matrix(dst, k).cols)
+            self._cache[key] = self._const_solver(dst, k).solve(self.const_matrix(src, k))
         return self._cache[key]
 
     # -- matrices --------------------------------------------------------
@@ -260,7 +256,8 @@ class CoverSimplex:
         One (target offset, source offset, sign, block) per (tau, face) pair:
         for forms q is m, the block is ``_keep_pairs`` and the offsets are
         those at k = 0; for const q is k and the block is
-        ``_const_restriction``.  A forms local size at (k, m) is C(n, k)
+        ``_const_restriction``.  Both cache a block per pair of cones, which
+        most (tau, face) pairs repeat.  A forms local size at (k, m) is C(n, k)
         times its size at (0, m), so one forms plan serves every k.
         """
         key = ("plan", tag, p, q)
@@ -274,15 +271,10 @@ class CoverSimplex:
             k, m = (0, q) if tag == TAG_FORMS else (q, 0)
             src_off = self.slot_layout(tag, p, k, m)[1]
             dst_off = self.slot_layout(tag, p + 1, k, m)[1]
-            blocks = {}  # one block per pair of cones; most pairs repeat
-            plan = []
-            for tau, face, sign, dst, src in faces:
-                cones = (src.ray_indices, dst.ray_indices)
-                if cones not in blocks:
-                    blocks[cones] = self._keep_pairs(src, dst, m) if tag == TAG_FORMS \
-                        else self._const_restriction(src, dst, k)
-                plan.append((dst_off[tau], src_off[face], sign, blocks[cones]))
-            self._cache[key] = plan
+            self._cache[key] = [
+                (dst_off[tau], src_off[face], sign, self._keep_pairs(src, dst, m)
+                 if tag == TAG_FORMS else self._const_restriction(src, dst, k))
+                for tau, face, sign, dst, src in faces]
         return self._cache[key]
 
     def delta_matrix(self, tag: str, p: int, k: int, m: int) -> RationalMatrix:
@@ -329,24 +321,19 @@ class CoverSimplex:
             self._cache[key] = koszul_block(self.fan, self._cache[fkey], k, m, cone)
         return self._cache[key]
 
-    def augmentation_matrix(self, k: int, m: int) -> RationalMatrix:
-        """Restriction of global forms to the degree-0 Cech slot.
+    def augmentation_matrix(self, m: int) -> RationalMatrix:
+        """Restriction of global functions to the degree-0 Cech slot.
 
         Built by index: on each vertex cone, the global monomial j of
         ``sr_basis`` that the cone keeps goes to its row i of
-        ``cone_monomial_basis`` (``_keep_pairs``), in every wedge block.
+        ``cone_monomial_basis`` (``_keep_pairs``).
         """
-        wedges = len(ext_subsets(self.fan.rank, k))
-        n_global = len(sr_basis(self.fan, m))
-        dst_dim, dst_off = self.slot_layout(TAG_FORMS, 0, k, m)
+        dst_dim, dst_off = self.slot_layout(TAG_FORMS, 0, 0, m)
         ent = {}
         for tau in self.simplices(0):
-            _, n_local, pairs = self._keep_pairs(None, self.cone_of(tau), m)
-            for a in range(wedges):
-                r1, c1 = dst_off[tau] + a * n_local, a * n_global
-                for j, i in pairs:
-                    ent[(r1 + i, c1 + j)] = 1
-        return RationalMatrix(dst_dim, wedges * n_global, ent)
+            for j, i in self._keep_pairs(None, self.cone_of(tau), m)[2]:
+                ent[(dst_off[tau] + i, j)] = 1
+        return RationalMatrix(dst_dim, len(sr_basis(self.fan, m)), ent)
 
     # -- total complexes ---------------------------------------------------
 
@@ -457,12 +444,11 @@ class CoverSimplex:
 class ExactnessReport:
     """Per-degree exactness of the augmented complex of a cover."""
 
-    __slots__ = ("m_max", "exterior_degree", "entries", "augmentation", "exact")
+    __slots__ = ("m_max", "entries", "augmentation", "exact")
 
-    def __init__(self, m_max: int, exterior_degree: int, entries: dict[tuple[int, int], dict],
+    def __init__(self, m_max: int, entries: dict[tuple[int, int], dict],
                  augmentation: dict[int, dict], exact: bool):
         self.m_max = m_max
-        self.exterior_degree = exterior_degree
         self.entries = entries                # (m, p) -> dims/ranks/verdict
         self.augmentation = augmentation      # m -> injectivity and image data
         self.exact = exact
@@ -472,24 +458,25 @@ class ExactnessReport:
         return all(e["exact"] for (mm, _), e in self.entries.items() if mm == m)
 
 
-def verify_exactness(cs: CoverSimplex, m_max: int, exterior_degree: int = 0) -> ExactnessReport:
+def verify_exactness(cs: CoverSimplex, m_max: int) -> ExactnessReport:
     """Check degreewise exactness of 0 -> global -> C^0 -> C^1 -> ...
 
-    The coefficients are the forms of exterior degree ``exterior_degree``
-    (0: the polynomial functions).  Works in each polynomial degree
-    m <= m_max separately (odd slices are zero).  A slot is exact when
-    the incoming map composes to zero with the outgoing one and their
-    ranks add up to its dimension.  Failures are recorded, not raised.
+    The coefficients are the polynomial functions, the forms of exterior
+    degree 0.  The forms of exterior degree k follow: their delta is
+    C(n, k) diagonal copies of the delta at k = 0, and so is their
+    augmentation.  Works in each polynomial degree m <= m_max separately
+    (odd slices are zero).  A slot is exact when the incoming map
+    composes to zero with the outgoing one and their ranks add up to its
+    dimension.  Failures are recorded, not raised.
     """
-    k = exterior_degree
     entries: dict[tuple[int, int], dict] = {}
     augmentation: dict[int, dict] = {}
     exact = True
     s = cs.size
     for m in range(m_max + 1):
-        aug = cs.augmentation_matrix(k, m)
-        deltas = [cs.delta_matrix(TAG_FORMS, p, k, m) for p in range(s)]
-        dims = [cs.slot_layout(TAG_FORMS, p, k, m)[0] for p in range(s)]
+        aug = cs.augmentation_matrix(m)
+        deltas = [cs.delta_matrix(TAG_FORMS, p, 0, m) for p in range(s)]
+        dims = [cs.slot_layout(TAG_FORMS, p, 0, m)[0] for p in range(s)]
         ranks = [linalg.rank(d) for d in deltas]
         comp_zero = (deltas[0] @ aug).is_zero()
         rank_aug = linalg.rank(aug)
@@ -513,7 +500,7 @@ def verify_exactness(cs: CoverSimplex, m_max: int, exterior_degree: int = 0) -> 
         entries[(m, 0)] = {"dim": dims[0], "rank_in": rank_aug,
                            "rank_out": ranks[0], "exact": joint0 and inj}
         exact = exact and ok_m
-    return ExactnessReport(m_max, k, entries, augmentation, exact)
+    return ExactnessReport(m_max, entries, augmentation, exact)
 
 
 # -- total cohomology and the quasi-isomorphism checks ----------------------------
@@ -603,9 +590,7 @@ def verify_quasi_iso(cs: CoverSimplex, t_max: int | None = None) -> QuasiIsoRepo
             break
         if cslot.dim == 0:
             continue
-        reps = RationalMatrix.from_columns(cslot.representatives, rows=cslot.ambient)
-        images = fslot.reduce(cs.inclusion_matrix(t) @ reps)
-        if linalg.rank(RationalMatrix.from_columns(images, rows=fslot.dim)) != cslot.dim:
+        if linalg.rank(fslot.reduce(cs.inclusion_matrix(t) @ cslot.representatives)) != cslot.dim:
             induced_ok = False
             break
 
@@ -643,7 +628,8 @@ def cup(cs: CoverSimplex, a: CechCochain, b: CechCochain) -> CechCochain:
         for key, v in prod.items():
             vec[index[key]] = v
         if tag == TAG_CONST:
-            vec = cs._const_solver(cs.cone_of(tau), k).solve(vec)
+            vec = cs._const_solver(cs.cone_of(tau), k).solve(
+                RationalMatrix.from_columns([vec], rows=len(vec))).column(0)
         result.components[tau] = linalg.scale_vector(twist, vec)
     return result
 

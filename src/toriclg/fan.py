@@ -106,7 +106,7 @@ class Fan:
 
     ``_tables`` caches tables computed from the fan alone: the monomial
     bases of ``srring``, the Koszul index maps of ``twisted`` and the
-    cone solvers of ``ray_coordinates_in_cone_basis``.  Each entry
+    ray coordinates of ``ray_coordinates_in_cone_basis``.  Each entry
     is written once and never mutated, so concurrent reads stay safe.
     """
 
@@ -202,21 +202,22 @@ def lattice_index(rows: Sequence[Sequence[int]], rank: int) -> int:
 def ray_coordinates_in_cone_basis(fan: Fan, cone: Cone, ray_index: int) -> tuple[int, ...]:
     """Integer coordinates of a ray in the basis given by a full-dim smooth cone.
 
-    Returns a_1..a_n with ray = sum a_i * (i-th cone ray), by one exact
-    solve against the cone's ``LinearSolver``, built once per cone and
-    cached on the fan.  Raises on a non-integral solve, which cannot
-    happen for a unimodular cone and signals an internal error.
+    Returns a_1..a_n with ray = sum a_i * (i-th cone ray): column ray_index
+    of one exact solve of every ray against the cone's rays, made once per
+    cone and cached on the fan.  Raises on a non-integral solve, which
+    cannot happen for a unimodular cone and signals an internal error.
     """
     if cone.dim != fan.rank:
         raise FanError(f"cone {cone} is not full-dimensional")
-    solver = fan.table(("cone solver", cone.ray_indices), lambda: LinearSolver(
-        RationalMatrix.from_columns([fan.ray(i) for i in cone.ray_indices], rows=fan.rank)))
-    out = []
-    for c in solver.solve(fan.ray(ray_index)):
-        if c.denominator != 1:  # a solve may return an integral Fraction
-            raise FanError(f"non-integral lattice solve for ray {ray_index} in cone {cone}")
-        out.append(int(c))
-    return tuple(out)
+
+    def solve():
+        basis = RationalMatrix.from_columns([fan.ray(i) for i in cone.ray_indices], rows=fan.rank)
+        return LinearSolver(basis).solve(RationalMatrix.from_columns(fan.rays, rows=fan.rank))
+
+    coords = fan.table(("cone coordinates", cone.ray_indices), solve).column(ray_index - 1)
+    if any(type(c) is not int for c in coords):
+        raise FanError(f"non-integral lattice solve for ray {ray_index} in cone {cone}")
+    return coords
 
 
 # -- cone geometry (exact) ------------------------------------------------

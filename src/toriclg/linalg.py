@@ -27,15 +27,20 @@ of a matrix is unique, and so are its pivot columns (the greedy choice
 ones").  Ranks, kernel bases, lifts and cohomology representatives are
 therefore reproducible across runs and platforms.
 
+A vector kept between stages is a column of a sparse ``RationalMatrix``,
+never a dense tuple, and a batch of vectors is one matrix.
+``LinearSolver.solve`` answers a batch with two sparse products, one by
+the left null rows of b (a check) and one by the solution rows.
+
 ``cohomology_at`` certifies every slot exactly, zero or not, from the
 cached eliminations of its two maps: its dimension is nullity(d_out) -
-rank(d_in), and the representatives of a nonzero slot come from one
-small RREF of the image written in kernel coordinates (see
-``CohomologySlot``).  A zero slot needs nothing beyond the two maps'
-eliminations, which its neighbours share.  A slot reduces a batch of
-vectors with two sparse products: one by d_out checks that they are
-cocycles, and one by a projection read off that small RREF gives their
-classes.
+rank(d_in), and the representatives of a nonzero slot, the columns of
+one sparse matrix, come from the RREF rows of d_out and one small RREF
+of the image written in kernel coordinates (see ``CohomologySlot``).  A
+zero slot needs nothing beyond the two maps' eliminations, which its
+neighbours share.  A slot reduces a batch of vectors with two sparse
+products: one by d_out checks that they are cocycles, and one by a
+projection read off that small RREF gives their classes.
 
 ``solve_system`` is the one exact linear programming entry point: it
 solves the homogeneous equalities first, runs Fourier-Motzkin elimination
@@ -361,46 +366,44 @@ def lift(b: RationalMatrix, a: Sequence) -> Vector:
     The solution is linear in a, and a = 0 yields x = 0.  Raises
     NoSolutionError when a is not in the image of b.
     """
-    return LinearSolver(b).solve(a)
+    return LinearSolver(b).solve(RationalMatrix.from_columns([a], rows=b.rows)).column(0)
 
 
 class LinearSolver:
-    """Precomputed deterministic solver for repeated b x = v queries.
+    """Precomputed deterministic solver for b x = v, a batch of columns at a time.
 
     Eliminates [b | I] once.  That matrix has full row rank, so every row
     of its RREF is a pivot row.  A row whose pivot lies in b gives that
     solution variable as its identity part applied to v (free variables
     are zero); a row whose pivot lies in I has a zero b part, so its
     identity part is a left null vector of b, which v must annihilate.
+    The identity parts form two sparse matrices, ``_solution``
+    (b.cols x b.rows) and ``_null`` (left null vectors x b.rows), so a
+    batch is one product by each.
     """
 
     def __init__(self, b: RationalMatrix):
-        self.rows_in = b.rows
-        self.cols = b.cols
         ent = dict(b.entries)
         for i in range(b.rows):
             ent[(i, b.cols + i)] = 1
         elim = eliminate(RationalMatrix._trusted(b.rows, b.cols + b.rows, ent))
-        self._rows = elim.rows
-        self._pivots = elim.pivots
+        solution, null = {}, []
+        for row, c in zip(elim.rows, elim.pivots):
+            part = [(j - b.cols, v) for j, v in row.items() if j >= b.cols]
+            if c < b.cols:
+                solution.update(((c, j), v) for j, v in part)
+            else:
+                null.append(part)
+        self._solution = RationalMatrix._trusted(b.cols, b.rows, solution)
+        self._null = RationalMatrix._trusted(len(null), b.rows, {
+            (i, j): v for i, part in enumerate(null) for j, v in part})
 
-    def solve(self, v: Sequence) -> Vector:
-        if len(v) != self.rows_in:
-            raise LinalgError("vector length mismatch")
-        base = self.cols
-        x = [0] * base
-        for row, c in zip(self._rows, self._pivots):
-            total = 0
-            for j, coeff in row.items():
-                if j >= base:
-                    val = v[j - base]
-                    if val:
-                        total += coeff * _exact(val)
-            if c < base:
-                x[c] = total
-            elif total:
-                raise NoSolutionError("vector not in the image")
-        return tuple(x)
+    def solve(self, columns: RationalMatrix) -> RationalMatrix:
+        """The solution of each column of ``columns``; the batch is refused if any is
+        outside the image of b."""
+        if not (self._null @ columns).is_zero():
+            raise NoSolutionError("vector not in the image")
+        return self._solution @ columns
 
 
 def image_pivot_columns(a: RationalMatrix) -> list[int]:
@@ -410,11 +413,12 @@ def image_pivot_columns(a: RationalMatrix) -> list[int]:
 class CohomologySlot:
     """Kernel-mod-image data at one position of a complex.
 
-    ``representatives`` span a complement of image(d_in) inside
+    ``representatives`` (ambient x dim) holds in column r a kernel vector
+    of d_out, and the columns span a complement of image(d_in) inside
     ker(d_out).  ``reduce`` writes a batch of kernel vectors in that basis
     modulo the image: one sparse product by d_out checks that every
-    vector is a cocycle (the batch is refused otherwise, in a zero slot
-    too), and one by ``_project`` reads off the classes.
+    column is a cocycle (the batch is refused otherwise, in a zero slot
+    too), and one by ``_project`` gives the dim x n matrix of classes.
 
     A kernel vector is determined by its entries at the free columns of
     d_out (its kernel coordinates).  ``cohomology_at`` takes the RREF of
@@ -423,34 +427,32 @@ class CohomologySlot:
     coordinates j for which some image vector has its last nonzero
     kernel coordinate at j, so the canonical kernel vectors at the other
     coordinates are the ones the greedy left-to-right choice over
-    [image | kernel basis] keeps.  ``_project`` (dim x ambient) subtracts
-    from a kernel vector the image vectors that clear its pivot
-    coordinates and reads the rest: row r holds the sign of
-    representative r at its free column, and minus that sign times the
-    RREF row entry at the free column of each pivot.  The slot keeps
+    [image | kernel basis] keeps.  Representative r is the canonical
+    kernel vector at its free column f, read off the RREF rows of d_out
+    that hold f, and signed so that its first nonzero entry is positive.
+    ``_project`` (dim x ambient) subtracts from a kernel vector the image
+    vectors that clear its pivot coordinates and reads the rest: row r
+    holds the sign of representative r at f, and minus that sign times
+    the RREF row entry at the free column of each pivot.  The slot keeps
     d_out, which the complex caches, and no elimination.  Immutable by
     convention.
     """
 
-    __slots__ = ("ambient", "dim", "representatives", "image_rank", "_d_out", "_project")
+    __slots__ = ("dim", "representatives", "_d_out", "_project")
 
-    def __init__(self, representatives: tuple[Vector, ...], image_rank: int,
-                 d_out: RationalMatrix, project: RationalMatrix):
-        self.ambient = d_out.cols
+    def __init__(self, representatives: RationalMatrix, d_out: RationalMatrix,
+                 project: RationalMatrix):
         self.dim = project.rows
         self.representatives = representatives
-        self.image_rank = image_rank
         self._d_out = d_out
         self._project = project
 
-    def reduce(self, columns: RationalMatrix) -> list[Vector]:
-        """The class of each column of ``columns`` in the basis of representatives."""
-        if columns.rows != self.ambient:
-            raise LinalgError("vector length mismatch")
+    def reduce(self, columns: RationalMatrix) -> RationalMatrix:
+        """Column j of the result is the class of column j of ``columns`` in the
+        basis of representatives."""
         if not (self._d_out @ columns).is_zero():
             raise NoSolutionError("vector not in the kernel")
-        classes = self._project @ columns
-        return [classes.column(j) for j in range(columns.cols)]
+        return self._project @ columns
 
 
 def cohomology_at(d_in: RationalMatrix, d_out: RationalMatrix) -> CohomologySlot:
@@ -470,7 +472,8 @@ def cohomology_at(d_in: RationalMatrix, d_out: RationalMatrix) -> CohomologySlot
     image = eliminate(d_in)
     n = out.nullity
     if n == image.rank:
-        return CohomologySlot((), n, d_out, RationalMatrix.zeros(0, d_out.cols))
+        return CohomologySlot(RationalMatrix.zeros(d_out.cols, 0), d_out,
+                              RationalMatrix.zeros(0, d_out.cols))
     # image pivot columns of d_in in reversed kernel coordinates (q is free column out.free[n - 1 - q])
     coord = {f: n - 1 - j for j, f in enumerate(out.free)}
     row_of = {c: i for i, c in enumerate(image.pivots)}
@@ -479,25 +482,26 @@ def cohomology_at(d_in: RationalMatrix, d_out: RationalMatrix) -> CohomologySlot
     if echelon.rank != image.rank:  # pragma: no cover - internal consistency
         raise LinalgError("rank bookkeeping failed in cohomology_at")
     pivot_coords = set(echelon.pivots)
-    reps, project, rep_of = [], {}, {}  # rep_of: kernel coordinate -> (row of project, sign)
-    for j, f in enumerate(out.free):
-        q = n - 1 - j
-        if q in pivot_coords:
-            continue
-        vec = out.kernel_vector(f)
-        rep = _canonical_sign(vec)
-        sign = 1 if rep is vec else -1
-        rep_of[q] = (len(reps), sign)
-        project[(len(reps), f)] = sign
-        reps.append(rep)
+    rep_of = {f: r for r, f in enumerate(f for f in out.free if coord[f] not in pivot_coords)}
+    # the RREF rows come in increasing pivot order, so the first row that holds f
+    # gives the first nonzero entry of representative rep_of[f], and its sign
+    reps, sign = {}, {}
+    for row, c in zip(out.rows, out.pivots):
+        for f, v in row.items():
+            if f in rep_of:
+                r = rep_of[f]
+                reps[(c, r)] = -sign.setdefault(r, -1 if v > 0 else 1) * v
+    project = {}
+    for f, r in rep_of.items():
+        reps[(f, r)] = project[(r, f)] = sign.get(r, 1)
     for p, row in zip(echelon.pivots, echelon.rows):
         f = out.free[n - 1 - p]
         for q, v in row.items():
-            if q in rep_of:
-                r, sign = rep_of[q]
-                project[(r, f)] = -sign * v
-    return CohomologySlot(tuple(reps), image.rank, d_out,
-                          RationalMatrix(len(reps), d_out.cols, project))
+            r = rep_of.get(out.free[n - 1 - q])
+            if r is not None:
+                project[(r, f)] = -sign.get(r, 1) * v
+    return CohomologySlot(RationalMatrix._trusted(d_out.cols, len(rep_of), reps), d_out,
+                          RationalMatrix._trusted(len(rep_of), d_out.cols, project))
 
 
 # -- misc utilities -------------------------------------------------------
@@ -506,12 +510,11 @@ def cohomology_at(d_in: RationalMatrix, d_out: RationalMatrix) -> CohomologySlot
 def inverse(a: RationalMatrix) -> RationalMatrix:
     if a.rows != a.cols:
         raise LinalgError("inverse of non-square matrix")
-    solver = LinearSolver(a)
+    identity = RationalMatrix._trusted(a.rows, a.rows, {(i, i): 1 for i in range(a.rows)})
     try:
-        cols = [solver.solve([int(i == j) for i in range(a.rows)]) for j in range(a.rows)]
+        return LinearSolver(a).solve(identity)
     except NoSolutionError:
         raise LinalgError("matrix is singular") from None
-    return RationalMatrix.from_columns(cols, rows=a.rows)
 
 
 # -- exact linear programming --------------------------------------------

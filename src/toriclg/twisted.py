@@ -232,12 +232,6 @@ def lg_multiply(fan: Fan, x: LGElement, y: LGElement) -> LGElement:
     return {k: v for k, v in out.items() if v != 0}
 
 
-def element_from_vector(tc: TwistedComplex, t: int, vec: Sequence) -> LGElement:
-    """The element with these coordinates; a float coordinate raises LinalgError."""
-    basis = tc.total_basis(t)
-    return {basis[i]: f for i, v in enumerate(vec) if (f := linalg._fraction(v))}
-
-
 def element_string(elt: LGElement) -> str:
     if not elt:
         return "0"
@@ -360,9 +354,12 @@ def ring_structure(tc: TwistedComplex, t_max: int | None = None) -> CohomologyRi
     basis: list[tuple[int, int]] = []
     reps: dict[tuple[int, int], LGElement] = {}
     for t in range(t_max + 1):
-        for i, rep in enumerate(tc.slot(t).representatives):
+        total = tc.total_basis(t)
+        for i in range(tc.slot(t).dim):
             basis.append((t, i))
-            reps[(t, i)] = element_from_vector(tc, t, rep)
+            reps[(t, i)] = {}
+        for (i, r), v in tc.slot(t).representatives.entries.items():
+            reps[(t, r)][total[i]] = v
     dims = tuple(tc.slot(t).dim for t in range(t_max + 1))
 
     by_degree: dict[int, list] = {}
@@ -382,10 +379,10 @@ def ring_structure(tc: TwistedComplex, t_max: int | None = None) -> CohomologyRi
         if t > t_max and vanish:
             if not (tc.total_differential(t) @ columns).is_zero():
                 raise linalg.NoSolutionError("a product above the window is not a cocycle")
-            coords = [()] * len(pairs)
+            classes = RationalMatrix.zeros(0, len(pairs))
         else:
-            coords = tc.slot(t).reduce(columns)
-        constants.update((a + b, c) for (a, b), c in zip(pairs, coords))
+            classes = tc.slot(t).reduce(columns)
+        constants.update((a + b, classes.column(j)) for j, (a, b) in enumerate(pairs))
     return CohomologyRing(tc, t_max, dims, tuple(basis), reps, constants)
 
 
@@ -395,15 +392,14 @@ def ring_structure(tc: TwistedComplex, t_max: int | None = None) -> CohomologyRi
 class LsopReport:
     """Hilbert-series test of the coefficient forms as a regular sequence."""
 
-    __slots__ = ("regular", "dims", "expected", "max_degree", "slots")
+    __slots__ = ("regular", "dims", "expected", "max_degree")
 
     def __init__(self, regular: bool, dims: tuple[int, ...], expected: tuple[int, ...],
-                 max_degree: int, slots: dict[int, CohomologySlot]):
+                 max_degree: int):
         self.regular = regular
         self.dims = dims            # quotient dims at even degrees 0..max_degree
         self.expected = expected    # ring series times (1 - u)^rank
         self.max_degree = max_degree
-        self.slots = slots
 
 
 def lsop_check(tc: TwistedComplex) -> LsopReport:
@@ -411,21 +407,19 @@ def lsop_check(tc: TwistedComplex) -> LsopReport:
 
     True iff the quotient dims equal the ring series times (1 - u)^n
     coefficientwise up to degree 2n + 4 and the quotient vanishes strictly
-    above degree 2n.  When true the quotient slots present the cohomology
-    ring independently of the twisted complex.
+    above degree 2n.
 
     The degree-m slice of the quotient R/(forms) is the cokernel of the
     complex's cached block from slot (1, m - 2) to slot (0, m): it sends
     u_i times a monomial of degree m - 2 to forms[i] times that monomial.
+    So its dimension is |sr_basis(m)| minus the rank of that block.
     """
     fan = tc.fan
     n = fan.rank
     max_degree = 2 * n + 4
     degrees = range(0, max_degree + 1, 2)
-    slots = {m: cohomology_at(tc.block(1, m - 2), RationalMatrix.zeros(0, len(tc.basis(0, m))))
-             for m in degrees}
-    dims = tuple(slots[m].dim for m in degrees)
     ring_dims = [len(sr_basis(fan, m)) for m in degrees]
+    dims = tuple(d - linalg.rank(tc.block(1, m - 2)) for d, m in zip(ring_dims, degrees))
     expected = []
     for a in range(len(ring_dims)):
         val = sum((-1) ** j * math.comb(n, j) * ring_dims[a - j]
@@ -435,7 +429,7 @@ def lsop_check(tc: TwistedComplex) -> LsopReport:
     vanish = all(dims[a] == 0 for a in range(len(dims)) if 2 * a > 2 * n)
     nonzero_forms = all(not f.is_zero() for f in tc.linear_forms)
     regular = nonzero_forms and dims == expected_t and vanish
-    return LsopReport(regular, dims, expected_t, max_degree, slots)
+    return LsopReport(regular, dims, expected_t, max_degree)
 
 
 # -- presentation in the basis dual to a full-dimensional cone ----------------

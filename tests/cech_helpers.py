@@ -170,14 +170,12 @@ def _solve_on_stratum(cs: CoverSimplex, vertices: Simplex, p: int,
     omegas = list(itertools.combinations(vertices, p))
     monos = sorted({mono for poly in rhs.values() for mono, _ in poly.terms},
                    key=monomial_sort_key(fan.num_rays))
-    solver = _coboundary_solver(q, p)
+    terms = {tau: dict(rhs[tau].terms) for tau in taus}
+    targets = RationalMatrix.from_columns([[terms[tau].get(mono, 0) for tau in taus] for mono in monos],
+                                          rows=len(taus))
     acc: dict[Simplex, dict[Monomial, Fraction]] = {om: {} for om in omegas}
-    for mono in monos:
-        target = [dict(rhs[tau].terms).get(mono, 0) for tau in taus]
-        sol = solver.solve(target)
-        for om, val in zip(omegas, sol):
-            if val:
-                acc[om][mono] = val
+    for (i, j), val in _coboundary_solver(q, p).solve(targets).entries.items():
+        acc[omegas[i]][monos[j]] = val
     return {om: SRPolynomial.build(fan, terms) for om, terms in acc.items()}
 
 

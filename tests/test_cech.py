@@ -49,7 +49,6 @@ from toriclg.cech import (
     CoverSimplex,
 )
 from toriclg.fan import fan_from_data
-from toriclg.twisted import ext_subsets
 
 
 @pytest.fixture(scope="module")
@@ -168,11 +167,29 @@ class TestExactness:
             rep = verify_exactness(cs, 4)
             assert rep.exact, name
 
-    def test_forms_tag_slotwise(self, covers):
-        cs = covers["p2"]
-        for k in (1, 2):
-            rep = verify_exactness(cs, 4, exterior_degree=k)
-            assert rep.exact
+    def test_forms_delta_is_copies_of_the_functions_delta(self, covers):
+        # delta on the forms of exterior degree k is C(n, k) copies of delta on
+        # the functions (k = 0), one per wedge: exactness at k = 0 gives every k
+        def positions(cs, p, k, m):
+            # per wedge, the index at exterior degree k of each index at k = 0
+            total, offsets = cs.slot_layout(TAG_FORMS, p, 0, m)
+            starts = [offsets[tau] for tau in cs.simplices(p)] + [total]
+            wedges = math.comb(cs.fan.rank, k)
+            return [[wedges * o + a * (e - o) + i - o for o, e in zip(starts, starts[1:])
+                     for i in range(o, e)] for a in range(wedges)]
+
+        for name, cs in covers.items():
+            n = cs.fan.rank
+            for p in range(cs.size):
+                for m in (0, 2, 4):
+                    base = cs.delta_matrix(TAG_FORMS, p, 0, m)
+                    for k in range(1, n + 1):
+                        want = {(rows[i], cols[j]): v
+                                for rows, cols in zip(positions(cs, p + 1, k, m), positions(cs, p, k, m))
+                                for (i, j), v in base.entries.items()}
+                        delta = cs.delta_matrix(TAG_FORMS, p, k, m)
+                        assert delta.shape == (math.comb(n, k) * base.rows, math.comb(n, k) * base.cols)
+                        assert delta.entries == want, (name, p, k, m)
 
     def test_single_cone_cover_trivial(self):
         fan = fan_from_data(**cn_data(2))
@@ -349,19 +366,19 @@ class TestTotals:
                     lambda p, k, m: [((p + 1, k, m), cs.delta_matrix(TAG_CONST, p, k, m))]), (name, t)
                 assert cs.inclusion_matrix(t) == assembled(
                     cs, TAG_CONST, TAG_FORMS, t, t, inclusion_arrows(cs)), (name, t)
-            for k in range(n + 1):
-                for m in range(0, 2 * n + 5, 2):
-                    src = [(mono, u) for u in ext_subsets(n, k) for mono in sr_basis(cs.fan, m)]
-                    want = {}
-                    for tau in cs.simplices(0):
-                        local = cs.local_basis(TAG_FORMS, tau, k, m)
-                        off = cs.slot_layout(TAG_FORMS, 0, k, m)[1][tau]
-                        for j, b in enumerate(src):
-                            if b in local:
-                                want[(off + local.index(b), j)] = 1
-                    aug = cs.augmentation_matrix(k, m)
-                    assert (aug.rows, aug.cols) == (cs.slot_layout(TAG_FORMS, 0, k, m)[0], len(src))
-                    assert aug.entries == want, (name, k, m)
+            # the functions (k = 0); the forms of degree k are C(n, k) copies of them
+            for m in range(0, 2 * n + 5, 2):
+                src = [(mono, ()) for mono in sr_basis(cs.fan, m)]
+                want = {}
+                for tau in cs.simplices(0):
+                    local = cs.local_basis(TAG_FORMS, tau, 0, m)
+                    off = cs.slot_layout(TAG_FORMS, 0, 0, m)[1][tau]
+                    for j, b in enumerate(src):
+                        if b in local:
+                            want[(off + local.index(b), j)] = 1
+                aug = cs.augmentation_matrix(m)
+                assert (aug.rows, aug.cols) == (cs.slot_layout(TAG_FORMS, 0, 0, m)[0], len(src))
+                assert aug.entries == want, (name, m)
 
     def test_alternative_sign_convention_same_dims(self, covers):
         # D' = vertical + (-1)^k delta also squares to zero and yields the
@@ -557,28 +574,28 @@ class TestCup:
         cs = covers["p2"]
         coh = constant_total_cohomology(cs, 4)
         assert coh.dims == (1, 0, 1, 0, 1)
-        rep = coh.slots[2].representatives[0]
+        rep = coh.slots[2].representatives.column(0)
         blocks = const_total_blocks_from_vector(cs, 2, rep)
         square = total_cup(cs, blocks, blocks)
         vec = const_total_vector(cs, 4, square)
         assert not any(cs.const_total_matrix(4).mul_vec(vec))
-        (coords,) = coh.slots[4].reduce(linalg.RationalMatrix.from_columns([vec], rows=len(vec)))
-        assert len(coords) == 1 and coords[0] != 0
+        coords = coh.slots[4].reduce(linalg.RationalMatrix.from_columns([vec], rows=len(vec)))
+        assert coords.shape == (1, 1) and not coords.is_zero()
 
     def test_p1xp1_mixed_products(self, covers):
         # two middle classes multiply to the top class; squares vanish
         cs = covers["p1xp1"]
         coh = constant_total_cohomology(cs, 4)
         assert coh.dims == (1, 0, 2, 0, 1)
-        reps = coh.slots[2].representatives
+        reps = [coh.slots[2].representatives.column(j) for j in range(2)]
         products = {}
         for i, ri in enumerate(reps):
             for j, rj in enumerate(reps):
                 bi = const_total_blocks_from_vector(cs, 2, ri)
                 bj = const_total_blocks_from_vector(cs, 2, rj)
                 vec = const_total_vector(cs, 4, total_cup(cs, bi, bj))
-                (products[(i, j)],) = coh.slots[4].reduce(
-                    linalg.RationalMatrix.from_columns([vec], rows=len(vec)))
+                products[(i, j)] = coh.slots[4].reduce(
+                    linalg.RationalMatrix.from_columns([vec], rows=len(vec))).column(0)
         assert products[(0, 0)] == (0,)
         assert products[(1, 1)] == (0,)
         assert products[(0, 1)][0] != 0

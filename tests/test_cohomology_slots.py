@@ -8,6 +8,7 @@ basis vectors kept by the greedy left-to-right choice over
 [image pivot columns of d_in | kernel basis of d_out].
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -20,6 +21,7 @@ from toriclg.cech import (
     forms_total_cohomology,
     verify_exactness,
 )
+from toriclg.fan import fan_from_data
 from toriclg.linalg import (
     LinearSolver,
     NoSolutionError,
@@ -75,18 +77,24 @@ def columns(vectors, n):
     return RationalMatrix.from_columns(list(vectors), rows=n)
 
 
+def cols_of(m: RationalMatrix) -> list:
+    return [m.column(j) for j in range(m.cols)]
+
+
 def check_slot(d_in: RationalMatrix, d_out: RationalMatrix, slot, rng: random.Random):
     n = d_in.rows
-    assert slot.dim == eliminate(d_out).nullity - rank(d_in) == len(slot.representatives)
+    reps = cols_of(slot.representatives)
+    assert slot.representatives.shape == (n, slot.dim)
+    assert slot.dim == eliminate(d_out).nullity - rank(d_in)
     units = [tuple(Fraction(int(i == j)) for i in range(slot.dim)) for j in range(slot.dim)]
-    assert slot.reduce(columns(slot.representatives, n)) == units
+    assert cols_of(slot.reduce(slot.representatives)) == units
     for _ in range(3):
         x = [Fraction(rng.randint(-3, 3)) for _ in range(d_in.cols)]
         boundary = d_in.mul_vec(x)
         coeffs = [Fraction(rng.randint(-3, 3), rng.choice((1, 2))) for _ in range(slot.dim)]
-        cocycle = combine([1] + coeffs, [boundary] + list(slot.representatives), n)
-        assert slot.reduce(columns([boundary, cocycle], n)) == [(Fraction(0),) * slot.dim,
-                                                                 tuple(coeffs)]
+        cocycle = combine([1] + coeffs, [boundary] + reps, n)
+        assert cols_of(slot.reduce(columns([boundary, cocycle], n))) == [(Fraction(0),) * slot.dim,
+                                                                          tuple(coeffs)]
     for j in range(n):
         if any(c == j for _, c in d_out.entries):
             with pytest.raises(NoSolutionError):
@@ -100,13 +108,14 @@ def test_random_complexes():
         d_in, d_out = random_complex(rng)
         slot = cohomology_at(d_in, d_out)
         check_slot(d_in, d_out, slot, rng)
-        assert list(slot.representatives) == greedy_representatives(d_in, d_out)
+        reps = cols_of(slot.representatives)
+        assert reps == greedy_representatives(d_in, d_out)
         # a batch reduces as its columns do one by one, and one non-cocycle refuses it
         n = d_in.rows
-        batch = [combine([Fraction(rng.randint(-3, 3)) for _ in slot.representatives],
-                         slot.representatives, n) for _ in range(4)]
+        batch = [combine([Fraction(rng.randint(-3, 3)) for _ in reps], reps, n) for _ in range(4)]
         batch += [d_in.column(j) for j in range(d_in.cols)]
-        assert slot.reduce(columns(batch, n)) == [slot.reduce(columns([v], n))[0] for v in batch]
+        assert cols_of(slot.reduce(columns(batch, n))) == [
+            cols_of(slot.reduce(columns([v], n)))[0] for v in batch]
         bad = [j for j in range(n) if any(c == j for _, c in d_out.entries)]
         if bad:
             outside = tuple(Fraction(int(i == bad[0])) for i in range(n))
@@ -135,7 +144,7 @@ def test_twisted_slots_of_fan_files(name):
         d_out = tc.total_differential(t)
         slot = coh.slots[t]
         check_slot(d_in, d_out, slot, rng)
-        assert list(slot.representatives) == greedy_representatives(d_in, d_out)
+        assert cols_of(slot.representatives) == greedy_representatives(d_in, d_out)
         # adjacent slots share the one cached differential between them
         assert tc.total_differential(t) is d_out
         assert slot._d_out is d_out
@@ -157,6 +166,15 @@ def test_constant_total_slots_of_fan_files(name):
         check_slot(d_in, d_out, coh.slots[t], rng)
 
 
+def test_zero_fan_representatives_are_unit_columns():
+    # every differential of the rank-10 zero fan is zero, so slot 5 is the whole
+    # C(10, 5)-dimensional space and each representative one unit column
+    tc = build_twisted(fan_from_data(rank=10, rays=[], max_cones=[[]]))
+    reps = tc.slot(5).representatives
+    assert reps.shape == (math.comb(10, 5), math.comb(10, 5))
+    assert reps.entries == {(i, i): 1 for i in range(math.comb(10, 5))}
+
+
 def exact_numbers(obj) -> list:
     """Every number held by a matrix (and its cached elimination), slot or solver."""
     if isinstance(obj, RationalMatrix):
@@ -165,9 +183,8 @@ def exact_numbers(obj) -> list:
             out += [v for row in obj._elimination.rows for v in row.values()]
         return out
     if isinstance(obj, LinearSolver):
-        return [v for row in obj._rows for v in row.values()]
-    out = [v for rep in obj.representatives for v in rep]
-    return out + list(obj._project.entries.values())
+        return [*obj._solution.entries.values(), *obj._null.entries.values()]
+    return [*obj.representatives.entries.values(), *obj._project.entries.values()]
 
 
 @pytest.mark.parametrize("name", FAN_NAMES)
@@ -179,8 +196,8 @@ def test_no_float_anywhere(name):
     ring = ring_structure(tc, t_max)
     cs = CoverSimplex(fan)
     verify_exactness(cs, 2 * fan.rank + 4)
+    lsop_check(tc)  # its eliminations stay cached on the blocks
     held = [*tc._blocks.values(), *tc._totals.values(), *tc._slots.values(),
-            *lsop_check(tc).slots.values(),
             *constant_total_cohomology(cs, t_max).slots.values(),
             *forms_total_cohomology(cs, t_max).slots.values(),
             *(v for v in cs._cache.values() if isinstance(v, (RationalMatrix, LinearSolver)))]

@@ -428,7 +428,7 @@ class TestLatticeCoordinates:
     def test_one_solver_per_cone(self, monkeypatch, capsys, tmp_path):
         # degenerate on the 18-ray surface: the fan check inverts 18 ray
         # matrices for the dual frames, log_derivations inverts its frame, and
-        # the 16 rays outside the reference cone share that cone's one solver
+        # the 16 rays outside the reference cone share that cone's one solve
         built = []
         init = linalg.LinearSolver.__init__
 

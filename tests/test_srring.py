@@ -19,9 +19,9 @@ from toriclg import (
 )
 from toriclg.cech import TAG_FORMS, CoverSimplex
 from toriclg.fan import fan_from_data
-from toriclg.linalg import LinalgError
+from toriclg.linalg import LinalgError, RationalMatrix
 from toriclg.srring import cone_monomial_basis
-from toriclg.twisted import build_twisted, element_from_vector
+from toriclg.twisted import build_twisted, ring_structure
 
 
 def names(monos):
@@ -123,11 +123,16 @@ class TestCoefficients:
             sr_variable(p2, 1).scale(0.5)
 
     def test_float_element_coordinate_refused(self, p2):
+        # a ring element holds the entries of its representative's column, and a
+        # float cannot enter the matrix of representatives
         tc = build_twisted(p2)
-        assert element_from_vector(tc, 2, [Fraction(1, 2), 0, 3]) == {
-            (Monomial.variable(1), ()): Fraction(1, 2), (Monomial.variable(3), ()): 3}
+        ring = ring_structure(tc)
+        reps = tc.slot(2).representatives
+        basis = tc.total_basis(2)
+        assert ring.representatives[(2, 0)] == {basis[i]: v for (i, _), v in reps.entries.items()}
+        assert {type(v) for elt in ring.representatives.values() for v in elt.values()} <= {int, Fraction}
         with pytest.raises(LinalgError, match="float"):
-            element_from_vector(tc, 2, [0.1, 0, 0])
+            RationalMatrix.from_columns([[0.1, 0, 0]], rows=3)
 
     def test_float_cochain_coordinate_refused(self, p2):
         cs = CoverSimplex(p2)  # three maximal cones, constants in degree m = 0
