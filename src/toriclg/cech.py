@@ -534,17 +534,18 @@ def forms_total_cohomology(cs: CoverSimplex, t_max: int | None = None) -> TotalC
 
 class QuasiIsoReport:
     __slots__ = ("t_max", "dims_twisted", "dims_forms_total", "dims_const_total",
-                 "chain_map_ok", "induced_iso_ok")
+                 "chain_map_ok", "induced_iso_ok", "failed_at")
 
     def __init__(self, t_max: int, dims_twisted: tuple[int, ...],
                  dims_forms_total: tuple[int, ...], dims_const_total: tuple[int, ...],
-                 chain_map_ok: bool, induced_iso_ok: bool):
+                 chain_map_ok: bool, induced_iso_ok: bool, failed_at: int | None = None):
         self.t_max = t_max
         self.dims_twisted = dims_twisted
         self.dims_forms_total = dims_forms_total
         self.dims_const_total = dims_const_total
         self.chain_map_ok = chain_map_ok
         self.induced_iso_ok = induced_iso_ok
+        self.failed_at = failed_at  # the t at which the chain-map or induced-iso check stopped
 
     @property
     def augmentation_ok(self) -> bool:
@@ -564,7 +565,8 @@ def verify_quasi_iso(cs: CoverSimplex, t_max: int | None = None) -> QuasiIsoRepo
     cohomology (equal dimensions and full-rank reduced images; checked
     only for a chain map, and false otherwise), and that the
     twisted complex of the global ring has the same dimensions as the
-    forms total complex.
+    forms total complex.  The first degree at which the chain-map or
+    induced-iso check fails is kept as ``failed_at``.
     """
     if t_max is None:
         t_max = default_t_max(cs.fan)
@@ -572,30 +574,22 @@ def verify_quasi_iso(cs: CoverSimplex, t_max: int | None = None) -> QuasiIsoRepo
     forms = forms_total_cohomology(cs, t_max)
     twisted_dims = lg_cohomology(build_twisted(cs.fan), t_max).dims
 
-    chain_ok = True
-    for t in range(t_max + 1):
-        left = cs.forms_total_matrix(t) @ cs.inclusion_matrix(t)
-        right = cs.inclusion_matrix(t + 1) @ cs.const_total_matrix(t)
-        if left != right:
-            chain_ok = False
-            break
+    def chain_map_at(t: int) -> bool:
+        return (cs.forms_total_matrix(t) @ cs.inclusion_matrix(t)
+                == cs.inclusion_matrix(t + 1) @ cs.const_total_matrix(t))
 
-    induced_ok = True
-    for t in range(t_max + 1):
-        cslot = const.slots[t]
-        fslot = forms.slots[t]
-        # only a chain map sends the representatives to cocycles
-        if not chain_ok or cslot.dim != fslot.dim:
-            induced_ok = False
-            break
-        if cslot.dim == 0:
-            continue
-        if linalg.rank(fslot.reduce(cs.inclusion_matrix(t) @ cslot.representatives)) != cslot.dim:
-            induced_ok = False
-            break
+    def induces_iso_at(t: int) -> bool:
+        cslot, fslot = const.slots[t], forms.slots[t]
+        return cslot.dim == fslot.dim and (cslot.dim == 0 or linalg.rank(
+            fslot.reduce(cs.inclusion_matrix(t) @ cslot.representatives)) == cslot.dim)
 
+    failed_at = next((t for t in range(t_max + 1) if not chain_map_at(t)), None)
+    chain_ok = failed_at is None
+    # only a chain map sends the representatives to cocycles
+    if chain_ok:
+        failed_at = next((t for t in range(t_max + 1) if not induces_iso_at(t)), None)
     return QuasiIsoReport(t_max, twisted_dims, forms.dims, const.dims,
-                          chain_ok, induced_ok)
+                          chain_ok, failed_at is None, failed_at)
 
 
 # -- cup product --------------------------------------------------------------------

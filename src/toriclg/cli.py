@@ -8,7 +8,8 @@ identical input and flags give byte-identical output.
 Exit codes: 0 success / all verified, 1 internal error, 2 bad input (a
 missing, unreadable or invalid fan file, or a bad flag value such as a
 negative --tmax or --mmax, or one above MAX_DEGREE), 3 verification
-mismatch.  A reader that closes stdout early (``| head``) gets no error
+mismatch, with one stderr line that names the first failing check and its
+degree.  A reader that closes stdout early (``| head``) gets no error
 message, and the exit code stays the command's own: 0, or 3 for a mismatch.
 """
 
@@ -209,10 +210,10 @@ def cmd_cohomology(args) -> tuple[Report, int]:
     fan, _ = _load(args.fan_file)
     t_max = args.tmax if args.tmax is not None else default_t_max(fan)
     tc = build_twisted(fan)
-    coh = lg_cohomology(tc, t_max)
-    payload: dict = {"t_max": t_max, "dims": list(coh.dims)}
+    ls = lsop_check(tc)  # on a regular sequence the quotient answers, with no twisted slot
+    payload: dict = {"t_max": t_max, "dims": list(lg_cohomology(tc, t_max, ls).dims)}
     if args.ring:
-        ring = ring_structure(tc, t_max)
+        ring = ring_structure(tc, t_max, ls)
         basis = [{"degree": t, "index": i,
                   "representative": element_string(ring.representatives[(t, i)])}
                  for (t, i) in ring.basis]
@@ -222,7 +223,6 @@ def cmd_cohomology(args) -> tuple[Report, int]:
                              "degree": ta + tb,
                              "coords": [_frac(x) for x in coords]})
         payload["ring"] = {"basis": basis, "products": products}
-        ls = lsop_check(tc)
         payload["regular_sequence"] = {
             "regular": ls.regular,
             "forms": [str(f) for f in tc.linear_forms],
@@ -276,6 +276,19 @@ def cmd_verify(args) -> tuple[Report, int]:
         "induced_iso_ok": quasi.induced_iso_ok,
         "agree": agree,
     }
+    if not agree:  # name the first failing check: exactness, equal dims, then the inclusion
+        bad_m = next((e["m"] for e in payload["exactness"] if not e["exact"]), None)
+        dims = list(zip(quasi.dims_twisted, quasi.dims_forms_total, quasi.dims_const_total))
+        bad_t = next((t for t, d in enumerate(dims) if len(set(d)) > 1), None)
+        if bad_m is not None:
+            why = f"the cover complex is not exact in polynomial degree m={bad_m}"
+        elif bad_t is not None:
+            why = ("dims differ at t={}: twisted complex {}, double complex {}, "
+                   "constant forms {}").format(bad_t, *dims[bad_t])
+        else:
+            check = "is not a chain map" if not quasi.chain_map_ok else "induces no isomorphism"
+            why = f"the inclusion of constant forms {check} at t={quasi.failed_at}"
+        sys.stderr.write(f"mismatch: {why}\n")
     report = Report("verify", _fan_meta(fan, args.fan_file),
                     {"mmax": m_max, "tmax": t_max}, payload,
                     time.monotonic() - start)

@@ -39,6 +39,7 @@ from .linalg import (
 IntVec = tuple[int, ...]
 
 FAN_FILE_KEYS = ("rank", "rays", "max_cones", "polyhedron")
+POLYHEDRON_KEYS = ("vertices", "recession_rays")
 
 # Largest sum of 2^dim over the maximal cones, the subsets that the face
 # closure enumerates.  Validating the single cone C^17 (2^17) takes 1.8 s and
@@ -457,6 +458,13 @@ def fan_from_data(rank: int, rays: Sequence[Sequence[int]],
     return Fan(rank, tuple(ray_tuples), tuple(maximal), all_cones)
 
 
+def _refuse_unknown_keys(data: dict, keys: tuple[str, ...], what: str) -> None:
+    unknown = sorted(set(data) - set(keys))
+    if unknown:
+        raise FanParseError(f"unknown key(s) {', '.join(map(repr, unknown))}; "
+                            f"{what} has only {', '.join(map(repr, keys))}")
+
+
 def parse_fan_file(text: str) -> tuple[Fan, PolyhedronInput | None]:
     """Parse a fan file, returning the fan and the optional polyhedron."""
     try:
@@ -467,10 +475,7 @@ def parse_fan_file(text: str) -> tuple[Fan, PolyhedronInput | None]:
         raise FanParseError("not valid JSON: nested too deeply") from None
     if not isinstance(data, dict):
         raise FanParseError("fan file must be a JSON object")
-    unknown = sorted(set(data) - set(FAN_FILE_KEYS))
-    if unknown:
-        raise FanParseError(f"unknown key(s) {', '.join(map(repr, unknown))}; "
-                            f"a fan file has only {', '.join(map(repr, FAN_FILE_KEYS))}")
+    _refuse_unknown_keys(data, FAN_FILE_KEYS, "a fan file")
     for key in ("rank", "rays", "max_cones"):
         if key not in data:
             raise FanParseError(f"missing key {key!r}")
@@ -480,6 +485,7 @@ def parse_fan_file(text: str) -> tuple[Fan, PolyhedronInput | None]:
         pdata = data["polyhedron"]
         if not isinstance(pdata, dict) or "vertices" not in pdata:
             raise FanParseError("polyhedron must be an object with a 'vertices' list")
+        _refuse_unknown_keys(pdata, POLYHEDRON_KEYS, "a polyhedron")
         verts, rec = pdata["vertices"], pdata.get("recession_rays", [])
         if not (isinstance(verts, list) and isinstance(rec, list)):
             raise FanParseError("polyhedron vertices and recession_rays must be lists")

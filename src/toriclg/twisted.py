@@ -252,17 +252,18 @@ def element_string(elt: LGElement) -> str:
 
 
 class TotalCohomology:
-    """Cohomology slots of a complex in total degrees 0..t_max."""
+    """Cohomology slots of a complex in total degrees 0..t_max (None: known zero)."""
 
     __slots__ = ("t_max", "slots")
 
-    def __init__(self, t_max: int, slots: dict[int, CohomologySlot]):
+    def __init__(self, t_max: int, slots: dict[int, CohomologySlot | None]):
         self.t_max = t_max
         self.slots = slots
 
     @property
     def dims(self) -> tuple[int, ...]:
-        return tuple(self.slots[t].dim for t in range(self.t_max + 1))
+        return tuple(0 if self.slots[t] is None else self.slots[t].dim
+                     for t in range(self.t_max + 1))
 
 
 def default_t_max(fan: Fan) -> int:
@@ -271,11 +272,21 @@ def default_t_max(fan: Fan) -> int:
     return 2 * fan.rank + 2
 
 
-def lg_cohomology(tc: TwistedComplex, t_max: int | None = None) -> TotalCohomology:
-    """Cohomology of the twisted complex per total degree 0..t_max."""
+def _slot(tc: TwistedComplex, t: int, lsop: LsopReport | None) -> CohomologySlot | None:
+    """The twisted slot of H^t, or given a report of a regular sequence the quotient's
+    slot over ``tc.basis(0, t)``, None where that H^t is zero (odd t, t > 2n)."""
+    if lsop is None or not lsop.regular:
+        return tc.slot(t)
+    return None if t % 2 or t > 2 * tc.rank else lsop.slots[t // 2]
+
+
+def lg_cohomology(tc: TwistedComplex, t_max: int | None = None,
+                  lsop: LsopReport | None = None) -> TotalCohomology:
+    """Cohomology of the twisted complex per total degree 0..t_max, read
+    from the quotient when ``lsop`` reports a regular sequence."""
     if t_max is None:
         t_max = default_t_max(tc.fan)
-    return TotalCohomology(t_max, {t: tc.slot(t) for t in range(t_max + 1)})
+    return TotalCohomology(t_max, {t: _slot(tc, t, lsop) for t in range(t_max + 1)})
 
 
 class CohomologyRing:
@@ -286,13 +297,12 @@ class CohomologyRing:
     target degree.
     """
 
-    __slots__ = ("tc", "t_max", "dims", "basis", "representatives", "constants")
+    __slots__ = ("t_max", "dims", "basis", "representatives", "constants")
 
-    def __init__(self, tc: TwistedComplex, t_max: int, dims: tuple[int, ...],
+    def __init__(self, t_max: int, dims: tuple[int, ...],
                  basis: tuple[tuple[int, int], ...],
                  representatives: dict[tuple[int, int], LGElement],
                  constants: dict[tuple[int, int, int, int], Vector]):
-        self.tc = tc
         self.t_max = t_max
         self.dims = dims
         self.basis = basis
@@ -300,90 +310,48 @@ class CohomologyRing:
         self.constants = constants
 
 
-def products_above_window_vanish(dims: Sequence[int],
-                                 constants: dict[tuple[int, int, int, int], Vector]) -> bool:
-    """True when the window's own data prove every product above it zero.
-
-    ``dims`` are dim H^0..H^t_max and ``constants`` holds at least every
-    product of a degree-2 class with a class of degree d - 2 <= t_max - 2.
-    The conditions are H^1 = 0, H^(t_max - 1) = H^(t_max) = 0, and, for
-    3 <= d <= t_max, that those products span H^d (a rank test on their
-    coordinates).  By induction on d every class in the window is then a
-    sum of products of degree-2 classes, the odd degrees being zero.  So
-    for a, b in the window with deg a + deg b > t_max, write a as such a
-    product and multiply it into b one degree-2 factor at a time
-    (associativity): the partial products climb from deg b <= t_max in
-    steps of 2, so one of them lands in degree t_max - 1 or t_max, where
-    it is zero, and so is ab.
-
-    The cohomology of a smooth complete or semi-projective fan is
-    generated in degree 2 (Danilov, "The geometry of toric varieties",
-    1978; Hausel-Sturmfels, "Toric hyperKahler varieties", 2002), so the
-    test passes there once t_max - 1 exceeds the top degree.  It is
-    checked on the computed constants, not assumed.
-    """
-    t_max = len(dims) - 1
-    if t_max < 2 or dims[1] or dims[t_max - 1] or dims[t_max]:
-        return False
-    for d in range(3, t_max + 1):
-        rows = [constants[(2, i, d - 2, j)] for i in range(dims[2]) for j in range(dims[d - 2])]
-        if linalg.rank(RationalMatrix.from_rows(rows)) != dims[d]:
-            return False
-    return True
-
-
-def ring_structure(tc: TwistedComplex, t_max: int | None = None) -> CohomologyRing:
+def ring_structure(tc: TwistedComplex, t_max: int | None = None,
+                   lsop: LsopReport | None = None) -> CohomologyRing:
     """Basis and structure constants of the cohomology ring up to t_max.
 
     Products of two basis classes are computed at the cochain level, for
     all pairs of basis labels (degrees up to 2 t_max), in one pass over
-    their degrees in increasing order: the products of degree t form the
-    columns of one matrix.  In the window they are reduced in the slot of
-    their degree in one call; slots are shared with ``lg_cohomology``
-    through ``tc``.  When the pass first leaves the window,
-    ``products_above_window_vanish`` tests the window's constants.  If it
-    certifies that every product above is zero, no slot is built there:
-    each degree's columns are checked to be cocycles with one product by
-    the total differential at t, and their coordinates are empty: each is
-    the zero class, and H^t itself is not computed.  Otherwise (H^1 != 0
-    on the zero fan, or a t_max below the top degree) they are reduced in
-    the slot of their degree, as in the window.
+    their degrees: the products of degree t form the columns of one
+    matrix, reduced in one call in the slot of H^t (``_slot``).  That is
+    the twisted slot, shared with ``lg_cohomology`` through ``tc``, or,
+    given ``lsop_check``'s report of a regular sequence, the quotient's
+    slot, which gives the same basis and constants; a product whose H^t is
+    zero there has empty coordinates and is not formed.
     """
     if t_max is None:
         t_max = default_t_max(tc.fan)
-    basis: list[tuple[int, int]] = []
-    reps: dict[tuple[int, int], LGElement] = {}
-    for t in range(t_max + 1):
-        total = tc.total_basis(t)
-        for i in range(tc.slot(t).dim):
-            basis.append((t, i))
-            reps[(t, i)] = {}
-        for (i, r), v in tc.slot(t).representatives.entries.items():
+    # the basis a degree's cochains are written in: the quotient's lives in exterior degree 0
+    ambient = functools.partial(tc.basis, 0) if lsop is not None and lsop.regular else tc.total_basis
+    dims = lg_cohomology(tc, t_max, lsop).dims
+    basis = [(t, i) for t, dim in enumerate(dims) for i in range(dim)]
+    reps: dict[tuple[int, int], LGElement] = {a: {} for a in basis}
+    for t in {t for t, _ in basis}:
+        total = ambient(t)
+        for (i, r), v in _slot(tc, t, lsop).representatives.entries.items():
             reps[(t, r)][total[i]] = v
-    dims = tuple(tc.slot(t).dim for t in range(t_max + 1))
 
     by_degree: dict[int, list] = {}
     for a in basis:
         for b in basis:
             by_degree.setdefault(a[0] + b[0], []).append((a, b))
     constants: dict[tuple[int, int, int, int], Vector] = {}
-    vanish = None
     for t in sorted(by_degree):
         pairs = by_degree[t]
-        index = {b: i for i, b in enumerate(tc.total_basis(t))}
-        columns = RationalMatrix(len(index), len(pairs), {
-            (index[key], j): c for j, (a, b) in enumerate(pairs)
-            for key, c in lg_multiply(tc.fan, reps[a], reps[b]).items()})
-        if t > t_max and vanish is None:
-            vanish = products_above_window_vanish(dims, constants)
-        if t > t_max and vanish:
-            if not (tc.total_differential(t) @ columns).is_zero():
-                raise linalg.NoSolutionError("a product above the window is not a cocycle")
+        slot = _slot(tc, t, lsop)
+        if slot is None:
             classes = RationalMatrix.zeros(0, len(pairs))
         else:
-            classes = tc.slot(t).reduce(columns)
+            index = {b: i for i, b in enumerate(ambient(t))}
+            classes = slot.reduce(RationalMatrix(len(index), len(pairs), {
+                (index[key], j): c for j, (a, b) in enumerate(pairs)
+                for key, c in lg_multiply(tc.fan, reps[a], reps[b]).items()}))
         constants.update((a + b, classes.column(j)) for j, (a, b) in enumerate(pairs))
-    return CohomologyRing(tc, t_max, dims, tuple(basis), reps, constants)
+    return CohomologyRing(t_max, dims, tuple(basis), reps, constants)
 
 
 # -- regular sequence test ----------------------------------------------------
@@ -392,12 +360,13 @@ def ring_structure(tc: TwistedComplex, t_max: int | None = None) -> CohomologyRi
 class LsopReport:
     """Hilbert-series test of the coefficient forms as a regular sequence."""
 
-    __slots__ = ("regular", "dims", "expected", "max_degree")
+    __slots__ = ("regular", "slots", "dims", "expected", "max_degree")
 
-    def __init__(self, regular: bool, dims: tuple[int, ...], expected: tuple[int, ...],
-                 max_degree: int):
+    def __init__(self, regular: bool, slots: tuple[CohomologySlot, ...],
+                 expected: tuple[int, ...], max_degree: int):
         self.regular = regular
-        self.dims = dims            # quotient dims at even degrees 0..max_degree
+        self.slots = slots          # quotient slots at even degrees 0..max_degree
+        self.dims = tuple(s.dim for s in slots)
         self.expected = expected    # ring series times (1 - u)^rank
         self.max_degree = max_degree
 
@@ -407,29 +376,46 @@ def lsop_check(tc: TwistedComplex) -> LsopReport:
 
     True iff the quotient dims equal the ring series times (1 - u)^n
     coefficientwise up to degree 2n + 4 and the quotient vanishes strictly
-    above degree 2n.
+    above degree 2n.  The degree-m slice of the quotient R/(forms) is the
+    cokernel of the complex's cached block from slot (1, m - 2) to slot
+    (0, m), which sends u_i times a monomial b to forms[i] times b; the
+    report keeps its slot, ``cohomology_at(block(1, m - 2), zeros(0, |B(m)|))``.
 
-    The degree-m slice of the quotient R/(forms) is the cokernel of the
-    complex's cached block from slot (1, m - 2) to slot (0, m): it sends
-    u_i times a monomial of degree m - 2 to forms[i] times that monomial.
-    So its dimension is |sr_basis(m)| minus the rank of that block.
+    Why the test decides regularity (Stanley, *Combinatorics and
+    Commutative Algebra*, I.5; Bruns-Herzog 1.6): R is generated in degree
+    2, so a quotient zero at 2n + 2 is zero above.  The ring series times
+    (1 - u)^n is a polynomial of degree at most 2n, so equality up to
+    2n + 4 is equality of the series.  It vanishes at u = 1 unless dim R =
+    n, so the forms are then a system of parameters, and for those the
+    equality holds exactly when they are a regular sequence.  The twisted
+    complex is the Koszul complex on the forms, with exterior degree k as
+    its homological degree, and splits into Koszul strands.  So then H^t =
+    (R/forms)_t for even t, H^t = 0 for odd t, and every class lives in
+    exterior degree 0.
+
+    Why the quotient's slots give the twisted ring entry for entry: a
+    slot's representatives are the canonical kernel vectors that the
+    greedy left-to-right choice keeps, each independent of those kept
+    before modulo im d_in (the complement of a greedy basis is the greedy
+    basis of the dual matroid; ``linalg.CohomologySlot``).  The total basis
+    puts exterior degree 0 first, where the differential is zero, so those
+    columns are free with unit kernel vectors of sign +1, and a vector
+    there is a coboundary exactly when it lies in im block(1, t - 2).  They
+    already span H^t, so the greedy stops inside them, and the quotient's
+    slot runs the same greedy on the same unit vectors in the same order.
+    Class coordinates are unique once the basis is fixed, so the structure
+    constants are equal too.
     """
-    fan = tc.fan
-    n = fan.rank
-    max_degree = 2 * n + 4
-    degrees = range(0, max_degree + 1, 2)
-    ring_dims = [len(sr_basis(fan, m)) for m in degrees]
-    dims = tuple(d - linalg.rank(tc.block(1, m - 2)) for d, m in zip(ring_dims, degrees))
-    expected = []
-    for a in range(len(ring_dims)):
-        val = sum((-1) ** j * math.comb(n, j) * ring_dims[a - j]
-                  for j in range(0, min(n, a) + 1))
-        expected.append(val)
-    expected_t = tuple(expected)
-    vanish = all(dims[a] == 0 for a in range(len(dims)) if 2 * a > 2 * n)
-    nonzero_forms = all(not f.is_zero() for f in tc.linear_forms)
-    regular = nonzero_forms and dims == expected_t and vanish
-    return LsopReport(regular, dims, expected_t, max_degree)
+    n = tc.rank
+    degrees = range(0, 2 * n + 5, 2)
+    ring_dims = [len(sr_basis(tc.fan, m)) for m in degrees]
+    slots = tuple(cohomology_at(tc.block(1, m - 2), RationalMatrix.zeros(0, d))
+                  for d, m in zip(ring_dims, degrees))
+    expected = tuple(sum((-1) ** j * math.comb(n, j) * ring_dims[a - j]
+                         for j in range(0, min(n, a) + 1)) for a in range(len(ring_dims)))
+    dims = tuple(s.dim for s in slots)
+    regular = all(not f.is_zero() for f in tc.linear_forms) and dims == expected and not any(dims[n + 1:])
+    return LsopReport(regular, slots, expected, 2 * n + 4)
 
 
 # -- presentation in the basis dual to a full-dimensional cone ----------------

@@ -293,7 +293,9 @@ def surface_data(k: int) -> tuple:
 
 
 # P^3, an 18-ray surface (FM rows with coefficients other than +-1), P^3 blown
-# up at the fixed point of cone {1,2,3}, C^2 x P^2, (P^1)^3 and a 7-cone surface
+# up at the fixed point of cone {1,2,3}, C^2 x P^2, (P^1)^3, a 7-cone surface,
+# and two fans whose face rings are not Cohen-Macaulay (so their coefficient
+# forms are no regular sequence): two opposite quadrants and two opposite octants
 INLINE_FANS = {
     "P3": (3, [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -1]],
            [[1, 2, 3], [1, 2, 4], [1, 3, 4], [2, 3, 4]]),
@@ -305,6 +307,9 @@ INLINE_FANS = {
     "P1^3": (3, [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]],
              [[a, b, c] for a in (1, 2) for b in (3, 4) for c in (5, 6)]),
     "S7": surface_data(7),
+    "2 quadrants": (2, [[1, 0], [0, 1], [-1, 0], [0, -1]], [[1, 2], [3, 4]]),
+    "2 octants": (3, [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, 0, 0], [0, -1, 0], [0, 0, -1]],
+                  [[1, 2, 3], [4, 5, 6]]),
 }
 
 

@@ -117,6 +117,10 @@ class TestCohomology:
         assert payload["dims"] == [1, 0, 1, 0, 1]
 
 
+# the stderr line of a verify whose faked pipelines differ in dimension at t = 2
+MISMATCH_LINE = "mismatch: dims differ at t=2: twisted complex 1, double complex 2, constant forms 1\n"
+
+
 class TestVerify:
     @pytest.mark.parametrize("name", ["p1", "p2", "blowup_c2", "c_x_p1", "zero2"])
     def test_suite_agrees(self, capsys, name):
@@ -160,9 +164,26 @@ class TestVerify:
             return QuasiIsoReport(4, (1, 0, 1), (1, 0, 2), (1, 0, 1), True, False)
 
         monkeypatch.setattr(cech, "verify_quasi_iso", fake)
-        code, out, _ = run_cli(capsys, "verify", fan_path("p1"), "--mmax", "2", "--json")
+        code, out, err = run_cli(capsys, "verify", fan_path("p1"), "--mmax", "2", "--json")
         assert code == 3
         assert not json.loads(out)["payload"]["agree"]
+        assert err == MISMATCH_LINE
+
+    def test_inexact_slice_exits_3_naming_its_degree(self, capsys, monkeypatch):
+        import toriclg.cech as cech
+        real = cech.verify_exactness
+
+        def fake(cs, m_max):
+            report = real(cs, m_max)
+            report.entries[(3, 1)] = {**report.entries[(3, 1)], "exact": False}
+            report.exact = False
+            return report
+
+        monkeypatch.setattr(cech, "verify_exactness", fake)
+        code, out, err = run_cli(capsys, "verify", fan_path("p1"), "--mmax", "4", "--json")
+        assert code == 3
+        assert not json.loads(out)["payload"]["exactness"][3]["exact"]
+        assert err == "mismatch: the cover complex is not exact in polynomial degree m=3\n"
 
     def test_broken_chain_map_exits_3(self, capsys, monkeypatch):
         # an inclusion that is not a chain map sends some representative to a
@@ -179,7 +200,7 @@ class TestVerify:
 
         monkeypatch.setattr(CoverSimplex, "inclusion_matrix", inclusion_matrix)
         code, out, err = run_cli(capsys, "verify", fan_path("p2"), "--json")
-        assert (code, err) == (3, "")
+        assert (code, err) == (3, "mismatch: the inclusion of constant forms is not a chain map at t=2\n")
         payload = json.loads(out)["payload"]
         assert not payload["chain_map_ok"] and not payload["induced_iso_ok"]
         assert not payload["agree"]
@@ -261,6 +282,21 @@ class TestBadInput:
             assert code == 2, command
             assert out == ""
             assert "unknown key(s) 'polyhedon'" in err, command
+
+    @pytest.mark.parametrize("polyhedron, key", [
+        ({"vertices": [[0, 0]], "recesion_rays": [[1, 0], [0, 1]]}, "recesion_rays"),
+        ({"vertices": [[0, 0]], "recession_rays": [[1, 0], [0, 1]], "extra": 1}, "extra"),
+    ], ids=["typo", "extra"])
+    def test_unknown_polyhedron_key_exits_2(self, capsys, tmp_path, polyhedron, key):
+        # a misspelt key must not pass for a missing one ("not full-dimensional")
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"rank": 2, "rays": [[1, 0], [0, 1]], "max_cones": [[1, 2]],
+                                   "polyhedron": polyhedron}))
+        for command in ("validate", "cohomology", "verify", "degenerate"):
+            code, out, err = run_cli(capsys, command, str(bad), "--json")
+            assert (code, out) == (2, ""), command
+            assert err == (f"error: unknown key(s) {key!r}; a polyhedron has only "
+                           "'vertices', 'recession_rays'\n"), command
 
     @pytest.mark.parametrize("data, message", [
         ({"rank": True, "rays": [[1]], "max_cones": [[1]]},
@@ -408,7 +444,8 @@ def test_console_entry_point():
     assert "semi-projective: yes" in proc.stdout
 
 
-# the second child fakes a disagreement, as test_mismatch_exits_3 does
+# the second child fakes a disagreement, as test_mismatch_exits_3 does, and
+# names it on stderr
 MISMATCH_MAIN = (
     "import sys\n"
     "import toriclg.cech as cech\n"
@@ -429,4 +466,5 @@ def test_closed_stdout_keeps_exit_code_and_stderr_empty(argv, want):
         proc = subprocess.run([sys.executable, *argv], stdout=write_end, stderr=subprocess.PIPE)
     finally:
         os.close(write_end)
-    assert (proc.returncode, proc.stderr) == (want, b"")
+    # no error message besides the mismatch line
+    assert (proc.returncode, proc.stderr) == (want, b"" if want == 0 else MISMATCH_LINE.encode())

@@ -196,12 +196,13 @@ def test_no_float_anywhere(name):
     ring = ring_structure(tc, t_max)
     cs = CoverSimplex(fan)
     verify_exactness(cs, 2 * fan.rank + 4)
-    lsop_check(tc)  # its eliminations stay cached on the blocks
-    held = [*tc._blocks.values(), *tc._totals.values(), *tc._slots.values(),
+    ls = lsop_check(tc)  # its eliminations stay cached on the blocks
+    quotient_ring = ring_structure(tc, t_max, ls)
+    held = [*tc._blocks.values(), *tc._totals.values(), *tc._slots.values(), *ls.slots,
             *constant_total_cohomology(cs, t_max).slots.values(),
             *forms_total_cohomology(cs, t_max).slots.values(),
             *(v for v in cs._cache.values() if isinstance(v, (RationalMatrix, LinearSolver)))]
     numbers = [v for obj in held for v in exact_numbers(obj)]
-    numbers += [v for coords in ring.constants.values() for v in coords]
+    numbers += [v for r in (ring, quotient_ring) for coords in r.constants.values() for v in coords]
     assert numbers
     assert {type(v) for v in numbers} <= {int, Fraction}

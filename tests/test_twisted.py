@@ -9,6 +9,7 @@ from helpers import (
     INLINE_FANS,
     check_axioms,
     inline_fan,
+    inline_fan_file,
     lg_degree,
     lg_differential,
     minors_matrix,
@@ -25,6 +26,7 @@ from toriclg import (
     sr_basis,
 )
 from toriclg.cech import CoverSimplex, verify_exactness, verify_quasi_iso
+from toriclg.cli import main
 from toriclg.fan import Cone, FanError, fan_from_data
 from toriclg import linalg, twisted
 from toriclg.linalg import LinearSolver, RationalMatrix, cohomology_at
@@ -97,7 +99,8 @@ class TestCohomology:
 # Oracles that need no second pipeline, on every fan file and on the fans of
 # helpers.INLINE_FANS.
 ORACLE_FANS = sorted(p.stem for p in FAN_DIR.glob("*.json")) + sorted(INLINE_FANS)
-COMPLETE_FANS = sorted({"p1", "p2", "p1xp1", "hirzebruch1", *INLINE_FANS} - {"C2xP2"})
+COMPLETE_FANS = sorted({"p1", "p2", "p1xp1", "hirzebruch1", *INLINE_FANS}
+                       - {"C2xP2", "2 quadrants", "2 octants"})
 
 
 def oracle_fan(name):
@@ -110,6 +113,32 @@ def test_euler_characteristic_counts_fixed_points(name):
     fan = oracle_fan(name)
     dims = lg_cohomology(build_twisted(fan)).dims
     assert sum((-1) ** t * d for t, d in enumerate(dims)) == len(fan.cones_of_dim(fan.rank))
+
+
+# The quotient R/(forms) against the twisted slots, which are the reference.
+NON_REGULAR_FANS = {"zero2", "2 quadrants", "2 octants"}
+
+
+@pytest.mark.parametrize("t_max", [None, 3, 5, 12], ids=["default", "3", "5", "12"])
+@pytest.mark.parametrize("name", sorted(set(ORACLE_FANS) - NON_REGULAR_FANS))
+def test_quotient_ring_equals_twisted_ring(name, t_max):
+    fan = oracle_fan(name)
+    t_max = default_t_max(fan) if t_max is None else t_max
+    reference = ring_structure(build_twisted(fan), t_max)
+    tc = build_twisted(fan)
+    ls = lsop_check(tc)
+    assert ls.regular
+    ring = ring_structure(tc, t_max, ls)
+    assert lg_cohomology(tc, t_max, ls).dims == ring.dims == reference.dims
+    assert ring.basis == reference.basis
+    assert ring.representatives == reference.representatives
+    assert ring.constants == reference.constants
+    assert not tc._slots  # no twisted slot was built
+
+
+@pytest.mark.parametrize("name", sorted(NON_REGULAR_FANS))
+def test_non_cohen_macaulay_forms_are_no_regular_sequence(name):
+    assert not lsop_check(build_twisted(oracle_fan(name))).regular
 
 
 @pytest.mark.parametrize("name", COMPLETE_FANS)
@@ -223,43 +252,51 @@ def spy_on_slots(monkeypatch) -> list[int]:
 class TestRingAboveWindow:
     @pytest.mark.parametrize("name", ["P3", "P1^3"])
     def test_certified_ring_builds_no_slot_above_the_window(self, monkeypatch, name):
+        # with the report of a regular sequence no twisted slot is built at all,
+        # and the constants are those of the twisted slots
         fan = inline_fan(name)
         t_max = default_t_max(fan)
-        with monkeypatch.context() as m:
-            fallback = spy_on_slots(m)
-            m.setattr(twisted, "products_above_window_vanish", lambda dims, constants: False)
-            from_slots = ring_structure(build_twisted(fan), t_max).constants
-        assert max(fallback) > t_max
+        from_slots = ring_structure(build_twisted(fan), t_max).constants
+        tc = build_twisted(fan)
+        ls = lsop_check(tc)
         asked = spy_on_slots(monkeypatch)
-        ring = ring_structure(build_twisted(fan), t_max)
-        assert max(asked) == t_max
+        ring = ring_structure(tc, t_max, ls)
+        assert ls.regular and asked == []
         assert ring.constants == from_slots
         assert any(ta + tb > t_max for ta, _, tb, _ in ring.constants)
 
     @pytest.mark.parametrize("name", ["zero2", "p2"])
     def test_fallback_builds_the_slots_above_the_window(self, monkeypatch, name):
-        # zero2 has H^1 != 0; on P^2, t_max = 3 leaves H^2 != 0 at t_max - 1
+        # zero2's forms are no regular sequence; P^2 is given no report
         fan, t_max = load_fan(name), 3
+        tc = build_twisted(fan)
+        ls = lsop_check(tc)
         asked = spy_on_slots(monkeypatch)
-        ring = ring_structure(build_twisted(fan), t_max)
-        assert not twisted.products_above_window_vanish(ring.dims, ring.constants)
+        ring_structure(tc, t_max, None if ls.regular else ls)
         assert max(asked) > t_max
 
-    def test_degree_two_must_span_the_window(self):
-        # H^2 = <x, y> and H^4 = <w>: while every product of two degree-2
-        # classes is zero, H^4 is not generated in degree 2
-        dims = (1, 0, 2, 0, 1, 0, 0)
-        constants = {(2, i, 2, j): (0,) for i in range(2) for j in range(2)}
-        constants.update({(2, i, 4, 0): () for i in range(2)})
-        assert not twisted.products_above_window_vanish(dims, constants)
-        constants[(2, 1, 2, 1)] = (3,)
-        assert twisted.products_above_window_vanish(dims, constants)
+    @pytest.mark.parametrize("name, twisted_path", [("P3", False), ("zero2", True)])
+    def test_cli_assembles_a_total_differential_only_off_a_regular_sequence(
+            self, monkeypatch, capsys, tmp_path, name, twisted_path):
+        path = inline_fan_file(tmp_path, name) if name in INLINE_FANS else str(FAN_DIR / f"{name}.json")
+        real, calls = twisted.TwistedComplex.total_differential, []
 
-    @pytest.mark.parametrize("t_max, bad, top_slot", [(6, 4, 6), (6, 8, 6), (3, 4, 4)],
+        def total_differential(self, t):
+            calls.append(t)
+            return real(self, t)
+
+        monkeypatch.setattr(twisted.TwistedComplex, "total_differential", total_differential)
+        for ring in ([], ["--ring"]):
+            calls.clear()
+            assert main(["cohomology", path, *ring, "--json"]) == 0
+            assert bool(calls) == twisted_path, ring
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("t_max, bad, top_slot", [(6, 4, 6), (6, 8, 8), (3, 4, 4)],
                              ids=["window", "above", "fallback"])
     def test_non_cocycle_product_raises(self, monkeypatch, p2, t_max, bad, top_slot):
-        # a product of degree bad in the window, above a certified window, or
-        # above a window too low to certify (H^2 != 0 at t_max - 1 = 2)
+        # on the twisted path a product of degree bad is reduced in its slot, in
+        # the window or above it, up to the degree of the bad product
         tc = build_twisted(p2)
         real = twisted.lg_multiply
 
