@@ -511,6 +511,8 @@ def _total_cohomology(t_max: int, matrix_fn) -> TotalCohomology:
     for t in range(t_max + 1):
         d_in = matrix_fn(t - 1) if t >= 1 else RationalMatrix.zeros(matrix_fn(0).cols, 0)
         slots[t] = cohomology_at(d_in, matrix_fn(t))
+        # the slots on both sides of d_in are built, and neither reads its RREF again
+        linalg.drop_elimination(d_in)
     return TotalCohomology(t_max, slots)
 
 

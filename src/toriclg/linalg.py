@@ -338,6 +338,15 @@ def eliminate(a: RationalMatrix) -> Elimination:
     return a._elimination
 
 
+def drop_elimination(a: RationalMatrix) -> None:
+    """Free the RREF cached on a; a later ``eliminate(a)`` computes it again.
+
+    A complex calls this on a differential once the cohomology slots on
+    both sides of it are built, since no slot reads the RREF after that.
+    """
+    a._elimination = None
+
+
 def rank(a: RationalMatrix) -> int:
     return eliminate(a).rank
 

@@ -114,11 +114,18 @@ class TwistedComplex:
         return linalg.block_matrix(row_sizes, col_sizes, blocks)
 
     def slot(self, t: int) -> CohomologySlot:
-        """Cohomology slot at total degree t, computed once."""
+        """Cohomology slot at total degree t, computed once.
+
+        A total differential keeps its RREF only until the slots on both
+        sides of it are built.
+        """
         if t not in self._slots:
             d_in = self.total_differential(t - 1) if t >= 1 else \
                 RationalMatrix.zeros(len(self.total_basis(0)), 0)
             self._slots[t] = cohomology_at(d_in, self.total_differential(t))
+            for s in (t - 1, t):
+                if s in self._slots and s + 1 in self._slots:
+                    linalg.drop_elimination(self._totals[s])
         return self._slots[t]
 
 

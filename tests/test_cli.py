@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import random
@@ -444,15 +445,53 @@ def test_console_entry_point():
     assert "semi-projective: yes" in proc.stdout
 
 
-# the second child fakes a disagreement, as test_mismatch_exits_3 does, and
-# names it on stderr
+def test_in_process_main_leaves_the_heap_unfrozen(capsys):
+    frozen = gc.get_freeze_count()
+    run_cli(capsys, "validate", fan_path("p1"), "--json")
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    assert gc.get_freeze_count() == frozen
+
+
+# main() reads sys.argv, which holds the arguments after -c, as a process
+# entry does; the child then prints how many objects it froze
+FREEZE_MAIN = (
+    "import gc, sys\n"
+    "from toriclg.cli import main\n"
+    "code = main()\n"
+    "print(gc.get_freeze_count())\n"
+    "sys.exit(code)\n")
+
+
+def test_process_entry_freezes_start_up_heap_and_keeps_output(capsys):
+    argv = ["validate", fan_path("p1"), "--json"]
+    proc = subprocess.run([sys.executable, "-c", FREEZE_MAIN, *argv], capture_output=True, text=True)
+    code, out, err = run_cli(capsys, *argv)
+    *lines, frozen = proc.stdout.splitlines()
+    assert (proc.returncode, proc.stderr, code, err) == (0, "", 0, "")
+    assert "\n".join(lines) + "\n" == out
+    assert int(frozen) > 0
+
+
+def test_process_entry_bad_fan_exits_2_as_in_process(capsys, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"rank": 2, "rays": [[1, 0], [1, 2]], "max_cones": [[1, 2]]}))
+    proc = subprocess.run([sys.executable, "-c", FREEZE_MAIN, "validate", str(bad)],
+                          capture_output=True, text=True)
+    code, _, err = run_cli(capsys, "validate", str(bad))
+    assert (proc.returncode, code) == (2, 2)
+    assert proc.stderr == err and "smooth" in err
+
+
+# the second child fakes a disagreement, as test_mismatch_exits_3 does, names
+# it on stderr and enters main() as a process entry does
 MISMATCH_MAIN = (
     "import sys\n"
     "import toriclg.cech as cech\n"
     "from toriclg.cli import main\n"
     "cech.verify_quasi_iso = lambda cs, t_max=None: cech.QuasiIsoReport(\n"
     "    4, (1, 0, 1), (1, 0, 2), (1, 0, 1), True, False)\n"
-    "sys.exit(main(sys.argv[1:]))\n")
+    "sys.exit(main())\n")
 
 
 @pytest.mark.parametrize("argv,want", [

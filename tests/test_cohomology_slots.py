@@ -166,6 +166,21 @@ def test_constant_total_slots_of_fan_files(name):
         check_slot(d_in, d_out, coh.slots[t], rng)
 
 
+@pytest.mark.parametrize("name", FAN_NAMES)
+def test_interior_totals_drop_their_eliminations(name):
+    # a total differential's RREF is freed once the slots on both sides of it
+    # are built; the last one keeps it for slot t_max + 1
+    fan = load_fan(name)
+    t_max = default_t_max(fan)
+    tc, cs = build_twisted(fan), CoverSimplex(fan)
+    lg_cohomology(tc, t_max)
+    constant_total_cohomology(cs, t_max)
+    forms_total_cohomology(cs, t_max)
+    for total in (tc.total_differential, cs.const_total_matrix, cs.forms_total_matrix):
+        assert [total(t)._elimination for t in range(t_max)] == [None] * t_max
+        assert total(t_max)._elimination is not None
+
+
 def test_zero_fan_representatives_are_unit_columns():
     # every differential of the rank-10 zero fan is zero, so slot 5 is the whole
     # C(10, 5)-dimensional space and each representative one unit column
