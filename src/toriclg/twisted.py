@@ -16,7 +16,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from fractions import Fraction
 
 from . import linalg
@@ -48,9 +48,9 @@ class TwistedComplex:
 
     Slot (k, m) holds wedges of k frame covectors with polynomial
     coefficients of doubled degree m; the differential lands in slot
-    (k-1, m+2).  Blocks, total differentials and cohomology slots are
-    cached write-once, so each total differential is eliminated once and
-    reads are safe to share.
+    (k-1, m+2).  Blocks, total differentials and the cohomology slots
+    that ``lg_cohomology`` builds are cached write-once, so each total
+    differential is eliminated once and reads are safe to share.
     """
 
     __slots__ = ("fan", "frame", "linear_forms", "_blocks", "_bases", "_totals", "_slots")
@@ -112,21 +112,6 @@ class TwistedComplex:
             if k >= 1 and (k - 1, m + 2) in dst_pos:
                 blocks[(dst_pos[(k - 1, m + 2)], j)] = self.block(k, m)
         return linalg.block_matrix(row_sizes, col_sizes, blocks)
-
-    def slot(self, t: int) -> CohomologySlot:
-        """Cohomology slot at total degree t, computed once.
-
-        A total differential keeps its RREF only until the slots on both
-        sides of it are built.
-        """
-        if t not in self._slots:
-            d_in = self.total_differential(t - 1) if t >= 1 else \
-                RationalMatrix.zeros(len(self.total_basis(0)), 0)
-            self._slots[t] = cohomology_at(d_in, self.total_differential(t))
-            for s in (t - 1, t):
-                if s in self._slots and s + 1 in self._slots:
-                    linalg.drop_elimination(self._totals[s])
-        return self._slots[t]
 
 
 def _index_maps(fan: Fan, cone: Cone | None, m: int) -> tuple[int, int, dict[Monomial, list[int]]]:
@@ -279,21 +264,36 @@ def default_t_max(fan: Fan) -> int:
     return 2 * fan.rank + 2
 
 
-def _slot(tc: TwistedComplex, t: int, lsop: LsopReport | None) -> CohomologySlot | None:
-    """The twisted slot of H^t, or given a report of a regular sequence the quotient's
-    slot over ``tc.basis(0, t)``, None where that H^t is zero (odd t, t > 2n)."""
-    if lsop is None or not lsop.regular:
-        return tc.slot(t)
-    return None if t % 2 or t > 2 * tc.rank else lsop.slots[t // 2]
+def total_cohomology(t_max: int, differential: Callable[[int], RationalMatrix],
+                     slots: dict[int, CohomologySlot] | None = None) -> TotalCohomology:
+    """Slots 0..t_max of the complex whose total differentials are
+    ``differential(t)``, built in order of t by ``cohomology_at``.
+
+    ``slots`` is the complex's own cache of slots 0..s, which this
+    extends.  A differential's RREF is freed once the slots on both
+    sides of it exist, since neither reads it again.
+    """
+    slots = {} if slots is None else slots
+    for t in range(t_max + 1):
+        if t not in slots:
+            d_in = differential(t - 1) if t else RationalMatrix.zeros(differential(0).cols, 0)
+            slots[t] = cohomology_at(d_in, differential(t))
+            linalg.drop_elimination(d_in)
+    return TotalCohomology(t_max, {t: slots[t] for t in range(t_max + 1)})
 
 
 def lg_cohomology(tc: TwistedComplex, t_max: int | None = None,
                   lsop: LsopReport | None = None) -> TotalCohomology:
-    """Cohomology of the twisted complex per total degree 0..t_max, read
-    from the quotient when ``lsop`` reports a regular sequence."""
+    """Cohomology of the twisted complex per total degree 0..t_max: its
+    slots, cached on ``tc``, or given ``lsop_check``'s report of a regular
+    sequence the quotient's slots over ``tc.basis(0, t)``, None where H^t
+    is zero there (odd t, t > 2n)."""
     if t_max is None:
         t_max = default_t_max(tc.fan)
-    return TotalCohomology(t_max, {t: _slot(tc, t, lsop) for t in range(t_max + 1)})
+    if lsop is None or not lsop.regular:
+        return total_cohomology(t_max, tc.total_differential, tc._slots)
+    return TotalCohomology(t_max, {t: None if t % 2 or t > 2 * tc.rank else lsop.slots[t // 2]
+                                   for t in range(t_max + 1)})
 
 
 class CohomologyRing:
@@ -324,8 +324,9 @@ def ring_structure(tc: TwistedComplex, t_max: int | None = None,
     Products of two basis classes are computed at the cochain level, for
     all pairs of basis labels (degrees up to 2 t_max), in one pass over
     their degrees: the products of degree t form the columns of one
-    matrix, reduced in one call in the slot of H^t (``_slot``).  That is
-    the twisted slot, shared with ``lg_cohomology`` through ``tc``, or,
+    matrix, reduced in one call in the slot of H^t that ``lg_cohomology``
+    gives, degree by degree, so a non-cocycle product raises before any
+    higher slot is built.  That is the twisted slot, cached on ``tc``, or,
     given ``lsop_check``'s report of a regular sequence, the quotient's
     slot, which gives the same basis and constants; a product whose H^t is
     zero there has empty coordinates and is not formed.
@@ -334,12 +335,12 @@ def ring_structure(tc: TwistedComplex, t_max: int | None = None,
         t_max = default_t_max(tc.fan)
     # the basis a degree's cochains are written in: the quotient's lives in exterior degree 0
     ambient = functools.partial(tc.basis, 0) if lsop is not None and lsop.regular else tc.total_basis
-    dims = lg_cohomology(tc, t_max, lsop).dims
-    basis = [(t, i) for t, dim in enumerate(dims) for i in range(dim)]
+    coh = lg_cohomology(tc, t_max, lsop)
+    basis = [(t, i) for t, dim in enumerate(coh.dims) for i in range(dim)]
     reps: dict[tuple[int, int], LGElement] = {a: {} for a in basis}
     for t in {t for t, _ in basis}:
         total = ambient(t)
-        for (i, r), v in _slot(tc, t, lsop).representatives.entries.items():
+        for (i, r), v in coh.slots[t].representatives.entries.items():
             reps[(t, r)][total[i]] = v
 
     by_degree: dict[int, list] = {}
@@ -349,7 +350,7 @@ def ring_structure(tc: TwistedComplex, t_max: int | None = None,
     constants: dict[tuple[int, int, int, int], Vector] = {}
     for t in sorted(by_degree):
         pairs = by_degree[t]
-        slot = _slot(tc, t, lsop)
+        slot = lg_cohomology(tc, t, lsop).slots[t]
         if slot is None:
             classes = RationalMatrix.zeros(0, len(pairs))
         else:
@@ -358,7 +359,7 @@ def ring_structure(tc: TwistedComplex, t_max: int | None = None,
                 (index[key], j): c for j, (a, b) in enumerate(pairs)
                 for key, c in lg_multiply(tc.fan, reps[a], reps[b]).items()}))
         constants.update((a + b, classes.column(j)) for j, (a, b) in enumerate(pairs))
-    return CohomologyRing(t_max, dims, tuple(basis), reps, constants)
+    return CohomologyRing(t_max, coh.dims, tuple(basis), reps, constants)
 
 
 # -- regular sequence test ----------------------------------------------------

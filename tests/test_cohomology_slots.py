@@ -150,7 +150,7 @@ def test_twisted_slots_of_fan_files(name):
         assert slot._d_out is d_out
     # the ring reads the slots lg_cohomology left on the complex
     assert ring_structure(tc, t_max).dims == coh.dims
-    assert all(tc.slot(t) is coh.slots[t] for t in range(t_max + 1))
+    assert all(tc._slots[t] is coh.slots[t] for t in range(t_max + 1))
 
 
 @pytest.mark.parametrize("name", FAN_NAMES)
@@ -179,13 +179,34 @@ def test_interior_totals_drop_their_eliminations(name):
     for total in (tc.total_differential, cs.const_total_matrix, cs.forms_total_matrix):
         assert [total(t)._elimination for t in range(t_max)] == [None] * t_max
         assert total(t_max)._elimination is not None
+    # the ring builds the slots of its product degrees above the window in order,
+    # and frees every interior differential up to the top slot built
+    tc = build_twisted(fan)
+    top = max(3, *(ta + tb for ta, _, tb, _ in ring_structure(tc, 3).constants))
+    assert [tc.total_differential(t)._elimination for t in range(top)] == [None] * top
+    assert tc.total_differential(top)._elimination is not None
+
+
+@pytest.mark.parametrize("fan", [load_fan("zero2"), fan_from_data(rank=6, rays=[], max_cones=[[]])],
+                         ids=["zero2", "zero6"])
+@pytest.mark.parametrize("first, second", [(5, 3), (3, 5)])
+def test_slots_do_not_depend_on_the_order_asked(fan, first, second):
+    # slots cached by an earlier, longer or shorter, call are those a fresh complex builds
+    tc = build_twisted(fan)
+    lg_cohomology(tc, first)
+    coh, fresh = lg_cohomology(tc, second), lg_cohomology(build_twisted(fan), second)
+    assert coh.dims == fresh.dims
+    for t in range(second + 1):
+        for got, want in ((coh.slots[t].representatives, fresh.slots[t].representatives),
+                          (coh.slots[t]._project, fresh.slots[t]._project)):
+            assert (got.shape, got.entries) == (want.shape, want.entries)
 
 
 def test_zero_fan_representatives_are_unit_columns():
     # every differential of the rank-10 zero fan is zero, so slot 5 is the whole
     # C(10, 5)-dimensional space and each representative one unit column
     tc = build_twisted(fan_from_data(rank=10, rays=[], max_cones=[[]]))
-    reps = tc.slot(5).representatives
+    reps = lg_cohomology(tc, 5).slots[5].representatives
     assert reps.shape == (math.comb(10, 5), math.comb(10, 5))
     assert reps.entries == {(i, i): 1 for i in range(math.comb(10, 5))}
 

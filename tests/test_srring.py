@@ -127,7 +127,7 @@ class TestCoefficients:
         # float cannot enter the matrix of representatives
         tc = build_twisted(p2)
         ring = ring_structure(tc)
-        reps = tc.slot(2).representatives
+        reps = tc._slots[2].representatives
         basis = tc.total_basis(2)
         assert ring.representatives[(2, 0)] == {basis[i]: v for (i, _), v in reps.entries.items()}
         assert {type(v) for elt in ring.representatives.values() for v in elt.values()} <= {int, Fraction}

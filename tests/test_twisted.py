@@ -238,14 +238,14 @@ class TestRingStructure:
 
 
 def spy_on_slots(monkeypatch) -> list[int]:
-    """The total degrees of the slots ``TwistedComplex.slot`` is asked for."""
-    real, asked = twisted.TwistedComplex.slot, []
+    """The top total degrees ``twisted.total_cohomology`` is asked to build slots up to."""
+    real, asked = twisted.total_cohomology, []
 
-    def slot(self, t):
-        asked.append(t)
-        return real(self, t)
+    def total_cohomology(t_max, differential, slots=None):
+        asked.append(t_max)
+        return real(t_max, differential, slots)
 
-    monkeypatch.setattr(twisted.TwistedComplex, "slot", slot)
+    monkeypatch.setattr(twisted, "total_cohomology", total_cohomology)
     return asked
 
 
