@@ -15,7 +15,6 @@ __version__ = "0.1.0"
 
 # public name -> the submodule that defines it
 _EXPORTS = {
-    "CechCochain": "cech",
     "CoverSimplex": "cech",
     "ExactnessReport": "cech",
     "QuasiIsoReport": "cech",

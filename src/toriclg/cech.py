@@ -16,13 +16,15 @@ The module provides the horizontal differential, planned once per
 the augmented complex in every degree, total complexes written by one
 assembler straight from the cached delta and local blocks,
 quasi-isomorphism verification between the three pipelines, and the
-front/back-face cup product.
+front/back-face cup product on total-complex columns.
 
 Sign conventions, fixed here once:
   * horizontal delta removes vertices with alternating signs;
   * the total differential is D = delta + (-1)^p * vertical;
   * cup products carry the twist (-1)^(value degree of the left factor
-    times Cech degree of the right factor).
+    times Cech degree of the right factor), so that D is a derivation of
+    total degree 1: D(x cup y) = Dx cup y + (-1)^t1 x cup Dy for x of
+    total degree t1.
 """
 
 from __future__ import annotations
@@ -70,23 +72,6 @@ MAX_COVER_DEFAULT = 8
 
 class CechError(FanError):
     pass
-
-
-class CechCochain:
-    """Homogeneous cochain: one coordinate vector per p-simplex.
-
-    ``k`` is the exterior degree (0 for functions), ``m`` the doubled
-    polynomial degree (0 for const).  Functions carry the forms tag.
-    """
-
-    __slots__ = ("tag", "p", "k", "m", "components")
-
-    def __init__(self, tag: str, p: int, k: int, m: int, components: dict[Simplex, Vector]):
-        self.tag = tag
-        self.p = p
-        self.k = k
-        self.m = m
-        self.components = components
 
 
 class CoverSimplex:
@@ -188,20 +173,14 @@ class CoverSimplex:
             self._cache[key] = LinearSolver(self.const_matrix(cone, k))
         return self._cache[key]
 
-    def local_basis(self, tag: str, tau: Simplex, k: int, m: int) -> list:
-        cone = self.cone_of(tau)
-        if tag == TAG_FORMS:
-            monos = cone_monomial_basis(self.fan, cone, m)
-            return [(mono, s) for s in ext_subsets(self.fan.rank, k) for mono in monos]
-        if tag == TAG_CONST:
-            return list(range(self.const_matrix(cone, k).cols))
-        raise CechError(f"unknown tag {tag!r}")
-
     def slot_layout(self, tag: str, p: int, k: int, m: int) -> tuple[int, dict[Simplex, int]]:
         """Total dimension and per-simplex offsets of one Cech slot.
 
-        A local space has the size of ``local_basis``, counted without
-        building it.
+        The local space of a forms slot on tau has the basis (monomial,
+        wedge), wedges of ``ext_subsets`` outside and monomials of
+        ``cone_monomial_basis`` on the cone of tau inside; that of a const
+        slot is the columns of ``const_matrix``.  Sizes are counted without
+        building either.
         """
         key = ("layout", tag, p, k, m)
         if key not in self._cache:
@@ -351,6 +330,16 @@ class CoverSimplex:
                     out.append((p, k, m))
         return out
 
+    def _total_layout(self, tag: str, t: int) -> tuple[int, dict[tuple[int, int, int], int]]:
+        """Dimension of the total space (tag, t) and the offset of each slot in
+        it: the slots of ``total_blocks`` one after another."""
+        offsets = {}
+        total = 0
+        for b in self.total_blocks(tag, t):
+            offsets[b] = total
+            total += self.slot_layout(tag, *b)[0]
+        return total, offsets
+
     def _assemble(self, src_tag: str, dst_tag: str, t_src: int, t_dst: int,
                   arrows) -> RationalMatrix:
         """Matrix between the total spaces (src_tag, t_src) and (dst_tag, t_dst).
@@ -363,11 +352,7 @@ class CoverSimplex:
         not validated again.  A missing target slot takes no block.
         """
         src = [(slot, list(arrows(*slot))) for slot in self.total_blocks(src_tag, t_src)]
-        row_off = {}
-        rows = 0
-        for b in self.total_blocks(dst_tag, t_dst):
-            row_off[b] = rows
-            rows += self.slot_layout(dst_tag, *b)[0]
+        rows, row_off = self._total_layout(dst_tag, t_dst)
         ent: dict[tuple[int, int], int | Fraction] = {}
         cols = 0
         for (p, k, m), out in src:
@@ -430,13 +415,6 @@ class CoverSimplex:
 
             self._cache[key] = self._assemble(TAG_CONST, TAG_FORMS, t, t, arrows)
         return self._cache[key]
-
-    # -- cochain plumbing ---------------------------------------------------
-
-    def zero_cochain(self, tag: str, p: int, k: int, m: int) -> CechCochain:
-        comps = {tau: linalg.zero_vector(len(self.local_basis(tag, tau, k, m)))
-                 for tau in self.simplices(p)}
-        return CechCochain(tag, p, k, m, comps)
 
 
 # -- exactness -----------------------------------------------------------------
@@ -588,49 +566,82 @@ def verify_quasi_iso(cs: CoverSimplex, t_max: int | None = None) -> QuasiIsoRepo
 # -- cup product --------------------------------------------------------------------
 
 
-def cup(cs: CoverSimplex, a: CechCochain, b: CechCochain) -> CechCochain:
-    """Front-face/back-face cup product of two cochains of the same tag.
+def cup(cs: CoverSimplex, tag: str, t1: int, x: RationalMatrix, t2: int,
+        y: RationalMatrix) -> RationalMatrix:
+    """Front-face/back-face cup product of total-complex columns, column by column.
 
-    The back face starts at the last front vertex.  Values multiply in
-    the simplex cone by ``lg_multiply``; for graded values the product
-    carries the sign (-1)^(k_a * p_b).  Satisfies the Leibniz rule for
-    delta with the sign (-1)^(p_a + k_a).
+    x has the rows of the total space (tag, t1) and y those of (tag, t2),
+    laid out slot after slot as ``_total_layout`` gives them; column j of
+    the result, in (tag, t1 + t2), is the product of column j of x and
+    column j of y.  On a (p1 + p2)-simplex tau, slot (p1, k1, m1) of x is
+    read on the front face tau[:p1 + 1] and slot (p2, k2, m2) of y on the
+    back face tau[p1:], both as forms on the cone of tau; they multiply by
+    ``lg_multiply`` with the twist (-1)^(k1 * p2).  Const columns are first
+    carried into the forms total space by ``inclusion_matrix`` (ambient
+    wedge coordinates, the forms basis at m = 0), and each product is
+    solved back into the const basis of tau by ``_const_solver``.  A
+    product whose slot does not exist (p at least the cover size, k above
+    the rank) vanishes.  A wrong row count, or unequal column counts,
+    raise ``CechError``.
     """
-    if a.tag != b.tag:
-        raise CechError("cup product needs matching tags")
-    tag = a.tag
-    fan = cs.fan
-    p, q = a.p, b.p
-    k = a.k + b.k
-    m = a.m + b.m
-    twist = -1 if (a.k * q) % 2 else 1
-    result = cs.zero_cochain(tag, p + q, k, m)
-    if k > fan.rank:
-        return result
-    for tau in cs.simplices(p + q):
-        prod = lg_multiply(fan, _value(cs, a, tau[:p + 1], tau), _value(cs, b, tau[p:], tau))
-        basis = cs.local_basis(TAG_FORMS, tau, k, m)
-        index = {bs: i for i, bs in enumerate(basis)}
-        vec = [Fraction(0)] * len(basis)
-        for key, v in prod.items():
-            vec[index[key]] = v
+    if (x.rows, y.rows, x.cols) != (cs._total_layout(tag, t1)[0], cs._total_layout(tag, t2)[0], y.cols):
+        raise CechError(f"no cup of a {x.rows} x {x.cols} and a {y.rows} x {y.cols} matrix "
+                        f"on the total spaces ({tag}, {t1}) and ({tag}, {t2})")
+    if tag == TAG_CONST:
+        x, y = cs.inclusion_matrix(t1) @ x, cs.inclusion_matrix(t2) @ y
+    rows, offsets = cs._total_layout(tag, t1 + t2)
+    acc = {}  # (slot, tau) -> {column: the product on the cone of tau}
+    xs, ys = _face_values(cs, t1, x), _face_values(cs, t2, y)
+    for (p1, k1, m1), front in xs.items():
+        for (p2, k2, m2), back in ys.items():
+            slot = (p1 + p2, k1 + k2, m1 + m2)
+            if slot not in offsets:
+                continue
+            twist = -1 if k1 * p2 % 2 else 1
+            for tau in cs.simplices(p1 + p2):
+                u, v = front[tau[:p1 + 1]], back[tau[p1:]]
+                if not (u and v):
+                    continue
+                keep = cs.cone_of(tau).index_set
+                out = acc.setdefault((slot, tau), {})
+                for j in u.keys() & v.keys():
+                    # restriction to tau keeps the terms whose monomial lives on its cone
+                    prod = lg_multiply(cs.fan, {b: c for b, c in u[j].items() if b[0].support <= keep},
+                                       {b: c for b, c in v[j].items() if b[0].support <= keep})
+                    col = out.setdefault(j, {})
+                    for b, c in prod.items():
+                        col[b] = col.get(b, 0) + twist * c
+    ent = {}
+    for ((p, k, m), tau), cols in acc.items():
+        cone = cs.cone_of(tau)
+        wedges = {s: i for i, s in enumerate(ext_subsets(cs.fan.rank, k))}
+        monos = {b: i for i, b in enumerate(cone_monomial_basis(cs.fan, cone, m))}
+        local = RationalMatrix(len(wedges) * len(monos), x.cols, {
+            (wedges[s] * len(monos) + monos[b], j): c for j, col in cols.items() for (b, s), c in col.items()})
         if tag == TAG_CONST:
-            vec = cs._const_solver(cs.cone_of(tau), k).solve(
-                RationalMatrix.from_columns([vec], rows=len(vec))).column(0)
-        result.components[tau] = linalg.scale_vector(twist, vec)
-    return result
+            local = cs._const_solver(cone, k).solve(local)
+        off = offsets[(p, k, m)] + cs.slot_layout(tag, p, k, m)[1][tau]
+        ent.update(((off + i, j), c) for (i, j), c in local.entries.items())
+    return RationalMatrix._trusted(rows, x.cols, ent)
 
 
-def _value(cs: CoverSimplex, c: CechCochain, face: Simplex, tau: Simplex) -> LGElement:
-    """The value of c on a face of tau, as a form on the cone of tau.
-
-    A const value is written in ambient wedge coordinates, which are the
-    forms basis at m = 0.
-    """
-    if c.tag == TAG_FORMS:
-        # restriction keeps the terms whose monomial lives on the cone of tau
-        keep = cs.cone_of(tau).index_set
-        return {b: v for b, v in zip(cs.local_basis(TAG_FORMS, face, c.k, c.m), c.components[face])
-                if v and b[0].support <= keep}
-    vec = cs.const_matrix(cs.cone_of(face), c.k).mul_vec(c.components[face])
-    return {b: v for b, v in zip(cs.local_basis(TAG_FORMS, tau, c.k, c.m), vec) if v}
+def _face_values(cs: CoverSimplex, t: int,
+                 a: RationalMatrix) -> dict[tuple[int, int, int], dict[Simplex, dict[int, LGElement]]]:
+    """The columns of a, on the forms total space of degree t: per slot, per
+    simplex and per column, the local value as a form (monomial, wedge) -> coefficient."""
+    by_row = {}
+    for (i, j), v in a.entries.items():
+        by_row.setdefault(i, []).append((j, v))
+    out = {}
+    row = 0
+    for p, k, m in cs.total_blocks(TAG_FORMS, t):
+        out[(p, k, m)] = values = {}
+        for face in cs.simplices(p):
+            basis = [(b, s) for s in ext_subsets(cs.fan.rank, k)
+                     for b in cone_monomial_basis(cs.fan, cs.cone_of(face), m)]
+            values[face] = cols = {}
+            for i, b in enumerate(basis, row):
+                for j, v in by_row.get(i, ()):
+                    cols.setdefault(j, {})[b] = v
+            row += len(basis)
+    return out

@@ -97,10 +97,6 @@ def vector(values: Iterable) -> Vector:
     return tuple(_fraction(v) for v in values)
 
 
-def zero_vector(n: int) -> Vector:
-    return (ZERO,) * n
-
-
 def add_vectors(u: Vector, v: Vector) -> Vector:
     return tuple(a + b for a, b in zip(u, v, strict=True))
 
@@ -226,15 +222,6 @@ class RationalMatrix:
                 key = (i, j)
                 ent[key] = ent.get(key, 0) + a * b
         return RationalMatrix(self.rows, other.cols, {key: v for key, v in ent.items() if v})
-
-    def mul_vec(self, v: Sequence) -> Vector:
-        if len(v) != self.cols:
-            raise LinalgError("vector length mismatch")
-        out = [0] * self.rows
-        for (i, j), a in self.entries.items():
-            if v[j]:
-                out[i] += a * _exact(v[j])
-        return tuple(out)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"RationalMatrix({self.rows}x{self.cols}, nnz={len(self.entries)})"

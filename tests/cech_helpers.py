@@ -1,7 +1,8 @@
-"""Cech cochains as the tests handle them: coordinate vectors, polynomial
-components, the horizontal differential on one cochain, the block-diagonal
-vertical differential of one slot, and the constructive gluing and
-splitting of functions.
+"""Cech cochains as the tests handle them: a record of one coordinate
+vector per simplex, its local basis, coordinate vectors and total-complex
+columns, polynomial components, the horizontal differential on one
+cochain, the block-diagonal vertical differential of one slot, and the
+constructive gluing and splitting of functions.
 
 No command runs any of this.  Every function takes the ``CoverSimplex``
 whose slot layouts and delta matrices it reads.
@@ -13,15 +14,51 @@ from collections.abc import Mapping, Sequence
 from fractions import Fraction
 
 from toriclg import linalg
-from toriclg.cech import TAG_FORMS, CechCochain, CechError, CoverSimplex, Simplex
+from toriclg.cech import TAG_CONST, TAG_FORMS, CechError, CoverSimplex, Simplex
 from toriclg.linalg import LinearSolver, RationalMatrix, Vector
 from toriclg.srring import Monomial, SRPolynomial, cone_monomial_basis, monomial_sort_key, restrict
+from toriclg.twisted import ext_subsets
 
 
 # -- cochain plumbing ---------------------------------------------------------
 
 
-def cochain_to_vector(cs: CoverSimplex, c: CechCochain) -> Vector:
+class Cochain:
+    """Homogeneous cochain: one coordinate vector per p-simplex, in the
+    basis ``local_basis`` gives.
+
+    ``k`` is the exterior degree (0 for functions), ``m`` the doubled
+    polynomial degree (0 for const).  Functions carry the forms tag.
+    """
+
+    __slots__ = ("tag", "p", "k", "m", "components")
+
+    def __init__(self, tag: str, p: int, k: int, m: int, components: dict[Simplex, Vector]):
+        self.tag = tag
+        self.p = p
+        self.k = k
+        self.m = m
+        self.components = components
+
+
+def local_basis(cs: CoverSimplex, tag: str, tau: Simplex, k: int, m: int) -> list:
+    """The basis of the local space of slot (k, m) on tau: (monomial, wedge)
+    pairs, wedge-major, for forms; the columns of ``const_matrix`` for const."""
+    cone = cs.cone_of(tau)
+    if tag == TAG_FORMS:
+        monos = cone_monomial_basis(cs.fan, cone, m)
+        return [(mono, s) for s in ext_subsets(cs.fan.rank, k) for mono in monos]
+    if tag == TAG_CONST:
+        return list(range(cs.const_matrix(cone, k).cols))
+    raise CechError(f"unknown tag {tag!r}")
+
+
+def zero_cochain(cs: CoverSimplex, tag: str, p: int, k: int, m: int) -> Cochain:
+    return Cochain(tag, p, k, m, {tau: (Fraction(0),) * len(local_basis(cs, tag, tau, k, m))
+                                  for tau in cs.simplices(p)})
+
+
+def cochain_to_vector(cs: CoverSimplex, c: Cochain) -> Vector:
     total, offsets = cs.slot_layout(c.tag, c.p, c.k, c.m)
     out = [Fraction(0)] * total
     for tau, vec in c.components.items():
@@ -32,16 +69,49 @@ def cochain_to_vector(cs: CoverSimplex, c: CechCochain) -> Vector:
 
 
 def cochain_from_vector(cs: CoverSimplex, tag: str, p: int, k: int, m: int,
-                        vec: Sequence) -> CechCochain:
+                        vec: Sequence) -> Cochain:
     comps = {}
     pos = 0
     for tau in cs.simplices(p):
-        size = len(cs.local_basis(tag, tau, k, m))
+        size = len(local_basis(cs, tag, tau, k, m))
         comps[tau] = tuple(linalg._fraction(v) for v in vec[pos:pos + size])
         pos += size
     if pos != len(vec):
         raise CechError("vector length does not match the slot")
-    return CechCochain(tag, p, k, m, comps)
+    return Cochain(tag, p, k, m, comps)
+
+
+def slot_rows(cs: CoverSimplex, tag: str, t: int, p: int, k: int, m: int) -> tuple[int, range]:
+    """The dimension of the total space (tag, t) and the rows of its slot
+    (p, k, m): the slots of ``total_blocks`` one after another."""
+    rows, found = 0, None
+    for slot in cs.total_blocks(tag, t):
+        size = cs.slot_layout(tag, *slot)[0]
+        if slot == (p, k, m):
+            found = range(rows, rows + size)
+        rows += size
+    if found is None:
+        raise CechError(f"no slot {(p, k, m)} in the total space ({tag}, {t})")
+    return rows, found
+
+
+def to_total(cs: CoverSimplex, cochains: Sequence[Cochain]) -> RationalMatrix:
+    """Total-complex columns, one per cochain, each zero outside its slot;
+    the cochains share one slot."""
+    tag, p, k, m = (cochains[0].tag, cochains[0].p, cochains[0].k, cochains[0].m)
+    if any((c.tag, c.p, c.k, c.m) != (tag, p, k, m) for c in cochains):
+        raise CechError("the cochains of one batch share a slot")
+    rows, at = slot_rows(cs, tag, p + k + m, p, k, m)
+    return RationalMatrix(rows, len(cochains), {(at[i], j): v for j, c in enumerate(cochains)
+                                                for i, v in enumerate(cochain_to_vector(cs, c))})
+
+
+def from_total(cs: CoverSimplex, tag: str, column: Vector, p: int, k: int, m: int) -> Cochain:
+    """The slot (p, k, m) of one total-complex column of degree p + k + m."""
+    rows, at = slot_rows(cs, tag, p + k + m, p, k, m)
+    if len(column) != rows:
+        raise CechError("column length does not match the total space")
+    return cochain_from_vector(cs, tag, p, k, m, [column[i] for i in at])
 
 
 def vertical_matrix(cs: CoverSimplex, p: int, k: int, m: int) -> RationalMatrix:
@@ -53,20 +123,21 @@ def vertical_matrix(cs: CoverSimplex, p: int, k: int, m: int) -> RationalMatrix:
                                {(i, i): b for i, b in enumerate(blocks)})
 
 
-def cochain_delta(cs: CoverSimplex, c: CechCochain) -> CechCochain:
+def cochain_delta(cs: CoverSimplex, c: Cochain) -> Cochain:
     mat = cs.delta_matrix(c.tag, c.p, c.k, c.m)
+    vec = cochain_to_vector(cs, c)
     return cochain_from_vector(cs, c.tag, c.p + 1, c.k, c.m,
-                               mat.mul_vec(cochain_to_vector(cs, c)))
+                               (mat @ RationalMatrix.from_columns([vec], rows=len(vec))).column(0))
 
 
 def functions_cochain(cs: CoverSimplex, p: int, m: int,
-                      polys: Mapping[Simplex, SRPolynomial]) -> CechCochain:
+                      polys: Mapping[Simplex, SRPolynomial]) -> Cochain:
     """The forms cochain of exterior degree 0 with the given polynomial values."""
     comps = {}
     for tau in cs.simplices(p):
         poly = polys.get(tau, SRPolynomial(cs.fan, ()))
         comps[tau] = _poly_to_local(cs, tau, m, poly)
-    return CechCochain(TAG_FORMS, p, 0, m, comps)
+    return Cochain(TAG_FORMS, p, 0, m, comps)
 
 
 def _poly_to_local(cs: CoverSimplex, tau: Simplex, m: int, poly: SRPolynomial) -> Vector:
@@ -81,7 +152,7 @@ def _poly_to_local(cs: CoverSimplex, tau: Simplex, m: int, poly: SRPolynomial) -
     return tuple(out)
 
 
-def poly_components(cs: CoverSimplex, c: CechCochain) -> dict[Simplex, SRPolynomial]:
+def poly_components(cs: CoverSimplex, c: Cochain) -> dict[Simplex, SRPolynomial]:
     _require_functions(c, "polynomial components")
     out = {}
     for tau, vec in c.components.items():
@@ -103,7 +174,7 @@ def _coboundary_solver(q: int, p: int) -> LinearSolver:
     return LinearSolver(RationalMatrix(len(rows), len(col_pos), ent))
 
 
-def _require_functions(c: CechCochain, what: str) -> None:
+def _require_functions(c: Cochain, what: str) -> None:
     if c.tag != TAG_FORMS or c.k != 0:
         raise CechError(f"{what}: expected a forms cochain of exterior degree 0, "
                         f"got tag {c.tag!r} with k = {c.k}")
@@ -179,7 +250,7 @@ def _solve_on_stratum(cs: CoverSimplex, vertices: Simplex, p: int,
     return {om: SRPolynomial.build(fan, terms) for om, terms in acc.items()}
 
 
-def split_cocycle(cs: CoverSimplex, g: CechCochain) -> CechCochain:
+def split_cocycle(cs: CoverSimplex, g: Cochain) -> Cochain:
     """Write a closed positive-degree functions cocycle as a coboundary.
 
     Follows the constructive splitting: first kill the restriction to the
@@ -244,14 +315,14 @@ def split_cocycle(cs: CoverSimplex, g: CechCochain) -> CechCochain:
     return functions_cochain(cs, p - 1, m, h_acc)
 
 
-def split_cocycle_generic(cs: CoverSimplex, g: CechCochain) -> CechCochain:
+def split_cocycle_generic(cs: CoverSimplex, g: Cochain) -> Cochain:
     """One-shot linear solve h with delta h = g; cross-check for split_cocycle."""
     if g.p < 1:
         raise CechError("split needs Cech degree at least 1")
     mat = cs.delta_matrix(g.tag, g.p - 1, g.k, g.m)
     vec = cochain_to_vector(cs, g)
     out = cs.delta_matrix(g.tag, g.p, g.k, g.m)
-    if any(out.mul_vec(vec)):
+    if not (out @ RationalMatrix.from_columns([vec], rows=len(vec))).is_zero():
         raise CechError("input cochain is not closed")
     sol = linalg.lift(mat, vec)
     return cochain_from_vector(cs, g.tag, g.p - 1, g.k, g.m, sol)

@@ -1,7 +1,8 @@
 """Shared helpers for the test suite: seeded random generators, determinants
 and minors by the Leibniz formula (the oracle of the constant wedges), the
 twisted differential applied element by element (the oracle of the assembled
-Koszul blocks), the ring axioms and Hilbert series that only tests check,
+Koszul blocks), the two sides of the total Leibniz rule of the Cech cup, the
+ring axioms and Hilbert series that only tests check,
 and fans larger than those in ``fans/``."""
 
 from fractions import Fraction
@@ -10,10 +11,15 @@ import json
 import math
 import random
 
-from cech_helpers import cochain_from_vector, cochain_to_vector
+from cech_helpers import Cochain, cochain_from_vector, local_basis, to_total
 from toriclg import Monomial, RationalMatrix, SRPolynomial, cup, kernel_basis, linalg, sr_basis
-from toriclg.cech import TAG_CONST, CechCochain, CoverSimplex
+from toriclg.cech import TAG_FORMS, CoverSimplex
 from toriclg.fan import FanError, fan_from_data
+
+
+def apply(a: RationalMatrix, v) -> tuple:
+    """a times the vector v, as a one-column product."""
+    return (a @ RationalMatrix.from_columns([v], rows=len(v))).column(0)
 
 
 def random_fraction(rng: random.Random, lo=-4, hi=4) -> Fraction:
@@ -46,15 +52,15 @@ def random_polynomial(rng: random.Random, fan, terms=4, max_z=3) -> SRPolynomial
     return SRPolynomial.build(fan, acc)
 
 
-def random_cochain(rng: random.Random, cs: CoverSimplex, tag, p, k, m) -> CechCochain:
+def random_cochain(rng: random.Random, cs: CoverSimplex, tag, p, k, m) -> Cochain:
     comps = {}
     for tau in cs.simplices(p):
-        size = len(cs.local_basis(tag, tau, k, m))
+        size = len(local_basis(cs, tag, tau, k, m))
         comps[tau] = tuple(random_fraction(rng) for _ in range(size))
-    return CechCochain(tag, p, k, m, comps)
+    return Cochain(tag, p, k, m, comps)
 
 
-def random_closed_cochain(rng: random.Random, cs: CoverSimplex, tag, p, k, m) -> CechCochain:
+def random_closed_cochain(rng: random.Random, cs: CoverSimplex, tag, p, k, m) -> Cochain:
     """Random element of the kernel of the horizontal differential."""
     mat = cs.delta_matrix(tag, p, k, m)
     basis = kernel_basis(mat)
@@ -130,47 +136,28 @@ def minors_matrix(rows, k: int) -> RationalMatrix:
         for a, r in enumerate(row_sets) for b, c in enumerate(col_sets)})
 
 
-# -- the const total complex, given blockwise by (Cech degree, exterior degree) --
+# -- the total Leibniz rule of the cup product ----------------------------------
 
 
-def total_cup(cs: CoverSimplex, x, y) -> dict:
-    """Cup product of const total-complex elements given blockwise."""
-    out: dict = {}
-    for (p1, k1), c1 in x.items():
-        for (p2, k2), c2 in y.items():
-            if k1 + k2 > cs.fan.rank:
-                continue
-            prod = cup(cs, c1, c2)
-            key = (p1 + p2, k1 + k2)
-            if key in out:
-                prev = out[key]
-                comps = {tau: linalg.add_vectors(prev.components[tau], prod.components[tau])
-                         for tau in prev.components}
-                out[key] = CechCochain(TAG_CONST, key[0], key[1], 0, comps)
-            else:
-                out[key] = prod
-    return out
+def random_block_columns(rng: random.Random, cs: CoverSimplex, tag, p, k, m, cols=2) -> RationalMatrix:
+    """Random total-complex columns of degree p + k + m, zero outside the slot (p, k, m)."""
+    return to_total(cs, [random_cochain(rng, cs, tag, p, k, m) for _ in range(cols)])
 
 
-def const_total_vector(cs: CoverSimplex, t: int, blocks) -> tuple:
-    out: list = []
-    for p, k, _ in cs.total_blocks(TAG_CONST, t):
-        c = blocks.get((p, k))
-        if c is None:
-            out.extend(linalg.zero_vector(cs.slot_layout(TAG_CONST, p, k, 0)[0]))
-        else:
-            out.extend(cochain_to_vector(cs, c))
-    return tuple(out)
+def random_total_columns(rng: random.Random, cs: CoverSimplex, tag, t, cols=2) -> RationalMatrix:
+    """Random total-complex columns of degree t, about half their entries nonzero."""
+    rows = sum(cs.slot_layout(tag, *slot)[0] for slot in cs.total_blocks(tag, t))
+    return RationalMatrix(rows, cols, {(i, j): random_fraction(rng) for i in range(rows)
+                                       for j in range(cols) if rng.random() < 0.5})
 
 
-def const_total_blocks_from_vector(cs: CoverSimplex, t: int, vec) -> dict:
-    out = {}
-    pos = 0
-    for p, k, _ in cs.total_blocks(TAG_CONST, t):
-        size = cs.slot_layout(TAG_CONST, p, k, 0)[0]
-        out[(p, k)] = cochain_from_vector(cs, TAG_CONST, p, k, 0, vec[pos:pos + size])
-        pos += size
-    return out
+def total_leibniz_sides(cs: CoverSimplex, tag, t1, x, t2, y):
+    """D(x cup y) and Dx cup y + (-1)^t1 x cup Dy, for the total differential D of tag."""
+    d = cs.forms_total_matrix if tag == TAG_FORMS else cs.const_total_matrix
+    left = d(t1 + t2) @ cup(cs, tag, t1, x, t2, y)
+    right = (cup(cs, tag, t1 + 1, d(t1) @ x, t2, y)
+             + cup(cs, tag, t1, x, t2 + 1, d(t2) @ y).scale((-1) ** t1))
+    return left, right
 
 
 # -- the twisted differential, element by element ---------------------------

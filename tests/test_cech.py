@@ -7,30 +7,36 @@ import pytest
 
 from conftest import FAN_DIR, cn_data, load_fan
 from cech_helpers import (
+    Cochain,
     cochain_delta,
-    cochain_from_vector,
     cochain_to_vector,
+    from_total,
     functions_cochain,
     glue_sections,
+    local_basis,
     poly_components,
+    slot_rows,
     split_cocycle,
     split_cocycle_generic,
+    to_total,
     vertical_matrix,
+    zero_cochain,
 )
 from helpers import (
-    const_total_blocks_from_vector,
-    const_total_vector,
     lg_differential,
     minors_matrix,
+    random_block_columns,
     random_closed_cochain,
     random_cochain,
     random_polynomial,
+    random_total_columns,
     random_unimodular,
     sr_one,
     sr_variable,
-    total_cup,
+    total_leibniz_sides,
 )
 from toriclg import (
+    RationalMatrix,
     SRPolynomial,
     build_twisted,
     constant_total_cohomology,
@@ -44,7 +50,6 @@ from toriclg import cech, linalg, sr_basis
 from toriclg.cech import (
     TAG_CONST,
     TAG_FORMS,
-    CechCochain,
     CechError,
     CoverSimplex,
 )
@@ -273,7 +278,7 @@ class TestSplit:
 
     def test_zero_maps_to_zero(self, covers):
         cs = covers["p2"]
-        g = cs.zero_cochain(TAG_FORMS, 1, 0, 2)
+        g = zero_cochain(cs, TAG_FORMS, 1, 0, 2)
         h = split_cocycle(cs, g)
         assert all(not any(v) for v in h.components.values())
 
@@ -281,13 +286,13 @@ class TestSplit:
         # functions are the forms of exterior degree 0; only those split
         cs = covers["p2"]
         for k in (1, 2):
-            g = cs.zero_cochain(TAG_FORMS, 1, k, 2)
+            g = zero_cochain(cs, TAG_FORMS, 1, k, 2)
             with pytest.raises(CechError, match="exterior degree 0"):
                 split_cocycle(cs, g)
             with pytest.raises(CechError, match="exterior degree 0"):
                 poly_components(cs, g)
         with pytest.raises(CechError, match="exterior degree 0"):
-            split_cocycle(cs, cs.zero_cochain(TAG_CONST, 1, 0, 0))
+            split_cocycle(cs, zero_cochain(cs, TAG_CONST, 1, 0, 0))
 
     def test_functions_cochain_is_degree_zero_forms(self, covers):
         cs = covers["p1"]
@@ -371,7 +376,7 @@ class TestTotals:
                 src = [(mono, ()) for mono in sr_basis(cs.fan, m)]
                 want = {}
                 for tau in cs.simplices(0):
-                    local = cs.local_basis(TAG_FORMS, tau, 0, m)
+                    local = local_basis(cs, TAG_FORMS, tau, 0, m)
                     off = cs.slot_layout(TAG_FORMS, 0, 0, m)[1][tau]
                     for j, b in enumerate(src):
                         if b in local:
@@ -459,127 +464,110 @@ class TestQuasiIso:
 
 
 class TestCup:
+    """The cup on total-complex columns (``cech.cup``)."""
+
     def test_unit_cochain_acts_trivially(self, covers):
         rng = random.Random(73)
-        for name, cs in covers.items():
-            unit = functions_cochain(
-                cs, 0, 0, {tau: sr_one(cs.fan) for tau in cs.simplices(0)})
-            beta = random_cochain(rng, cs, TAG_FORMS, min(1, cs.size - 1), 0, 2)
-            prod = cup(cs, unit, beta)
-            assert cochain_to_vector(cs, prod) == cochain_to_vector(cs, beta)
+        for (name, cs), tag in itertools.product(covers.items(), (TAG_FORMS, TAG_CONST)):
+            unit = to_total(cs, 2 * [Cochain(tag, 0, 0, 0, {tau: (1,) for tau in cs.simplices(0)})])
+            if tag == TAG_FORMS:  # functions in one slot
+                p = min(1, cs.size - 1)
+                beta = random_block_columns(rng, cs, tag, p, 0, 2)
+                assert cup(cs, tag, 0, unit, p + 2, beta) == beta, name
+            for t in range(4):
+                y = random_total_columns(rng, cs, tag, t)
+                assert cup(cs, tag, 0, unit, t, y) == y, (name, t)
+                assert cup(cs, tag, t, y, 0, unit) == y, (name, t)
 
     def test_pointwise_products_degree_zero(self, covers, p1):
         cs = covers["p1"]
         z1 = sr_variable(p1, 1)
         z2 = sr_variable(p1, 2)
-        a = functions_cochain(cs, 0, 2, {(0,): z1, (1,): z2})
-        prod = cup(cs, a, a)
-        polys = poly_components(cs, prod)
+        a = to_total(cs, [functions_cochain(cs, 0, 2, {(0,): z1, (1,): z2})])
+        prod = cup(cs, TAG_FORMS, 2, a, 2, a)
+        square = from_total(cs, TAG_FORMS, prod.column(0), 0, 0, 4)
+        assert prod == to_total(cs, [square])  # nothing outside the slot of functions
+        polys = poly_components(cs, square)
         assert polys[(0,)] == restrict(z1 * z1, p1.cone([1]))
         assert polys[(1,)] == restrict(z2 * z2, p1.cone([2]))
 
     def test_leibniz_functions(self, covers):
+        # single-slot columns of functions: D is delta there, and (-1)^t1 = (-1)^p
         rng = random.Random(79)
         for name, cs in covers.items():
             if cs.size < 2:
                 continue
             for (p, q, ma, mb) in ((0, 0, 2, 2), (0, 1, 2, 0), (1, 0, 0, 2)):
-                a = random_cochain(rng, cs, TAG_FORMS, p, 0, ma)
-                b = random_cochain(rng, cs, TAG_FORMS, q, 0, mb)
-                lhs = cochain_to_vector(cs, cochain_delta(cs, cup(cs, a, b)))
-                t1 = cochain_to_vector(cs, cup(cs, cochain_delta(cs, a), b))
-                t2 = cochain_to_vector(cs, cup(cs, a, cochain_delta(cs, b)))
-                sign = -1 if p % 2 else 1
-                rhs = linalg.add_vectors(t1, linalg.scale_vector(sign, t2))
-                assert lhs == rhs, (name, p, q)
+                a = random_block_columns(rng, cs, TAG_FORMS, p, 0, ma)
+                b = random_block_columns(rng, cs, TAG_FORMS, q, 0, mb)
+                left, right = total_leibniz_sides(cs, TAG_FORMS, p + ma, a, q + mb, b)
+                assert left == right, (name, p, q)
 
     def test_leibniz_const(self, covers):
         rng = random.Random(83)
         cs = covers["p1xp1"]
         for (p, ka, q, kb) in ((0, 1, 0, 1), (0, 1, 1, 0), (1, 1, 0, 1)):
-            a = random_cochain(rng, cs, TAG_CONST, p, ka, 0)
-            b = random_cochain(rng, cs, TAG_CONST, q, kb, 0)
-            lhs = cochain_to_vector(cs, cochain_delta(cs, cup(cs, a, b)))
-            t1 = cochain_to_vector(cs, cup(cs, cochain_delta(cs, a), b))
-            t2 = cochain_to_vector(cs, cup(cs, a, cochain_delta(cs, b)))
-            sign = -1 if (p + ka) % 2 else 1
-            rhs = linalg.add_vectors(t1, linalg.scale_vector(sign, t2))
-            assert lhs == rhs
+            a = random_block_columns(rng, cs, TAG_CONST, p, ka, 0)
+            b = random_block_columns(rng, cs, TAG_CONST, q, kb, 0)
+            left, right = total_leibniz_sides(cs, TAG_CONST, p + ka, a, q + kb, b)
+            assert left == right, (p, ka, q, kb)
 
     def test_total_leibniz_forms(self, covers):
-        # the full double-complex differential D = delta + (-1)^p vertical
-        # is a derivation for the cup product with sign (-1)^(p + k)
+        # D = delta + (-1)^p vertical is a derivation for the cup with sign (-1)^t1
         rng = random.Random(89)
         cs = covers["c_x_p1"]
-
-        def total_d(c):
-            out = {}
-            d = cochain_delta(cs, c)
-            out[(c.p + 1, c.k, c.m)] = d
-            if c.k >= 1:
-                vec = vertical_matrix(cs, c.p, c.k, c.m).mul_vec(cochain_to_vector(cs, c))
-                if c.p % 2:
-                    vec = linalg.scale_vector(-1, vec)
-                out[(c.p, c.k - 1, c.m + 2)] = cochain_from_vector(
-                    cs, TAG_FORMS, c.p, c.k - 1, c.m + 2, vec)
-            return out
-
-        def cup_blocks(xs, ys):
-            acc = {}
-            for x in xs.values():
-                for y in ys.values():
-                    if x.k + y.k > cs.fan.rank:
-                        continue
-                    prod = cup(cs, x, y)
-                    key = (prod.p, prod.k, prod.m)
-                    if key in acc:
-                        prev = acc[key]
-                        acc[key] = CechCochain(TAG_FORMS, prod.p, prod.k, prod.m, {
-                            tau: linalg.add_vectors(prev.components[tau], prod.components[tau])
-                            for tau in prev.components})
-                    else:
-                        acc[key] = prod
-            return acc
-
-        def as_vectors(blocks):
-            return {key: cochain_to_vector(cs, c) for key, c in blocks.items()
-                    if any(cochain_to_vector(cs, c))}
-
         for (pa, ka, ma, pb, kb, mb) in ((0, 1, 0, 0, 1, 0), (0, 1, 2, 1, 1, 0),
                                          (1, 1, 0, 0, 2, 0), (0, 2, 0, 0, 1, 2)):
-            a = random_cochain(rng, cs, TAG_FORMS, pa, ka, ma)
-            b = random_cochain(rng, cs, TAG_FORMS, pb, kb, mb)
-            left = as_vectors(total_d(cup(cs, a, b)))
-            sign = -1 if (pa + ka) % 2 else 1
-            right_acc = {}
-            for src, coeff in ((cup_blocks(total_d(a), {0: b}), 1),
-                               (cup_blocks({0: a}, total_d(b)), sign)):
-                for key, c in src.items():
-                    vec = linalg.scale_vector(coeff, cochain_to_vector(cs, c))
-                    if key in right_acc:
-                        right_acc[key] = linalg.add_vectors(right_acc[key], vec)
-                    else:
-                        right_acc[key] = vec
-            right = {k2: v for k2, v in right_acc.items() if any(v)}
+            a = random_block_columns(rng, cs, TAG_FORMS, pa, ka, ma)
+            b = random_block_columns(rng, cs, TAG_FORMS, pb, kb, mb)
+            left, right = total_leibniz_sides(cs, TAG_FORMS, pa + ka + ma, a, pb + kb + mb, b)
             assert left == right, (pa, ka, ma, pb, kb, mb)
 
-    def test_tag_mismatch_rejected(self, covers):
+    @pytest.mark.parametrize("name", [*sorted(p.stem for p in FAN_DIR.glob("*.json")),
+                                      "p2 with an extra cone"])
+    def test_total_leibniz_every_cover(self, name):
+        fan = load_fan(name.split()[0])
+        cs = CoverSimplex(fan, [*fan.max_cones, fan.cone([1])] if " " in name else None)
+        rng = random.Random(97)
+        nonzero = 0
+        for tag in (TAG_FORMS, TAG_CONST):
+            for t1 in range(4):
+                for t2 in range(4):
+                    x = random_total_columns(rng, cs, tag, t1)
+                    y = random_total_columns(rng, cs, tag, t2)
+                    left, right = total_leibniz_sides(cs, tag, t1, x, t2, y)
+                    assert left == right, (tag, t1, t2)
+                    nonzero += not left.is_zero()
+        assert nonzero or name == "zero2"  # both total differentials of the zero fan vanish
+
+    def test_products_outside_the_complex_vanish(self, covers):
+        # on P^1, k = 2 is above the rank and p = 2 is past the two-cone cover
+        cs = covers["p1"]
+        rng = random.Random(101)
+        for p, k in ((0, 1), (1, 0)):
+            x = random_block_columns(rng, cs, TAG_CONST, p, k, 0)
+            prod = cup(cs, TAG_CONST, p + k, x, p + k, x)
+            assert prod.shape == (slot_rows(cs, TAG_CONST, 2, 1, 1, 0)[0], 2) and prod.is_zero()
+
+    def test_wrong_shapes_rejected(self, covers):
         cs = covers["p2"]
-        a = cs.zero_cochain(TAG_FORMS, 0, 0, 0)
-        b = cs.zero_cochain(TAG_CONST, 0, 1, 0)
-        with pytest.raises(CechError, match="tags"):
-            cup(cs, a, b)
+        rng = random.Random(103)
+        for tag in (TAG_FORMS, TAG_CONST):
+            x = random_total_columns(rng, cs, tag, 2)
+            with pytest.raises(CechError, match="no cup"):
+                cup(cs, tag, 2, x, 1, x)
+            one = RationalMatrix.from_columns([x.column(0)], rows=x.rows)
+            with pytest.raises(CechError, match="no cup"):
+                cup(cs, tag, 2, x, 2, one)
 
     def test_p2_square_of_generator_spans_top(self, covers):
         cs = covers["p2"]
         coh = constant_total_cohomology(cs, 4)
         assert coh.dims == (1, 0, 1, 0, 1)
-        rep = coh.slots[2].representatives.column(0)
-        blocks = const_total_blocks_from_vector(cs, 2, rep)
-        square = total_cup(cs, blocks, blocks)
-        vec = const_total_vector(cs, 4, square)
-        assert not any(cs.const_total_matrix(4).mul_vec(vec))
-        coords = coh.slots[4].reduce(linalg.RationalMatrix.from_columns([vec], rows=len(vec)))
+        g = coh.slots[2].representatives
+        square = cup(cs, TAG_CONST, 2, g, 2, g)
+        assert (cs.const_total_matrix(4) @ square).is_zero()
+        coords = coh.slots[4].reduce(square)
         assert coords.shape == (1, 1) and not coords.is_zero()
 
     def test_p1xp1_mixed_products(self, covers):
@@ -587,19 +575,16 @@ class TestCup:
         cs = covers["p1xp1"]
         coh = constant_total_cohomology(cs, 4)
         assert coh.dims == (1, 0, 2, 0, 1)
-        reps = [coh.slots[2].representatives.column(j) for j in range(2)]
-        products = {}
-        for i, ri in enumerate(reps):
-            for j, rj in enumerate(reps):
-                bi = const_total_blocks_from_vector(cs, 2, ri)
-                bj = const_total_blocks_from_vector(cs, 2, rj)
-                vec = const_total_vector(cs, 4, total_cup(cs, bi, bj))
-                products[(i, j)] = coh.slots[4].reduce(
-                    linalg.RationalMatrix.from_columns([vec], rows=len(vec))).column(0)
-        assert products[(0, 0)] == (0,)
-        assert products[(1, 1)] == (0,)
-        assert products[(0, 1)][0] != 0
-        assert products[(0, 1)] == products[(1, 0)]  # even classes commute
+        g = coh.slots[2].representatives
+
+        def pick(*js):
+            return RationalMatrix.from_columns([g.column(j) for j in js], rows=g.rows)
+
+        products = coh.slots[4].reduce(cup(cs, TAG_CONST, 2, pick(0, 0, 1, 1), 2, pick(0, 1, 0, 1)))
+        assert products.column(0) == (0,)
+        assert products.column(3) == (0,)
+        assert products.column(1)[0] != 0
+        assert products.column(1) == products.column(2)  # even classes commute
 
 
 @pytest.mark.parametrize("name", ["p2", "hirzebruch1"])
@@ -618,7 +603,7 @@ def test_local_vertical_matches_element_differential(name):
                 columns: dict = {}
                 for (i, j), v in cs._local_vertical(cone, k, m).entries.items():
                     columns.setdefault(j, {})[i] = v
-                row = {b: i for i, b in enumerate(cs.local_basis(TAG_FORMS, tau, k - 1, m + 2))}
-                for j, b in enumerate(cs.local_basis(TAG_FORMS, tau, k, m)):
+                row = {b: i for i, b in enumerate(local_basis(cs, TAG_FORMS, tau, k - 1, m + 2))}
+                for j, b in enumerate(local_basis(cs, TAG_FORMS, tau, k, m)):
                     want = {row[key]: v for key, v in lg_differential(tc, {b: 1}, forms).items()}
                     assert columns.get(j, {}) == want, (name, cone, k, m, j)

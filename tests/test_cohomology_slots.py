@@ -15,6 +15,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import FAN_DIR, load_fan
+from helpers import apply
 from toriclg.cech import (
     CoverSimplex,
     constant_total_cohomology,
@@ -90,7 +91,7 @@ def check_slot(d_in: RationalMatrix, d_out: RationalMatrix, slot, rng: random.Ra
     assert cols_of(slot.reduce(slot.representatives)) == units
     for _ in range(3):
         x = [Fraction(rng.randint(-3, 3)) for _ in range(d_in.cols)]
-        boundary = d_in.mul_vec(x)
+        boundary = apply(d_in, x)
         coeffs = [Fraction(rng.randint(-3, 3), rng.choice((1, 2))) for _ in range(slot.dim)]
         cocycle = combine([1] + coeffs, [boundary] + reps, n)
         assert cols_of(slot.reduce(columns([boundary, cocycle], n))) == [(Fraction(0),) * slot.dim,

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import dense_rref, random_fraction
+from helpers import apply, dense_rref, random_fraction
 from toriclg import linalg
 from toriclg.linalg import (
     CompositionError,
@@ -51,7 +51,7 @@ class TestKernel:
     def test_kernel_annihilates(self):
         a = mat([[2, 1, -1], [0, 3, 3]])
         for v in kernel_basis(a):
-            assert all(x == 0 for x in a.mul_vec(v))
+            assert all(x == 0 for x in apply(a, v))
 
 
 class TestLift:
@@ -77,7 +77,7 @@ class TestLift:
         for _ in range(20):
             x = [Fraction(rng.randint(-5, 5)) for _ in range(3)]
             y = [Fraction(rng.randint(-5, 5)) for _ in range(3)]
-            ax, ay = b.mul_vec(x), b.mul_vec(y)
+            ax, ay = apply(b, x), apply(b, y)
             s = lift(b, [p + q for p, q in zip(ax, ay)])
             assert s == tuple(p + q for p, q in zip(lift(b, ax), lift(b, ay)))
 
@@ -89,7 +89,7 @@ class TestSolver:
         solver = LinearSolver(b)
         for _ in range(10):
             x = [Fraction(rng.randint(-3, 3)) for _ in range(3)]
-            a = b.mul_vec(x)
+            a = apply(b, x)
             assert solver.solve(RationalMatrix.from_columns([a], rows=2)).column(0) == lift(b, a)
 
     def test_inverse(self):
@@ -304,8 +304,8 @@ def test_rank_nullity(a):
 @given(sparse_matrices(max_dim=5), st.lists(small_entries, min_size=5, max_size=5))
 def test_lift_roundtrip(b, xs):
     x = [Fraction(v) for v in xs[:b.cols]] + [Fraction(0)] * max(0, b.cols - len(xs))
-    a = b.mul_vec(x)
-    assert b.mul_vec(lift(b, a)) == a
+    a = apply(b, x)
+    assert apply(b, lift(b, a)) == a
 
 
 def random_sparse_rows(rng: random.Random, fractions: bool) -> list[list]:
@@ -360,7 +360,7 @@ def test_solver_batch_equals_dense_solves(fractions):
         b = mat(rows)
         solver = LinearSolver(b)
         # right hand sides in the image of b, solved in one batch and one by one
-        batch = [b.mul_vec([rng.choice((0, 0, 1, -2, Fraction(1, 3))) for _ in range(b.cols)])
+        batch = [apply(b, [rng.choice((0, 0, 1, -2, Fraction(1, 3))) for _ in range(b.cols)])
                  for _ in range(rng.randint(0, 4))]
         got = solver.solve(RationalMatrix.from_columns(batch, rows=b.rows))
         assert got.shape == (b.cols, len(batch))

@@ -31,15 +31,10 @@ KEPT = {
     "linalg.lift": "perfbench/tracer.py wraps it by name (linalg.elim)",
     "linalg.image_pivot_columns": "perfbench/tracer.py wraps it by name (linalg.elim)",
     "cli.__getattr__": "perfbench's tracer test reads cli.parse_fan_file through it",
-    "cech.cup": "the Cech cup product; ROADMAP items 5 and 8 decide its fate",
-    "cech._value": "the Cech cup product (cech.cup)",
-    "cech.CoverSimplex.zero_cochain": "the Cech cup product (cech.cup)",
-    "cech.CoverSimplex.local_basis": "the Cech cup product (cech.cup)",
-    "cech.CechCochain.__init__": "the Cech cup product (cech.cup)",
-    "linalg.RationalMatrix.mul_vec": "the Cech cup product (cech._value)",
+    "cech.cup": "the manifold's ring; ROADMAP item 5",
+    "cech._face_values": "the Cech cup product (cech.cup)",
     "linalg.add_vectors": "reference algebra of the tests",
-    "linalg.scale_vector": "reference algebra of the tests; the Cech cup product",
-    "linalg.zero_vector": "reference algebra of the tests; the Cech cup product",
+    "linalg.scale_vector": "reference algebra of the tests",
     "linalg.RationalMatrix.__add__": "reference algebra of the tests",
     "linalg.RationalMatrix.__sub__": "reference algebra of the tests",
     "linalg.RationalMatrix.scale": "reference algebra of the tests",
