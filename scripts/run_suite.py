@@ -24,15 +24,15 @@ from toriclg import (
     verify_exactness,
     verify_quasi_iso,
 )
-from toriclg.cech import CoverSimplex
+from toriclg.cech import CoverSimplex, default_m_max, default_t_max
 
 FAN_DIR = pathlib.Path(__file__).resolve().parent.parent / "fans"
 
 
 def run_one(path: pathlib.Path, m_max: int | None, t_max: int | None) -> dict:
     fan, poly = parse_fan_file(path.read_text(encoding="utf-8"))
-    mm = m_max if m_max is not None else 2 * fan.rank + 4
-    tt = t_max if t_max is not None else 2 * fan.rank + 2
+    mm = m_max if m_max is not None else default_m_max(fan)
+    tt = t_max if t_max is not None else default_t_max(fan)
     start = time.monotonic()
     sp = check_semiprojective(fan, poly)
     tc = build_twisted(fan)

@@ -437,6 +437,10 @@ class ExactnessReport:
         return all(e["exact"] for (mm, _), e in self.entries.items() if mm == m)
 
 
+def default_m_max(fan: Fan) -> int:
+    return default_t_max(fan) + 2  # the exactness check's window: 2n + 4
+
+
 def verify_exactness(cs: CoverSimplex, m_max: int) -> ExactnessReport:
     """Check degreewise exactness of 0 -> global -> C^0 -> C^1 -> ...
 

@@ -240,13 +240,12 @@ def cmd_cohomology(args) -> tuple[Report, int]:
 
 
 def cmd_verify(args) -> tuple[Report, int]:
-    from .cech import CoverSimplex, verify_exactness, verify_quasi_iso
+    from .cech import CoverSimplex, default_m_max, default_t_max, verify_exactness, verify_quasi_iso
     from .fan import FanError
-    from .twisted import default_t_max
 
     start = time.monotonic()
     fan, _ = _load(args.fan_file)
-    m_max = args.mmax if args.mmax is not None else 2 * fan.rank + 4
+    m_max = args.mmax if args.mmax is not None else default_m_max(fan)
     t_max = args.tmax if args.tmax is not None else default_t_max(fan)
     cover = None
     if args.cover:
@@ -310,7 +309,10 @@ def cmd_degenerate(args) -> tuple[Report, int]:
         raise FanError(f"fan is not semi-projective: {sp.reason}")
     cert = sp.certificate
     if args.sigma_m:
-        cone = fan.cone(_parse_index_list(args.sigma_m))
+        indices = _parse_index_list(args.sigma_m)
+        if len(set(indices)) != len(indices):  # a fan file's cone may not either
+            raise FanError(f"--sigma-m {args.sigma_m} repeats a ray index")
+        cone = fan.cone(indices)
         if cone.dim != fan.rank:
             raise FanError(f"--sigma-m cone {cone} is not full-dimensional")
     else:

@@ -6,11 +6,11 @@ smoothness (ray generators of every cone extend to a lattice basis, by
 integer column reduction: ``lattice_index``), and the fan condition (any
 two cones meet in a common face).  A pair of maximal cones meets in its
 common face exactly when some covector vanishes on the common rays and
-separates the other rays; a covector built from the dual frame of either
-cone is tried first and accepted after an exact integer test, and a pair
-that neither frame settles gets one exact separation problem
-(``linalg.solve_system``).  A failing pair is named with a point of both
-cones found by one more.
+separates the other rays; ``separation_rows`` writes those conditions as
+``linalg.solve_system`` rows.  A covector built from the dual frame of
+either cone that violates none of them settles a pair, and any other pair
+gets the exact separation problem.  A failing pair is named with a point
+of both cones found by one more.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from .linalg import (
     RationalMatrix,
     Vector,
     dot,
+    first_violated_row,
     inverse,
     kernel_basis,
     primitive_vector,
@@ -283,18 +284,23 @@ def cone_intersection_extreme_rays(fan: Fan, c1: Cone, c2: Cone) -> set[IntVec]:
     return extreme_rays(e1 + e2, i1 + i2, fan.rank)
 
 
-def separating_covector(rank: int, rays: Sequence[IntVec], a: Cone, b: Cone) -> Vector | None:
-    """A covector separating two simplicial cones along their common rays, or None.
+def separation_rows(rays: Sequence[IntVec], a: Cone, b: Cone) -> tuple[list, list]:
+    """The separation problem of two simplicial cones as ``solve_system`` rows.
 
-    The covector m vanishes on the common rays, is >= 1 on the other rays
-    of ``a`` and <= -1 on the other rays of ``b``.  By the separation lemma
-    (Cox-Little-Schenck, *Toric Varieties*, Lemma 1.2.13) it exists
-    exactly when the cones meet in the cone on their common rays.
+    A separating covector vanishes on the common rays, is >= 1 on the other
+    rays of ``a`` and <= -1 on the other rays of ``b`` (negated to >= 1).
     """
     common = a.index_set & b.index_set
     ineqs = [(tuple(sign * x for x in rays[i - 1]), 1)
              for cone, sign in ((a, 1), (b, -1)) for i in cone.ray_indices if i not in common]
-    return solve_system([rays[i - 1] for i in sorted(common)], ineqs, rank)
+    return [rays[i - 1] for i in sorted(common)], ineqs
+
+
+def separating_covector(rank: int, rays: Sequence[IntVec], a: Cone, b: Cone) -> Vector | None:
+    """A solution of ``separation_rows``, or None.  By the separation lemma
+    (Cox-Little-Schenck, *Toric Varieties*, Lemma 1.2.13) it exists exactly
+    when the cones meet in the cone on their common rays."""
+    return solve_system(*separation_rows(rays, a, b), rank)
 
 
 def overlap_witness(rank: int, rays: Sequence[IntVec], a: Cone, b: Cone) -> IntVec:
@@ -329,42 +335,31 @@ def dual_frame(rays: Sequence[IntVec], cone: Cone) -> tuple[IntVec, ...]:
 
 def _frame_separates(rays: Sequence[IntVec], frames: dict[Cone, tuple[IntVec, ...]],
                      a: Cone, b: Cone) -> bool:
-    """Whether a dual-frame covector passes the exact test of ``separating_covector``.
+    """Whether a dual-frame covector satisfies the pair's ``separation_rows``.
 
     The candidates are the sum of a's frame over a's rays outside b, and
     minus the sum of b's frame over b's rays outside a (for each cone that
-    has a frame).  A candidate counts only once it vanishes on the common
-    rays, is >= 1 on a's other rays and <= -1 on b's, checked in integers.
+    has a frame); a candidate counts once it violates none of the rows.
     """
-    common = a.index_set & b.index_set
-    tests = [(rays[i - 1], 0 if i in common else sign)
-             for cone, sign in ((a, 1), (b, -1)) for i in cone.ray_indices]
-    for cone, sign in ((a, 1), (b, -1)):
+    eqs, ineqs = separation_rows(rays, a, b)
+    for cone, other, sign in ((a, b, 1), (b, a, -1)):
         frame = frames.get(cone)
-        if frame is None:
-            continue
-        own = [row for i, row in zip(cone.ray_indices, frame) if i not in common]
-        m = [sign * sum(col) for col in zip(*own)]
-        for u, s in tests:
-            v = sum(x * y for x, y in zip(m, u))
-            if not (s * v >= 1 if s else v == 0):
-                break
-        else:
-            return True
+        if frame is not None:
+            own = [row for i, row in zip(cone.ray_indices, frame) if i not in other.index_set]
+            if first_violated_row(eqs, ineqs, [sign * sum(col) for col in zip(*own)]) is None:
+                return True
     return False
 
 
 def _check_fan_condition(fan_rank: int, rays: tuple[IntVec, ...], cones: Sequence[Cone]) -> None:
     """Every pairwise intersection of maximal cones is the common-ray face.
 
-    A pair passes when it has a separating covector.  The separation lemma
-    accepts any covector that passes the exact test, so the two dual-frame
-    candidates of ``_frame_separates`` (computed once per full-dimensional
-    cone) are tried first; a pair that neither passes goes to the
-    separation problem ``separating_covector``, which finds one exactly
-    when one exists.  So the verdict is that of the separation problem
-    alone.  A failing pair solves one more problem for a point of the
-    intersection to name in the error.
+    A pair passes when it has a separating covector.  The two dual-frame
+    candidates of ``_frame_separates`` (frames computed once per
+    full-dimensional cone) are tried first; a pair that neither passes
+    goes to ``separating_covector``, which finds one exactly when one
+    exists, so the verdict is that of the separation problem alone.  A
+    failing pair solves one more problem for a point to name in the error.
     """
     frames = {c: dual_frame(rays, c) for c in cones if c.dim == fan_rank}
     for a, b in itertools.combinations(cones, 2):

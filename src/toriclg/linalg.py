@@ -45,11 +45,11 @@ projection read off that small RREF gives their classes.
 ``solve_system`` is the one exact linear programming entry point: it
 solves the homogeneous equalities first, runs Fourier-Motzkin elimination
 (``solve_inequalities``) on the inequalities written in a basis of their
-solution space, and maps the answer back.  The semi-projectivity
-certificate search calls it, and so does the fan-condition check for a
-pair of cones that no dual-frame covector separates (``fan``).
-Fourier-Motzkin keeps every row as a primitive integer tuple; Fractions
-appear only in its back-substitution.
+solution space, and maps the answer back; ``first_violated_row`` tests a
+vector against the same rows.  The fan condition (``fan``) and the
+semi-projectivity certificates (``semiproj``) each build their rows once
+and read them through both.  Fourier-Motzkin keeps every row as a
+primitive integer tuple; Fractions appear only in its back-substitution.
 """
 
 from __future__ import annotations
@@ -606,7 +606,10 @@ def solve_system(eqs: Sequence[Sequence], ineqs: Sequence[tuple[Sequence, int | 
     runs on the inequalities written in that basis of their solution space,
     which keeps its row count tame, and the answer is mapped back.
     """
-    basis = kernel_basis(RationalMatrix.from_rows(eqs) if eqs else RationalMatrix.zeros(0, nvars))
+    if any(len(e) != nvars for e in eqs):
+        raise LinalgError("ragged rows")
+    basis = kernel_basis(RationalMatrix(len(eqs), nvars, {  # equality rows are sparse
+        (i, t): x for i, e in enumerate(eqs) for t, x in enumerate(e) if x}))
     reduced = []
     for c, r in ineqs:
         nonzero = [(t, x) for t, x in enumerate(c) if x]  # inequality rows are sparse
@@ -615,6 +618,18 @@ def solve_system(eqs: Sequence[Sequence], ineqs: Sequence[tuple[Sequence, int | 
     if y is None:
         return None
     return tuple(sum((c * b[t] for c, b in zip(y, basis) if c), ZERO) for t in range(nvars))
+
+
+def first_violated_row(eqs: Sequence[Sequence], ineqs: Sequence[tuple], x: Sequence) -> int | None:
+    """The position of the first row of a ``solve_system`` system that x violates,
+    tested exactly (the equalities e . x = 0 first, then c . x >= r), or None."""
+    for k, e in enumerate(eqs):
+        if sum(a * v for a, v in zip(e, x, strict=True) if a):
+            return k
+    for k, (c, r) in enumerate(ineqs, len(eqs)):
+        if sum(a * v for a, v in zip(c, x, strict=True) if a) < r:
+            return k
+    return None
 
 
 def matrix_from_action(n_rows: int, n_cols: int, action: Callable[[int], Mapping[int, Fraction]]) -> RationalMatrix:

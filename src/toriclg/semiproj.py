@@ -5,6 +5,9 @@ support function with integral slopes, stored as one integer covector per
 maximal cone.  Certificates are either derived from a lattice polyhedron
 (the function v -> -min over the polyhedron of <m, v>) or found by exact
 Fourier-Motzkin elimination on the continuity/strictness constraints.
+Those constraints are written once, as one table of ``solve_system``
+rows over the stacked covectors (``_certificate_rows``): the search
+solves it and the check of any certificate reads it row by row.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import itertools
 import math
 
 from .fan import Cone, Fan, FanError, PolyhedronInput, ray_coordinates_in_cone_basis
-from .linalg import Vector, dot, kernel_basis, solve_system, vector
+from .linalg import Vector, dot, first_violated_row, kernel_basis, solve_system, vector
 # solve_system runs the Fourier-Motzkin step; perfbench/tracer.py times it by this name
 from .linalg import solve_inequalities  # noqa: F401
 
@@ -83,74 +86,54 @@ class DegenerationRelation:
 
 def adjacent_max_pairs(fan: Fan) -> list[tuple[Cone, Cone]]:
     """Unordered pairs of maximal cones sharing a facet (n-1 common rays)."""
-    out = []
-    for a, b in itertools.combinations(fan.max_cones, 2):
-        if len(a.index_set & b.index_set) == fan.rank - 1:
-            out.append((a, b))
-    return out
+    return [(a, b) for a, b in itertools.combinations(fan.max_cones, 2)
+            if len(a.index_set & b.index_set) == fan.rank - 1]
 
 
-def _certificate_constraints(fan: Fan) -> tuple[list[tuple[int, ...]],
-                                                 list[tuple[tuple[int, ...], int]], int]:
-    """Continuity equalities and strictness inequalities for a certificate.
+def _certificate_rows(fan: Fan) -> tuple[list, list, list[str]]:
+    """The certificate conditions as ``solve_system`` rows over the stacked covectors.
 
-    Unknowns: a covector per maximal cone except the first, which is
-    pinned to zero (certificates are only defined up to a global linear
-    function).  Continuity rows are homogeneous equalities; strictness
-    rows demand margin >= 1 across every facet.  Every row is integral.
+    Block p of the columns is the covector m_p of maximal cone p.  Continuity
+    <m_a - m_b, u_i> = 0 on every ray shared by a pair, in combinations order
+    (implied by facet continuity on convex support), comes before strictness
+    <m_second - m_first, u_i> >= 1 across every facet both ways, in
+    ``adjacent_max_pairs`` order.  Row k (eqs first) fails with messages[k].
     """
-    n = fan.rank
-    cones = fan.max_cones
-    nvars = n * (len(cones) - 1)
+    n, cones = fan.rank, fan.max_cones
 
-    def row(ray: tuple[int, ...], plus: int, minus: int) -> tuple[int, ...]:
-        """The coefficients of <m_plus - m_minus, ray>."""
-        coeffs = [0] * nvars
-        for pos, sign in ((plus, 1), (minus, -1)):
-            if pos:  # the first cone's covector is pinned to zero
-                base = (pos - 1) * n
-                for t in range(n):
-                    coeffs[base + t] += sign * ray[t]
+    def row(i: int, plus: int, minus: int) -> tuple[int, ...]:  # <m_plus - m_minus, u_i>
+        coeffs = [0] * (n * len(cones))
+        coeffs[plus * n:plus * n + n] = fan.ray(i)
+        coeffs[minus * n:minus * n + n] = [-x for x in fan.ray(i)]
         return tuple(coeffs)
 
-    eqs: list[tuple[int, ...]] = []
-    ineqs: list[tuple[tuple[int, ...], int]] = []
-    for a, b in adjacent_max_pairs(fan):
-        ia, ib = cones.index(a), cones.index(b)
+    names = [str(c) for c in cones]
+    eqs, ineqs, messages = [], [], []
+    for (pa, a), (pb, b) in itertools.combinations(enumerate(cones), 2):
         for i in sorted(a.index_set & b.index_set):
-            diff = row(fan.ray(i), ia, ib)
-            if any(diff):
-                eqs.append(diff)
-        for first, second in ((a, b), (b, a)):
-            i1, i2 = cones.index(first), cones.index(second)
-            for i in sorted(second.index_set - first.index_set):
-                ineqs.append((row(fan.ray(i), i2, i1), 1))
-    return eqs, ineqs, nvars
+            eqs.append(row(i, pa, pb))
+            messages.append(f"continuity fails on ray {i} shared by {names[pa]} and {names[pb]}")
+    for a, b in adjacent_max_pairs(fan):
+        pa, pb = cones.index(a), cones.index(b)
+        for first, second in ((pa, pb), (pb, pa)):
+            for i in sorted(cones[second].index_set - cones[first].index_set):
+                ineqs.append((row(i, second, first), 1))
+                messages.append(f"strict convexity fails across {names[first]}|{names[second]} at ray {i}")
+    return eqs, ineqs, messages
 
 
 def validate_certificate(fan: Fan, functionals: list[Vector]) -> str | None:
     """Return a violation message, or None when the certificate is valid.
 
-    Checks continuity on every shared ray of every pair of maximal cones
-    (stronger than facet continuity, and implied by it on convex support)
-    and strictness margin >= 1 across every facet.
+    The message is that of the first row of ``_certificate_rows`` that the
+    stacked covectors violate, with the margin for a strictness row.
     """
-    cones = fan.max_cones
-    for (pa, a), (pb, b) in itertools.combinations(enumerate(cones), 2):
-        for i in sorted(a.index_set & b.index_set):
-            va = dot(functionals[pa], fan.ray(i))
-            vb = dot(functionals[pb], fan.ray(i))
-            if va != vb:
-                return f"continuity fails on ray {i} shared by {a} and {b}"
-    for a, b in adjacent_max_pairs(fan):
-        pa, pb = cones.index(a), cones.index(b)
-        for first, fp, second, sp in ((a, pa, b, pb), (b, pb, a, pa)):
-            for i in sorted(second.index_set - first.index_set):
-                margin = dot(functionals[sp], fan.ray(i)) - dot(functionals[fp], fan.ray(i))
-                if margin < 1:
-                    return (f"strict convexity fails across {first}|{second} "
-                            f"at ray {i} (margin {margin})")
-    return None
+    eqs, ineqs, messages = _certificate_rows(fan)
+    x = [v for m in functionals for v in m]
+    k = first_violated_row(eqs, ineqs, x)
+    if k is None or k < len(eqs):
+        return None if k is None else messages[k]
+    return f"{messages[k]} (margin {dot(ineqs[k - len(eqs)][0], x)})"
 
 
 def _clear_denominators(functionals: list[Vector]) -> tuple[tuple[int, ...], ...]:
@@ -217,21 +200,19 @@ def certificate_from_polyhedron(fan: Fan, poly: PolyhedronInput) -> PLCertificat
 def search_certificate(fan: Fan) -> PLCertificate | None:
     """Exact rational feasibility search for a strictly convex certificate.
 
-    The continuity equalities and strictness inequalities go to the one LP
-    entry point ``solve_system``.
+    The one LP entry point ``solve_system`` solves ``_certificate_rows``, the first
+    covector pinned to zero: a certificate is only defined up to a linear function.
     """
     n = fan.rank
-    x = solve_system(*_certificate_constraints(fan))
+    eqs, ineqs, messages = _certificate_rows(fan)
+    x = solve_system([e[n:] for e in eqs], [(c[n:], r) for c, r in ineqs], n * (len(fan.max_cones) - 1))
     if x is None:
         return None
-    functionals: list[Vector] = [vector([0] * n)]
-    for pos in range(1, len(fan.max_cones)):
-        base = (pos - 1) * n
-        functionals.append(tuple(x[base:base + n]))
-    violation = validate_certificate(fan, functionals)
-    if violation is not None:  # pragma: no cover - search satisfies its own constraints
-        raise FanError(f"internal error: searched certificate invalid ({violation})")
-    return PLCertificate(fan, _clear_denominators(functionals))
+    cert = PLCertificate(fan, _clear_denominators([(0,) * n] + [x[p:p + n] for p in range(0, len(x), n)]))
+    k = first_violated_row(eqs, ineqs, [v for m in cert.functionals for v in m])
+    if k is not None:  # pragma: no cover - search satisfies its own constraints
+        raise FanError(f"internal error: searched certificate invalid ({messages[k]})")
+    return cert
 
 
 def check_semiprojective(fan: Fan, polyhedron: PolyhedronInput | None = None) -> SemiprojectiveReport:

@@ -236,6 +236,18 @@ class TestDegenerate:
         assert code == 2
         assert "semi-projective" in err
 
+    @pytest.mark.parametrize("argv, message", [
+        # a repeated index names the flag, as a fan file's cone #k does
+        (["degenerate", fan_path("p2"), "--sigma-m", "1,1,2"], "--sigma-m 1,1,2 repeats a ray index"),
+        (["degenerate", fan_path("p2"), "--sigma-m", "1"], "--sigma-m cone {1} is not full-dimensional"),
+        (["degenerate", fan_path("p2"), "--sigma-m", "1,9"], "[1, 9] is not a cone of the fan"),
+        (["degenerate", fan_path("p2"), "--sigma-m", "1,x"],
+         "expected a comma-separated integer list, got '1,x'"),
+        (["verify", fan_path("p1"), "--cover", "9"], "--cover index 9 outside 1..3"),
+    ])
+    def test_bad_flag_value_exits_2(self, capsys, argv, message):
+        assert run_cli(capsys, *argv, "--json") == (2, "", f"error: {message}\n")
+
 
 class TestDeterminism:
     def test_byte_identical_json(self, capsys):

@@ -18,6 +18,7 @@ from toriclg.linalg import (
     cohomology_at,
     dot,
     eliminate,
+    first_violated_row,
     inverse,
     kernel_basis,
     lift,
@@ -267,6 +268,32 @@ def test_solve_system_satisfies_every_row_exactly(system):
     assert x is not None
     assert all(dot(e, x) == 0 for e in eqs)
     assert all(dot(c, x) >= r for c, r in ineqs)
+    assert first_violated_row(eqs, ineqs, x) is None
+
+
+def test_first_violated_row_counts_equalities_first():
+    eqs = [(1, -1)]
+    ineqs = [((1, 0), 1), ((0, 1), Fraction(1, 2))]
+    assert first_violated_row(eqs, ineqs, (1, 1)) is None
+    assert first_violated_row(eqs, ineqs, (0, 1)) == 0  # the first inequality fails too
+    assert first_violated_row(eqs, ineqs, (Fraction(1, 3), Fraction(1, 3))) == 1
+    assert first_violated_row(eqs, ineqs, (Fraction(1, 2), Fraction(1, 2))) == 1
+    assert first_violated_row([], ineqs, (1, 0)) == 1
+    assert first_violated_row([], ineqs, (1, Fraction(1, 2))) is None
+
+
+@pytest.mark.parametrize("eqs, ineqs, x", [
+    ([(1, -1)], [], (1,)),  # a short vector is not read as padded with zeros
+    ([], [((1, 0, 0), 1)], (1, 1)),  # nor a long row as truncated
+])
+def test_first_violated_row_refuses_unequal_lengths(eqs, ineqs, x):
+    with pytest.raises(ValueError):
+        first_violated_row(eqs, ineqs, x)
+
+
+def test_solve_system_refuses_a_short_equality_row():
+    with pytest.raises(LinalgError, match="ragged"):
+        solve_system([(1, -1), (1,)], [], 2)
 
 
 class TestBlockMatrix:

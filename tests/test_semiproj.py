@@ -1,3 +1,4 @@
+import itertools
 import json
 from fractions import Fraction
 
@@ -18,6 +19,26 @@ from toriclg.semiproj import (
 
 def fan_json(rank, rays, max_cones, **extra):
     return json.dumps({"rank": rank, "rays": rays, "max_cones": max_cones, **extra})
+
+
+def p1_cube():
+    """(P^1)^3: rays +-e_i, one maximal cone per choice of signs."""
+    rays = [[s * int(j == i) for j in range(3)] for i in range(3) for s in (1, -1)]
+    cones = [[2 * i + 1 + side for i, side in enumerate(sides)]
+             for sides in itertools.product((0, 1), repeat=3)]
+    return fan_from_data(3, rays, cones)
+
+
+def searched_cube_certificate(fan):
+    """The searched certificate of (P^1)^3: phi(x) = sum of max(0, -x_i), margin 1 on every wall.
+
+    Pinning it keeps the message tests from following a search whose rows
+    changed sign together with the check's.
+    """
+    functionals = check_semiprojective(fan).certificate.functionals
+    assert functionals == tuple(tuple(-s for s in signs)
+                                for signs in itertools.product((0, 1), repeat=3))
+    return functionals
 
 
 class TestFourierMotzkin:
@@ -118,6 +139,22 @@ class TestCertificates:
         assert rep.semiprojective
         assert rep.certificate == check_semiprojective(p2).certificate
         assert len(rep.witnesses) == 1 and "unbounded" in rep.witnesses[0]
+
+    def test_continuity_failure_names_the_first_shared_ray(self):
+        fan = p1_cube()
+        m = [list(f) for f in searched_cube_certificate(fan)]
+        m[2][0] += 1  # cone {1,4,5} now disagrees with {1,3,5} and {1,3,6} on ray 1
+        assert validate_certificate(fan, m) == \
+            "continuity fails on ray 1 shared by {1,3,5} and {1,4,5}"
+
+    def test_strictness_failure_prints_its_margin(self):
+        # on a complete fan one covector cannot move without breaking continuity;
+        # halving the first coordinate of every covector keeps it and halves the
+        # margins across the walls x_1 = 0, which come after those of x_3 = 0
+        fan = p1_cube()
+        m = [(Fraction(f[0], 2),) + f[1:] for f in searched_cube_certificate(fan)]
+        assert validate_certificate(fan, m) == \
+            "strict convexity fails across {1,3,5}|{2,3,5} at ray 2 (margin 1/2)"
 
     def test_matching_polyhedron_works(self):
         fan, poly = load_fan_and_polyhedron("p2")
