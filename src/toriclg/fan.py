@@ -7,10 +7,11 @@ integer column reduction: ``lattice_index``), and the fan condition (any
 two cones meet in a common face).  A pair of maximal cones meets in its
 common face exactly when some covector vanishes on the common rays and
 separates the other rays; ``separation_rows`` writes those conditions as
-``linalg.solve_system`` rows.  A covector built from the dual frame of
-either cone that violates none of them settles a pair, and any other pair
-gets the exact separation problem.  A failing pair is named with a point
-of both cones found by one more.
+``linalg.solve_system`` rows, each a map {coordinate: coefficient} of a
+ray's nonzeros.  A covector built from the dual frame of either cone that
+violates none of them settles a pair, and any other pair gets the exact
+separation problem.  A failing pair is named with a point of both cones
+found by one more.
 """
 
 from __future__ import annotations
@@ -285,15 +286,15 @@ def cone_intersection_extreme_rays(fan: Fan, c1: Cone, c2: Cone) -> set[IntVec]:
 
 
 def separation_rows(rays: Sequence[IntVec], a: Cone, b: Cone) -> tuple[list, list]:
-    """The separation problem of two simplicial cones as ``solve_system`` rows.
+    """The separation problem of two simplicial cones as sparse ``solve_system`` rows.
 
     A separating covector vanishes on the common rays, is >= 1 on the other
     rays of ``a`` and <= -1 on the other rays of ``b`` (negated to >= 1).
     """
     common = a.index_set & b.index_set
-    ineqs = [(tuple(sign * x for x in rays[i - 1]), 1)
+    ineqs = [({t: sign * x for t, x in enumerate(rays[i - 1]) if x}, 1)
              for cone, sign in ((a, 1), (b, -1)) for i in cone.ray_indices if i not in common]
-    return [rays[i - 1] for i in sorted(common)], ineqs
+    return [{t: x for t, x in enumerate(rays[i - 1]) if x} for i in sorted(common)], ineqs
 
 
 def separating_covector(rank: int, rays: Sequence[IntVec], a: Cone, b: Cone) -> Vector | None:
@@ -312,13 +313,11 @@ def overlap_witness(rank: int, rays: Sequence[IntVec], a: Cone, b: Cone) -> IntV
     point is not on the common face.  Such a point exists exactly when
     ``separating_covector`` finds none.
     """
-    us = [rays[i - 1] for i in a.ray_indices]
-    vs = [rays[i - 1] for i in b.ray_indices]
-    nvars = len(us) + len(vs)
-    eqs = [tuple(u[t] for u in us) + tuple(-v[t] for v in vs) for t in range(rank)]
-    ineqs = [(tuple(int(j == k) for j in range(nvars)), 0) for k in range(nvars)]
-    ineqs.append((tuple(int(i not in b.index_set) for i in a.ray_indices) + (0,) * len(vs), 1))
-    alpha = solve_system(eqs, ineqs, nvars)[:len(us)]
+    us, vs = ([rays[i - 1] for i in cone.ray_indices] for cone in (a, b))
+    eqs = [{k: x for k, x in enumerate([u[t] for u in us] + [-v[t] for v in vs]) if x} for t in range(rank)]
+    ineqs = [({k: 1}, 0) for k in range(len(us) + len(vs))]
+    ineqs.append(({k: 1 for k, i in enumerate(a.ray_indices) if i not in b.index_set}, 1))
+    alpha = solve_system(eqs, ineqs, len(us) + len(vs))[:len(us)]
     return primitive_vector([sum((c * u[t] for c, u in zip(alpha, us)), ZERO) for t in range(rank)])
 
 

@@ -42,11 +42,13 @@ neighbours share.  A slot reduces a batch of vectors with two sparse
 products: one by d_out checks that they are cocycles, and one by a
 projection read off that small RREF gives their classes.
 
-``solve_system`` is the one exact linear programming entry point: it
-solves the homogeneous equalities first, runs Fourier-Motzkin elimination
-(``solve_inequalities``) on the inequalities written in a basis of their
-solution space, and maps the answer back; ``first_violated_row`` tests a
-vector against the same rows.  The fan condition (``fan``) and the
+``solve_system`` is the one exact linear programming entry point.  Its
+rows are sparse maps {variable: coefficient} that hold only nonzeros: the
+equalities go straight into the ``RationalMatrix`` whose ``kernel_basis``
+solves them, Fourier-Motzkin elimination (``solve_inequalities``) runs on
+the inequalities written in that basis from their nonzeros, and the answer
+is mapped back; ``first_violated_row`` tests a vector against the same
+rows (``row_value``).  The fan condition (``fan``) and the
 semi-projectivity certificates (``semiproj``) each build their rows once
 and read them through both.  Fourier-Motzkin keeps every row as a
 primitive integer tuple; Fractions appear only in its back-substitution.
@@ -598,36 +600,37 @@ def solve_inequalities(ineqs: list[tuple[Vector, Fraction]], nvars: int) -> Vect
     return tuple(x)
 
 
-def solve_system(eqs: Sequence[Sequence], ineqs: Sequence[tuple[Sequence, int | Fraction]],
+def solve_system(eqs: Sequence[Mapping], ineqs: Sequence[tuple[Mapping, int | Fraction]],
                  nvars: int) -> Vector | None:
     """Exact LP: x with e . x = 0 for every e in eqs and c . x >= r for every (c, r), or None.
 
-    The equalities are solved first (``kernel_basis``); Fourier-Motzkin then
-    runs on the inequalities written in that basis of their solution space,
-    which keeps its row count tame, and the answer is mapped back.
+    A row is a map {variable in 0..nvars-1: nonzero coefficient}.  Fourier-Motzkin
+    runs in a basis of the equalities' solutions, which keeps its row count tame.
     """
-    if any(len(e) != nvars for e in eqs):
-        raise LinalgError("ragged rows")
-    basis = kernel_basis(RationalMatrix(len(eqs), nvars, {  # equality rows are sparse
-        (i, t): x for i, e in enumerate(eqs) for t, x in enumerate(e) if x}))
-    reduced = []
-    for c, r in ineqs:
-        nonzero = [(t, x) for t, x in enumerate(c) if x]  # inequality rows are sparse
-        reduced.append((tuple(sum(x * b[t] for t, x in nonzero) for b in basis), r))
+    if any(row and (min(row) < 0 or max(row) >= nvars) for row in [*eqs, *(c for c, _ in ineqs)]):
+        raise LinalgError(f"a row names a variable outside 0..{nvars - 1}")
+    basis = kernel_basis(RationalMatrix(len(eqs), nvars, {
+        (i, t): x for i, e in enumerate(eqs) for t, x in e.items()}))
+    reduced = [(tuple(sum(x * b[t] for t, x in c.items()) for b in basis), r) for c, r in ineqs]
     y = solve_inequalities(reduced, len(basis))
-    if y is None:
-        return None
-    return tuple(sum((c * b[t] for c, b in zip(y, basis) if c), ZERO) for t in range(nvars))
+    return None if y is None else tuple(sum((c * b[t] for c, b in zip(y, basis) if c), ZERO) for t in range(nvars))
 
 
-def first_violated_row(eqs: Sequence[Sequence], ineqs: Sequence[tuple], x: Sequence) -> int | None:
+def row_value(row: Mapping, x: Sequence) -> int | Fraction:
+    """The pairing of a sparse ``solve_system`` row with x; a row that reaches outside x is refused."""
+    if row and (min(row) < 0 or max(row) >= len(x)):
+        raise LinalgError(f"a row names a variable outside 0..{len(x) - 1}")
+    return sum(a * x[t] for t, a in row.items())
+
+
+def first_violated_row(eqs: Sequence[Mapping], ineqs: Sequence[tuple], x: Sequence) -> int | None:
     """The position of the first row of a ``solve_system`` system that x violates,
     tested exactly (the equalities e . x = 0 first, then c . x >= r), or None."""
     for k, e in enumerate(eqs):
-        if sum(a * v for a, v in zip(e, x, strict=True) if a):
+        if row_value(e, x):
             return k
     for k, (c, r) in enumerate(ineqs, len(eqs)):
-        if sum(a * v for a, v in zip(c, x, strict=True) if a) < r:
+        if row_value(c, x) < r:
             return k
     return None
 

@@ -5,9 +5,10 @@ support function with integral slopes, stored as one integer covector per
 maximal cone.  Certificates are either derived from a lattice polyhedron
 (the function v -> -min over the polyhedron of <m, v>) or found by exact
 Fourier-Motzkin elimination on the continuity/strictness constraints.
-Those constraints are written once, as one table of ``solve_system``
-rows over the stacked covectors (``_certificate_rows``): the search
-solves it and the check of any certificate reads it row by row.
+Those constraints are written once, as one table of sparse ``solve_system``
+rows over the stacked covectors (``_certificate_rows``, at most 2n entries
+a row): the search solves it with n unit rows pinning the first covector,
+and the check of any certificate reads it row by row.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import itertools
 import math
 
 from .fan import Cone, Fan, FanError, PolyhedronInput, ray_coordinates_in_cone_basis
-from .linalg import Vector, dot, first_violated_row, kernel_basis, solve_system, vector
+from .linalg import Vector, dot, first_violated_row, kernel_basis, row_value, solve_system, vector
 # solve_system runs the Fourier-Motzkin step; perfbench/tracer.py times it by this name
 from .linalg import solve_inequalities  # noqa: F401
 
@@ -91,7 +92,7 @@ def adjacent_max_pairs(fan: Fan) -> list[tuple[Cone, Cone]]:
 
 
 def _certificate_rows(fan: Fan) -> tuple[list, list, list[str]]:
-    """The certificate conditions as ``solve_system`` rows over the stacked covectors.
+    """The certificate conditions as sparse ``solve_system`` rows over the stacked covectors.
 
     Block p of the columns is the covector m_p of maximal cone p.  Continuity
     <m_a - m_b, u_i> = 0 on every ray shared by a pair, in combinations order
@@ -101,11 +102,8 @@ def _certificate_rows(fan: Fan) -> tuple[list, list, list[str]]:
     """
     n, cones = fan.rank, fan.max_cones
 
-    def row(i: int, plus: int, minus: int) -> tuple[int, ...]:  # <m_plus - m_minus, u_i>
-        coeffs = [0] * (n * len(cones))
-        coeffs[plus * n:plus * n + n] = fan.ray(i)
-        coeffs[minus * n:minus * n + n] = [-x for x in fan.ray(i)]
-        return tuple(coeffs)
+    def row(i: int, plus: int, minus: int) -> dict[int, int]:  # <m_plus - m_minus, u_i>, its nonzeros
+        return {p * n + t: s * x for p, s in ((plus, 1), (minus, -1)) for t, x in enumerate(fan.ray(i)) if x}
 
     names = [str(c) for c in cones]
     eqs, ineqs, messages = [], [], []
@@ -133,7 +131,7 @@ def validate_certificate(fan: Fan, functionals: list[Vector]) -> str | None:
     k = first_violated_row(eqs, ineqs, x)
     if k is None or k < len(eqs):
         return None if k is None else messages[k]
-    return f"{messages[k]} (margin {dot(ineqs[k - len(eqs)][0], x)})"
+    return f"{messages[k]} (margin {row_value(ineqs[k - len(eqs)][0], x)})"
 
 
 def _clear_denominators(functionals: list[Vector]) -> tuple[tuple[int, ...], ...]:
@@ -201,14 +199,14 @@ def search_certificate(fan: Fan) -> PLCertificate | None:
     """Exact rational feasibility search for a strictly convex certificate.
 
     The one LP entry point ``solve_system`` solves ``_certificate_rows``, the first
-    covector pinned to zero: a certificate is only defined up to a linear function.
+    covector pinned to zero by unit rows {t: 1}: a certificate is only defined up to a linear function.
     """
     n = fan.rank
     eqs, ineqs, messages = _certificate_rows(fan)
-    x = solve_system([e[n:] for e in eqs], [(c[n:], r) for c, r in ineqs], n * (len(fan.max_cones) - 1))
+    x = solve_system([{t: 1} for t in range(n)] + eqs, ineqs, n * len(fan.max_cones))
     if x is None:
         return None
-    cert = PLCertificate(fan, _clear_denominators([(0,) * n] + [x[p:p + n] for p in range(0, len(x), n)]))
+    cert = PLCertificate(fan, _clear_denominators([x[p:p + n] for p in range(0, len(x), n)]))
     k = first_violated_row(eqs, ineqs, [v for m in cert.functionals for v in m])
     if k is not None:  # pragma: no cover - search satisfies its own constraints
         raise FanError(f"internal error: searched certificate invalid ({messages[k]})")

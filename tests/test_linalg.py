@@ -244,6 +244,11 @@ class TestFourierMotzkin:
             assert dot(c, x) >= r
 
 
+def sparse(row) -> dict:
+    """A dense row as a ``solve_system`` row: the map of its nonzeros."""
+    return {t: x for t, x in enumerate(row) if x}
+
+
 @st.composite
 def feasible_systems(draw):
     """(eqs, ineqs, nvars) with a known rational solution."""
@@ -263,17 +268,18 @@ def feasible_systems(draw):
 @settings(max_examples=150, deadline=None)
 @given(feasible_systems())
 def test_solve_system_satisfies_every_row_exactly(system):
-    eqs, ineqs, nvars = system
-    x = solve_system(eqs, ineqs, nvars)
+    eqs, ineqs, nvars = system  # dense, so that dot checks the answer independently
+    rows = [sparse(e) for e in eqs], [(sparse(c), r) for c, r in ineqs]
+    x = solve_system(*rows, nvars)
     assert x is not None
     assert all(dot(e, x) == 0 for e in eqs)
     assert all(dot(c, x) >= r for c, r in ineqs)
-    assert first_violated_row(eqs, ineqs, x) is None
+    assert first_violated_row(*rows, x) is None
 
 
 def test_first_violated_row_counts_equalities_first():
-    eqs = [(1, -1)]
-    ineqs = [((1, 0), 1), ((0, 1), Fraction(1, 2))]
+    eqs = [{0: 1, 1: -1}]
+    ineqs = [({0: 1}, 1), ({1: 1}, Fraction(1, 2))]
     assert first_violated_row(eqs, ineqs, (1, 1)) is None
     assert first_violated_row(eqs, ineqs, (0, 1)) == 0  # the first inequality fails too
     assert first_violated_row(eqs, ineqs, (Fraction(1, 3), Fraction(1, 3))) == 1
@@ -282,18 +288,26 @@ def test_first_violated_row_counts_equalities_first():
     assert first_violated_row([], ineqs, (1, Fraction(1, 2))) is None
 
 
-@pytest.mark.parametrize("eqs, ineqs, x", [
-    ([(1, -1)], [], (1,)),  # a short vector is not read as padded with zeros
-    ([], [((1, 0, 0), 1)], (1, 1)),  # nor a long row as truncated
-])
-def test_first_violated_row_refuses_unequal_lengths(eqs, ineqs, x):
-    with pytest.raises(ValueError):
-        first_violated_row(eqs, ineqs, x)
+# rows that name variable 2 or -1 of two; at x = (1, 1) Python would read
+# x[-1] silently and find each negative row satisfied
+ROWS_OUTSIDE_TWO_VARIABLES = [
+    pytest.param([{0: 1, 2: -1}], [], id="equality-too-large"),
+    pytest.param([{0: 1, -1: -1}], [], id="equality-negative"),
+    pytest.param([], [({0: 1, 2: 1}, 1)], id="inequality-too-large"),
+    pytest.param([], [({0: 1, -1: 1}, 1)], id="inequality-negative"),
+]
 
 
-def test_solve_system_refuses_a_short_equality_row():
-    with pytest.raises(LinalgError, match="ragged"):
-        solve_system([(1, -1), (1,)], [], 2)
+@pytest.mark.parametrize("eqs, ineqs", ROWS_OUTSIDE_TWO_VARIABLES)
+def test_first_violated_row_refuses_a_row_outside_x(eqs, ineqs):
+    with pytest.raises(LinalgError, match="outside 0..1"):
+        first_violated_row(eqs, ineqs, (1, 1))
+
+
+@pytest.mark.parametrize("eqs, ineqs", ROWS_OUTSIDE_TWO_VARIABLES)
+def test_solve_system_refuses_a_row_outside_nvars(eqs, ineqs):
+    with pytest.raises(LinalgError, match="outside 0..1"):
+        solve_system(eqs, ineqs, 2)
 
 
 class TestBlockMatrix:

@@ -1,17 +1,21 @@
 import itertools
 import json
+import random
 from fractions import Fraction
 
 import pytest
 
 from conftest import cn_data, load_fan_and_polyhedron
+from helpers import random_unimodular
 from toriclg import check_semiprojective, degeneration_exponent, parse_fan_file
 from toriclg.fan import FanError, fan_from_data
 from toriclg.linalg import dot
 from toriclg.semiproj import (
     REASON_NOT_CONVEX,
     REASON_NOT_FULL_DIM,
+    _certificate_rows,
     adjacent_max_pairs,
+    search_certificate,
     solve_inequalities,
     validate_certificate,
 )
@@ -27,6 +31,19 @@ def p1_cube():
     cones = [[2 * i + 1 + side for i, side in enumerate(sides)]
              for sides in itertools.product((0, 1), repeat=3)]
     return fan_from_data(3, rays, cones)
+
+
+def scrambled_p1_power(k, seed):
+    """(P^1)^k in random lattice coordinates, with its rays and cones shuffled."""
+    rng = random.Random(seed)
+    frame = random_unimodular(rng, k)
+    rays = [[s * frame[r][i] for r in range(k)] for i in range(k) for s in (1, -1)]  # +-(column i)
+    order = rng.sample(range(2 * k), 2 * k)  # new position p holds old ray order[p]
+    new_index = {old: p + 1 for p, old in enumerate(order)}
+    cones = [[new_index[2 * i + side] for i, side in enumerate(sides)]
+             for sides in itertools.product((0, 1), repeat=k)]
+    rng.shuffle(cones)
+    return fan_from_data(k, [rays[i] for i in order], cones)
 
 
 def searched_cube_certificate(fan):
@@ -155,6 +172,18 @@ class TestCertificates:
         m = [(Fraction(f[0], 2),) + f[1:] for f in searched_cube_certificate(fan)]
         assert validate_certificate(fan, m) == \
             "strict convexity fails across {1,3,5}|{2,3,5} at ray 2 (margin 1/2)"
+
+    def test_certificate_rows_are_sparse_and_the_search_pins_the_first_covector(self):
+        fan = scrambled_p1_power(4, seed=7)
+        n = fan.rank
+        eqs, ineqs, messages = _certificate_rows(fan)
+        assert len(fan.max_cones) == 16 and len(messages) == len(eqs) + len(ineqs) > 0
+        for row in eqs + [c for c, _ in ineqs]:
+            assert 0 < len(row) <= 2 * n and 0 not in row.values()
+            assert all(0 <= t < n * len(fan.max_cones) for t in row)
+        cert = search_certificate(fan)
+        assert cert.functionals[0] == (0,) * n
+        assert validate_certificate(fan, cert.functionals) is None
 
     def test_matching_polyhedron_works(self):
         fan, poly = load_fan_and_polyhedron("p2")
