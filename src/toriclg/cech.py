@@ -14,9 +14,9 @@ the full simplex over the cover, named by a tag:
 The module provides the horizontal differential, planned once per
 (tag, Cech degree, polynomial or exterior degree), the exactness check of
 the augmented complex in every degree, total complexes written by one
-assembler straight from the cached delta and local blocks,
-quasi-isomorphism verification between the three pipelines, and the
-front/back-face cup product on total-complex columns.
+assembler straight from the delta and local blocks, each a table of
+``Fan.table`` built once, quasi-isomorphism verification between the three
+pipelines, and the front/back-face cup product on total-complex columns.
 
 Sign conventions, fixed here once:
   * horizontal delta removes vertices with alternating signs;
@@ -43,10 +43,11 @@ from .linalg import (
     cohomology_at,  # noqa: F401 - perfbench/tests checks that the tracer wraps this copy
     kernel_basis,
 )
-from .srring import SRPolynomial, cone_monomial_basis, restrict, sr_basis
+from .srring import cone_monomial_basis, restrict, sr_basis
 from .twisted import (
     LGElement,
     TotalCohomology,
+    TwistedComplex,
     build_twisted,
     default_t_max,
     ext_subsets,
@@ -80,12 +81,15 @@ class CoverSimplex:
     The cover must contain every maximal cone (a cone cannot be covered
     by proper faces), and may repeat intersections; nothing assumes the
     simplex-to-cone map is injective.  Vertex order is the input order.
-    Slot bases and matrices are cached write-once, so shared read access
-    is safe.
+    Layouts, blocks, solvers, matrices and the identity-frame twisted
+    complex are tables of ``Fan.table``, written once, so shared read
+    access is safe.
     """
 
     fan: Fan
     cover: tuple[Cone, ...]
+
+    table = Fan.table
 
     def __init__(self, fan: Fan, cover: Sequence[Cone] | None = None):
         self.fan = fan
@@ -101,7 +105,7 @@ class CoverSimplex:
                 f"MAX_COVER_DEFAULT = {MAX_COVER_DEFAULT}; use a cover of at most "
                 f"{MAX_COVER_DEFAULT} cones")
         self.cover = cover
-        self._cache = {}
+        self._tables: dict = {}
 
     # -- combinatorics ------------------------------------------------
 
@@ -113,27 +117,18 @@ class CoverSimplex:
         """The p-simplices in lex order, computed once: callers must not mutate the list."""
         if p < 0 or p >= self.size:
             return []
-        key = ("simplices", p)
-        if key not in self._cache:
-            self._cache[key] = list(itertools.combinations(range(self.size), p + 1))
-        return self._cache[key]
+        return self.table(("simplices", p), lambda: list(itertools.combinations(range(self.size), p + 1)))
 
     def cone_of(self, tau: Simplex) -> Cone:
         """The intersection of the cover cones at tau: by the fan condition,
         the cone on their common rays."""
-        key = ("cone", tau)
-        if key not in self._cache:
-            self._cache[key] = self.fan.cone(frozenset.intersection(
-                *(self.cover[i].index_set for i in tau)))
-        return self._cache[key]
+        return self.table(("cone", tau), lambda: self.fan.cone(frozenset.intersection(
+            *(self.cover[i].index_set for i in tau))))
 
     # -- local bases ----------------------------------------------------
 
     def _ann_basis(self, cone: Cone) -> list[Vector]:
-        key = ("ann", cone)
-        if key not in self._cache:
-            self._cache[key] = kernel_basis(self.fan.ray_matrix(cone))
-        return self._cache[key]
+        return self.table(("ann", cone), lambda: kernel_basis(self.fan.ray_matrix(cone)))
 
     def const_matrix(self, cone: Cone, k: int) -> RationalMatrix:
         """Basis of the k-wedges (k >= 0) of the cone annihilator as columns,
@@ -144,11 +139,9 @@ class CoverSimplex:
         ``wedge_merge``; so entry (R, C) is the minor of the annihilator
         basis on rows R and columns C.
         """
-        key = ("const", cone, k)
-        if key not in self._cache:
+        def build():
             if k == 0:
-                self._cache[key] = RationalMatrix(1, 1, {(0, 0): 1})
-                return self._cache[key]
+                return RationalMatrix(1, 1, {(0, 0): 1})
             ann = self._ann_basis(cone)
             below = ext_subsets(self.fan.rank, k - 1)
             subsets = list(itertools.combinations(range(len(ann)), k - 1))
@@ -164,14 +157,12 @@ class CoverSimplex:
                         if merged:
                             at = (row[merged[1]], j)
                             ent[at] = ent.get(at, 0) + merged[0] * v * a
-            self._cache[key] = RationalMatrix(len(row), math.comb(len(ann), k), ent)
-        return self._cache[key]
+            return RationalMatrix(len(row), math.comb(len(ann), k), ent)
+
+        return self.table(("const", cone, k), build)
 
     def _const_solver(self, cone: Cone, k: int) -> LinearSolver:
-        key = ("constsolver", cone, k)
-        if key not in self._cache:
-            self._cache[key] = LinearSolver(self.const_matrix(cone, k))
-        return self._cache[key]
+        return self.table(("constsolver", cone, k), lambda: LinearSolver(self.const_matrix(cone, k)))
 
     def slot_layout(self, tag: str, p: int, k: int, m: int) -> tuple[int, dict[Simplex, int]]:
         """Total dimension and per-simplex offsets of one Cech slot.
@@ -182,14 +173,12 @@ class CoverSimplex:
         slot is the columns of ``const_matrix``.  Sizes are counted without
         building either.
         """
-        key = ("layout", tag, p, k, m)
-        if key not in self._cache:
+        def build():
             if tag == TAG_FORMS and k:
                 # every local size is C(n, k) times its size at k = 0
                 wedges = len(ext_subsets(self.fan.rank, k))
                 total, offsets = self.slot_layout(tag, p, 0, m)
-                self._cache[key] = (wedges * total, {tau: wedges * off for tau, off in offsets.items()})
-                return self._cache[key]
+                return wedges * total, {tau: wedges * off for tau, off in offsets.items()}
             if tag == TAG_FORMS:
                 size = lambda cone: len(cone_monomial_basis(self.fan, cone, m))
             elif tag == TAG_CONST:
@@ -201,8 +190,9 @@ class CoverSimplex:
             for tau in self.simplices(p):
                 offsets[tau] = total
                 total += size(self.cone_of(tau))
-            self._cache[key] = (total, offsets)
-        return self._cache[key]
+            return total, offsets
+
+        return self.table(("layout", tag, p, k, m), build)
 
     # -- restriction blocks ---------------------------------------------
 
@@ -211,22 +201,20 @@ class CoverSimplex:
         monomials of degree m on src that restriction to dst keeps (the
         others it kills); B is ``cone_monomial_basis``, or for src None the
         global ``sr_basis``."""
-        key = ("keep", src.ray_indices if src is not None else None, dst.ray_indices, m)
-        if key not in self._cache:
+        def build():
             src_basis = sr_basis(self.fan, m) if src is None else cone_monomial_basis(self.fan, src, m)
             dst_basis = cone_monomial_basis(self.fan, dst, m)
             # dst's basis holds every monomial of degree m supported on dst
             index = {mono: i for i, mono in enumerate(dst_basis)}
             pairs = tuple((j, i) for j, i in enumerate(map(index.get, src_basis)) if i is not None)
-            self._cache[key] = (len(src_basis), len(dst_basis), pairs)
-        return self._cache[key]
+            return len(src_basis), len(dst_basis), pairs
+
+        return self.table(("keep", src.ray_indices if src is not None else None, dst.ray_indices, m), build)
 
     def _const_restriction(self, src: Cone, dst: Cone, k: int) -> RationalMatrix:
         """Inclusion of annihilator wedges, written in the bases."""
-        key = ("constres", src.ray_indices, dst.ray_indices, k)
-        if key not in self._cache:
-            self._cache[key] = self._const_solver(dst, k).solve(self.const_matrix(src, k))
-        return self._cache[key]
+        return self.table(("constres", src.ray_indices, dst.ray_indices, k),
+                          lambda: self._const_solver(dst, k).solve(self.const_matrix(src, k)))
 
     # -- matrices --------------------------------------------------------
 
@@ -240,22 +228,19 @@ class CoverSimplex:
         most (tau, face) pairs repeat.  A forms local size at (k, m) is C(n, k)
         times its size at (0, m), so one forms plan serves every k.
         """
-        key = ("plan", tag, p, q)
-        if key not in self._cache:
-            faces = self._cache.get(("faces", p))
-            if faces is None:
-                faces = self._cache[("faces", p)] = [
-                    (tau, tau[:j] + tau[j + 1:], -1 if j % 2 else 1, self.cone_of(tau),
-                     self.cone_of(tau[:j] + tau[j + 1:]))
-                    for tau in self.simplices(p + 1) for j in range(len(tau))]
+        def build():
+            faces = self.table(("faces", p), lambda: [
+                (tau, tau[:j] + tau[j + 1:], -1 if j % 2 else 1, self.cone_of(tau),
+                 self.cone_of(tau[:j] + tau[j + 1:]))
+                for tau in self.simplices(p + 1) for j in range(len(tau))])
             k, m = (0, q) if tag == TAG_FORMS else (q, 0)
             src_off = self.slot_layout(tag, p, k, m)[1]
             dst_off = self.slot_layout(tag, p + 1, k, m)[1]
-            self._cache[key] = [
-                (dst_off[tau], src_off[face], sign, self._keep_pairs(src, dst, m)
-                 if tag == TAG_FORMS else self._const_restriction(src, dst, k))
-                for tau, face, sign, dst, src in faces]
-        return self._cache[key]
+            return [(dst_off[tau], src_off[face], sign, self._keep_pairs(src, dst, m)
+                     if tag == TAG_FORMS else self._const_restriction(src, dst, k))
+                    for tau, face, sign, dst, src in faces]
+
+        return self.table(("plan", tag, p, q), build)
 
     def delta_matrix(self, tag: str, p: int, k: int, m: int) -> RationalMatrix:
         """Horizontal differential from Cech degree p to p + 1.
@@ -264,8 +249,7 @@ class CoverSimplex:
         for const (``_delta_plan``); the (tau, face) blocks are disjoint, so
         each entry is set once.
         """
-        key = ("delta", tag, p, k, m)
-        if key not in self._cache:
+        def build():
             ent: dict[tuple[int, int], int | Fraction] = {}
             if tag == TAG_FORMS:
                 # identity on the wedge part, keep-or-kill on monomials
@@ -280,26 +264,21 @@ class CoverSimplex:
             else:
                 for r, c, sign, blk in self._delta_plan(tag, p, k):
                     ent.update(((r + i, c + j), sign * v) for (i, j), v in blk.entries.items())
-            self._cache[key] = RationalMatrix(self.slot_layout(tag, p + 1, k, m)[0],
-                                              self.slot_layout(tag, p, k, m)[0], ent)
-        return self._cache[key]
+            return RationalMatrix(self.slot_layout(tag, p + 1, k, m)[0],
+                                  self.slot_layout(tag, p, k, m)[0], ent)
 
-    def global_forms(self) -> tuple[SRPolynomial, ...]:
-        key = ("globalforms",)
-        if key not in self._cache:
-            self._cache[key] = build_twisted(self.fan).linear_forms
-        return self._cache[key]
+        return self.table(("delta", tag, p, k, m), build)
+
+    def twisted(self) -> TwistedComplex:
+        """The fan's twisted complex in the identity frame, built once per cover."""
+        return self.table(("twisted",), lambda: build_twisted(self.fan))
 
     def _local_vertical(self, cone: Cone, k: int, m: int) -> RationalMatrix:
         """Twisted vertical differential on the forms of one cone, from (k, m) to
         (k - 1, m + 2), with the coefficient forms restricted to the cone."""
-        key = ("localvert", cone, k, m)
-        if key not in self._cache:
-            fkey = ("forms", cone)
-            if fkey not in self._cache:
-                self._cache[fkey] = [restrict(f, cone) for f in self.global_forms()]
-            self._cache[key] = koszul_block(self.fan, self._cache[fkey], k, m, cone)
-        return self._cache[key]
+        forms = lambda: [restrict(f, cone) for f in self.twisted().linear_forms]
+        return self.table(("localvert", cone, k, m), lambda: koszul_block(
+            self.fan, self.table(("forms", cone), forms), k, m, cone))
 
     def augmentation_matrix(self, m: int) -> RationalMatrix:
         """Restriction of global functions to the degree-0 Cech slot.
@@ -380,13 +359,10 @@ class CoverSimplex:
 
     def const_total_matrix(self, t: int) -> RationalMatrix:
         """Total differential delta on the const double complex (zero vertical)."""
-        key = ("consttotal", t)
-        if key not in self._cache:
-            def arrows(p, k, m):
-                yield (p + 1, k, m), 1, self.delta_matrix(TAG_CONST, p, k, m)
+        def arrows(p, k, m):
+            yield (p + 1, k, m), 1, self.delta_matrix(TAG_CONST, p, k, m)
 
-            self._cache[key] = self._assemble(TAG_CONST, TAG_CONST, t, t + 1, arrows)
-        return self._cache[key]
+        return self.table(("consttotal", t), lambda: self._assemble(TAG_CONST, TAG_CONST, t, t + 1, arrows))
 
     def forms_total_matrix(self, t: int) -> RationalMatrix:
         """Total differential delta + (-1)^p vertical on the forms double complex.
@@ -395,26 +371,20 @@ class CoverSimplex:
         the vertical ones from the cached local Koszul blocks of the simplex
         cones (``_local_vertical``), each at its simplex's offsets.
         """
-        key = ("formstotal", t)
-        if key not in self._cache:
-            def arrows(p, k, m):
-                yield (p + 1, k, m), 1, self.delta_matrix(TAG_FORMS, p, k, m)
-                if k >= 1:
-                    yield (p, k - 1, m + 2), (-1) ** p, lambda cone: self._local_vertical(cone, k, m)
+        def arrows(p, k, m):
+            yield (p + 1, k, m), 1, self.delta_matrix(TAG_FORMS, p, k, m)
+            if k >= 1:
+                yield (p, k - 1, m + 2), (-1) ** p, lambda cone: self._local_vertical(cone, k, m)
 
-            self._cache[key] = self._assemble(TAG_FORMS, TAG_FORMS, t, t + 1, arrows)
-        return self._cache[key]
+        return self.table(("formstotal", t), lambda: self._assemble(TAG_FORMS, TAG_FORMS, t, t + 1, arrows))
 
     def inclusion_matrix(self, t: int) -> RationalMatrix:
         """Chain map from the const total space into the forms total space."""
-        key = ("inclusion", t)
-        if key not in self._cache:
-            # at m = 0 the local forms basis is exactly the ambient wedge basis
-            def arrows(p, k, m):
-                yield (p, k, m), 1, lambda cone: self.const_matrix(cone, k)
+        # at m = 0 the local forms basis is exactly the ambient wedge basis
+        def arrows(p, k, m):
+            yield (p, k, m), 1, lambda cone: self.const_matrix(cone, k)
 
-            self._cache[key] = self._assemble(TAG_CONST, TAG_FORMS, t, t, arrows)
-        return self._cache[key]
+        return self.table(("inclusion", t), lambda: self._assemble(TAG_CONST, TAG_FORMS, t, t, arrows))
 
 
 # -- exactness -----------------------------------------------------------------
@@ -547,7 +517,7 @@ def verify_quasi_iso(cs: CoverSimplex, t_max: int | None = None) -> QuasiIsoRepo
         t_max = default_t_max(cs.fan)
     const = constant_total_cohomology(cs, t_max)
     forms = forms_total_cohomology(cs, t_max)
-    twisted_dims = lg_cohomology(build_twisted(cs.fan), t_max).dims
+    twisted_dims = lg_cohomology(cs.twisted(), t_max).dims
 
     def chain_map_at(t: int) -> bool:
         return (cs.forms_total_matrix(t) @ cs.inclusion_matrix(t)

@@ -109,8 +109,8 @@ class Fan:
 
     ``_tables`` caches tables computed from the fan alone: the monomial
     bases of ``srring``, the Koszul index maps of ``twisted`` and the
-    ray coordinates of ``ray_coordinates_in_cone_basis``.  Each entry
-    is written once and never mutated, so concurrent reads stay safe.
+    ray coordinates of ``ray_coordinates_in_cone_basis``.  ``table`` is the
+    engine's one memo: ``TwistedComplex`` and ``CoverSimplex`` use it too.
     """
 
     def __init__(self, rank: int, rays: tuple[IntVec, ...], max_cones: tuple[Cone, ...],
@@ -131,7 +131,10 @@ class Fan:
         return len(self.rays)
 
     def table(self, key: tuple, build):
-        """The cached table under key, built by ``build()`` on first use; the first one stored wins."""
+        """The table under key in ``self._tables``, built by ``build()`` on first use.
+        An entry is written once (the first one stored wins) and never replaced or
+        mutated, so concurrent reads stay safe; only the twisted complex's dict of
+        cohomology slots changes, as ``total_cohomology`` adds degrees to it."""
         value = self._tables.get(key)
         return value if value is not None else self._tables.setdefault(key, build())
 

@@ -48,37 +48,33 @@ class TwistedComplex:
 
     Slot (k, m) holds wedges of k frame covectors with polynomial
     coefficients of doubled degree m; the differential lands in slot
-    (k-1, m+2).  Blocks, total differentials and the cohomology slots
-    that ``lg_cohomology`` builds are cached write-once, so each total
-    differential is eliminated once and reads are safe to share.
+    (k-1, m+2).  Blocks, total differentials and the dict of cohomology
+    slots that ``lg_cohomology`` extends are tables (``Fan.table``), so each
+    total differential is eliminated once; slot bases are not kept.
     """
 
-    __slots__ = ("fan", "frame", "linear_forms", "_blocks", "_bases", "_totals", "_slots")
+    __slots__ = ("fan", "frame", "linear_forms", "_tables")
+
+    table = Fan.table
 
     def __init__(self, fan: Fan, frame: tuple[tuple[int, ...], ...],
                  linear_forms: tuple[SRPolynomial, ...]):
         self.fan = fan
         self.frame = frame
         self.linear_forms = linear_forms
-        self._blocks, self._bases, self._totals, self._slots = {}, {}, {}, {}
+        self._tables: dict = {}
 
     @property
     def rank(self) -> int:
         return self.fan.rank
 
     def basis(self, k: int, m: int) -> list[tuple[Monomial, ExtIndex]]:
-        key = (k, m)
-        if key not in self._bases:
-            monos = sr_basis(self.fan, m)
-            self._bases[key] = [(mono, s) for s in ext_subsets(self.rank, k) for mono in monos]
-        return self._bases[key]
+        monos = sr_basis(self.fan, m)
+        return [(mono, s) for s in ext_subsets(self.rank, k) for mono in monos]
 
     def block(self, k: int, m: int) -> RationalMatrix:
         """Differential matrix on slot (k, m), landing in (k-1, m+2)."""
-        key = (k, m)
-        if key not in self._blocks:
-            self._blocks[key] = koszul_block(self.fan, self.linear_forms, k, m)
-        return self._blocks[key]
+        return self.table(("block", k, m), lambda: koszul_block(self.fan, self.linear_forms, k, m))
 
     def total_blocks(self, t: int) -> list[tuple[int, int]]:
         """(k, m) slots of total degree t = m + k, ordered by k."""
@@ -90,28 +86,23 @@ class TwistedComplex:
         return out
 
     def total_basis(self, t: int) -> list[tuple[Monomial, ExtIndex]]:
-        out = []
-        for k, m in self.total_blocks(t):
-            out.extend(self.basis(k, m))
-        return out
+        return [b for k, m in self.total_blocks(t) for b in self.basis(k, m)]
 
     def total_differential(self, t: int) -> RationalMatrix:
         """Matrix of the differential from total degree t to t + 1."""
-        if t not in self._totals:
-            self._totals[t] = self._assemble_total(t)
-        return self._totals[t]
+        return self.table(("total", t), lambda: self._assemble_total(t))
 
     def _assemble_total(self, t: int) -> RationalMatrix:
         src_blocks = self.total_blocks(t)
         dst_blocks = self.total_blocks(t + 1)
         dst_pos = {km: i for i, km in enumerate(dst_blocks)}
-        row_sizes = [len(self.basis(k, m)) for k, m in dst_blocks]
-        col_sizes = [len(self.basis(k, m)) for k, m in src_blocks]
+        size = lambda k, m: math.comb(self.rank, k) * len(sr_basis(self.fan, m))
         blocks = {}
         for j, (k, m) in enumerate(src_blocks):
             if k >= 1 and (k - 1, m + 2) in dst_pos:
                 blocks[(dst_pos[(k - 1, m + 2)], j)] = self.block(k, m)
-        return linalg.block_matrix(row_sizes, col_sizes, blocks)
+        return linalg.block_matrix([size(*km) for km in dst_blocks],
+                                   [size(*km) for km in src_blocks], blocks)
 
 
 def _index_maps(fan: Fan, cone: Cone | None, m: int) -> tuple[int, int, dict[Monomial, list[int]]]:
@@ -291,7 +282,7 @@ def lg_cohomology(tc: TwistedComplex, t_max: int | None = None,
     if t_max is None:
         t_max = default_t_max(tc.fan)
     if lsop is None or not lsop.regular:
-        return total_cohomology(t_max, tc.total_differential, tc._slots)
+        return total_cohomology(t_max, tc.total_differential, tc.table(("slots",), dict))
     return TotalCohomology(t_max, {t: None if t % 2 or t > 2 * tc.rank else lsop.slots[t // 2]
                                    for t in range(t_max + 1)})
 

@@ -151,7 +151,7 @@ def test_twisted_slots_of_fan_files(name):
         assert slot._d_out is d_out
     # the ring reads the slots lg_cohomology left on the complex
     assert ring_structure(tc, t_max).dims == coh.dims
-    assert all(tc._slots[t] is coh.slots[t] for t in range(t_max + 1))
+    assert all(tc._tables[("slots",)][t] is coh.slots[t] for t in range(t_max + 1))
 
 
 @pytest.mark.parametrize("name", FAN_NAMES)
@@ -235,10 +235,11 @@ def test_no_float_anywhere(name):
     verify_exactness(cs, 2 * fan.rank + 4)
     ls = lsop_check(tc)  # its eliminations stay cached on the blocks
     quotient_ring = ring_structure(tc, t_max, ls)
-    held = [*tc._blocks.values(), *tc._totals.values(), *tc._slots.values(), *ls.slots,
+    held = [*(v for v in tc._tables.values() if isinstance(v, RationalMatrix)),
+            *tc._tables[("slots",)].values(), *ls.slots,
             *constant_total_cohomology(cs, t_max).slots.values(),
             *forms_total_cohomology(cs, t_max).slots.values(),
-            *(v for v in cs._cache.values() if isinstance(v, (RationalMatrix, LinearSolver)))]
+            *(v for v in cs._tables.values() if isinstance(v, (RationalMatrix, LinearSolver)))]
     numbers = [v for obj in held for v in exact_numbers(obj)]
     numbers += [v for r in (ring, quotient_ring) for coords in r.constants.values() for v in coords]
     assert numbers

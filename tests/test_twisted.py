@@ -25,10 +25,10 @@ from toriclg import (
     ring_structure,
     sr_basis,
 )
-from toriclg.cech import CoverSimplex, verify_exactness, verify_quasi_iso
+from toriclg.cech import CoverSimplex, default_m_max, verify_exactness, verify_quasi_iso
 from toriclg.cli import main
 from toriclg.fan import Cone, FanError, fan_from_data
-from toriclg import linalg, twisted
+from toriclg import cech, linalg, twisted
 from toriclg.linalg import LinearSolver, RationalMatrix, cohomology_at
 from toriclg.srring import cone_monomial_basis
 from toriclg.twisted import _index_maps, default_t_max, koszul_block, lg_multiply
@@ -133,7 +133,7 @@ def test_quotient_ring_equals_twisted_ring(name, t_max):
     assert ring.basis == reference.basis
     assert ring.representatives == reference.representatives
     assert ring.constants == reference.constants
-    assert not tc._slots  # no twisted slot was built
+    assert not tc._tables.get(("slots",))  # no twisted slot was built
 
 
 @pytest.mark.parametrize("name", sorted(NON_REGULAR_FANS))
@@ -532,3 +532,45 @@ def test_cached_tables_survive_every_job():
     fresh = oracle_fan("P3")
     for key, value in fan._tables.items():
         assert value == fresh_table(fresh, key), key
+
+
+def spy_calls(monkeypatch, builders) -> dict:
+    """Count the calls of each (owner, name) in builders."""
+    calls = {}
+    for owner, name in builders:
+        def spy(*args, _build=getattr(owner, name), _key=(owner, name), **kwargs):
+            calls[_key] = calls.get(_key, 0) + 1
+            return _build(*args, **kwargs)
+        monkeypatch.setattr(owner, name, spy)
+    return calls
+
+
+def assert_built_once(monkeypatch, owner, builders, job):
+    # a second job on the same object reads every table the first one built
+    calls = spy_calls(monkeypatch, builders)
+    job()
+    first, tables = dict(calls), dict(owner._tables)
+    assert set(first) == set(builders)
+    job()
+    assert calls == first
+    assert owner._tables.keys() == tables.keys()
+    assert all(owner._tables[key] is value for key, value in tables.items())
+    return first
+
+
+@pytest.mark.parametrize("name", ["p2", "S7"])
+def test_cover_tables_are_built_once(monkeypatch, name):
+    cs = CoverSimplex(oracle_fan(name))
+    builders = [(cech, "kernel_basis"), (LinearSolver, "__init__"), (cech, "koszul_block"),
+                (cech, "restrict"), (cech, "build_twisted"), (CoverSimplex, "_assemble"),
+                (twisted, "koszul_block"), (linalg, "block_matrix")]
+    first = assert_built_once(monkeypatch, cs, builders, lambda: (
+        verify_exactness(cs, default_m_max(cs.fan)), verify_quasi_iso(cs)))
+    # one identity-frame twisted complex serves the local forms and the twisted dims
+    assert first[(cech, "build_twisted")] == 1
+
+
+def test_twisted_tables_are_built_once(monkeypatch, zero2):
+    tc = build_twisted(zero2)
+    builders = [(twisted, "koszul_block"), (linalg, "block_matrix"), (twisted, "cohomology_at")]
+    assert_built_once(monkeypatch, tc, builders, lambda: (lg_cohomology(tc), ring_structure(tc)))
