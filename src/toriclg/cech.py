@@ -13,10 +13,12 @@ the full simplex over the cover, named by a tag:
 
 The module provides the horizontal differential, planned once per
 (tag, Cech degree, polynomial or exterior degree), the exactness check of
-the augmented complex in every degree, total complexes written by one
-assembler straight from the delta and local blocks, each a table of
-``Fan.table`` built once, quasi-isomorphism verification between the three
-pipelines, and the front/back-face cup product on total-complex columns.
+the augmented complex in every degree, total complexes written by the
+twisted complex's writer ``total_matrix`` from one map per slot (the delta,
+and the block-diagonal vertical and inclusion maps over the simplex cones),
+each a table of ``Fan.table`` built once, quasi-isomorphism verification
+between the three pipelines, and the front/back-face cup product on
+total-complex columns.
 
 Sign conventions, fixed here once:
   * horizontal delta removes vertices with alternating signs;
@@ -51,10 +53,12 @@ from .twisted import (
     build_twisted,
     default_t_max,
     ext_subsets,
+    graded_slots,
     koszul_block,
     lg_cohomology,
     lg_multiply,
     total_cohomology,
+    total_matrix,
     wedge_merge,
 )
 
@@ -63,11 +67,15 @@ TAG_CONST = "const"
 
 Simplex = tuple[int, ...]  # sorted 0-based cover positions
 
-# Largest cover; the complexes enumerate its 2^size - 1 simplices.  verify on the
-# 7-, 8- and 9-ray surfaces (covered by their 7, 8, 9 maximal cones) takes 0.14,
-# 0.14 and 0.23 s and 17, 19 and 24 MB; from 12 cones (1.4 s, 114 MB) each cone
-# about doubles both, and 14 take 5.9 s and 416 MB, past the 5 s / 250 MB of the
-# CLI's MAX_DEGREE (median of 5 runs, peak RSS of the child; 2-core VM, Python 3.11.7).
+# Largest cover; the complexes enumerate its 2^size - 1 simplices.  The limit
+# counts cones, not work, and was measured on surfaces only: verify on the 7-, 8-
+# and 9-ray surfaces (covered by their 7, 8, 9 maximal cones) takes 0.14, 0.14
+# and 0.23 s and 17, 19 and 24 MB; from 12 cones (1.4 s, 114 MB) each cone about
+# doubles both, and 14 take 5.9 s and 416 MB, past the 5 s / 250 MB of the CLI's
+# MAX_DEGREE (median of 5 runs, peak RSS of the child; 2-core VM, Python 3.11.7).
+# In higher rank it admits far more work: verify on P^6 (7 cones) passed 2.3 GB
+# RSS 37 s into the job, still growing when it was killed.  A limit on the work
+# itself is ROADMAP item 7.
 MAX_COVER_DEFAULT = 8
 
 
@@ -299,14 +307,15 @@ class CoverSimplex:
     def total_blocks(self, tag: str, t: int) -> list[tuple[int, int, int]]:
         """Slots (p, k, m) of total degree t = p + k + m, ordered by p then k.
 
-        Forms slots have even m; const slots have m = 0.
+        Forms slots are p times the twisted slots (``graded_slots``); const
+        slots have m = 0.
         """
         out = []
-        for p in range(0, min(self.size - 1, t) + 1):
-            for k in range(0, min(self.fan.rank, t - p) + 1):
-                m = t - p - k
-                if m == 0 or (tag == TAG_FORMS and m % 2 == 0):
-                    out.append((p, k, m))
+        for p in range(min(self.size - 1, t) + 1):
+            if tag == TAG_FORMS:
+                out += [(p, k, m) for k, m in graded_slots(self.fan.rank, t - p)]
+            elif t - p <= self.fan.rank:
+                out.append((p, t - p, 0))
         return out
 
     def _total_layout(self, tag: str, t: int) -> tuple[int, dict[tuple[int, int, int], int]]:
@@ -319,72 +328,44 @@ class CoverSimplex:
             total += self.slot_layout(tag, *b)[0]
         return total, offsets
 
-    def _assemble(self, src_tag: str, dst_tag: str, t_src: int, t_dst: int,
-                  arrows) -> RationalMatrix:
-        """Matrix between the total spaces (src_tag, t_src) and (dst_tag, t_dst).
+    def _total(self, src_tag: str, dst_tag: str, t_src: int, t_dst: int, maps) -> RationalMatrix:
+        """``total_matrix`` between the total spaces (src_tag, t_src) and (dst_tag, t_dst)."""
+        sizes = lambda tag, t: {b: self.slot_layout(tag, *b)[0] for b in self.total_blocks(tag, t)}
+        return total_matrix(sizes(src_tag, t_src), sizes(dst_tag, t_dst), maps)
 
-        ``arrows(p, k, m)`` yields (target slot, sign, block) for one source
-        slot: a matrix between the two slots, or a function of a cone whose
-        values go on the diagonal, one block per p-simplex.  Each block is
-        checked against its slot (the diagonal ones must tile it in simplex
-        order) and its entries are copied once, times sign, so the result is
-        not validated again.  A missing target slot takes no block.
-        """
-        src = [(slot, list(arrows(*slot))) for slot in self.total_blocks(src_tag, t_src)]
-        rows, row_off = self._total_layout(dst_tag, t_dst)
-        ent: dict[tuple[int, int], int | Fraction] = {}
-        cols = 0
-        for (p, k, m), out in src:
-            width, src_off = self.slot_layout(src_tag, p, k, m)
-            for target, sign, block in out:
-                if target not in row_off:
-                    continue
-                height, dst_off = self.slot_layout(dst_tag, *target)
-                if isinstance(block, RationalMatrix):
-                    pieces = [(0, 0, block)]
-                else:
-                    pieces = [(dst_off[tau], src_off[tau], block(self.cone_of(tau)))
-                              for tau in self.simplices(p)]
-                r_end = c_end = 0
-                for r, c, blk in pieces:
-                    if (r, c) != (r_end, c_end):
-                        raise CechError(f"a block of {target} does not fit its slot")
-                    r_end, c_end = r + blk.rows, c + blk.cols
-                    r, c = r + row_off[target], c + cols
-                    ent.update(((r + i, c + j), sign * v) for (i, j), v in blk.entries.items())
-                if (r_end, c_end) != (height, width):
-                    raise CechError(f"the blocks of {target} do not fill their slot")
-            cols += width
-        return RationalMatrix._trusted(rows, cols, ent)
+    def _diagonal(self, p: int, block) -> RationalMatrix:
+        """The block-diagonal map of a slot of Cech degree p: ``block(cone)``
+        on the cone of each p-simplex, in simplex order."""
+        blocks = [block(self.cone_of(tau)) for tau in self.simplices(p)]
+        return linalg.block_matrix([b.rows for b in blocks], [b.cols for b in blocks],
+                                   {(i, i): b for i, b in enumerate(blocks)})
 
     def const_total_matrix(self, t: int) -> RationalMatrix:
         """Total differential delta on the const double complex (zero vertical)."""
-        def arrows(p, k, m):
-            yield (p + 1, k, m), 1, self.delta_matrix(TAG_CONST, p, k, m)
-
-        return self.table(("consttotal", t), lambda: self._assemble(TAG_CONST, TAG_CONST, t, t + 1, arrows))
+        maps = lambda p, k, m: [((p + 1, k, m), self.delta_matrix(TAG_CONST, p, k, m))]
+        return self.table(("consttotal", t), lambda: self._total(TAG_CONST, TAG_CONST, t, t + 1, maps))
 
     def forms_total_matrix(self, t: int) -> RationalMatrix:
         """Total differential delta + (-1)^p vertical on the forms double complex.
 
-        The delta entries are copied from the cached ``delta_matrix``, and
-        the vertical ones from the cached local Koszul blocks of the simplex
-        cones (``_local_vertical``), each at its simplex's offsets.
+        The delta of a slot is the cached ``delta_matrix``; its vertical map
+        is block-diagonal over the cached local Koszul blocks of the simplex
+        cones (``_local_vertical``), negated at odd p.
         """
-        def arrows(p, k, m):
-            yield (p + 1, k, m), 1, self.delta_matrix(TAG_FORMS, p, k, m)
-            if k >= 1:
-                yield (p, k - 1, m + 2), (-1) ** p, lambda cone: self._local_vertical(cone, k, m)
+        def maps(p, k, m):
+            yield (p + 1, k, m), self.delta_matrix(TAG_FORMS, p, k, m)
+            if k:
+                vertical = self._diagonal(p, lambda cone: self._local_vertical(cone, k, m))
+                yield (p, k - 1, m + 2), vertical.scale(-1) if p % 2 else vertical
 
-        return self.table(("formstotal", t), lambda: self._assemble(TAG_FORMS, TAG_FORMS, t, t + 1, arrows))
+        return self.table(("formstotal", t), lambda: self._total(TAG_FORMS, TAG_FORMS, t, t + 1, maps))
 
     def inclusion_matrix(self, t: int) -> RationalMatrix:
-        """Chain map from the const total space into the forms total space."""
+        """Chain map from the const total space into the forms total space:
+        on each slot, block-diagonal over the cones' ``const_matrix``."""
         # at m = 0 the local forms basis is exactly the ambient wedge basis
-        def arrows(p, k, m):
-            yield (p, k, m), 1, lambda cone: self.const_matrix(cone, k)
-
-        return self.table(("inclusion", t), lambda: self._assemble(TAG_CONST, TAG_FORMS, t, t, arrows))
+        maps = lambda p, k, m: [((p, k, m), self._diagonal(p, lambda cone: self.const_matrix(cone, k)))]
+        return self.table(("inclusion", t), lambda: self._total(TAG_CONST, TAG_FORMS, t, t, maps))
 
 
 # -- exactness -----------------------------------------------------------------

@@ -650,7 +650,13 @@ def matrix_from_action(n_rows: int, n_cols: int, action: Callable[[int], Mapping
 
 def block_matrix(row_sizes: Sequence[int], col_sizes: Sequence[int],
                  blocks: Mapping[tuple[int, int], RationalMatrix]) -> RationalMatrix:
-    """Assemble a sparse block matrix; missing blocks are zero."""
+    """Assemble a sparse block matrix; missing blocks are zero.
+
+    The one writer of the total differentials (``twisted.total_matrix``)
+    and of the block-diagonal maps they place.  Each block must have the
+    shape of its row and column sizes; its entries are adopted as they
+    are, without validating them again.
+    """
     row_off = [0]
     for s in row_sizes:
         row_off.append(row_off[-1] + s)

@@ -43,6 +43,25 @@ def wedge_merge(s: ExtIndex, t: ExtIndex) -> tuple[int, ExtIndex] | None:
     return (-1 if inversions % 2 else 1), tuple(sorted(s + t))
 
 
+def graded_slots(n: int, t: int) -> list[tuple[int, int]]:
+    """The slots (k, m) of total degree t = k + m of the rank-n complex,
+    ordered by k: 0 <= k <= n and m >= 0 even."""
+    return [(k, t - k) for k in range(min(n, t) + 1) if (t - k) % 2 == 0]
+
+
+def total_matrix(src: dict, dst: dict, maps: Callable) -> RationalMatrix:
+    """The map between two total spaces, each the sum of its slots in the
+    order of the dict that gives each slot's dimension.
+
+    ``maps(*slot)`` yields (target slot, map) for one source slot; a target
+    that ``dst`` lacks takes no block.  ``linalg.block_matrix`` places each
+    map at its slots' offsets and checks its shape.
+    """
+    pos = {slot: i for i, slot in enumerate(dst)}
+    return linalg.block_matrix(list(dst.values()), list(src.values()), {
+        (pos[target], j): a for j, slot in enumerate(src) for target, a in maps(*slot) if target in pos})
+
+
 class TwistedComplex:
     """Graded complex with cached per-slot differential matrices.
 
@@ -53,14 +72,12 @@ class TwistedComplex:
     total differential is eliminated once; slot bases are not kept.
     """
 
-    __slots__ = ("fan", "frame", "linear_forms", "_tables")
+    __slots__ = ("fan", "linear_forms", "_tables")
 
     table = Fan.table
 
-    def __init__(self, fan: Fan, frame: tuple[tuple[int, ...], ...],
-                 linear_forms: tuple[SRPolynomial, ...]):
+    def __init__(self, fan: Fan, linear_forms: tuple[SRPolynomial, ...]):
         self.fan = fan
-        self.frame = frame
         self.linear_forms = linear_forms
         self._tables: dict = {}
 
@@ -78,31 +95,18 @@ class TwistedComplex:
 
     def total_blocks(self, t: int) -> list[tuple[int, int]]:
         """(k, m) slots of total degree t = m + k, ordered by k."""
-        out = []
-        for k in range(0, min(self.rank, t) + 1):
-            m = t - k
-            if m >= 0 and m % 2 == 0:
-                out.append((k, m))
-        return out
+        return graded_slots(self.rank, t)
 
     def total_basis(self, t: int) -> list[tuple[Monomial, ExtIndex]]:
         return [b for k, m in self.total_blocks(t) for b in self.basis(k, m)]
 
     def total_differential(self, t: int) -> RationalMatrix:
-        """Matrix of the differential from total degree t to t + 1."""
-        return self.table(("total", t), lambda: self._assemble_total(t))
-
-    def _assemble_total(self, t: int) -> RationalMatrix:
-        src_blocks = self.total_blocks(t)
-        dst_blocks = self.total_blocks(t + 1)
-        dst_pos = {km: i for i, km in enumerate(dst_blocks)}
-        size = lambda k, m: math.comb(self.rank, k) * len(sr_basis(self.fan, m))
-        blocks = {}
-        for j, (k, m) in enumerate(src_blocks):
-            if k >= 1 and (k - 1, m + 2) in dst_pos:
-                blocks[(dst_pos[(k - 1, m + 2)], j)] = self.block(k, m)
-        return linalg.block_matrix([size(*km) for km in dst_blocks],
-                                   [size(*km) for km in src_blocks], blocks)
+        """Matrix of the differential from total degree t to t + 1: the
+        blocks (k, m) -> (k - 1, m + 2) placed by ``total_matrix``."""
+        sizes = lambda u: {(k, m): math.comb(self.rank, k) * len(sr_basis(self.fan, m))
+                           for k, m in self.total_blocks(u)}
+        maps = lambda k, m: [((k - 1, m + 2), self.block(k, m))] if k else []
+        return self.table(("total", t), lambda: total_matrix(sizes(t), sizes(t + 1), maps))
 
 
 def _index_maps(fan: Fan, cone: Cone | None, m: int) -> tuple[int, int, dict[Monomial, list[int]]]:
@@ -183,16 +187,15 @@ def build_twisted(fan: Fan, frame: Sequence[Sequence[int]] | None = None) -> Twi
     if not (isinstance(frame, (list, tuple)) and len(frame) == n
             and all(_is_int_vector(r, n) for r in frame) and lattice_index(frame, n) == 1):
         raise FanError("frame must be a unimodular integer matrix")
-    frame_rows = tuple(tuple(r) for r in frame)
     forms = []
     for i in range(n):
         terms = {}
         for j in range(1, fan.num_rays + 1):
-            c = dot(frame_rows[i], fan.ray(j))
+            c = dot(frame[i], fan.ray(j))
             if c:
                 terms[Monomial.variable(j)] = c
         forms.append(SRPolynomial.build(fan, terms))
-    return TwistedComplex(fan, frame_rows, tuple(forms))
+    return TwistedComplex(fan, tuple(forms))
 
 
 # -- elements ---------------------------------------------------------------

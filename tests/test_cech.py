@@ -54,6 +54,7 @@ from toriclg.cech import (
     CoverSimplex,
 )
 from toriclg.fan import fan_from_data
+from toriclg.twisted import default_t_max
 
 
 @pytest.fixture(scope="module")
@@ -384,6 +385,19 @@ class TestTotals:
                 aug = cs.augmentation_matrix(m)
                 assert (aug.rows, aug.cols) == (cs.slot_layout(TAG_FORMS, 0, 0, m)[0], len(src))
                 assert aug.entries == want, (name, m)
+
+    @pytest.mark.parametrize("data", [
+        load_fan("c2"), load_fan("c3"),
+        # rank 4, one maximal cone of dimension 2
+        fan_from_data(4, [[1, 0, 0, 0], [0, 1, 0, 0]], [[1, 2]]),
+    ], ids=["c2", "c3", "c2_x_torus2"])
+    def test_one_cone_cover_total_is_the_twisted_total(self, data):
+        # on a cover of one cone the forms double complex is the twisted
+        # complex in Cech degree 0: both callers of total_matrix write one matrix
+        cs, tc = CoverSimplex(data), build_twisted(data)
+        assert cs.size == 1
+        for t in range(default_t_max(data) + 1):
+            assert cs.forms_total_matrix(t) == tc.total_differential(t), t
 
     def test_alternative_sign_convention_same_dims(self, covers):
         # D' = vertical + (-1)^k delta also squares to zero and yields the

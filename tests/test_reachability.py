@@ -33,11 +33,11 @@ KEPT = {
     "cli.__getattr__": "perfbench's tracer test reads cli.parse_fan_file through it",
     "cech.cup": "the manifold's ring; ROADMAP item 5",
     "cech._face_values": "the Cech cup product (cech.cup)",
+    "cech.CoverSimplex._total_layout": "the Čech cup's layout (cech.cup)",
     "linalg.add_vectors": "reference algebra of the tests",
     "linalg.scale_vector": "reference algebra of the tests",
     "linalg.RationalMatrix.__add__": "reference algebra of the tests",
     "linalg.RationalMatrix.__sub__": "reference algebra of the tests",
-    "linalg.RationalMatrix.scale": "reference algebra of the tests",
     "srring.SRPolynomial.__add__": "reference algebra of the tests",
     "srring.SRPolynomial.__sub__": "reference algebra of the tests",
     "srring.SRPolynomial.__mul__": "reference algebra of the tests",
