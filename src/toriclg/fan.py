@@ -6,12 +6,14 @@ smoothness (ray generators of every cone extend to a lattice basis, by
 integer column reduction: ``lattice_index``), and the fan condition (any
 two cones meet in a common face).  A pair of maximal cones meets in its
 common face exactly when some covector vanishes on the common rays and
-separates the other rays; ``separation_rows`` writes those conditions as
-``linalg.solve_system`` rows, each a map {coordinate: coefficient} of a
-ray's nonzeros.  A covector built from the dual frame of either cone that
-violates none of them settles a pair, and any other pair gets the exact
-separation problem.  A failing pair is named with a point of both cones
-found by one more.
+separates the other rays; ``separation_rows`` writes those conditions
+once per pair as ``linalg.solve_system`` rows, each a map {coordinate:
+coefficient} of a ray's nonzeros.  A covector built from the dual frame
+of either cone that violates none of them settles a pair, and any other
+pair gets the exact separation problem.  A failing pair is named with a
+point of both cones found by one more.  Each full-dimensional cone's
+``dual_frame`` is computed once and kept on the fan (``Fan.frame``) for
+the fan condition, ray coordinates, log derivations and support convexity.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from functools import cached_property
 from . import linalg
 from .linalg import (
     ZERO,
-    LinearSolver,
     RationalMatrix,
     Vector,
     dot,
@@ -108,8 +109,8 @@ class Fan:
     """Validated smooth fan.  Immutable by convention; safe for concurrent reads.
 
     ``_tables`` caches tables computed from the fan alone: the monomial
-    bases of ``srring``, the Koszul index maps of ``twisted`` and the
-    ray coordinates of ``ray_coordinates_in_cone_basis``.  ``table`` is the
+    bases of ``srring``, the Koszul index maps of ``twisted`` and the dual
+    frame of each full-dimensional cone (``frame``).  ``table`` is the
     engine's one memo: ``TwistedComplex`` and ``CoverSimplex`` use it too.
     """
 
@@ -137,6 +138,12 @@ class Fan:
         cohomology slots changes, as ``total_cohomology`` adds degrees to it."""
         value = self._tables.get(key)
         return value if value is not None else self._tables.setdefault(key, build())
+
+    def frame(self, cone: Cone) -> tuple[IntVec, ...]:
+        """``dual_frame`` of a full-dimensional cone, computed once per cone."""
+        if cone.dim != self.rank:
+            raise FanError(f"cone {cone} is not full-dimensional")
+        return self.table(("frame", cone.ray_indices), lambda: dual_frame(self.rays, cone))
 
     def ray(self, i: int) -> IntVec:
         """Ray generator for a 1-based ray index."""
@@ -208,22 +215,11 @@ def lattice_index(rows: Sequence[Sequence[int]], rank: int) -> int:
 def ray_coordinates_in_cone_basis(fan: Fan, cone: Cone, ray_index: int) -> tuple[int, ...]:
     """Integer coordinates of a ray in the basis given by a full-dim smooth cone.
 
-    Returns a_1..a_n with ray = sum a_i * (i-th cone ray): column ray_index
-    of one exact solve of every ray against the cone's rays, made once per
-    cone and cached on the fan.  Raises on a non-integral solve, which
-    cannot happen for a unimodular cone and signals an internal error.
+    Returns a_1..a_n with ray = sum a_i * (i-th cone ray): the pairings of
+    the ray with the cone's dual frame (``Fan.frame``).
     """
-    if cone.dim != fan.rank:
-        raise FanError(f"cone {cone} is not full-dimensional")
-
-    def solve():
-        basis = RationalMatrix.from_columns([fan.ray(i) for i in cone.ray_indices], rows=fan.rank)
-        return LinearSolver(basis).solve(RationalMatrix.from_columns(fan.rays, rows=fan.rank))
-
-    coords = fan.table(("cone coordinates", cone.ray_indices), solve).column(ray_index - 1)
-    if any(type(c) is not int for c in coords):
-        raise FanError(f"non-integral lattice solve for ray {ray_index} in cone {cone}")
-    return coords
+    ray = fan.ray(ray_index)
+    return tuple(sum(f * x for f, x in zip(row, ray)) for row in fan.frame(cone))
 
 
 # -- cone geometry (exact) ------------------------------------------------
@@ -300,11 +296,11 @@ def separation_rows(rays: Sequence[IntVec], a: Cone, b: Cone) -> tuple[list, lis
     return [{t: x for t, x in enumerate(rays[i - 1]) if x} for i in sorted(common)], ineqs
 
 
-def separating_covector(rank: int, rays: Sequence[IntVec], a: Cone, b: Cone) -> Vector | None:
-    """A solution of ``separation_rows``, or None.  By the separation lemma
-    (Cox-Little-Schenck, *Toric Varieties*, Lemma 1.2.13) it exists exactly
-    when the cones meet in the cone on their common rays."""
-    return solve_system(*separation_rows(rays, a, b), rank)
+def separating_covector(rank: int, eqs: list, ineqs: list) -> Vector | None:
+    """A solution of a pair's ``separation_rows``, or None.  By the separation
+    lemma (Cox-Little-Schenck, *Toric Varieties*, Lemma 1.2.13) it exists
+    exactly when the cones meet in the cone on their common rays."""
+    return solve_system(eqs, ineqs, rank)
 
 
 def overlap_witness(rank: int, rays: Sequence[IntVec], a: Cone, b: Cone) -> IntVec:
@@ -328,22 +324,24 @@ def dual_frame(rays: Sequence[IntVec], cone: Cone) -> tuple[IntVec, ...]:
     """The covector frame dual to a full-dimensional smooth cone's rays.
 
     Row i is 1 on the cone's i-th ray and 0 on its other rays: the inverse
-    of the matrix whose columns are the rays, integral because a smooth
-    cone's rays form a lattice basis.
+    of the matrix whose columns are the rays, integral exactly when the
+    rays form a lattice basis.  A non-integral inverse raises.
     """
     basis = RationalMatrix.from_columns([rays[i - 1] for i in cone.ray_indices], rows=cone.dim)
-    return tuple(tuple(map(int, row)) for row in inverse(basis).to_rows())
+    frame = inverse(basis).to_rows()
+    if any(type(x) is not int for row in frame for x in row):
+        raise FanError(f"cone {cone} is not unimodular: its dual frame is not integral")
+    return tuple(map(tuple, frame))
 
 
-def _frame_separates(rays: Sequence[IntVec], frames: dict[Cone, tuple[IntVec, ...]],
-                     a: Cone, b: Cone) -> bool:
+def _frame_separates(frames: dict[Cone, tuple[IntVec, ...]], a: Cone, b: Cone,
+                     eqs: list, ineqs: list) -> bool:
     """Whether a dual-frame covector satisfies the pair's ``separation_rows``.
 
     The candidates are the sum of a's frame over a's rays outside b, and
     minus the sum of b's frame over b's rays outside a (for each cone that
     has a frame); a candidate counts once it violates none of the rows.
     """
-    eqs, ineqs = separation_rows(rays, a, b)
     for cone, other, sign in ((a, b, 1), (b, a, -1)):
         frame = frames.get(cone)
         if frame is not None:
@@ -353,22 +351,25 @@ def _frame_separates(rays: Sequence[IntVec], frames: dict[Cone, tuple[IntVec, ..
     return False
 
 
-def _check_fan_condition(fan_rank: int, rays: tuple[IntVec, ...], cones: Sequence[Cone]) -> None:
+def _check_fan_condition(fan: Fan) -> None:
     """Every pairwise intersection of maximal cones is the common-ray face.
 
-    A pair passes when it has a separating covector.  The two dual-frame
-    candidates of ``_frame_separates`` (frames computed once per
-    full-dimensional cone) are tried first; a pair that neither passes
-    goes to ``separating_covector``, which finds one exactly when one
-    exists, so the verdict is that of the separation problem alone.  A
-    failing pair solves one more problem for a point to name in the error.
+    A pair passes when it has a separating covector.  Its
+    ``separation_rows`` are built once: the two dual-frame candidates of
+    ``_frame_separates`` (frames from ``Fan.frame``) are tested against
+    them first, and a pair that neither passes hands them to
+    ``separating_covector``, which finds one exactly when one exists, so
+    the verdict is that of the separation problem alone.  A failing pair
+    solves one more problem for a point to name in the error.
     """
-    frames = {c: dual_frame(rays, c) for c in cones if c.dim == fan_rank}
-    for a, b in itertools.combinations(cones, 2):
-        if not _frame_separates(rays, frames, a, b) and separating_covector(fan_rank, rays, a, b) is None:
+    n, rays = fan.rank, fan.rays
+    frames = {c: fan.frame(c) for c in fan.max_cones if c.dim == n}
+    for a, b in itertools.combinations(fan.max_cones, 2):
+        rows = separation_rows(rays, a, b)
+        if not _frame_separates(frames, a, b, *rows) and separating_covector(n, *rows) is None:
             raise FanValidationError(
                 f"fan condition fails: cones {a} and {b} intersect beyond their "
-                f"common face (both contain {list(overlap_witness(fan_rank, rays, a, b))})")
+                f"common face (both contain {list(overlap_witness(n, rays, a, b))})")
 
 
 # -- construction ----------------------------------------------------------
@@ -450,9 +451,9 @@ def fan_from_data(rank: int, rays: Sequence[Sequence[int]],
                 faces.add(sub)
     all_cones = tuple(Cone(f) for f in sorted(faces))
 
-    _check_fan_condition(rank, tuple(ray_tuples), maximal)
-
-    return Fan(rank, tuple(ray_tuples), tuple(maximal), all_cones)
+    fan = Fan(rank, tuple(ray_tuples), tuple(maximal), all_cones)
+    _check_fan_condition(fan)
+    return fan
 
 
 def _refuse_unknown_keys(data: dict, keys: tuple[str, ...], what: str) -> None:

@@ -17,7 +17,7 @@ import itertools
 import math
 
 from .fan import Cone, Fan, FanError, PolyhedronInput, ray_coordinates_in_cone_basis
-from .linalg import Vector, dot, first_violated_row, kernel_basis, row_value, solve_system, vector
+from .linalg import Vector, dot, first_violated_row, row_value, solve_system, vector
 # solve_system runs the Fourier-Motzkin step; perfbench/tracer.py times it by this name
 from .linalg import solve_inequalities  # noqa: F401
 
@@ -145,19 +145,17 @@ def _support_convexity_failure(fan: Fan) -> tuple | None:
 
     A facet contained in a single maximal cone must lie on the boundary of
     the cone hull of all rays: its normal, oriented towards the cone, must
-    be nonnegative on every ray of the fan.
+    be nonnegative on every ray of the fan.  That normal is the cone's
+    dual-frame row (``Fan.frame``) of its ray outside the facet, which is
+    0 on the facet and 1 on that ray.
     """
-    n = fan.rank
-    for facet in fan.cones_of_dim(n - 1):
+    for facet in fan.cones_of_dim(fan.rank - 1):
         containing = fan.max_cones_containing(facet)
         if len(containing) != 1:
             continue
         cone = containing[0]
-        normal = kernel_basis(fan.ray_matrix(facet))[0]
-        extra = next(iter(cone.index_set - facet.index_set))
-        orient = dot(normal, fan.ray(extra))
-        if orient < 0:
-            normal = tuple(-x for x in normal)
+        normal = fan.frame(cone)[next(k for k, i in enumerate(cone.ray_indices)
+                                      if i not in facet.index_set)]
         for i in range(1, fan.num_rays + 1):
             if dot(normal, fan.ray(i)) < 0:
                 return (facet, i)

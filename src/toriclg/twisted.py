@@ -20,8 +20,7 @@ from collections.abc import Callable, Sequence
 from fractions import Fraction
 
 from . import linalg
-from .fan import (Cone, Fan, FanError, _is_int_vector, dual_frame, lattice_index,
-                  ray_coordinates_in_cone_basis)
+from .fan import Cone, Fan, FanError, _is_int_vector, lattice_index, ray_coordinates_in_cone_basis
 from .linalg import CohomologySlot, RationalMatrix, Vector, cohomology_at, dot
 from .srring import Monomial, SRPolynomial, cone_monomial_basis, sr_basis
 
@@ -451,10 +450,13 @@ def log_derivations(fan: Fan, cone: Cone) -> DerivationPresentation:
     """Presentation of the twisted complex by log derivations of a cone.
 
     The coefficient forms are rebuilt from the lattice coordinates of the
-    rays outside the cone (``ray_coordinates_in_cone_basis``, its own
-    solve) and compared with the forms of the complex built from the dual
-    covector frame of the cone (``build_twisted``).  A mismatch raises,
-    since the two constructions must agree exactly.
+    rays outside the cone (``ray_coordinates_in_cone_basis``) and compared
+    with the forms of the complex built from the dual covector frame of
+    the cone (``build_twisted``).  A mismatch raises, since the two
+    constructions must agree exactly.  Both sides read the cone's one
+    frame (``Fan.frame``), whose pairings with the rays are the
+    coordinates; a second inversion would check nothing more, being the
+    same elimination of the same [B | I].
 
     Comparing the forms is the same check as comparing the differential
     matrices in every degree: ``koszul_block`` is a function of the fan,
@@ -464,17 +466,13 @@ def log_derivations(fan: Fan, cone: Cone) -> DerivationPresentation:
     up to ``default_t_max`` (recorded as ``checked_degree``) among them,
     exactly when the forms do.
     """
-    n = fan.rank
-    if cone.dim != n:
-        raise FanError(f"cone {cone} is not full-dimensional")
+    frame = fan.frame(cone)
     base = cone.ray_indices
     extra = tuple(i for i in range(1, fan.num_rays + 1) if i not in cone.index_set)
     coeffs = tuple(ray_coordinates_in_cone_basis(fan, cone, l) for l in extra)
 
-    frame = dual_frame(fan.rays, cone)
-
     forms = []
-    for i in range(n):
+    for i in range(fan.rank):
         terms = {Monomial.variable(base[i]): 1}
         for pos, l in enumerate(extra):
             a = coeffs[pos][i]

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from conftest import FAN_DIR, cn_data, fan_text, load_fan_and_polyhedron
 from helpers import INLINE_FANS, inline_fan_file, leibniz_det
 from toriclg import (
+    FanError,
     FanParseError,
     FanValidationError,
     parse_fan_file,
@@ -30,6 +31,7 @@ from toriclg.fan import (
     overlap_witness,
     ray_coordinates_in_cone_basis,
     separating_covector,
+    separation_rows,
 )
 from toriclg.cech import CoverSimplex
 from toriclg.linalg import RationalMatrix, dot, lift, rank
@@ -161,7 +163,7 @@ class TestSeparation:
         common = a.index_set & b.index_set
         allowed = {rays[i - 1] for i in common}
         brute = cone_intersection_extreme_rays(Fan(n, rays, (a, b), (a, b)), a, b) <= allowed
-        m = separating_covector(n, rays, a, b)
+        m = separating_covector(n, *separation_rows(rays, a, b))
         assert (m is not None) == brute
         if m is not None:
             for i in a.ray_indices:
@@ -173,7 +175,7 @@ class TestSeparation:
     @given(simplicial_cone_pairs())
     def test_overlap_witness_lies_in_both_cones_off_the_common_face(self, pair):
         n, rays, a, b = pair
-        if separating_covector(n, rays, a, b) is not None:
+        if separating_covector(n, *separation_rows(rays, a, b)) is not None:
             return  # about one pair in eight overlaps
         point = overlap_witness(n, rays, a, b)
         alpha, beta = (lift(RationalMatrix.from_columns([rays[i - 1] for i in c.ray_indices], rows=n),
@@ -193,13 +195,18 @@ ALL_FAN_DATA = {**{p.stem: fan_file_data(p) for p in sorted(FAN_DIR.glob("*.json
 
 def lp_pairs(monkeypatch, data) -> tuple[Fan, list[tuple[Cone, Cone]]]:
     """The fan, and the pairs of maximal cones that its fan-condition check sent to the LP."""
-    seen = []
+    built, seen = [], []
 
-    def spy(rank, rays, a, b):
-        seen.append((a, b))
-        return separating_covector(rank, rays, a, b)
+    def build(rays, a, b):
+        built.append(((a, b), separation_rows(rays, a, b)))
+        return built[-1][1]
+
+    def spy(rank, eqs, ineqs):
+        seen.append(next(pair for pair, rows in built if rows[0] is eqs))
+        return separating_covector(rank, eqs, ineqs)
 
     with monkeypatch.context() as m:
+        m.setattr(fan_module, "separation_rows", build)
         m.setattr(fan_module, "separating_covector", spy)
         fan = fan_from_data(*data)
     return fan, seen
@@ -216,7 +223,25 @@ class TestFrameCertificates:
         fan, seen = lp_pairs(monkeypatch, ALL_FAN_DATA[name])
         for a, b in itertools.combinations(fan.max_cones, 2):
             if (a, b) not in seen:
-                assert separating_covector(fan.rank, fan.rays, a, b) is not None, (name, a, b)
+                rows = separation_rows(fan.rays, a, b)
+                assert separating_covector(fan.rank, *rows) is not None, (name, a, b)
+
+    def test_dual_frame_refuses_a_non_unimodular_cone(self):
+        # index 2: the inverse of [[1, 1], [0, 2]] has entries 1/2
+        with pytest.raises(FanError, match="not unimodular"):
+            dual_frame(((1, 0), (1, 2)), Cone((1, 2)))
+
+    def test_separation_rows_built_once_per_pair(self, monkeypatch):
+        # the frame candidates and the LP read the same rows
+        built = []
+
+        def build(rays, a, b):
+            built.append((a, b))
+            return separation_rows(rays, a, b)
+
+        monkeypatch.setattr(fan_module, "separation_rows", build)
+        fan = fan_from_data(*INLINE_FANS["S18"])
+        assert len(built) == len(set(built)) == math.comb(len(fan.max_cones), 2) == 153
 
     def test_dual_frame_pairs_to_the_identity(self):
         for rank, rays, cones in ALL_FAN_DATA.values():
@@ -234,8 +259,8 @@ class TestFrameCertificates:
         n, rays, a, b = pair
         frames = {c: dual_frame(rays, c) for c in (a, b)
                   if c.dim == n and lattice_index([rays[i - 1] for i in c.ray_indices], n) == 1}
-        if _frame_separates(rays, frames, a, b):
-            assert separating_covector(n, rays, a, b) is not None
+        if _frame_separates(frames, a, b, *separation_rows(rays, a, b)):
+            assert separating_covector(n, *separation_rows(rays, a, b)) is not None
 
 
 def projective_space_data(n: int) -> dict:
@@ -426,9 +451,10 @@ class TestLatticeCoordinates:
                     assert tuple(rebuilt) == fan.ray(l)
 
     def test_one_solver_per_cone(self, monkeypatch, capsys, tmp_path):
-        # degenerate on the 18-ray surface: the fan check inverts 18 ray
-        # matrices for the dual frames, log_derivations inverts its frame, and
-        # the 16 rays outside the reference cone share that cone's one solve
+        # degenerate on the 18-ray surface: the fan check inverts the 18 ray
+        # matrices for the dual frames, and the coordinates of the 16 rays
+        # outside the reference cone, log_derivations and the support check
+        # read the frames kept on the fan
         built = []
         init = linalg.LinearSolver.__init__
 
@@ -439,4 +465,4 @@ class TestLatticeCoordinates:
         monkeypatch.setattr(linalg.LinearSolver, "__init__", spy)
         assert main(["degenerate", inline_fan_file(tmp_path, "S18"), "--json"]) == 0
         capsys.readouterr()
-        assert (len(built), len(set(built))) == (20, 18)
+        assert (len(built), len(set(built))) == (18, 18)

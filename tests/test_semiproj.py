@@ -14,6 +14,7 @@ from toriclg.semiproj import (
     REASON_NOT_CONVEX,
     REASON_NOT_FULL_DIM,
     _certificate_rows,
+    _support_convexity_failure,
     adjacent_max_pairs,
     search_certificate,
     solve_inequalities,
@@ -96,6 +97,19 @@ class TestCertificates:
         rep = check_semiprojective(fan)
         assert not rep.semiprojective
         assert rep.reason == REASON_NOT_CONVEX
+
+    # (rank, rays, max_cones) -> the witness (facet, ray), recorded with each
+    # facet's normal computed as a kernel vector of its rays oriented towards its cone
+    @pytest.mark.parametrize("data, facet, ray", [
+        ((2, [[1, 0], [0, 1], [-1, 0], [0, -1]], [[1, 2], [3, 4]]), (1,), 4),
+        ((2, [[1, 0], [0, 1], [-1, 0], [0, -1]], [[1, 2], [2, 3], [3, 4]]), (1,), 4),
+        ((3, [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, 0, 0], [0, -1, 0]],
+          [[1, 2, 3], [2, 3, 4], [3, 4, 5]]), (1, 3), 5),
+        ((2, [[1, 0], [1, 1], [0, 1], [-1, -1]], [[1, 2], [2, 3], [3, 4]]), (1,), 4),
+    ])
+    def test_support_convexity_witness(self, data, facet, ray):
+        found = _support_convexity_failure(fan_from_data(*data))
+        assert (found[0].ray_indices, found[1]) == (facet, ray)
 
     def test_zero_fan_not_semiprojective(self, zero2):
         rep = check_semiprojective(zero2)

@@ -27,7 +27,7 @@ from toriclg import (
 )
 from toriclg.cech import CoverSimplex, default_m_max, verify_exactness, verify_quasi_iso
 from toriclg.cli import main
-from toriclg.fan import Cone, FanError, fan_from_data
+from toriclg.fan import Cone, FanError, dual_frame, fan_from_data
 from toriclg import cech, linalg, twisted
 from toriclg.linalg import LinearSolver, RationalMatrix, cohomology_at
 from toriclg.srring import cone_monomial_basis
@@ -508,10 +508,8 @@ def fresh_table(fan, key):
         return sr_basis(fan, *args)
     if kind == "cone basis":
         return cone_monomial_basis(fan, Cone(args[0]), args[1])
-    if kind == "cone coordinates":
-        rows = [fan.ray(i) for i in args[0]]
-        return LinearSolver(RationalMatrix.from_columns(rows, rows=fan.rank)).solve(
-            RationalMatrix.from_columns(fan.rays, rows=fan.rank))
+    if kind == "frame":
+        return dual_frame(fan.rays, Cone(args[0]))
     assert kind == "koszul maps", key
     return _index_maps(fan, None if args[0] is None else Cone(args[0]), args[1])
 
@@ -528,7 +526,7 @@ def test_cached_tables_survive_every_job():
     for cone in fan.max_cones:
         log_derivations(fan, cone)
     assert {key[0] for key in fan._tables} == {"sr basis", "cone basis", "koszul maps",
-                                                "cone coordinates"}
+                                                "frame"}
     fresh = oracle_fan("P3")
     for key, value in fan._tables.items():
         assert value == fresh_table(fresh, key), key
