@@ -7,10 +7,11 @@ identical input and flags give byte-identical output.
 
 Exit codes: 0 success / all verified, 1 internal error, 2 bad input (a
 missing, unreadable or invalid fan file, or a bad flag value such as a
-negative --tmax or --mmax, or one above MAX_DEGREE), 3 verification
-mismatch, with one stderr line that names the first failing check and its
-degree.  A reader that closes stdout early (``| head``) gets no error
-message, and the exit code stays the command's own: 0, or 3 for a mismatch.
+negative --tmax or --mmax, or one above MAX_DEGREE) or a job that ran out
+of memory, 3 verification mismatch, with one stderr line that names the
+first failing check and its degree.  A reader that closes stdout early
+(``| head``) gets no error message, and the exit code stays the command's
+own: 0, or 3 for a mismatch.
 """
 
 from __future__ import annotations
@@ -454,7 +455,8 @@ def parse_args(argv: list[str]) -> SimpleNamespace:
         _fail(None, f"argument command: invalid choice: {command!r} (choose from {choices})")
     handler, _, options = COMMANDS[command]
     converters = {opt: conv for opt, conv, _, _ in options}
-    args = SimpleNamespace(func=handler, **{_attr(opt): default for opt, _, default, _ in options})
+    args = SimpleNamespace(command=command, func=handler,
+                           **{_attr(opt): default for opt, _, default, _ in options})
     positional, unknown = [], []
     tokens = iter(rest)
     for token in tokens:
@@ -519,6 +521,9 @@ def main(argv=None) -> int:
         report, code = args.func(args)
     except FanError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except MemoryError:  # an input too large for the memory the job may use
+        print(f"error: {args.command} ran out of memory on {args.fan_file}", file=sys.stderr)
         return EXIT_VALIDATION
     except Exception as exc:  # pragma: no cover - defensive
         print(f"internal error: {exc}", file=sys.stderr)

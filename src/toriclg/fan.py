@@ -36,7 +36,6 @@ from .linalg import (
     kernel_basis,
     primitive_vector,
     solve_system,
-    vector,
 )
 
 IntVec = tuple[int, ...]
@@ -162,13 +161,6 @@ class Fan:
             raise FanError(f"{sorted(c.ray_indices)} is not a cone of the fan")
         return c
 
-    def cones_of_dim(self, k: int) -> tuple[Cone, ...]:
-        return tuple(c for c in self.all_cones if c.dim == k)
-
-    def max_cones_containing(self, cone: Cone) -> tuple[Cone, ...]:
-        s = cone.index_set
-        return tuple(m for m in self.max_cones if s <= m.index_set)
-
     def ray_matrix(self, cone: Cone) -> RationalMatrix:
         """Rows are the generators of the cone's rays."""
         return RationalMatrix.from_rows([self.ray(i) for i in cone.ray_indices]) \
@@ -227,7 +219,7 @@ def ray_coordinates_in_cone_basis(fan: Fan, cone: Cone, ray_index: int) -> tuple
 
 def _extend_to_basis(rays: list[IntVec], rank: int) -> list[Vector]:
     """Extend independent rows to a basis of Q^rank by greedy unit vectors."""
-    rows = [vector(r) for r in rays]
+    rows = [tuple(map(Fraction, r)) for r in rays]
     for j in range(rank):
         if len(rows) == rank:
             break

@@ -48,17 +48,19 @@ equalities go straight into the ``RationalMatrix`` whose ``kernel_basis``
 solves them, Fourier-Motzkin elimination (``solve_inequalities``) runs on
 the inequalities written in that basis from their nonzeros, and the answer
 is mapped back; ``first_violated_row`` tests a vector against the same
-rows (``row_value``).  The fan condition (``fan``) and the
-semi-projectivity certificates (``semiproj``) each build their rows once
-and read them through both.  Fourier-Motzkin keeps every row as a
-primitive integer tuple; Fractions appear only in its back-substitution.
+rows (``row_value``).  The fan condition (``fan``: a covector per pair of
+cones) and the semi-projectivity certificates (``semiproj``: the values of
+phi at the rays, one row per interior wall, no equalities beyond n pins)
+each build their rows once and read them through both.  Fourier-Motzkin
+keeps every row as a primitive integer tuple; Fractions appear only in its
+back-substitution.
 """
 
 from __future__ import annotations
 
 import math
 from collections import defaultdict
-from collections.abc import Callable, Iterable, Mapping, Sequence
+from collections.abc import Callable, Mapping, Sequence
 from fractions import Fraction
 
 Vector = tuple[int | Fraction, ...]
@@ -84,19 +86,10 @@ def _exact(v) -> int | Fraction:
     if t is int:
         return v
     if t is not Fraction:
-        v = _fraction(v)
+        if isinstance(v, float):
+            raise LinalgError(f"float entry {v!r}: entries must be int or Fraction")
+        v = Fraction(v)
     return v.numerator if v.denominator == 1 else v
-
-
-def _fraction(v) -> Fraction:
-    """v as a Fraction; a float is refused, as in ``_exact``."""
-    if isinstance(v, float):
-        raise LinalgError(f"float entry {v!r}: entries must be int or Fraction")
-    return Fraction(v)
-
-
-def vector(values: Iterable) -> Vector:
-    return tuple(_fraction(v) for v in values)
 
 
 def add_vectors(u: Vector, v: Vector) -> Vector:
@@ -104,7 +97,7 @@ def add_vectors(u: Vector, v: Vector) -> Vector:
 
 
 def scale_vector(c, v: Vector) -> Vector:
-    c = _fraction(c)
+    c = Fraction(_exact(c))
     return tuple(c * _exact(a) for a in v)
 
 

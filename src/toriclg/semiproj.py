@@ -1,23 +1,25 @@
 """Semi-projectivity certificates and one-parameter degeneration exponents.
 
-A fan is certified semi-projective by a strictly convex piecewise linear
-support function with integral slopes, stored as one integer covector per
-maximal cone.  Certificates are either derived from a lattice polyhedron
-(the function v -> -min over the polyhedron of <m, v>) or found by exact
-Fourier-Motzkin elimination on the continuity/strictness constraints.
-Those constraints are written once, as one table of sparse ``solve_system``
-rows over the stacked covectors (``_certificate_rows``, at most 2n entries
-a row): the search solves it with n unit rows pinning the first covector,
-and the check of any certificate reads it row by row.
+A certificate is a strictly convex piecewise linear function phi with
+integral slopes, stored as its values at the rays: on a maximal cone sigma
+it is the covector m_sigma = sum_k phi(u_sigma_k) * (row k of
+``Fan.frame(sigma)``), integral exactly when those values are.  With full-dimensional cones and
+convex support, phi is strictly convex exactly when it is across every
+interior wall (Cox-Little-Schenck, Toric Varieties, 6.1 and 6.4), and
+``_wall_rows`` writes that as one sparse ``solve_system`` row over the ray
+values per wall (at most n + 1 entries).  A certificate is induced by a
+lattice polyhedron or found by exact Fourier-Motzkin elimination on those
+rows, the first cone's rays pinned to 0; the check of given covectors
+reads phi at each ray from the first cone that holds it, which every
+later holder must agree with, and then tests the rows.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 
 from .fan import Cone, Fan, FanError, PolyhedronInput, ray_coordinates_in_cone_basis
-from .linalg import Vector, dot, first_violated_row, row_value, solve_system, vector
+from .linalg import Vector, dot, first_violated_row, row_value, solve_system
 # solve_system runs the Fourier-Motzkin step; perfbench/tracer.py times it by this name
 from .linalg import solve_inequalities  # noqa: F401
 
@@ -27,28 +29,29 @@ REASON_NO_PHI = "no-strictly-convex-phi"
 
 
 class PLCertificate:
-    """Strictly convex piecewise linear function, one covector per max cone.
+    """Strictly convex piecewise linear function: its integer values at the rays,
+    and the covector of each maximal cone read from them through ``Fan.frame``.
 
-    The covectors are denominator-cleared, so every pairing with a ray is
-    an integer and every strictness margin is >= 1.  Immutable by convention.
+    Every wall margin is >= 1.  Immutable by convention.
     """
 
-    __slots__ = ("fan", "functionals")
+    __slots__ = ("fan", "values", "functionals")
 
-    def __init__(self, fan: Fan, functionals: tuple[tuple[int, ...], ...]):
+    def __init__(self, fan: Fan, values: tuple[int, ...]):
         self.fan = fan
-        self.functionals = functionals  # aligned with fan.max_cones
+        self.values = values  # phi at rays 1..r
+        self.functionals = tuple(  # aligned with fan.max_cones
+            tuple(sum(values[i - 1] * f for i, f in zip(cone.ray_indices, column))
+                  for column in zip(*fan.frame(cone)))
+            for cone in fan.max_cones)
 
     def __eq__(self, other):
         return NotImplemented if type(other) is not PLCertificate else (
-            (self.fan, self.functionals) == (other.fan, other.functionals))
+            (self.fan, self.values) == (other.fan, other.values))
 
     def value(self, ray_index: int) -> int:
-        """phi at a ray generator, evaluated on any maximal cone containing it."""
-        for cone, m in zip(self.fan.max_cones, self.functionals):
-            if ray_index in cone.index_set:
-                return int(dot(m, self.fan.ray(ray_index)))
-        raise FanError(f"ray {ray_index} lies in no maximal cone")
+        """phi at a ray generator."""
+        return self.values[ray_index - 1]
 
 
 class SemiprojectiveReport:
@@ -85,59 +88,69 @@ class DegenerationRelation:
         return " * ".join(factors) + f" = t^{self.exponent}"
 
 
-def adjacent_max_pairs(fan: Fan) -> list[tuple[Cone, Cone]]:
-    """Unordered pairs of maximal cones sharing a facet (n-1 common rays)."""
-    return [(a, b) for a, b in itertools.combinations(fan.max_cones, 2)
-            if len(a.index_set & b.index_set) == fan.rank - 1]
+def _facet_holders(fan: Fan) -> dict[tuple[int, ...], list[tuple[int, int]]]:
+    """Each facet of a maximal cone (its sorted ray indices) -> the maximal cones
+    that hold it, as (position in ``fan.max_cones``, position of the cone's ray
+    outside the facet), in cone order.  A wall has two holders, a boundary facet one."""
+    holders: dict = {}
+    for p, cone in enumerate(fan.max_cones):
+        rays = cone.ray_indices
+        for k in range(len(rays)):
+            holders.setdefault(rays[:k] + rays[k + 1:], []).append((p, k))
+    return holders
 
 
-def _certificate_rows(fan: Fan) -> tuple[list, list, list[str]]:
-    """The certificate conditions as sparse ``solve_system`` rows over the stacked covectors.
+def _wall_rows(fan: Fan) -> tuple[list, list[str]]:
+    """Strict convexity as sparse ``solve_system`` rows over the ray values, one a wall.
 
-    Block p of the columns is the covector m_p of maximal cone p.  Continuity
-    <m_a - m_b, u_i> = 0 on every ray shared by a pair, in combinations order
-    (implied by facet continuity on convex support), comes before strictness
-    <m_second - m_first, u_i> >= 1 across every facet both ways, in
-    ``adjacent_max_pairs`` order.  Row k (eqs first) fails with messages[k].
+    The wall of the maximal cones a and b (a first in ``fan.max_cones``) gives
+    phi_l - sum a_i phi_i >= 1, with l the ray of b outside a and a_i its
+    coordinates in a's basis: at most n + 1 nonzeros.  The walls come in the
+    order of their pairs of cones; row k fails with messages[k].
     """
-    n, cones = fan.rank, fan.max_cones
+    cones = fan.max_cones
+    walls = sorted((w for w in _facet_holders(fan).values() if len(w) == 2),
+                   key=lambda w: (w[0][0], w[1][0]))
+    rows, messages = [], []
+    for (pa, _), (pb, kb) in walls:
+        a, b = cones[pa], cones[pb]
+        l = b.ray_indices[kb]
+        coords = ray_coordinates_in_cone_basis(fan, a, l)
+        rows.append(({l - 1: 1} | {i - 1: -c for i, c in zip(a.ray_indices, coords) if c}, 1))
+        messages.append(f"strict convexity fails across {a}|{b} at ray {l}")
+    return rows, messages
 
-    def row(i: int, plus: int, minus: int) -> dict[int, int]:  # <m_plus - m_minus, u_i>, its nonzeros
-        return {p * n + t: s * x for p, s in ((plus, 1), (minus, -1)) for t, x in enumerate(fan.ray(i)) if x}
 
-    names = [str(c) for c in cones]
-    eqs, ineqs, messages = [], [], []
-    for (pa, a), (pb, b) in itertools.combinations(enumerate(cones), 2):
-        for i in sorted(a.index_set & b.index_set):
-            eqs.append(row(i, pa, pb))
-            messages.append(f"continuity fails on ray {i} shared by {names[pa]} and {names[pb]}")
-    for a, b in adjacent_max_pairs(fan):
-        pa, pb = cones.index(a), cones.index(b)
-        for first, second in ((pa, pb), (pb, pa)):
-            for i in sorted(cones[second].index_set - cones[first].index_set):
-                ineqs.append((row(i, second, first), 1))
-                messages.append(f"strict convexity fails across {names[first]}|{names[second]} at ray {i}")
-    return eqs, ineqs, messages
+def _ray_values(fan: Fan, functionals: list[Vector]) -> list | str:
+    """phi at each ray, read from the covector of the first maximal cone that holds it,
+    or the message naming the first ray on which a later holder disagrees."""
+    first: dict[int, tuple] = {}
+    for cone, m in zip(fan.max_cones, functionals):
+        for i in cone.ray_indices:
+            value = dot(m, fan.ray(i))
+            holder, fixed = first.setdefault(i, (cone, value))
+            if fixed != value:
+                return f"continuity fails on ray {i} shared by {holder} and {cone}"
+    return [first[i][1] for i in range(1, fan.num_rays + 1)]
+
+
+def _wall_violation(fan: Fan, values: list) -> str | None:
+    """The message of the first wall row (``_wall_rows``) the ray values violate, with its margin."""
+    rows, messages = _wall_rows(fan)
+    k = first_violated_row((), rows, values)
+    return None if k is None else f"{messages[k]} (margin {row_value(rows[k][0], values)})"
 
 
 def validate_certificate(fan: Fan, functionals: list[Vector]) -> str | None:
-    """Return a violation message, or None when the certificate is valid.
-
-    The message is that of the first row of ``_certificate_rows`` that the
-    stacked covectors violate, with the margin for a strictness row.
-    """
-    eqs, ineqs, messages = _certificate_rows(fan)
-    x = [v for m in functionals for v in m]
-    k = first_violated_row(eqs, ineqs, x)
-    if k is None or k < len(eqs):
-        return None if k is None else messages[k]
-    return f"{messages[k]} (margin {row_value(ineqs[k - len(eqs)][0], x)})"
+    """Return a violation message, or None when the certificate is valid:
+    continuity first (``_ray_values``), then the walls (``_wall_violation``)."""
+    values = _ray_values(fan, functionals)
+    return values if isinstance(values, str) else _wall_violation(fan, values)
 
 
-def _clear_denominators(functionals: list[Vector]) -> tuple[tuple[int, ...], ...]:
-    denoms = [f.denominator for fun in functionals for f in fun]
-    lam = math.lcm(*denoms) if denoms else 1
-    return tuple(tuple(int(f * lam) for f in fun) for fun in functionals)
+def _clear_denominators(values: list) -> tuple[int, ...]:
+    lam = math.lcm(*(v.denominator for v in values))
+    return tuple(int(v * lam) for v in values)
 
 
 def _support_convexity_failure(fan: Fan) -> tuple | None:
@@ -147,26 +160,23 @@ def _support_convexity_failure(fan: Fan) -> tuple | None:
     the cone hull of all rays: its normal, oriented towards the cone, must
     be nonnegative on every ray of the fan.  That normal is the cone's
     dual-frame row (``Fan.frame``) of its ray outside the facet, which is
-    0 on the facet and 1 on that ray.
+    0 on the facet and 1 on that ray.  Facets come in the order of their rays.
     """
-    for facet in fan.cones_of_dim(fan.rank - 1):
-        containing = fan.max_cones_containing(facet)
-        if len(containing) != 1:
-            continue
-        cone = containing[0]
-        normal = fan.frame(cone)[next(k for k, i in enumerate(cone.ray_indices)
-                                      if i not in facet.index_set)]
+    holders = _facet_holders(fan)
+    for facet in sorted(f for f, w in holders.items() if len(w) == 1):
+        (p, k), = holders[facet]
+        normal = fan.frame(fan.max_cones[p])[k]
         for i in range(1, fan.num_rays + 1):
             if dot(normal, fan.ray(i)) < 0:
-                return (facet, i)
+                return (Cone(facet), i)
     return None
 
 
 def certificate_from_polyhedron(fan: Fan, poly: PolyhedronInput) -> PLCertificate | str:
     """Certificate induced by a full-dimensional lattice polyhedron.
 
-    On each maximal cone the support function -min over the polyhedron of
-    the pairing is linear; the linearising vertex gives the covector.
+    phi at a ray is -min over the polyhedron of its pairing, and on each
+    maximal cone a vertex must attain every such min (phi is linear there).
     Returns a violation message when the polyhedron does not induce a
     strictly convex function for this fan.
     """
@@ -176,38 +186,33 @@ def certificate_from_polyhedron(fan: Fan, poly: PolyhedronInput) -> PLCertificat
                 if dot(r, fan.ray(i)) < 0:
                     return (f"recession ray {list(r)} makes the support function "
                             f"unbounded on cone {cone}")
-    functionals: list[Vector] = []
+    values = [-min(dot(v, u) for v in poly.vertices) for u in fan.rays]
     for cone in fan.max_cones:
         barycenter = [sum(fan.ray(i)[t] for i in cone.ray_indices) for t in range(fan.rank)]
         best = min(poly.vertices, key=lambda v: (dot(v, barycenter), v))
-        m = vector([-x for x in best])
-        for i in cone.ray_indices:
-            want = -min(dot(v, fan.ray(i)) for v in poly.vertices)
-            if dot(m, fan.ray(i)) != want:
-                return (f"vertex {list(best)} does not minimise the pairing on all "
-                        f"rays of cone {cone}")
-        functionals.append(m)
-    violation = validate_certificate(fan, functionals)
-    if violation is not None:
-        return violation
-    return PLCertificate(fan, _clear_denominators(functionals))
+        if any(dot(best, fan.ray(i)) != -values[i - 1] for i in cone.ray_indices):
+            return (f"vertex {list(best)} does not minimise the pairing on all "
+                    f"rays of cone {cone}")
+    violation = _wall_violation(fan, values)
+    return violation if violation is not None else PLCertificate(fan, _clear_denominators(values))
 
 
 def search_certificate(fan: Fan) -> PLCertificate | None:
     """Exact rational feasibility search for a strictly convex certificate.
 
-    The one LP entry point ``solve_system`` solves ``_certificate_rows``, the first
-    covector pinned to zero by unit rows {t: 1}: a certificate is only defined up to a linear function.
+    The one LP entry point ``solve_system`` solves ``_wall_rows`` over the
+    ray values, those of the first maximal cone pinned to zero by unit rows
+    {i: 1}: a certificate is only defined up to a linear function.  The
+    covectors read back from the answer go through ``validate_certificate``.
     """
-    n = fan.rank
-    eqs, ineqs, messages = _certificate_rows(fan)
-    x = solve_system([{t: 1} for t in range(n)] + eqs, ineqs, n * len(fan.max_cones))
+    rows, _ = _wall_rows(fan)
+    x = solve_system([{i - 1: 1} for i in fan.max_cones[0].ray_indices], rows, fan.num_rays)
     if x is None:
         return None
-    cert = PLCertificate(fan, _clear_denominators([x[p:p + n] for p in range(0, len(x), n)]))
-    k = first_violated_row(eqs, ineqs, [v for m in cert.functionals for v in m])
-    if k is not None:  # pragma: no cover - search satisfies its own constraints
-        raise FanError(f"internal error: searched certificate invalid ({messages[k]})")
+    cert = PLCertificate(fan, _clear_denominators(x))
+    violation = validate_certificate(fan, cert.functionals)
+    if violation is not None:  # pragma: no cover - search satisfies its own constraints
+        raise FanError(f"internal error: searched certificate invalid ({violation})")
     return cert
 
 
@@ -253,4 +258,4 @@ def degeneration_exponent(fan: Fan, cert: PLCertificate, cone_m: Cone, ray_l: in
     m = cert.value(ray_l) - sum(a * cert.value(i) for a, i in zip(coeffs, cone_m.ray_indices))
     if m < 1:
         raise FanError(f"internal error: certificate not strictly convex at ray {ray_l} (m = {m})")
-    return DegenerationRelation(cone_m, ray_l, coeffs, int(m))
+    return DegenerationRelation(cone_m, ray_l, coeffs, m)

@@ -74,7 +74,7 @@ def cochain_from_vector(cs: CoverSimplex, tag: str, p: int, k: int, m: int,
     pos = 0
     for tau in cs.simplices(p):
         size = len(local_basis(cs, tag, tau, k, m))
-        comps[tau] = tuple(linalg._fraction(v) for v in vec[pos:pos + size])
+        comps[tau] = tuple(Fraction(linalg._exact(v)) for v in vec[pos:pos + size])
         pos += size
     if pos != len(vec):
         raise CechError("vector length does not match the slot")

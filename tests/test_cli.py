@@ -272,6 +272,17 @@ class TestBadInput:
             assert code == 2, command
             assert "cannot read no_such_file.json" in err, command
 
+    def test_out_of_memory_exits_2_naming_the_command(self, capsys, monkeypatch):
+        import toriclg.twisted
+
+        def build_twisted(fan):
+            raise MemoryError
+
+        monkeypatch.setattr(toriclg.twisted, "build_twisted", build_twisted)
+        path = fan_path("p2")
+        assert run_cli(capsys, "cohomology", path, "--json") == \
+            (2, "", f"error: cohomology ran out of memory on {path}\n")
+
     @pytest.mark.parametrize("content, message", [
         (b"\xff\xfe{}", "cannot read {path}: 'utf-8' codec can't decode byte 0xff"),
         (b"[" * 100000 + b"]" * 100000, "not valid JSON: nested too deeply"),

@@ -364,7 +364,7 @@ class TestConeOfSimplex:
     def test_inclusion_reversing(self, suite):
         rng = random.Random(23)
         for fan in suite.values():
-            cs = CoverSimplex(fan, list(fan.max_cones) + list(fan.cones_of_dim(1))[:2])
+            cs = CoverSimplex(fan, list(fan.max_cones) + [c for c in fan.all_cones if c.dim == 1][:2])
             for _ in range(25):
                 tau = sorted(rng.sample(range(cs.size), rng.randint(1, cs.size)))
                 sub = sorted(rng.sample(tau, rng.randint(1, len(tau))))

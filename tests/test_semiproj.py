@@ -9,13 +9,14 @@ from conftest import cn_data, load_fan_and_polyhedron
 from helpers import random_unimodular
 from toriclg import check_semiprojective, degeneration_exponent, parse_fan_file
 from toriclg.fan import FanError, fan_from_data
-from toriclg.linalg import dot
+from toriclg.cli import main
+from toriclg.linalg import dot, row_value
 from toriclg.semiproj import (
+    REASON_NO_PHI,
     REASON_NOT_CONVEX,
     REASON_NOT_FULL_DIM,
-    _certificate_rows,
     _support_convexity_failure,
-    adjacent_max_pairs,
+    _wall_rows,
     search_certificate,
     solve_inequalities,
     validate_certificate,
@@ -131,7 +132,8 @@ class TestCertificates:
             fan = fan_from_data(**cn_data(n))
             rep = check_semiprojective(fan)
             assert rep.semiprojective
-            assert adjacent_max_pairs(fan) == []
+            assert _wall_rows(fan) == ([], [])  # one cone: no interior wall
+            assert rep.certificate.values == (0,) * n
 
     def test_certificate_integrality_and_margin(self, suite):
         for name, fan in suite.items():
@@ -141,11 +143,21 @@ class TestCertificates:
             cert = rep.certificate
             for fun in cert.functionals:
                 assert all(isinstance(x, int) for x in fun)
-            for a, b in adjacent_max_pairs(fan):
-                fa = cert.functionals[fan.max_cones.index(a)]
-                fb = cert.functionals[fan.max_cones.index(b)]
-                for i in sorted(b.index_set - a.index_set):
-                    assert dot(fb, fan.ray(i)) - dot(fa, fan.ray(i)) >= 1
+            assert all(isinstance(v, int) for v in cert.values)
+            # the walls, found here by a scan over pairs of cones, come in pair order
+            walls = [(a, b) for a, b in itertools.combinations(fan.max_cones, 2)
+                     if len(a.index_set & b.index_set) == fan.rank - 1]
+            rows, messages = _wall_rows(fan)
+            assert len(rows) == len(messages) == len(walls)
+            for (a, b), (row, rhs), message in zip(walls, rows, messages):
+                (l,) = b.index_set - a.index_set
+                assert rhs == 1 and message == f"strict convexity fails across {a}|{b} at ray {l}"
+                margin = row_value(row, cert.values)
+                assert margin >= 1
+                assert margin == degeneration_exponent(fan, cert, a, l).exponent
+                # the same wall read from b's side
+                (l_b,) = a.index_set - b.index_set
+                assert margin == degeneration_exponent(fan, cert, b, l_b).exponent
 
     def test_polyhedron_with_coarser_normal_fan_falls_back_to_search(self, hirzebruch):
         # the unit square's support function is linear across one wall of
@@ -190,12 +202,14 @@ class TestCertificates:
     def test_certificate_rows_are_sparse_and_the_search_pins_the_first_covector(self):
         fan = scrambled_p1_power(4, seed=7)
         n = fan.rank
-        eqs, ineqs, messages = _certificate_rows(fan)
-        assert len(fan.max_cones) == 16 and len(messages) == len(eqs) + len(ineqs) > 0
-        for row in eqs + [c for c, _ in ineqs]:
-            assert 0 < len(row) <= 2 * n and 0 not in row.values()
-            assert all(0 <= t < n * len(fan.max_cones) for t in row)
+        rows, messages = _wall_rows(fan)
+        # a complete fan: each of the 16 cones has n facets, each a wall of two cones
+        assert len(fan.max_cones) == 16 and len(rows) == len(messages) == 16 * n // 2
+        for row, rhs in rows:
+            assert rhs == 1 and 0 < len(row) <= n + 1 and 0 not in row.values()
+            assert all(0 <= t < fan.num_rays for t in row)
         cert = search_certificate(fan)
+        assert [cert.value(i) for i in fan.max_cones[0].ray_indices] == [0] * n
         assert cert.functionals[0] == (0,) * n
         assert validate_certificate(fan, cert.functionals) is None
 
@@ -203,6 +217,67 @@ class TestCertificates:
         fan, poly = load_fan_and_polyhedron("p2")
         rep = check_semiprojective(fan, poly)
         assert rep.semiprojective
+
+
+E1, E2, E3, W1, W2, W3 = (1, 0, 0), (0, 1, 0), (0, 0, 1), (2, 1, 1), (1, 2, 1), (1, 1, 2)
+PINWHEEL_RAYS = [E1, E2, E3, (-1, -1, -1), W1, W2, W3, (1, 1, 1)]  # rays 1..8
+PINWHEEL_CORE = [[1, 2, 4], [2, 3, 4], [1, 3, 4], [5, 6, 8], [6, 7, 8], [5, 7, 8]]
+PINWHEELS = {
+    # inside cone(e1, e2, e3) each quadrilateral e_i, e_i+1, w_i+1, w_i is cut
+    # along one diagonal: e_i+1 w_i for the pinwheel, e_i w_i+1 for its mirror
+    "pinwheel": PINWHEEL_CORE + [[1, 2, 5], [2, 6, 5], [2, 3, 6], [3, 7, 6], [3, 1, 7], [1, 5, 7]],
+    "mirror": PINWHEEL_CORE + [[1, 2, 6], [1, 6, 5], [2, 3, 7], [2, 7, 6], [3, 1, 5], [3, 5, 7]],
+}
+
+
+class TestPinwheel:
+    """A smooth complete fan with no strictly convex support function.
+
+    Its walls e2w1, e3w2 and e1w3 (or, in the mirror, e1w2, e2w3 and e3w1)
+    carry the relations e1 + w2 = e2 + w1, e2 + w3 = e3 + w2 and
+    e3 + w1 = e1 + w3.  Each wall row says phi at the two rays outside the
+    wall exceeds phi at the two on it by at least 1; the three rows sum to
+    0 on the left and 3 on the right, so no phi satisfies them.
+    """
+
+    @pytest.mark.parametrize("name", PINWHEELS)
+    def test_three_wall_rows_sum_to_zero(self, name):
+        def add(*vs):
+            return tuple(map(sum, zip(*vs)))
+
+        assert add(E1, W2) == add(E2, W1) and add(E2, W3) == add(E3, W2) \
+            and add(E3, W1) == add(E1, W3)
+        fan = fan_from_data(3, PINWHEEL_RAYS, PINWHEELS[name])
+        assert len(fan.max_cones) == 12
+        # e1 + w2 = e2 + w1 is rays 1 + 6 = 2 + 5, and so on
+        relations = [({1, 6}, {2, 5}), ({2, 7}, {3, 6}), ({3, 5}, {1, 7})]
+        if name == "mirror":
+            relations = [(on, off) for off, on in relations]
+        wall_rows = []
+        for off, on in relations:  # the wall's cones are on + one ray of off each
+            assert all(fan.is_face(on | {i}) for i in off) and fan.is_face(on)
+            wall_rows.append({i - 1: 1 for i in off} | {i - 1: -1 for i in on})
+        rows = [row for row, _ in _wall_rows(fan)[0]]
+        assert all(row in rows for row in wall_rows)
+        total = {t: sum(row.get(t, 0) for row in wall_rows) for t in range(fan.num_rays)}
+        assert set(total.values()) == {0}  # 0 >= 3 is false
+        rep = check_semiprojective(fan)
+        assert (rep.semiprojective, rep.reason, rep.certificate) == (False, REASON_NO_PHI, None)
+        assert search_certificate(fan) is None
+
+    @pytest.mark.parametrize("name", PINWHEELS)
+    def test_cli_validate_says_no_and_degenerate_exits_2(self, name, capsys, tmp_path):
+        path = tmp_path / f"{name}.json"
+        path.write_text(fan_json(3, [list(r) for r in PINWHEEL_RAYS], PINWHEELS[name]))
+        assert main(["validate", str(path), "--json"]) == 0
+        sp = json.loads(capsys.readouterr().out)["payload"]["semiprojective"]
+        assert sp == {"semiprojective": False, "reason": "no-strictly-convex-phi",
+                      "certificate": None, "witnesses": []}
+        assert main(["validate", str(path)]) == 0
+        assert "semi-projective: no (no-strictly-convex-phi)" in capsys.readouterr().out
+        assert main(["degenerate", str(path)]) == 2
+        assert capsys.readouterr().err == \
+            "error: fan is not semi-projective: no-strictly-convex-phi\n"
 
 
 class TestDegeneration:
