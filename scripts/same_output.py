@@ -7,11 +7,16 @@ Runs ``validate``, ``cohomology``, ``cohomology --ring``, ``verify`` and
 ``degenerate`` from ROOT_A/src and ROOT_B/src on every fan in ``fans/``
 and on every distinct fan of the seed-1 and seed-7 benchmark workloads,
 each with ``--json`` and with human output (its ``time:`` line dropped).
-The fans are those of the tree that holds this script; the workload fans
-are generated by ``perfbench/fans.py`` and ``perfbench/workloads.py``,
-which are only imported.  Each fan file is written once and both trees
-read the same path, since reports name it.  Prints every difference in
-stdout, stderr or exit code and exits 1 if there is any, else 0.
+The LP-bound fans that CI checks (seed-7 P^5, (P^1)^4 to (P^1)^8, the
+blown-up P^5 and the 20- and 24-ray surfaces) and the two non-projective
+pinwheels get ``validate`` and ``degenerate`` only: ``cohomology --ring``
+on (P^1)^8 forms 2^16 products and ``verify`` refuses more than 8 cones.
+The fans are those of the tree that holds this script; the workload and
+LP-bound fans are generated by ``perfbench/fans.py`` and
+``perfbench/workloads.py``, which are only imported.  Each fan file is
+written once and both trees read the same path, since reports name it.
+Prints every difference in stdout, stderr or exit code and exits 1 if
+there is any, else 0.
 """
 
 import json
@@ -24,13 +29,24 @@ from concurrent.futures import ThreadPoolExecutor
 
 HERE = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(HERE / "perfbench"))
+from fans import blowup_projective_space, p1_power, projective_space, scramble, surface  # noqa: E402
 from workloads import WORKLOADS, workload_jobs  # noqa: E402
 
 COMMANDS = (["validate"], ["cohomology"], ["cohomology", "--ring"], ["verify"], ["degenerate"])
+LP_COMMANDS = (["validate"], ["degenerate"])
+
+# smooth, complete and not projective: the cones of P^3 at -e1-e2-e3, and
+# cone(e1, e2, e3) cut by w1, w2, w3 and c = (1, 1, 1) along either diagonal
+PINWHEEL_RAYS = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -1], [2, 1, 1], [1, 2, 1], [1, 1, 2], [1, 1, 1]]
+PINWHEEL_CORE = [[1, 2, 4], [2, 3, 4], [1, 3, 4], [5, 6, 8], [6, 7, 8], [5, 7, 8]]
+PINWHEELS = {
+    "pinwheel": PINWHEEL_CORE + [[1, 2, 5], [2, 6, 5], [2, 3, 6], [3, 7, 6], [3, 1, 7], [1, 5, 7]],
+    "mirror": PINWHEEL_CORE + [[1, 2, 6], [1, 6, 5], [2, 3, 7], [2, 7, 6], [3, 1, 5], [3, 5, 7]],
+}
 
 
-def fan_texts() -> dict[str, str]:
-    """File name -> text of every fan to run, duplicates dropped."""
+def fan_texts() -> dict[str, tuple[str, tuple]]:
+    """File name -> (text, commands) of every fan to run, duplicates dropped."""
     texts = {p.name: p.read_text(encoding="utf-8") for p in sorted((HERE / "fans").glob("*.json"))}
     for seed in (1, 7):
         for workload in WORKLOADS:
@@ -38,7 +54,13 @@ def fan_texts() -> dict[str, str]:
                 text = json.dumps(job.case.file_data())
                 if text not in texts.values():
                     texts[f"seed{seed}-{job.case.name}.json"] = text
-    return texts
+    lp = {f"lp-{case.name}.json": json.dumps(scramble(case, 7).file_data())
+          for case in (projective_space(5), *map(p1_power, range(4, 9)), blowup_projective_space(5),
+                       surface(20), surface(24))}
+    lp |= {f"lp-{name}.json": json.dumps({"rank": 3, "rays": PINWHEEL_RAYS, "max_cones": cones})
+           for name, cones in PINWHEELS.items()}
+    return {**{name: (text, COMMANDS) for name, text in texts.items()},
+            **{name: (text, LP_COMMANDS) for name, text in lp.items() if text not in texts.values()}}
 
 
 def run(root: pathlib.Path, args: list[str], cwd: str) -> tuple:
@@ -56,10 +78,11 @@ def main(argv: list[str]) -> int:
         sys.exit(__doc__)
     roots = [pathlib.Path(a).resolve() for a in argv]
     with tempfile.TemporaryDirectory() as tmp:
-        for name, text in fan_texts().items():
+        fans = fan_texts()
+        for name, (text, _) in fans.items():
             pathlib.Path(tmp, name).write_text(text, encoding="utf-8")
-        runs = [[*command, name, *mode] for name in sorted(os.listdir(tmp))
-                for command in COMMANDS for mode in ([], ["--json"])]
+        runs = [[*command, name, *mode] for name in sorted(fans)
+                for command in fans[name][1] for mode in ([], ["--json"])]
         with ThreadPoolExecutor(max_workers=2) as pool:
             outputs = [pool.map(lambda args, root=root: run(root, args, tmp), runs) for root in roots]
             differences = 0

@@ -6,14 +6,14 @@ smoothness (ray generators of every cone extend to a lattice basis, by
 integer column reduction: ``lattice_index``), and the fan condition (any
 two cones meet in a common face).  A pair of maximal cones meets in its
 common face exactly when some covector vanishes on the common rays and
-separates the other rays; ``separation_rows`` writes those conditions
-once per pair as ``linalg.solve_system`` rows, each a map {coordinate:
-coefficient} of a ray's nonzeros.  A covector built from the dual frame
-of either cone that violates none of them settles a pair, and any other
-pair gets the exact separation problem.  A failing pair is named with a
-point of both cones found by one more.  Each full-dimensional cone's
-``dual_frame`` is computed once and kept on the fan (``Fan.frame``) for
-the fan condition, ray coordinates, log derivations and support convexity.
+separates the other rays.  The fan keeps each full-dimensional cone's
+``dual_frame`` (``Fan.frame``) and the coordinates of every ray in the
+cone's basis (``Fan.coordinates``), computed once per cone; a covector
+summed from one cone's frame separates a pair when integer sums of those
+coordinates say so, and only a pair that neither frame settles gets its
+``separation_rows`` and the exact separation problem.  A failing pair is
+named with a point of both cones found by one more.  The coordinates also
+serve the log derivations, the wall rows and support convexity.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import cached_property
@@ -31,7 +32,6 @@ from .linalg import (
     RationalMatrix,
     Vector,
     dot,
-    first_violated_row,
     inverse,
     kernel_basis,
     primitive_vector,
@@ -108,9 +108,9 @@ class Fan:
     """Validated smooth fan.  Immutable by convention; safe for concurrent reads.
 
     ``_tables`` caches tables computed from the fan alone: the monomial
-    bases of ``srring``, the Koszul index maps of ``twisted`` and the dual
-    frame of each full-dimensional cone (``frame``).  ``table`` is the
-    engine's one memo: ``TwistedComplex`` and ``CoverSimplex`` use it too.
+    bases of ``srring``, the Koszul maps of ``twisted``, each full-dimensional
+    cone's ``frame`` and ``coordinates`` and the walls of ``semiproj``.  ``table``
+    is the engine's one memo: ``TwistedComplex`` and ``CoverSimplex`` use it too.
     """
 
     def __init__(self, rank: int, rays: tuple[IntVec, ...], max_cones: tuple[Cone, ...],
@@ -143,6 +143,11 @@ class Fan:
         if cone.dim != self.rank:
             raise FanError(f"cone {cone} is not full-dimensional")
         return self.table(("frame", cone.ray_indices), lambda: dual_frame(self.rays, cone))
+
+    def coordinates(self, cone: Cone) -> tuple[IntVec, ...]:
+        """Row u - 1: ray u's integer coordinates in a full-dimensional cone's basis (``frame`` pairings)."""
+        return self.table(("coords", cone.ray_indices), lambda: tuple(
+            tuple(sum(map(operator.mul, row, ray)) for row in self.frame(cone)) for ray in self.rays))
 
     def ray(self, i: int) -> IntVec:
         """Ray generator for a 1-based ray index."""
@@ -205,13 +210,9 @@ def lattice_index(rows: Sequence[Sequence[int]], rank: int) -> int:
 
 
 def ray_coordinates_in_cone_basis(fan: Fan, cone: Cone, ray_index: int) -> tuple[int, ...]:
-    """Integer coordinates of a ray in the basis given by a full-dim smooth cone.
-
-    Returns a_1..a_n with ray = sum a_i * (i-th cone ray): the pairings of
-    the ray with the cone's dual frame (``Fan.frame``).
-    """
-    ray = fan.ray(ray_index)
-    return tuple(sum(f * x for f, x in zip(row, ray)) for row in fan.frame(cone))
+    """Integer coordinates a_1..a_n of a ray in the basis given by a full-dim smooth
+    cone, ray = sum a_i * (i-th cone ray): row ``ray_index - 1`` of ``Fan.coordinates``."""
+    return fan.coordinates(cone)[ray_index - 1]
 
 
 # -- cone geometry (exact) ------------------------------------------------
@@ -326,19 +327,20 @@ def dual_frame(rays: Sequence[IntVec], cone: Cone) -> tuple[IntVec, ...]:
     return tuple(map(tuple, frame))
 
 
-def _frame_separates(frames: dict[Cone, tuple[IntVec, ...]], a: Cone, b: Cone,
-                     eqs: list, ineqs: list) -> bool:
-    """Whether a dual-frame covector satisfies the pair's ``separation_rows``.
+def _frame_separates(coords: dict[Cone, tuple[IntVec, ...]], a: Cone, b: Cone) -> bool:
+    """Whether a dual-frame covector separates the pair, read from ``Fan.coordinates``.
 
-    The candidates are the sum of a's frame over a's rays outside b, and
-    minus the sum of b's frame over b's rays outside a (for each cone that
-    has a frame); a candidate counts once it violates none of the rows.
+    The candidates are the sum of a's frame over a's rays outside b, and minus
+    the same sum for b (for each cone that has coordinates).  The first is 0 on
+    the common rays and 1 on a's other rays by construction, so it separates
+    exactly when each ray of b outside a has coordinates summing to <= -1 there.
     """
-    for cone, other, sign in ((a, b, 1), (b, a, -1)):
-        frame = frames.get(cone)
-        if frame is not None:
-            own = [row for i, row in zip(cone.ray_indices, frame) if i not in other.index_set]
-            if first_violated_row(eqs, ineqs, [sign * sum(col) for col in zip(*own)]) is None:
+    for cone, other in ((a, b), (b, a)):
+        table = coords.get(cone)
+        if table is not None:
+            own = [k for k, i in enumerate(cone.ray_indices) if i not in other.index_set]
+            if all(sum(map(table[i - 1].__getitem__, own)) <= -1
+                   for i in other.index_set - cone.index_set):
                 return True
     return False
 
@@ -346,19 +348,17 @@ def _frame_separates(frames: dict[Cone, tuple[IntVec, ...]], a: Cone, b: Cone,
 def _check_fan_condition(fan: Fan) -> None:
     """Every pairwise intersection of maximal cones is the common-ray face.
 
-    A pair passes when it has a separating covector.  Its
-    ``separation_rows`` are built once: the two dual-frame candidates of
-    ``_frame_separates`` (frames from ``Fan.frame``) are tested against
-    them first, and a pair that neither passes hands them to
-    ``separating_covector``, which finds one exactly when one exists, so
-    the verdict is that of the separation problem alone.  A failing pair
-    solves one more problem for a point to name in the error.
+    A pair passes when it has a separating covector.  The dual-frame candidates
+    of ``_frame_separates`` are tried first; only a pair that neither passes
+    builds its ``separation_rows`` for ``separating_covector``, which finds one
+    exactly when one exists, so the verdict is that of the separation problem
+    alone.  A failing pair solves one more problem for a point to name in the error.
     """
     n, rays = fan.rank, fan.rays
-    frames = {c: fan.frame(c) for c in fan.max_cones if c.dim == n}
+    coords = {c: fan.coordinates(c) for c in fan.max_cones if c.dim == n}
     for a, b in itertools.combinations(fan.max_cones, 2):
-        rows = separation_rows(rays, a, b)
-        if not _frame_separates(frames, a, b, *rows) and separating_covector(n, *rows) is None:
+        if not _frame_separates(coords, a, b) and \
+                separating_covector(n, *separation_rows(rays, a, b)) is None:
             raise FanValidationError(
                 f"fan condition fails: cones {a} and {b} intersect beyond their "
                 f"common face (both contain {list(overlap_witness(n, rays, a, b))})")

@@ -48,12 +48,12 @@ equalities go straight into the ``RationalMatrix`` whose ``kernel_basis``
 solves them, Fourier-Motzkin elimination (``solve_inequalities``) runs on
 the inequalities written in that basis from their nonzeros, and the answer
 is mapped back; ``first_violated_row`` tests a vector against the same
-rows (``row_value``).  The fan condition (``fan``: a covector per pair of
-cones) and the semi-projectivity certificates (``semiproj``: the values of
-phi at the rays, one row per interior wall, no equalities beyond n pins)
-each build their rows once and read them through both.  Fourier-Motzkin
-keeps every row as a primitive integer tuple; Fractions appear only in its
-back-substitution.
+rows (``row_value``).  The fan condition (``fan``: a covector for each pair
+of cones its dual frames leave open) solves its rows, and the certificates
+(``semiproj``: the values of phi at the rays, one row per interior wall, no
+equalities beyond n pins) read theirs through both, built once per fan.
+Fourier-Motzkin keeps every row as a primitive integer tuple; Fractions
+appear only in its back-substitution.
 """
 
 from __future__ import annotations

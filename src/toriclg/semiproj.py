@@ -106,11 +106,12 @@ def _wall_rows(fan: Fan) -> tuple[list, list[str]]:
     The wall of the maximal cones a and b (a first in ``fan.max_cones``) gives
     phi_l - sum a_i phi_i >= 1, with l the ray of b outside a and a_i its
     coordinates in a's basis: at most n + 1 nonzeros.  The walls come in the
-    order of their pairs of cones; row k fails with messages[k].
+    order of their pairs of cones; row k fails with messages[k].  Its readers
+    keep the rows and the facets (``_facet_holders``) in ``Fan.table``, once per fan.
     """
     cones = fan.max_cones
-    walls = sorted((w for w in _facet_holders(fan).values() if len(w) == 2),
-                   key=lambda w: (w[0][0], w[1][0]))
+    holders = fan.table(("facet holders",), lambda: _facet_holders(fan))
+    walls = sorted((w for w in holders.values() if len(w) == 2), key=lambda w: (w[0][0], w[1][0]))
     rows, messages = [], []
     for (pa, _), (pb, kb) in walls:
         a, b = cones[pa], cones[pb]
@@ -136,7 +137,7 @@ def _ray_values(fan: Fan, functionals: list[Vector]) -> list | str:
 
 def _wall_violation(fan: Fan, values: list) -> str | None:
     """The message of the first wall row (``_wall_rows``) the ray values violate, with its margin."""
-    rows, messages = _wall_rows(fan)
+    rows, messages = fan.table(("wall rows",), lambda: _wall_rows(fan))
     k = first_violated_row((), rows, values)
     return None if k is None else f"{messages[k]} (margin {row_value(rows[k][0], values)})"
 
@@ -159,15 +160,14 @@ def _support_convexity_failure(fan: Fan) -> tuple | None:
     A facet contained in a single maximal cone must lie on the boundary of
     the cone hull of all rays: its normal, oriented towards the cone, must
     be nonnegative on every ray of the fan.  That normal is the cone's
-    dual-frame row (``Fan.frame``) of its ray outside the facet, which is
-    0 on the facet and 1 on that ray.  Facets come in the order of their rays.
+    dual-frame row (``Fan.frame``) of its ray k outside the facet, whose pairing
+    with ray i is coordinate k of ray i (``Fan.coordinates``).  Facets come in the order of their rays.
     """
-    holders = _facet_holders(fan)
+    holders = fan.table(("facet holders",), lambda: _facet_holders(fan))
     for facet in sorted(f for f, w in holders.items() if len(w) == 1):
         (p, k), = holders[facet]
-        normal = fan.frame(fan.max_cones[p])[k]
-        for i in range(1, fan.num_rays + 1):
-            if dot(normal, fan.ray(i)) < 0:
+        for i, coords in enumerate(fan.coordinates(fan.max_cones[p]), 1):
+            if coords[k] < 0:
                 return (Cone(facet), i)
     return None
 
@@ -205,7 +205,7 @@ def search_certificate(fan: Fan) -> PLCertificate | None:
     {i: 1}: a certificate is only defined up to a linear function.  The
     covectors read back from the answer go through ``validate_certificate``.
     """
-    rows, _ = _wall_rows(fan)
+    rows, _ = fan.table(("wall rows",), lambda: _wall_rows(fan))
     x = solve_system([{i - 1: 1} for i in fan.max_cones[0].ray_indices], rows, fan.num_rays)
     if x is None:
         return None

@@ -88,6 +88,17 @@ def random_unimodular(rng: random.Random, n: int, shears=6):
     return tuple(tuple(row) for row in mat)
 
 
+def scrambled_data(rank: int, rays, cones, seed: int) -> tuple:
+    """Fan data in coordinates changed by a seeded unimodular matrix, its rays
+    listed in a seeded order: (rank, rays, cones) for ``fan_from_data``."""
+    rng = random.Random(seed)
+    u = random_unimodular(rng, rank)
+    order = rng.sample(range(len(rays)), len(rays))  # new ray p + 1 is old ray order[p] + 1
+    new_index = {old + 1: p + 1 for p, old in enumerate(order)}
+    return (rank, [[sum(a * b for a, b in zip(row, rays[old])) for row in u] for old in order],
+            [[new_index[i] for i in c] for c in cones])
+
+
 def dense_rref(rows, ncols: int) -> tuple[list[dict], list[int], list[int]]:
     """Gauss-Jordan elimination over Fractions on a dense copy of the rows,
     swapping rows physically: the reference of ``linalg.eliminate``.

@@ -30,7 +30,7 @@ from helpers import (
     random_cochain,
     random_polynomial,
     random_total_columns,
-    random_unimodular,
+    scrambled_data,
     sr_one,
     sr_variable,
     total_leibniz_sides,
@@ -128,12 +128,7 @@ class TestConstMatrix:
 def scrambled(fan, seed: int):
     """The fan in coordinates changed by a seeded unimodular matrix, its rays
     listed in a seeded order."""
-    rng = random.Random(seed)
-    u = random_unimodular(rng, fan.rank)
-    order = rng.sample(range(fan.num_rays), fan.num_rays)  # new ray p + 1 is old ray order[p] + 1
-    new_index = {old + 1: p + 1 for p, old in enumerate(order)}
-    rays = [[sum(a * b for a, b in zip(row, fan.rays[old])) for row in u] for old in order]
-    return fan_from_data(fan.rank, rays, [[new_index[i] for i in c.ray_indices] for c in fan.max_cones])
+    return fan_from_data(*scrambled_data(fan.rank, fan.rays, [c.ray_indices for c in fan.max_cones], seed))
 
 
 class TestDelta:

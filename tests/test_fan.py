@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import FAN_DIR, cn_data, fan_text, load_fan_and_polyhedron
-from helpers import INLINE_FANS, inline_fan_file, leibniz_det
+from helpers import INLINE_FANS, inline_fan_file, leibniz_det, scrambled_data
 from toriclg import (
     FanError,
     FanParseError,
@@ -213,10 +213,23 @@ def lp_pairs(monkeypatch, data) -> tuple[Fan, list[tuple[Cone, Cone]]]:
 
 
 class TestFrameCertificates:
+    # pairs sent to the LP: the dual frames settle the others, and a change of
+    # coordinates or of the order of rays and cones keeps both candidates
+    LP_PAIRS = {"S18": (48, 153), "S7": (8, 21)}
+
     @pytest.mark.parametrize("name", ["S18", "S7"])
     def test_frames_decide_some_pairs_of_a_surface(self, monkeypatch, name):
-        fan, seen = lp_pairs(monkeypatch, INLINE_FANS[name])
-        assert 0 < len(seen) < math.comb(len(fan.max_cones), 2)
+        for seed in (None, 1, 7):
+            data = INLINE_FANS[name] if seed is None else scrambled_data(*INLINE_FANS[name], seed)
+            fan, seen = lp_pairs(monkeypatch, data)
+            assert (len(seen), math.comb(len(fan.max_cones), 2)) == self.LP_PAIRS[name], seed
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_frames_decide_every_pair_of_a_p1_power(self, monkeypatch, k):
+        data = tuple(p1_power_data(k).values())
+        for seed in (None, 7):
+            fan, seen = lp_pairs(monkeypatch, data if seed is None else scrambled_data(*data, seed))
+            assert (len(fan.max_cones), seen) == (2 ** k, [])
 
     @pytest.mark.parametrize("name", sorted(ALL_FAN_DATA))
     def test_frame_acceptance_implies_a_separating_covector(self, monkeypatch, name):
@@ -232,16 +245,25 @@ class TestFrameCertificates:
             dual_frame(((1, 0), (1, 2)), Cone((1, 2)))
 
     def test_separation_rows_built_once_per_pair(self, monkeypatch):
-        # the frame candidates and the LP read the same rows
-        built = []
+        # rows are built at most once a pair, and only for the pairs that reach the LP
+        built, seen = [], []
 
         def build(rays, a, b):
             built.append((a, b))
             return separation_rows(rays, a, b)
 
+        def spy(rank, eqs, ineqs):
+            seen.append(built[-1])
+            return separating_covector(rank, eqs, ineqs)
+
         monkeypatch.setattr(fan_module, "separation_rows", build)
-        fan = fan_from_data(*INLINE_FANS["S18"])
-        assert len(built) == len(set(built)) == math.comb(len(fan.max_cones), 2) == 153
+        monkeypatch.setattr(fan_module, "separating_covector", spy)
+        fan_from_data(*INLINE_FANS["S18"])
+        assert built == seen and len(set(built)) == len(built) == 48
+
+    def test_coordinates_refuse_a_cone_that_is_not_full_dimensional(self, cxp1):
+        with pytest.raises(FanError, match="not full-dimensional"):
+            cxp1.coordinates(cxp1.cone([1]))
 
     def test_dual_frame_pairs_to_the_identity(self):
         for rank, rays, cones in ALL_FAN_DATA.values():
@@ -255,12 +277,30 @@ class TestFrameCertificates:
     @settings(max_examples=300, deadline=None)
     @given(simplicial_cone_pairs())
     def test_accepted_candidate_agrees_with_the_lp_on_any_pair(self, pair):
-        # overlapping pairs included: a candidate passes only the exact test
+        # overlapping pairs included: a candidate passes only when it separates
         n, rays, a, b = pair
-        frames = {c: dual_frame(rays, c) for c in (a, b)
+        fan = Fan(n, rays, (a, b), (a, b))
+        coords = {c: fan.coordinates(c) for c in (a, b)
                   if c.dim == n and lattice_index([rays[i - 1] for i in c.ray_indices], n) == 1}
-        if _frame_separates(frames, a, b, *separation_rows(rays, a, b)):
+        if _frame_separates(coords, a, b):
             assert separating_covector(n, *separation_rows(rays, a, b)) is not None
+
+    @settings(max_examples=300, deadline=None)
+    @given(simplicial_cone_pairs())
+    def test_coordinate_sums_decide_as_the_candidate_covectors(self, pair):
+        # the integer sums accept a pair exactly when a candidate covector, the
+        # signed sum of one cone's frame rows over its rays outside the other,
+        # violates none of the pair's separation rows
+        n, rays, a, b = pair
+        fan = Fan(n, rays, (a, b), (a, b))
+        coords = {c: fan.coordinates(c) for c in (a, b)
+                  if c.dim == n and lattice_index([rays[i - 1] for i in c.ray_indices], n) == 1}
+        candidates = [[sign * sum(col) for col in zip(*(f for i, f in zip(c.ray_indices, fan.frame(c))
+                                                        if i not in o.index_set))]
+                      for c, o, sign in ((a, b, 1), (b, a, -1)) if c in coords]
+        rows = separation_rows(rays, a, b)
+        assert _frame_separates(coords, a, b) == any(
+            linalg.first_violated_row(*rows, m) is None for m in candidates)
 
 
 def projective_space_data(n: int) -> dict:

@@ -6,9 +6,10 @@ from fractions import Fraction
 import pytest
 
 from conftest import cn_data, load_fan_and_polyhedron
-from helpers import random_unimodular
+from helpers import INLINE_FANS, random_unimodular
 from toriclg import check_semiprojective, degeneration_exponent, parse_fan_file
 from toriclg.fan import FanError, fan_from_data
+from toriclg import semiproj
 from toriclg.cli import main
 from toriclg.linalg import dot, row_value
 from toriclg.semiproj import (
@@ -212,6 +213,29 @@ class TestCertificates:
         assert [cert.value(i) for i in fan.max_cones[0].ray_indices] == [0] * n
         assert cert.functionals[0] == (0,) * n
         assert validate_certificate(fan, cert.functionals) is None
+
+    @pytest.mark.parametrize("name", ["S18", "pinwheel"])
+    def test_walls_are_built_once_per_fan(self, name, monkeypatch, capsys, tmp_path):
+        # the support check, the search and its check of the answer (and a
+        # polyhedron's check) read the facets and walls kept on the fan
+        builds = {"_facet_holders": [], "_wall_rows": []}
+        for builder, fans in builds.items():
+            def spy(fan, _build=getattr(semiproj, builder), _fans=fans):
+                _fans.append(fan)
+                return _build(fan)
+            monkeypatch.setattr(semiproj, builder, spy)
+        path = tmp_path / "fan.json"
+        rays, cones = (PINWHEEL_RAYS, PINWHEELS[name]) if name in PINWHEELS else INLINE_FANS[name][1:]
+        path.write_text(fan_json(len(rays[0]), rays, cones), encoding="utf-8")
+        codes = [main([command, str(path), "--json"]) for command in ("validate", "degenerate")]
+        capsys.readouterr()
+        assert codes == ([0, 0] if name == "S18" else [0, 2])
+        for fans in builds.values():
+            assert len(fans) == len({id(fan) for fan in fans}) == 2
+        fan = fan_from_data(len(rays[0]), rays, cones)
+        check_semiprojective(fan)
+        check_semiprojective(fan)
+        assert [fans[2:] for fans in builds.values()] == [[fan], [fan]]
 
     def test_matching_polyhedron_works(self):
         fan, poly = load_fan_and_polyhedron("p2")

@@ -19,6 +19,7 @@ from helpers import (
 from toriclg import (
     build_twisted,
     check_semiprojective,
+    degeneration_exponent,
     lg_cohomology,
     log_derivations,
     lsop_check,
@@ -30,6 +31,7 @@ from toriclg.cli import main
 from toriclg.fan import Cone, FanError, dual_frame, fan_from_data
 from toriclg import cech, linalg, twisted
 from toriclg.linalg import LinearSolver, RationalMatrix, cohomology_at
+from toriclg.semiproj import _facet_holders, _wall_rows
 from toriclg.srring import cone_monomial_basis
 from toriclg.twisted import _index_maps, default_t_max, koszul_block, lg_multiply
 
@@ -510,6 +512,13 @@ def fresh_table(fan, key):
         return cone_monomial_basis(fan, Cone(args[0]), args[1])
     if kind == "frame":
         return dual_frame(fan.rays, Cone(args[0]))
+    if kind == "coords":
+        frame = dual_frame(fan.rays, Cone(args[0]))
+        return tuple(tuple(sum(f * x for f, x in zip(row, ray)) for row in frame) for ray in fan.rays)
+    if kind == "facet holders":
+        return _facet_holders(fan)
+    if kind == "wall rows":
+        return _wall_rows(fan)
     assert kind == "koszul maps", key
     return _index_maps(fan, None if args[0] is None else Cone(args[0]), args[1])
 
@@ -525,8 +534,13 @@ def test_cached_tables_survive_every_job():
     lsop_check(tc)
     for cone in fan.max_cones:
         log_derivations(fan, cone)
+    cert = check_semiprojective(fan).certificate
+    for cone in fan.max_cones:
+        for ray in range(1, fan.num_rays + 1):
+            if ray not in cone.index_set:
+                degeneration_exponent(fan, cert, cone, ray)
     assert {key[0] for key in fan._tables} == {"sr basis", "cone basis", "koszul maps",
-                                                "frame"}
+                                                "frame", "coords", "facet holders", "wall rows"}
     fresh = oracle_fan("P3")
     for key, value in fan._tables.items():
         assert value == fresh_table(fresh, key), key
