@@ -11,9 +11,13 @@ The LP-bound fans that CI checks (seed-7 P^5, (P^1)^4 to (P^1)^8, the
 blown-up P^5 and the 20- and 24-ray surfaces) and the two non-projective
 pinwheels get ``validate`` and ``degenerate`` only: ``cohomology --ring``
 on (P^1)^8 forms 2^16 products and ``verify`` refuses more than 8 cones.
-The fans are those of the tree that holds this script; the workload and
-LP-bound fans are generated by ``perfbench/fans.py`` and
-``perfbench/workloads.py``, which are only imported.  Each fan file is
+The elimination-bound fans that CI verifies, P^4 and Bl_pt P^4 (8 cones,
+the largest Cech complex the cover limit admits), get ``verify`` only;
+P^6 and C^8 are left out, since nothing bounds ``verify`` there.
+The fans are those of the tree that holds this script; the workload,
+LP-bound and elimination-bound fans are generated by
+``perfbench/fans.py`` and ``perfbench/workloads.py``, which are only
+imported.  Each fan file is
 written once and both trees read the same path, since reports name it.
 Prints every difference in stdout, stderr or exit code and exits 1 if
 there is any, else 0.
@@ -34,6 +38,7 @@ from workloads import WORKLOADS, workload_jobs  # noqa: E402
 
 COMMANDS = (["validate"], ["cohomology"], ["cohomology", "--ring"], ["verify"], ["degenerate"])
 LP_COMMANDS = (["validate"], ["degenerate"])
+VERIFY_COMMANDS = (["verify"],)
 
 # smooth, complete and not projective: the cones of P^3 at -e1-e2-e3, and
 # cone(e1, e2, e3) cut by w1, w2, w3 and c = (1, 1, 1) along either diagonal
@@ -59,8 +64,11 @@ def fan_texts() -> dict[str, tuple[str, tuple]]:
                        surface(20), surface(24))}
     lp |= {f"lp-{name}.json": json.dumps({"rank": 3, "rays": PINWHEEL_RAYS, "max_cones": cones})
            for name, cones in PINWHEELS.items()}
+    verify = {f"verify-{case.name}.json": json.dumps(case.file_data())
+              for case in (projective_space(4), blowup_projective_space(4))}
     return {**{name: (text, COMMANDS) for name, text in texts.items()},
-            **{name: (text, LP_COMMANDS) for name, text in lp.items() if text not in texts.values()}}
+            **{name: (text, LP_COMMANDS) for name, text in lp.items() if text not in texts.values()},
+            **{name: (text, VERIFY_COMMANDS) for name, text in verify.items() if text not in texts.values()}}
 
 
 def run(root: pathlib.Path, args: list[str], cwd: str) -> tuple:

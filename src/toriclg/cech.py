@@ -11,14 +11,17 @@ the full simplex over the cover, named by a tag:
     annihilators, written in ambient wedge coordinates by
     ``CoverSimplex.const_matrix``.
 
+A forms slot (p, k, m) is laid out as the twisted slot (k, m) over the
+p-simplex cones' monomial bases (``CoverSimplex.slot_layout``), so one
+``koszul_block`` over those cones writes its vertical differential.
+
 The module provides the horizontal differential, planned once per
 (tag, Cech degree, polynomial or exterior degree), the exactness check of
 the augmented complex in every degree, total complexes written by the
 twisted complex's writer ``total_matrix`` from one map per slot (the delta,
-and the block-diagonal vertical and inclusion maps over the simplex cones),
-each a table of ``Fan.table`` built once, quasi-isomorphism verification
-between the three pipelines, and the front/back-face cup product on
-total-complex columns.
+the Koszul vertical and the inclusion), each a table of ``Fan.table``
+built once, quasi-isomorphism verification between the three pipelines,
+and the front/back-face cup product on total-complex columns.
 
 Sign conventions, fixed here once:
   * horizontal delta removes vertices with alternating signs;
@@ -45,7 +48,7 @@ from .linalg import (
     cohomology_at,  # noqa: F401 - perfbench/tests checks that the tracer wraps this copy
     kernel_basis,
 )
-from .srring import cone_monomial_basis, restrict, sr_basis
+from .srring import cone_monomial_basis, sr_basis
 from .twisted import (
     LGElement,
     TotalCohomology,
@@ -175,22 +178,21 @@ class CoverSimplex:
     def slot_layout(self, tag: str, p: int, k: int, m: int) -> tuple[int, dict[Simplex, int]]:
         """Total dimension and per-simplex offsets of one Cech slot.
 
-        The local space of a forms slot on tau has the basis (monomial,
-        wedge), wedges of ``ext_subsets`` outside and monomials of
-        ``cone_monomial_basis`` on the cone of tau inside; that of a const
-        slot is the columns of ``const_matrix``.  Sizes are counted without
-        building either.
+        A forms slot is the twisted slot (k, m) with C^p_m, the
+        ``cone_monomial_basis`` of the p-simplex cones one after another, in
+        place of B(m): (wedge a, simplex tau) starts at a * |C^p_m| plus the
+        offset of tau in C^p_m.  A const slot is the columns of each simplex's
+        ``const_matrix`` in turn, counted as C(n - dim, k), since a smooth
+        cone's rays are independent.
         """
         def build():
             if tag == TAG_FORMS and k:
-                # every local size is C(n, k) times its size at k = 0
-                wedges = len(ext_subsets(self.fan.rank, k))
                 total, offsets = self.slot_layout(tag, p, 0, m)
-                return wedges * total, {tau: wedges * off for tau, off in offsets.items()}
+                return math.comb(self.fan.rank, k) * total, offsets
             if tag == TAG_FORMS:
                 size = lambda cone: len(cone_monomial_basis(self.fan, cone, m))
             elif tag == TAG_CONST:
-                size = lambda cone: self.const_matrix(cone, k).cols
+                size = lambda cone: math.comb(self.fan.rank - cone.dim, k)
             else:
                 raise CechError(f"unknown tag {tag!r}")
             offsets = {}
@@ -204,18 +206,16 @@ class CoverSimplex:
 
     # -- restriction blocks ---------------------------------------------
 
-    def _keep_pairs(self, src: Cone | None, dst: Cone, m: int) -> tuple[int, int, tuple[tuple[int, int], ...]]:
-        """|B_src(m)|, |B_dst(m)| and the (source, target) index pairs of the
-        monomials of degree m on src that restriction to dst keeps (the
-        others it kills); B is ``cone_monomial_basis``, or for src None the
-        global ``sr_basis``."""
+    def _keep_pairs(self, src: Cone | None, dst: Cone, m: int) -> tuple[tuple[int, int], ...]:
+        """The (source, target) index pairs of the monomials of degree m on
+        src that restriction to dst keeps (the others it kills), in the
+        bases ``cone_monomial_basis``, or for src None the global ``sr_basis``."""
         def build():
             src_basis = sr_basis(self.fan, m) if src is None else cone_monomial_basis(self.fan, src, m)
             dst_basis = cone_monomial_basis(self.fan, dst, m)
             # dst's basis holds every monomial of degree m supported on dst
             index = {mono: i for i, mono in enumerate(dst_basis)}
-            pairs = tuple((j, i) for j, i in enumerate(map(index.get, src_basis)) if i is not None)
-            return len(src_basis), len(dst_basis), pairs
+            return tuple((j, i) for j, i in enumerate(map(index.get, src_basis)) if i is not None)
 
         return self.table(("keep", src.ray_indices if src is not None else None, dst.ray_indices, m), build)
 
@@ -233,8 +233,7 @@ class CoverSimplex:
         for forms q is m, the block is ``_keep_pairs`` and the offsets are
         those at k = 0; for const q is k and the block is
         ``_const_restriction``.  Both cache a block per pair of cones, which
-        most (tau, face) pairs repeat.  A forms local size at (k, m) is C(n, k)
-        times its size at (0, m), so one forms plan serves every k.
+        most (tau, face) pairs repeat.
         """
         def build():
             faces = self.table(("faces", p), lambda: [
@@ -253,22 +252,21 @@ class CoverSimplex:
     def delta_matrix(self, tag: str, p: int, k: int, m: int) -> RationalMatrix:
         """Horizontal differential from Cech degree p to p + 1.
 
-        Written from the plan of (tag, p, m) for forms and of (tag, p, k)
-        for const (``_delta_plan``); the (tau, face) blocks are disjoint, so
-        each entry is set once.
+        Written from the plan of (tag, p, m) for forms at k = 0 and of
+        (tag, p, k) for const (``_delta_plan``), each entry once.  The forms
+        delta keeps the wedge: at k > 0, C(n, k) diagonal copies of k = 0's.
         """
         def build():
+            if tag == TAG_FORMS and k:
+                base = self.delta_matrix(tag, p, 0, m)
+                wedges = math.comb(self.fan.rank, k)
+                return linalg.block_matrix([base.rows] * wedges, [base.cols] * wedges,
+                                           {(a, a): base for a in range(wedges)})
             ent: dict[tuple[int, int], int | Fraction] = {}
             if tag == TAG_FORMS:
-                # identity on the wedge part, keep-or-kill on monomials
-                wedges = len(ext_subsets(self.fan.rank, k))
-                for r, c, sign, (n_src, n_dst, pairs) in self._delta_plan(tag, p, m):
-                    r, c = wedges * r, wedges * c
-                    for _ in range(wedges):
-                        for j, i in pairs:
-                            ent[(r + i, c + j)] = sign
-                        r += n_dst
-                        c += n_src
+                # keep-or-kill on monomials
+                for r, c, sign, pairs in self._delta_plan(tag, p, m):
+                    ent.update(((r + i, c + j), sign) for j, i in pairs)
             else:
                 for r, c, sign, blk in self._delta_plan(tag, p, k):
                     ent.update(((r + i, c + j), sign * v) for (i, j), v in blk.entries.items())
@@ -281,13 +279,6 @@ class CoverSimplex:
         """The fan's twisted complex in the identity frame, built once per cover."""
         return self.table(("twisted",), lambda: build_twisted(self.fan))
 
-    def _local_vertical(self, cone: Cone, k: int, m: int) -> RationalMatrix:
-        """Twisted vertical differential on the forms of one cone, from (k, m) to
-        (k - 1, m + 2), with the coefficient forms restricted to the cone."""
-        forms = lambda: [restrict(f, cone) for f in self.twisted().linear_forms]
-        return self.table(("localvert", cone, k, m), lambda: koszul_block(
-            self.fan, self.table(("forms", cone), forms), k, m, cone))
-
     def augmentation_matrix(self, m: int) -> RationalMatrix:
         """Restriction of global functions to the degree-0 Cech slot.
 
@@ -298,7 +289,7 @@ class CoverSimplex:
         dst_dim, dst_off = self.slot_layout(TAG_FORMS, 0, 0, m)
         ent = {}
         for tau in self.simplices(0):
-            for j, i in self._keep_pairs(None, self.cone_of(tau), m)[2]:
+            for j, i in self._keep_pairs(None, self.cone_of(tau), m):
                 ent[(dst_off[tau] + i, j)] = 1
         return RationalMatrix(dst_dim, len(sr_basis(self.fan, m)), ent)
 
@@ -333,13 +324,6 @@ class CoverSimplex:
         sizes = lambda tag, t: {b: self.slot_layout(tag, *b)[0] for b in self.total_blocks(tag, t)}
         return total_matrix(sizes(src_tag, t_src), sizes(dst_tag, t_dst), maps)
 
-    def _diagonal(self, p: int, block) -> RationalMatrix:
-        """The block-diagonal map of a slot of Cech degree p: ``block(cone)``
-        on the cone of each p-simplex, in simplex order."""
-        blocks = [block(self.cone_of(tau)) for tau in self.simplices(p)]
-        return linalg.block_matrix([b.rows for b in blocks], [b.cols for b in blocks],
-                                   {(i, i): b for i, b in enumerate(blocks)})
-
     def const_total_matrix(self, t: int) -> RationalMatrix:
         """Total differential delta on the const double complex (zero vertical)."""
         maps = lambda p, k, m: [((p + 1, k, m), self.delta_matrix(TAG_CONST, p, k, m))]
@@ -349,22 +333,30 @@ class CoverSimplex:
         """Total differential delta + (-1)^p vertical on the forms double complex.
 
         The delta of a slot is the cached ``delta_matrix``; its vertical map
-        is block-diagonal over the cached local Koszul blocks of the simplex
-        cones (``_local_vertical``), negated at odd p.
+        is ``koszul_block`` over the slot's simplex cones, which shares the
+        slot's layout, of the identity-frame forms, negated at odd p.
         """
         def maps(p, k, m):
             yield (p + 1, k, m), self.delta_matrix(TAG_FORMS, p, k, m)
             if k:
-                vertical = self._diagonal(p, lambda cone: self._local_vertical(cone, k, m))
-                yield (p, k - 1, m + 2), vertical.scale(-1) if p % 2 else vertical
+                forms = [f.scale(-1) if p % 2 else f for f in self.twisted().linear_forms]
+                cones = tuple(map(self.cone_of, self.simplices(p)))
+                yield (p, k - 1, m + 2), koszul_block(self.fan, forms, k, m, cones)
 
         return self.table(("formstotal", t), lambda: self._total(TAG_FORMS, TAG_FORMS, t, t + 1, maps))
 
     def inclusion_matrix(self, t: int) -> RationalMatrix:
         """Chain map from the const total space into the forms total space:
-        on each slot, block-diagonal over the cones' ``const_matrix``."""
-        # at m = 0 the local forms basis is exactly the ambient wedge basis
-        maps = lambda p, k, m: [((p, k, m), self._diagonal(p, lambda cone: self.const_matrix(cone, k)))]
+        entry (wedge a, column c) of the ``const_matrix`` of the i-th
+        p-simplex goes to forms row (a, i), since every cone's forms basis at
+        m = 0 is the monomial 1, and to the simplex's const column c."""
+        def maps(p, k, m):
+            taus = self.simplices(p)
+            cols, offsets = self.slot_layout(TAG_CONST, p, k, m)
+            yield (p, k, m), RationalMatrix._trusted(math.comb(self.fan.rank, k) * len(taus), cols, {
+                (a * len(taus) + i, offsets[tau] + c): v for i, tau in enumerate(taus)
+                for (a, c), v in self.const_matrix(self.cone_of(tau), k).entries.items()})
+
         return self.table(("inclusion", t), lambda: self._total(TAG_CONST, TAG_FORMS, t, t, maps))
 
 
@@ -568,16 +560,18 @@ def cup(cs: CoverSimplex, tag: str, t1: int, x: RationalMatrix, t2: int,
                         col[b] = col.get(b, 0) + twist * c
     ent = {}
     for ((p, k, m), tau), cols in acc.items():
-        cone = cs.cone_of(tau)
         wedges = {s: i for i, s in enumerate(ext_subsets(cs.fan.rank, k))}
-        monos = {b: i for i, b in enumerate(cone_monomial_basis(cs.fan, cone, m))}
-        local = RationalMatrix(len(wedges) * len(monos), x.cols, {
-            (wedges[s] * len(monos) + monos[b], j): c for j, col in cols.items() for (b, s), c in col.items()})
-        if tag == TAG_CONST:
-            local = cs._const_solver(cone, k).solve(local)
-        off = offsets[(p, k, m)] + cs.slot_layout(tag, p, k, m)[1][tau]
-        ent.update(((off + i, j), c) for (i, j), c in local.entries.items())
-    return RationalMatrix._trusted(rows, x.cols, ent)
+        size, local_offsets = cs.slot_layout(tag, p, k, m)
+        off = offsets[(p, k, m)] + local_offsets[tau]
+        if tag == TAG_CONST:  # at m = 0 a form is its wedge coordinates; solve them in tau's const basis
+            local = cs._const_solver(cs.cone_of(tau), k).solve(RationalMatrix(len(wedges), x.cols, {
+                (wedges[s], j): c for j, col in cols.items() for (_, s), c in col.items()}))
+            ent.update(((off + i, j), c) for (i, j), c in local.entries.items())
+        else:  # wedge a starts a slot sizes at k = 0 into the slot
+            monos = {b: i for i, b in enumerate(cone_monomial_basis(cs.fan, cs.cone_of(tau), m))}
+            ent.update(((off + wedges[s] * size // len(wedges) + monos[b], j), c)
+                       for j, col in cols.items() for (b, s), c in col.items())
+    return RationalMatrix(rows, x.cols, ent)
 
 
 def _face_values(cs: CoverSimplex, t: int,
@@ -590,13 +584,16 @@ def _face_values(cs: CoverSimplex, t: int,
     out = {}
     row = 0
     for p, k, m in cs.total_blocks(TAG_FORMS, t):
+        size, offsets = cs.slot_layout(TAG_FORMS, p, k, m)
+        wedges = ext_subsets(cs.fan.rank, k)
         out[(p, k, m)] = values = {}
         for face in cs.simplices(p):
-            basis = [(b, s) for s in ext_subsets(cs.fan.rank, k)
-                     for b in cone_monomial_basis(cs.fan, cs.cone_of(face), m)]
+            monos = cone_monomial_basis(cs.fan, cs.cone_of(face), m)
             values[face] = cols = {}
-            for i, b in enumerate(basis, row):
-                for j, v in by_row.get(i, ()):
-                    cols.setdefault(j, {})[b] = v
-            row += len(basis)
+            for w, s in enumerate(wedges):
+                # wedge w starts w slot sizes at k = 0 into the slot
+                for i, b in enumerate(monos, row + w * size // len(wedges) + offsets[face]):
+                    for j, v in by_row.get(i, ()):
+                        cols.setdefault(j, {})[(b, s)] = v
+        row += size
     return out

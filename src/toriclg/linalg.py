@@ -646,9 +646,9 @@ def block_matrix(row_sizes: Sequence[int], col_sizes: Sequence[int],
     """Assemble a sparse block matrix; missing blocks are zero.
 
     The one writer of the total differentials (``twisted.total_matrix``)
-    and of the block-diagonal maps they place.  Each block must have the
-    shape of its row and column sizes; its entries are adopted as they
-    are, without validating them again.
+    and of the block-diagonal forms deltas they place (``cech``).  Each
+    block must have the shape of its row and column sizes; its entries
+    are adopted as they are, without validating them again.
     """
     row_off = [0]
     for s in row_sizes:

@@ -108,49 +108,51 @@ class TwistedComplex:
         return self.table(("total", t), lambda: total_matrix(sizes(t), sizes(t + 1), maps))
 
 
-def _index_maps(fan: Fan, cone: Cone | None, m: int) -> tuple[int, int, dict[Monomial, list[int]]]:
-    """|B(m)|, |B(m + 2)| and, for each ray variable z (of the cone), the row
-    of z * b in B(m + 2) for every b in B(m), or -1 where that product is
-    not in B(m + 2).
+def _index_maps(fan: Fan, cones: tuple[Cone, ...] | None, m: int) -> tuple[int, int, dict[Monomial, list[int]]]:
+    """|B(m)|, |B(m + 2)| and, for each ray variable z, the row of z * b in
+    B(m + 2) for every b in B(m), or -1 where that product is not in B(m + 2).
 
     B is ``sr_basis``, where a product leaves B(m + 2) when its support is
-    not a face, or for a cone ``cone_monomial_basis``, which a product of
-    the cone's variables never leaves.  Cached on the fan.
+    not a face, or the ``cone_monomial_basis`` of each of ``cones`` one after
+    another, where z * b stays in b's cone: a z outside it gives -1, which
+    is restriction to the cone.  Cached on the fan.
     """
     def build():
-        if cone is None:
-            src, dst, rays = sr_basis(fan, m), sr_basis(fan, m + 2), range(1, fan.num_rays + 1)
-        else:
-            src, dst = cone_monomial_basis(fan, cone, m), cone_monomial_basis(fan, cone, m + 2)
-            rays = cone.ray_indices
-        row = {mono: r for r, mono in enumerate(dst)}
-        return len(src), len(dst), {z: [row.get(z.times(b), -1) for b in src]
-                                    for z in map(Monomial.variable, rays)}
+        parts = ([(sr_basis(fan, m), sr_basis(fan, m + 2))] if cones is None else
+                 [(cone_monomial_basis(fan, c, m), cone_monomial_basis(fan, c, m + 2)) for c in cones])
+        maps = {z: [] for z in map(Monomial.variable, range(1, fan.num_rays + 1))}
+        n_dst = 0
+        for src, dst in parts:
+            row = {mono: n_dst + r for r, mono in enumerate(dst)}
+            for z, rows in maps.items():
+                rows += [row.get(z.times(b), -1) for b in src]
+            n_dst += len(dst)
+        return sum(len(src) for src, _ in parts), n_dst, maps
 
-    return fan.table(("koszul maps", None if cone is None else cone.ray_indices, m), build)
+    return fan.table(("koszul maps", None if cones is None else tuple(c.ray_indices for c in cones), m), build)
 
 
 def koszul_block(fan: Fan, forms: Sequence[SRPolynomial], k: int, m: int,
-                 cone: Cone | None = None) -> RationalMatrix:
+                 cones: tuple[Cone, ...] | None = None) -> RationalMatrix:
     """Matrix of sum_i forms[i] d/dx_i from slot (k, m) to slot (k - 1, m + 2).
 
     A slot's basis is subset-major, as in ``TwistedComplex.basis``: the
     k-subset s at position a of ``ext_subsets(n, k)`` times the monomial b
-    of B(m) is column a * |B(m)| + b.  B is ``sr_basis``, or for the Cech
-    local bases ``cone_monomial_basis`` of ``cone``.  Each form must be
-    linear in the ray variables (its terms in normal form); so is every
-    form the complexes build.
+    of B(m) is column a * |B(m)| + b.  B is ``sr_basis``, or for a Cech slot
+    the ``cone_monomial_basis`` of each of ``cones`` in turn, on which the
+    forms act restricted to the cone.  Each form must be linear in the ray
+    variables (its terms in normal form); so is every form the complexes build.
 
     The odd derivation d/dx_i removes i from s with the sign (-1)^(position
     of i), and the term c z of forms[i] sends b to z * b, whose row in
-    B(m + 2) one index map (``_index_maps``, once per fan, variable,
-    degree and cone) holds.  So each column is filled by index arithmetic;
-    no monomial is multiplied or hashed per entry.  Distinct terms reach
+    B(m + 2) one index map (``_index_maps``, once per fan, cones and
+    degree) holds.  So each column is filled by index arithmetic; no
+    monomial is multiplied or hashed per entry.  Distinct terms reach
     distinct entries, so no entry is a sum.
     """
     subsets = ext_subsets(fan.rank, k)
     dst_pos = {t: a for a, t in enumerate(ext_subsets(fan.rank, k - 1))}
-    n_src, n_dst, maps = _index_maps(fan, cone, m)
+    n_src, n_dst, maps = _index_maps(fan, cones, m)
     # per source subset: (row offset, coefficient, index map) of every term
     terms = []
     for s in subsets:

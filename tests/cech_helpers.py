@@ -1,8 +1,8 @@
 """Cech cochains as the tests handle them: a record of one coordinate
-vector per simplex, its local basis, coordinate vectors and total-complex
-columns, polynomial components, the horizontal differential on one
-cochain, the block-diagonal vertical differential of one slot, and the
-constructive gluing and splitting of functions.
+vector per simplex, its local basis, the rows a slot gives it, coordinate
+vectors and total-complex columns, polynomial components, the horizontal
+differential on one cochain, the vertical differential of one slot built
+cone by cone, and the constructive gluing and splitting of functions.
 
 No command runs any of this.  Every function takes the ``CoverSimplex``
 whose slot layouts and delta matrices it reads.
@@ -10,6 +10,7 @@ whose slot layouts and delta matrices it reads.
 
 import functools
 import itertools
+import math
 from collections.abc import Mapping, Sequence
 from fractions import Fraction
 
@@ -17,7 +18,7 @@ from toriclg import linalg
 from toriclg.cech import TAG_CONST, TAG_FORMS, CechError, CoverSimplex, Simplex
 from toriclg.linalg import LinearSolver, RationalMatrix, Vector
 from toriclg.srring import Monomial, SRPolynomial, cone_monomial_basis, monomial_sort_key, restrict
-from toriclg.twisted import ext_subsets
+from toriclg.twisted import ext_subsets, koszul_block
 
 
 # -- cochain plumbing ---------------------------------------------------------
@@ -53,32 +54,63 @@ def local_basis(cs: CoverSimplex, tag: str, tau: Simplex, k: int, m: int) -> lis
     raise CechError(f"unknown tag {tag!r}")
 
 
+def local_rows(cs: CoverSimplex, tag: str, p: int, k: int, m: int) -> dict[Simplex, list[int]]:
+    """Per p-simplex, the rows of the slot (p, k, m) that hold its coordinates,
+    in the order of ``local_basis``.
+
+    A forms slot is laid out as the twisted slot (k, m): the wedge outermost,
+    then the simplices in order, then the monomials of each simplex cone.  A
+    const slot holds the columns of each simplex in turn.
+    """
+    sizes = {tau: len(local_basis(cs, tag, tau, 0 if tag == TAG_FORMS else k, m)) for tau in cs.simplices(p)}
+    wedges = math.comb(cs.fan.rank, k) if tag == TAG_FORMS else 1
+    total = sum(sizes.values())
+    out = {}
+    off = 0
+    for tau, size in sizes.items():
+        out[tau] = [a * total + off + i for a in range(wedges) for i in range(size)]
+        off += size
+    return out
+
+
+def simplex_major(cs: CoverSimplex, tag: str, p: int, k: int, m: int) -> list[int]:
+    """The rows of the slot (p, k, m) simplex by simplex, each in the order of
+    ``local_basis``: row i of a block-diagonal map over the p-simplices is
+    row ``simplex_major(...)[i]`` of the slot."""
+    return [i for rows in local_rows(cs, tag, p, k, m).values() for i in rows]
+
+
+def permuted(a: RationalMatrix, rows: Sequence[int], cols: Sequence[int]) -> RationalMatrix:
+    """a with row i moved to rows[i] and column j to cols[j]."""
+    return RationalMatrix(a.rows, a.cols, {(rows[i], cols[j]): v for (i, j), v in a.entries.items()})
+
+
+def block_diagonal(blocks: Sequence[RationalMatrix]) -> RationalMatrix:
+    return linalg.block_matrix([b.rows for b in blocks], [b.cols for b in blocks],
+                               {(i, i): b for i, b in enumerate(blocks)})
+
+
 def zero_cochain(cs: CoverSimplex, tag: str, p: int, k: int, m: int) -> Cochain:
     return Cochain(tag, p, k, m, {tau: (Fraction(0),) * len(local_basis(cs, tag, tau, k, m))
                                   for tau in cs.simplices(p)})
 
 
 def cochain_to_vector(cs: CoverSimplex, c: Cochain) -> Vector:
-    total, offsets = cs.slot_layout(c.tag, c.p, c.k, c.m)
-    out = [Fraction(0)] * total
+    rows = local_rows(cs, c.tag, c.p, c.k, c.m)
+    out = [Fraction(0)] * sum(map(len, rows.values()))
     for tau, vec in c.components.items():
-        off = offsets[tau]
-        for i, v in enumerate(vec):
-            out[off + i] = v
+        for i, v in zip(rows[tau], vec, strict=True):
+            out[i] = v
     return tuple(out)
 
 
 def cochain_from_vector(cs: CoverSimplex, tag: str, p: int, k: int, m: int,
                         vec: Sequence) -> Cochain:
-    comps = {}
-    pos = 0
-    for tau in cs.simplices(p):
-        size = len(local_basis(cs, tag, tau, k, m))
-        comps[tau] = tuple(Fraction(linalg._exact(v)) for v in vec[pos:pos + size])
-        pos += size
-    if pos != len(vec):
+    rows = local_rows(cs, tag, p, k, m)
+    if sum(map(len, rows.values())) != len(vec):
         raise CechError("vector length does not match the slot")
-    return Cochain(tag, p, k, m, comps)
+    return Cochain(tag, p, k, m, {tau: tuple(Fraction(linalg._exact(vec[i])) for i in at)
+                                  for tau, at in rows.items()})
 
 
 def slot_rows(cs: CoverSimplex, tag: str, t: int, p: int, k: int, m: int) -> tuple[int, range]:
@@ -115,12 +147,15 @@ def from_total(cs: CoverSimplex, tag: str, column: Vector, p: int, k: int, m: in
 
 
 def vertical_matrix(cs: CoverSimplex, p: int, k: int, m: int) -> RationalMatrix:
-    """Twisted vertical differential on the forms slot (p, k, m), block-diagonal
-    over the p-simplices with the coefficient forms restricted to each simplex
-    cone; lands in (p, k - 1, m + 2)."""
-    blocks = [cs._local_vertical(cs.cone_of(tau), k, m) for tau in cs.simplices(p)]
-    return linalg.block_matrix([b.rows for b in blocks], [b.cols for b in blocks],
-                               {(i, i): b for i, b in enumerate(blocks)})
+    """Twisted vertical differential on the forms slot (p, k, m), landing in
+    (p, k - 1, m + 2), built cone by cone: the Koszul block of each simplex
+    cone alone, with the coefficient forms restricted to it, block-diagonal
+    over the p-simplices and then moved to the slot's rows."""
+    forms = cs.twisted().linear_forms
+    blocks = [koszul_block(cs.fan, [restrict(f, cone) for f in forms], k, m, (cone,))
+              for cone in map(cs.cone_of, cs.simplices(p))]
+    return permuted(block_diagonal(blocks), simplex_major(cs, TAG_FORMS, p, k - 1, m + 2),
+                    simplex_major(cs, TAG_FORMS, p, k, m))
 
 
 def cochain_delta(cs: CoverSimplex, c: Cochain) -> Cochain:

@@ -8,13 +8,17 @@ import pytest
 from conftest import FAN_DIR, cn_data, load_fan
 from cech_helpers import (
     Cochain,
+    block_diagonal,
     cochain_delta,
     cochain_to_vector,
     from_total,
     functions_cochain,
     glue_sections,
     local_basis,
+    local_rows,
+    permuted,
     poly_components,
+    simplex_major,
     slot_rows,
     split_cocycle,
     split_cocycle_generic,
@@ -124,6 +128,19 @@ class TestConstMatrix:
             for k in range(fan.rank + 2):
                 assert cs.const_matrix(cone, k) == minors_matrix(columns_as_rows, k), (cone, k)
 
+    @pytest.mark.parametrize("name", sorted(p.stem for p in FAN_DIR.glob("*.json")))
+    def test_const_slot_sizes_count_the_columns(self, name):
+        # slot_layout counts C(n - dim, k) columns per simplex cone, without
+        # building const_matrix, and they are its columns, simplex after simplex
+        cs = CoverSimplex(load_fan(name))
+        layouts = {(p, k): cs.slot_layout(TAG_CONST, p, k, 0)
+                   for p in range(cs.size) for k in range(cs.fan.rank + 1)}
+        assert not any(key[0] == "const" for key in cs._tables)
+        for (p, k), (total, offsets) in layouts.items():
+            cols = [cs.const_matrix(cs.cone_of(tau), k).cols for tau in cs.simplices(p)]
+            assert total == sum(cols), (p, k)
+            assert [offsets[tau] for tau in cs.simplices(p)] == [sum(cols[:i]) for i in range(len(cols))]
+
 
 def scrambled(fan, seed: int):
     """The fan in coordinates changed by a seeded unimodular matrix, its rays
@@ -169,25 +186,17 @@ class TestExactness:
             assert rep.exact, name
 
     def test_forms_delta_is_copies_of_the_functions_delta(self, covers):
-        # delta on the forms of exterior degree k is C(n, k) copies of delta on
-        # the functions (k = 0), one per wedge: exactness at k = 0 gives every k
-        def positions(cs, p, k, m):
-            # per wedge, the index at exterior degree k of each index at k = 0
-            total, offsets = cs.slot_layout(TAG_FORMS, p, 0, m)
-            starts = [offsets[tau] for tau in cs.simplices(p)] + [total]
-            wedges = math.comb(cs.fan.rank, k)
-            return [[wedges * o + a * (e - o) + i - o for o, e in zip(starts, starts[1:])
-                     for i in range(o, e)] for a in range(wedges)]
-
+        # delta on the forms of exterior degree k is C(n, k) diagonal copies of
+        # delta on the functions (k = 0), one per wedge, since a forms slot puts
+        # the wedge outermost: exactness at k = 0 gives every k
         for name, cs in covers.items():
             n = cs.fan.rank
             for p in range(cs.size):
                 for m in (0, 2, 4):
                     base = cs.delta_matrix(TAG_FORMS, p, 0, m)
                     for k in range(1, n + 1):
-                        want = {(rows[i], cols[j]): v
-                                for rows, cols in zip(positions(cs, p + 1, k, m), positions(cs, p, k, m))
-                                for (i, j), v in base.entries.items()}
+                        want = {(a * base.rows + i, a * base.cols + j): v
+                                for a in range(math.comb(n, k)) for (i, j), v in base.entries.items()}
                         delta = cs.delta_matrix(TAG_FORMS, p, k, m)
                         assert delta.shape == (math.comb(n, k) * base.rows, math.comb(n, k) * base.cols)
                         assert delta.entries == want, (name, p, k, m)
@@ -331,8 +340,10 @@ class TestTotals:
 
     def test_totals_match_block_assembly(self, covers, p2):
         # the totals and the augmentation are written straight from the delta
-        # plans and the local blocks; each must equal the matrix assembled
-        # block by block from delta_matrix, vertical_matrix and const_matrix
+        # plans, one Koszul block per slot and the const wedges; each must
+        # equal the matrix assembled block by block from delta_matrix and the
+        # block-diagonal maps over the simplex cones of vertical_matrix and
+        # const_matrix, moved to the slots' rows
         def assembled(cs, src_tag, dst_tag, t_src, t_dst, arrows):
             src = cs.total_blocks(src_tag, t_src)
             dst = cs.total_blocks(dst_tag, t_dst)
@@ -351,9 +362,8 @@ class TestTotals:
         def inclusion_arrows(cs):
             def arrows(p, k, m):
                 blocks = [cs.const_matrix(cs.cone_of(tau), k) for tau in cs.simplices(p)]
-                yield (p, k, m), linalg.block_matrix(
-                    [b.rows for b in blocks], [b.cols for b in blocks],
-                    {(i, i): b for i, b in enumerate(blocks)})
+                yield (p, k, m), permuted(block_diagonal(blocks), simplex_major(cs, TAG_FORMS, p, k, m),
+                                          simplex_major(cs, TAG_CONST, p, k, m))
             return arrows
 
         extra = CoverSimplex(p2, list(p2.max_cones) + [p2.cone([1]), p2.cone([1, 2])])
@@ -598,21 +608,29 @@ class TestCup:
 
 @pytest.mark.parametrize("name", ["p2", "hirzebruch1"])
 def test_local_vertical_matches_element_differential(name):
-    # the index-map blocks on every simplex cone against helpers.lg_differential,
-    # with the coefficient forms restricted to the cone
+    # the vertical block of every forms slot, read out of the total, against
+    # helpers.lg_differential with the coefficient forms restricted to each
+    # simplex cone and the sign (-1)^p, per (wedge, simplex) block: a column
+    # of simplex tau is zero outside the rows of tau
     fan = load_fan(name)
     cs = CoverSimplex(fan)
     tc = build_twisted(fan)
     n = fan.rank
-    for tau in {tau for p in range(cs.size) for tau in cs.simplices(p)}:
-        cone = cs.cone_of(tau)
-        forms = [restrict(f, cone) for f in tc.linear_forms]
+    for p in range(cs.size):
         for m in range(0, 2 * n + 5, 2):
             for k in range(1, n + 1):
+                t = p + k + m
+                _, src = slot_rows(cs, TAG_FORMS, t, p, k, m)
+                _, dst = slot_rows(cs, TAG_FORMS, t + 1, p, k - 1, m + 2)
                 columns: dict = {}
-                for (i, j), v in cs._local_vertical(cone, k, m).entries.items():
-                    columns.setdefault(j, {})[i] = v
-                row = {b: i for i, b in enumerate(local_basis(cs, TAG_FORMS, tau, k - 1, m + 2))}
-                for j, b in enumerate(local_basis(cs, TAG_FORMS, tau, k, m)):
-                    want = {row[key]: v for key, v in lg_differential(tc, {b: 1}, forms).items()}
-                    assert columns.get(j, {}) == want, (name, cone, k, m, j)
+                for (i, j), v in cs.forms_total_matrix(t).entries.items():
+                    if i in dst and j in src:
+                        columns.setdefault(j - src.start, {})[i - dst.start] = v
+                src_rows = local_rows(cs, TAG_FORMS, p, k, m)
+                dst_rows = local_rows(cs, TAG_FORMS, p, k - 1, m + 2)
+                for tau in cs.simplices(p):
+                    forms = [restrict(f, cs.cone_of(tau)) for f in tc.linear_forms]
+                    row = dict(zip(local_basis(cs, TAG_FORMS, tau, k - 1, m + 2), dst_rows[tau]))
+                    for j, b in zip(src_rows[tau], local_basis(cs, TAG_FORMS, tau, k, m)):
+                        want = {row[key]: (-1) ** p * v for key, v in lg_differential(tc, {b: 1}, forms).items()}
+                        assert columns.get(j, {}) == want, (name, tau, k, m, j)

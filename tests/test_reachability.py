@@ -38,10 +38,11 @@ KEPT = {
     "linalg.scale_vector": "reference algebra of the tests",
     "linalg.RationalMatrix.__add__": "reference algebra of the tests",
     "linalg.RationalMatrix.__sub__": "reference algebra of the tests",
+    "linalg.RationalMatrix.scale": "reference algebra of the tests",
     "srring.SRPolynomial.__add__": "reference algebra of the tests",
     "srring.SRPolynomial.__sub__": "reference algebra of the tests",
     "srring.SRPolynomial.__mul__": "reference algebra of the tests",
-    "srring.SRPolynomial.scale": "reference algebra of the tests",
+    "srring.restrict": "reference algebra of the tests",
     "srring.SRPolynomial._check": "reference algebra of the tests",
     "srring.multiply": "reference algebra of the tests",
     "fan.Fan.__eq__": "equality of values, kept with the class",
