@@ -14,6 +14,9 @@ on (P^1)^8 forms 2^16 products and ``verify`` refuses more than 8 cones.
 The elimination-bound fans that CI verifies, P^4 and Bl_pt P^4 (8 cones,
 the largest Cech complex the cover limit admits), get ``verify`` only;
 P^6 and C^8 are left out, since nothing bounds ``verify`` there.
+``verify`` also runs on ``fans/p2.json`` with three covers other than its
+maximal cones: ``--cover 3,4,6,2`` and ``3,4,6,2,5,7`` add ray cones, so
+intersections repeat, and ``3,4,6,3`` repeats a maximal cone.
 The fans are those of the tree that holds this script; the workload,
 LP-bound and elimination-bound fans are generated by
 ``perfbench/fans.py`` and ``perfbench/workloads.py``, which are only
@@ -39,6 +42,8 @@ from workloads import WORKLOADS, workload_jobs  # noqa: E402
 COMMANDS = (["validate"], ["cohomology"], ["cohomology", "--ring"], ["verify"], ["degenerate"])
 LP_COMMANDS = (["validate"], ["degenerate"])
 VERIFY_COMMANDS = (["verify"],)
+# all-cones indices of fans/p2.json: 2, 5, 7 are the rays and 3, 4, 6 the maximal cones
+COVER_COMMANDS = tuple(["verify", "--cover", cover] for cover in ("3,4,6,2", "3,4,6,2,5,7", "3,4,6,3"))
 
 # smooth, complete and not projective: the cones of P^3 at -e1-e2-e3, and
 # cone(e1, e2, e3) cut by w1, w2, w3 and c = (1, 1, 1) along either diagonal
@@ -66,7 +71,7 @@ def fan_texts() -> dict[str, tuple[str, tuple]]:
            for name, cones in PINWHEELS.items()}
     verify = {f"verify-{case.name}.json": json.dumps(case.file_data())
               for case in (projective_space(4), blowup_projective_space(4))}
-    return {**{name: (text, COMMANDS) for name, text in texts.items()},
+    return {**{name: (text, COMMANDS + (COVER_COMMANDS if name == "p2.json" else ())) for name, text in texts.items()},
             **{name: (text, LP_COMMANDS) for name, text in lp.items() if text not in texts.values()},
             **{name: (text, VERIFY_COMMANDS) for name, text in verify.items() if text not in texts.values()}}
 

@@ -15,8 +15,8 @@ A forms slot (p, k, m) is laid out as the twisted slot (k, m) over the
 p-simplex cones' monomial bases (``CoverSimplex.slot_layout``), so one
 ``koszul_block`` over those cones writes its vertical differential.
 
-The module provides the horizontal differential, planned once per
-(tag, Cech degree, polynomial or exterior degree), the exactness check of
+The module provides the horizontal differential, signed restrictions of
+the coefficient system from each cone to its faces, the exactness check of
 the augmented complex in every degree, total complexes written by the
 twisted complex's writer ``total_matrix`` from one map per slot (the delta,
 the Koszul vertical and the inclusion), each a table of ``Fan.table``
@@ -78,7 +78,7 @@ Simplex = tuple[int, ...]  # sorted 0-based cover positions
 # MAX_DEGREE (median of 5 runs, peak RSS of the child; 2-core VM, Python 3.11.7).
 # In higher rank it admits far more work: verify on P^6 (7 cones) passed 2.3 GB
 # RSS 37 s into the job, still growing when it was killed.  A limit on the work
-# itself is ROADMAP item 7.
+# itself is ROADMAP item 6.
 MAX_COVER_DEFAULT = 8
 
 
@@ -204,74 +204,54 @@ class CoverSimplex:
 
         return self.table(("layout", tag, p, k, m), build)
 
-    # -- restriction blocks ---------------------------------------------
-
-    def _keep_pairs(self, src: Cone | None, dst: Cone, m: int) -> tuple[tuple[int, int], ...]:
-        """The (source, target) index pairs of the monomials of degree m on
-        src that restriction to dst keeps (the others it kills), in the
-        bases ``cone_monomial_basis``, or for src None the global ``sr_basis``."""
-        def build():
-            src_basis = sr_basis(self.fan, m) if src is None else cone_monomial_basis(self.fan, src, m)
-            dst_basis = cone_monomial_basis(self.fan, dst, m)
-            # dst's basis holds every monomial of degree m supported on dst
-            index = {mono: i for i, mono in enumerate(dst_basis)}
-            return tuple((j, i) for j, i in enumerate(map(index.get, src_basis)) if i is not None)
-
-        return self.table(("keep", src.ray_indices if src is not None else None, dst.ray_indices, m), build)
-
-    def _const_restriction(self, src: Cone, dst: Cone, k: int) -> RationalMatrix:
-        """Inclusion of annihilator wedges, written in the bases."""
-        return self.table(("constres", src.ray_indices, dst.ray_indices, k),
-                          lambda: self._const_solver(dst, k).solve(self.const_matrix(src, k)))
-
     # -- matrices --------------------------------------------------------
 
-    def _delta_plan(self, tag: str, p: int, q: int) -> list[tuple[int, int, int, object]]:
-        """The delta from Cech degree p to p + 1, planned once per (tag, p, q).
+    def _restriction(self, tag: str, src: Cone | None, dst: Cone, q: int) -> RationalMatrix:
+        """Restriction of the coefficient system from src to its face dst, in
+        the local bases, built once per pair of cones.
 
-        One (target offset, source offset, sign, block) per (tau, face) pair:
-        for forms q is m, the block is ``_keep_pairs`` and the offsets are
-        those at k = 0; for const q is k and the block is
-        ``_const_restriction``.  Both cache a block per pair of cones, which
-        most (tau, face) pairs repeat.
+        For forms q is m: the 0/1 matrix that keeps the monomials of src's
+        ``cone_monomial_basis`` (the global ``sr_basis`` for src None) that
+        dst's basis holds and kills the others.  For const q is k: the
+        annihilator wedges of src solved in dst's ``const_matrix``.
         """
         def build():
-            faces = self.table(("faces", p), lambda: [
-                (tau, tau[:j] + tau[j + 1:], -1 if j % 2 else 1, self.cone_of(tau),
-                 self.cone_of(tau[:j] + tau[j + 1:]))
-                for tau in self.simplices(p + 1) for j in range(len(tau))])
-            k, m = (0, q) if tag == TAG_FORMS else (q, 0)
-            src_off = self.slot_layout(tag, p, k, m)[1]
-            dst_off = self.slot_layout(tag, p + 1, k, m)[1]
-            return [(dst_off[tau], src_off[face], sign, self._keep_pairs(src, dst, m)
-                     if tag == TAG_FORMS else self._const_restriction(src, dst, k))
-                    for tau, face, sign, dst, src in faces]
+            if tag == TAG_CONST:
+                return self._const_solver(dst, q).solve(self.const_matrix(src, q))
+            src_basis = sr_basis(self.fan, q) if src is None else cone_monomial_basis(self.fan, src, q)
+            # dst's basis holds every monomial of degree q supported on dst
+            index = {mono: i for i, mono in enumerate(cone_monomial_basis(self.fan, dst, q))}
+            return RationalMatrix(len(index), len(src_basis), {
+                (i, j): 1 for j, i in enumerate(map(index.get, src_basis)) if i is not None})
 
-        return self.table(("plan", tag, p, q), build)
+        src_key = src.ray_indices if src is not None else None
+        return self.table(("restriction", tag, src_key, dst.ray_indices, q), build)
 
     def delta_matrix(self, tag: str, p: int, k: int, m: int) -> RationalMatrix:
-        """Horizontal differential from Cech degree p to p + 1.
-
-        Written from the plan of (tag, p, m) for forms at k = 0 and of
-        (tag, p, k) for const (``_delta_plan``), each entry once.  The forms
-        delta keeps the wedge: at k > 0, C(n, k) diagonal copies of k = 0's.
-        """
+        """Horizontal differential from Cech degree p to p + 1: each (tau, face)
+        pair places sign * ``_restriction`` from the face's cone to tau's at
+        the two simplices' offsets, at k = 0 (q = m) for forms and at every k
+        (q = k) for const.  The forms delta keeps the wedge: at k > 0, C(n, k)
+        diagonal copies of k = 0's."""
         def build():
             if tag == TAG_FORMS and k:
                 base = self.delta_matrix(tag, p, 0, m)
                 wedges = math.comb(self.fan.rank, k)
                 return linalg.block_matrix([base.rows] * wedges, [base.cols] * wedges,
                                            {(a, a): base for a in range(wedges)})
-            ent: dict[tuple[int, int], int | Fraction] = {}
-            if tag == TAG_FORMS:
-                # keep-or-kill on monomials
-                for r, c, sign, pairs in self._delta_plan(tag, p, m):
-                    ent.update(((r + i, c + j), sign) for j, i in pairs)
-            else:
-                for r, c, sign, blk in self._delta_plan(tag, p, k):
-                    ent.update(((r + i, c + j), sign * v) for (i, j), v in blk.entries.items())
-            return RationalMatrix(self.slot_layout(tag, p + 1, k, m)[0],
-                                  self.slot_layout(tag, p, k, m)[0], ent)
+            faces = self.table(("faces", p), lambda: [
+                (tau, tau[:j] + tau[j + 1:], -1 if j % 2 else 1, self.cone_of(tau),
+                 self.cone_of(tau[:j] + tau[j + 1:]))
+                for tau in self.simplices(p + 1) for j in range(len(tau))])
+            src_dim, src_off = self.slot_layout(tag, p, k, m)
+            dst_dim, dst_off = self.slot_layout(tag, p + 1, k, m)
+            q = m if tag == TAG_FORMS else k
+            ent = {}
+            for tau, face, sign, dst, src in faces:
+                r, c = dst_off[tau], src_off[face]
+                ent.update(((r + i, c + j), sign * v)
+                           for (i, j), v in self._restriction(tag, src, dst, q).entries.items())
+            return RationalMatrix._trusted(dst_dim, src_dim, ent)
 
         return self.table(("delta", tag, p, k, m), build)
 
@@ -280,18 +260,12 @@ class CoverSimplex:
         return self.table(("twisted",), lambda: build_twisted(self.fan))
 
     def augmentation_matrix(self, m: int) -> RationalMatrix:
-        """Restriction of global functions to the degree-0 Cech slot.
-
-        Built by index: on each vertex cone, the global monomial j of
-        ``sr_basis`` that the cone keeps goes to its row i of
-        ``cone_monomial_basis`` (``_keep_pairs``).
-        """
+        """Restriction of global functions to the degree-0 Cech slot: on each
+        vertex cone, ``_restriction`` from the global ring."""
         dst_dim, dst_off = self.slot_layout(TAG_FORMS, 0, 0, m)
-        ent = {}
-        for tau in self.simplices(0):
-            for j, i in self._keep_pairs(None, self.cone_of(tau), m):
-                ent[(dst_off[tau] + i, j)] = 1
-        return RationalMatrix(dst_dim, len(sr_basis(self.fan, m)), ent)
+        ent = {(dst_off[tau] + i, j): v for tau in self.simplices(0) for (i, j), v in
+               self._restriction(TAG_FORMS, None, self.cone_of(tau), m).entries.items()}
+        return RationalMatrix._trusted(dst_dim, len(sr_basis(self.fan, m)), ent)
 
     # -- total complexes ---------------------------------------------------
 
@@ -309,20 +283,14 @@ class CoverSimplex:
                 out.append((p, t - p, 0))
         return out
 
-    def _total_layout(self, tag: str, t: int) -> tuple[int, dict[tuple[int, int, int], int]]:
-        """Dimension of the total space (tag, t) and the offset of each slot in
-        it: the slots of ``total_blocks`` one after another."""
-        offsets = {}
-        total = 0
-        for b in self.total_blocks(tag, t):
-            offsets[b] = total
-            total += self.slot_layout(tag, *b)[0]
-        return total, offsets
+    def _sizes(self, tag: str, t: int) -> dict[tuple[int, int, int], int]:
+        """The dimension of each slot of the total space (tag, t), in
+        ``total_blocks`` order: the total space is its slots one after another."""
+        return {b: self.slot_layout(tag, *b)[0] for b in self.total_blocks(tag, t)}
 
     def _total(self, src_tag: str, dst_tag: str, t_src: int, t_dst: int, maps) -> RationalMatrix:
         """``total_matrix`` between the total spaces (src_tag, t_src) and (dst_tag, t_dst)."""
-        sizes = lambda tag, t: {b: self.slot_layout(tag, *b)[0] for b in self.total_blocks(tag, t)}
-        return total_matrix(sizes(src_tag, t_src), sizes(dst_tag, t_dst), maps)
+        return total_matrix(self._sizes(src_tag, t_src), self._sizes(dst_tag, t_dst), maps)
 
     def const_total_matrix(self, t: int) -> RationalMatrix:
         """Total differential delta on the const double complex (zero vertical)."""
@@ -518,7 +486,7 @@ def cup(cs: CoverSimplex, tag: str, t1: int, x: RationalMatrix, t2: int,
     """Front-face/back-face cup product of total-complex columns, column by column.
 
     x has the rows of the total space (tag, t1) and y those of (tag, t2),
-    laid out slot after slot as ``_total_layout`` gives them; column j of
+    laid out slot after slot as ``_sizes`` gives them; column j of
     the result, in (tag, t1 + t2), is the product of column j of x and
     column j of y.  On a (p1 + p2)-simplex tau, slot (p1, k1, m1) of x is
     read on the front face tau[:p1 + 1] and slot (p2, k2, m2) of y on the
@@ -531,12 +499,14 @@ def cup(cs: CoverSimplex, tag: str, t1: int, x: RationalMatrix, t2: int,
     the rank) vanishes.  A wrong row count, or unequal column counts,
     raise ``CechError``.
     """
-    if (x.rows, y.rows, x.cols) != (cs._total_layout(tag, t1)[0], cs._total_layout(tag, t2)[0], y.cols):
+    if (x.rows, y.rows, x.cols) != (sum(cs._sizes(tag, t1).values()),
+                                    sum(cs._sizes(tag, t2).values()), y.cols):
         raise CechError(f"no cup of a {x.rows} x {x.cols} and a {y.rows} x {y.cols} matrix "
                         f"on the total spaces ({tag}, {t1}) and ({tag}, {t2})")
     if tag == TAG_CONST:
         x, y = cs.inclusion_matrix(t1) @ x, cs.inclusion_matrix(t2) @ y
-    rows, offsets = cs._total_layout(tag, t1 + t2)
+    sizes = cs._sizes(tag, t1 + t2)
+    offsets = dict(zip(sizes, itertools.accumulate(sizes.values(), initial=0)))
     acc = {}  # (slot, tau) -> {column: the product on the cone of tau}
     xs, ys = _face_values(cs, t1, x), _face_values(cs, t2, y)
     for (p1, k1, m1), front in xs.items():
@@ -571,7 +541,7 @@ def cup(cs: CoverSimplex, tag: str, t1: int, x: RationalMatrix, t2: int,
             monos = {b: i for i, b in enumerate(cone_monomial_basis(cs.fan, cs.cone_of(tau), m))}
             ent.update(((off + wedges[s] * size // len(wedges) + monos[b], j), c)
                        for j, col in cols.items() for (b, s), c in col.items())
-    return RationalMatrix(rows, x.cols, ent)
+    return RationalMatrix(sum(sizes.values()), x.cols, ent)
 
 
 def _face_values(cs: CoverSimplex, t: int,

@@ -168,6 +168,39 @@ class TestDelta:
                             b = cs.delta_matrix(tag, p + 1, k, m)
                             assert (b @ a).is_zero(), (name, tag, p, k, m)
 
+    @pytest.mark.parametrize("name, extra", [
+        *(pytest.param(p.stem, [], id=p.stem) for p in sorted(FAN_DIR.glob("*.json"))),
+        pytest.param("p2", [[1], [1, 2]], id="p2_with_extra_cones")])
+    def test_blocks_are_signed_restrictions(self, name, extra):
+        # block (tau, face) of delta is sign * the restriction from the face's
+        # cone to tau's: keep-or-kill on the local monomials for forms, the
+        # inclusion of annihilator wedges for const; every other entry is zero
+        fan = load_fan(name)
+        cs = CoverSimplex(fan, list(fan.max_cones) + [fan.cone(c) for c in extra])
+        slots = [(TAG_FORMS, 0, m) for m in (0, 2, 4)] + [(TAG_CONST, k, 0) for k in range(fan.rank + 1)]
+        for tag, k, m in slots:
+            for p in range(cs.size - 1):
+                delta = cs.delta_matrix(tag, p, k, m)
+                src, dst = local_rows(cs, tag, p, k, m), local_rows(cs, tag, p + 1, k, m)
+                placed = set()
+                for tau in cs.simplices(p + 1):
+                    for j in range(len(tau)):
+                        face, sign = tau[:j] + tau[j + 1:], (-1) ** j
+                        rows, cols = dst[tau], src[face]
+                        placed |= {(i, c) for i in rows for c in cols}
+                        block = RationalMatrix(len(rows), len(cols), {
+                            (a, b): delta.entries.get((i, c), 0)
+                            for a, i in enumerate(rows) for b, c in enumerate(cols)})
+                        at = (name, tag, k, m, tau, face)
+                        if tag == TAG_FORMS:
+                            here, there = local_basis(cs, tag, tau, k, m), local_basis(cs, tag, face, k, m)
+                            assert block.entries == {(a, b): sign for a, x in enumerate(here)
+                                                     for b, y in enumerate(there) if x == y}, at
+                        else:
+                            assert (cs.const_matrix(cs.cone_of(tau), k) @ block
+                                    == cs.const_matrix(cs.cone_of(face), k).scale(sign)), at
+                assert set(delta.entries) <= placed, (name, tag, p, k, m)
+
     def test_delta_commutes_with_vertical(self, covers):
         for name, cs in covers.items():
             n = cs.fan.rank
@@ -339,11 +372,11 @@ class TestTotals:
                 assert (cs.const_total_matrix(t + 1) @ cs.const_total_matrix(t)).is_zero()
 
     def test_totals_match_block_assembly(self, covers, p2):
-        # the totals and the augmentation are written straight from the delta
-        # plans, one Koszul block per slot and the const wedges; each must
-        # equal the matrix assembled block by block from delta_matrix and the
-        # block-diagonal maps over the simplex cones of vertical_matrix and
-        # const_matrix, moved to the slots' rows
+        # the totals and the augmentation are written from one restriction
+        # per pair of cones, one Koszul block per slot and the const wedges;
+        # each must equal the matrix assembled block by block from
+        # delta_matrix and the block-diagonal maps over the simplex cones of
+        # vertical_matrix and const_matrix, moved to the slots' rows
         def assembled(cs, src_tag, dst_tag, t_src, t_dst, arrows):
             src = cs.total_blocks(src_tag, t_src)
             dst = cs.total_blocks(dst_tag, t_dst)

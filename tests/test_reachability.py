@@ -31,9 +31,8 @@ KEPT = {
     "linalg.lift": "perfbench/tracer.py wraps it by name (linalg.elim)",
     "linalg.image_pivot_columns": "perfbench/tracer.py wraps it by name (linalg.elim)",
     "cli.__getattr__": "perfbench's tracer test reads cli.parse_fan_file through it",
-    "cech.cup": "the manifold's ring; ROADMAP item 5",
+    "cech.cup": "the manifold's ring; ROADMAP item 4",
     "cech._face_values": "the Cech cup product (cech.cup)",
-    "cech.CoverSimplex._total_layout": "the Čech cup's layout (cech.cup)",
     "linalg.add_vectors": "reference algebra of the tests",
     "linalg.scale_vector": "reference algebra of the tests",
     "linalg.RationalMatrix.__add__": "reference algebra of the tests",
